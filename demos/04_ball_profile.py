@@ -7,19 +7,15 @@ just outside the certified radius: the radius is sufficient, not necessary,
 so violations beyond it may or may not occur and are simply recorded.
 """
 
-import numpy as np
-
 from pptball import (
     LineFamily,
     SamplerConfig,
-    build_witness,
+    certify,
     crossing_x0,
     get_upb,
     is_ppt_all_cuts,
     minimum_overlap,
     mixture_tau,
-    omega_state,
-    radius_from_witness,
     robustness_profile,
     sample_hs_density,
     witness_value,
@@ -27,9 +23,8 @@ from pptball import (
 
 upb = get_upb("tiles")
 lam = minimum_overlap(upb)
-w = build_witness(upb, lam)
-omega = omega_state(upb)
-profile = robustness_profile(upb, lam, w, grid_size=12)
+cert = certify(upb, lam)
+profile = robustness_profile(cert, grid_size=12)
 
 print(f"lambda          = {profile.lambda_value:.12f}")
 print(f"lambda_omega    = {profile.lambda_omega:.12f}")
@@ -49,17 +44,17 @@ print("the curve rises on the witness branch, peaks at x0, and falls on the "
       "purity branch")
 
 # Descriptive probe around the certified radius: nothing is asserted here.
-fam = LineFamily(omega)
+fam = LineFamily(cert.omega)
 x = (profile.x_star + profile.x0_root) / 2
-y0 = radius_from_witness(x, w, profile.lambda_omega)
-cfg = SamplerConfig(99, 200)
+y0 = cert.radius(x)
+cfg = SamplerConfig(99)
 for factor in (0.99, 1.05, 1.5):
     y = min(factor * y0, 0.999)
     bad = 0
     for t in range(200):
         sigma = sample_hs_density(upb.structure, cfg, trial=t)
         tau, _ = mixture_tau(fam, sigma, x, y)
-        if not is_ppt_all_cuts(tau) or witness_value(w, tau) >= 0:
+        if not is_ppt_all_cuts(tau) or witness_value(cert.witness, tau) >= 0:
             bad += 1
     print(f"perturbation at {factor:.2f} * y0 (x = {x:.4f}): "
           f"{bad}/200 draws broke PPT or the witness sign")

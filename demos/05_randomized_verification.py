@@ -8,38 +8,25 @@ volumes are not reported: the certified balls are far too small to hit by
 Hilbert-Schmidt sampling at these dimensions.
 """
 
-import numpy as np
-
 from pptball import (
     LineFamily,
     SamplerConfig,
     ball_fraction_estimate,
-    build_witness,
-    entanglement_threshold,
+    certify,
     get_upb,
     minimum_overlap,
-    omega_state,
-    radius_from_witness,
     verify_ball_robustness,
     verify_separable_mixing,
-    witness_value,
 )
 
+certs = {}
 for name in ("tiles", "shifts"):
     upb = get_upb(name)
-    lam = minimum_overlap(upb)
-    w = build_witness(upb, lam)
-    omega = omega_state(upb)
-    lo = -witness_value(w, omega)
-    x_star = entanglement_threshold(lo, upb.total_dim)
-    xs = np.linspace(x_star, 1.0, 12)[1:-1]
-
+    cert = certs[name] = certify(upb, minimum_overlap(upb))
     ball = verify_ball_robustness(
-        upb, xs, 0.99, 300, SamplerConfig(42, 300, stream_id=1), lam=lam, witness=w
+        cert, cert.x_grid(10), 0.99, 300, SamplerConfig(42, stream_id=1)
     )
-    mixing = verify_separable_mixing(
-        upb, 0.99, 300, SamplerConfig(42, 300, stream_id=2), lam=lam, witness=w
-    )
+    mixing = verify_separable_mixing(cert, 0.99, 300, SamplerConfig(42, stream_id=2))
     print(f"== {name} ==")
     print(f"  ball suite    : {ball.trials} trials, "
           f"{ball.ppt_violations} PPT violations, "
@@ -50,15 +37,11 @@ for name in ("tiles", "shifts"):
           f"{mixing.witness_violations} witness violations, "
           f"worst margin {mixing.worst_margin:.2e}")
 
-upb = get_upb("tiles")
-lam = minimum_overlap(upb)
-w = build_witness(upb, lam)
-omega = omega_state(upb)
-lo = -witness_value(w, omega)
-x = (entanglement_threshold(lo, 9) + 1.0) / 2
-center = LineFamily(omega).member(x)
-radius = radius_from_witness(x, w, lo)
-est = ball_fraction_estimate(center, radius, 2000, SamplerConfig(7, 2000))
+cert = certs["tiles"]
+x = (cert.x_star + 1.0) / 2
+center = LineFamily(cert.omega).member(x)
+radius = cert.radius(x)
+est = ball_fraction_estimate(center, radius, 2000, SamplerConfig(7))
 print()
 print(f"ball-fraction estimate at x = {x:.4f}, radius = {radius:.2e}: "
       f"{est.hits}/{est.trials} hits, "

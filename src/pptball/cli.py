@@ -25,8 +25,6 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .gridsearch import grid_minimum_overlap
 from .montecarlo import (
@@ -35,9 +33,9 @@ from .montecarlo import (
     verify_ball_robustness,
     verify_separable_mixing,
 )
-from .robustness import LineFamily, radius_from_witness, robustness_profile
-from .upb import CATALOG, get_upb, omega_state
-from .witness import SeesawConfig, build_witness, minimum_overlap, witness_value
+from .robustness import Certificate, LineFamily, certify, robustness_profile
+from .upb import CATALOG, get_upb
+from .witness import SeesawConfig, minimum_overlap
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -49,6 +47,10 @@ X0_NOTE = (
     "the tabulated closed form, which disagrees with the root and is carried "
     "for comparison only."
 )
+
+
+class _NoConvergence(Exception):
+    """The overlap minimizer did not converge; ``main`` exits with status 3."""
 
 
 def _flatten(obj, prefix=""):
@@ -66,7 +68,7 @@ def _flatten(obj, prefix=""):
 
 def _emit(report: dict, fmt: str, path: str | None) -> None:
     if fmt == "json":
-        text = json.dumps(report, indent=2) + "\n"
+        text = json.dumps(report, indent=2, allow_nan=False) + "\n"
     else:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
@@ -80,7 +82,7 @@ def _emit(report: dict, fmt: str, path: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _header(command: str, args) -> dict:
+def _header(command: str) -> dict:
     return {
         "tool": {"name": "pptball", "version": __version__},
         "command": command,
@@ -89,6 +91,14 @@ def _header(command: str, args) -> dict:
 
 def _seesaw_cfg(args) -> SeesawConfig:
     return SeesawConfig(restarts=args.restarts, max_iters=args.max_iters, seed=args.seed)
+
+
+def _certificate(args) -> Certificate:
+    upb = get_upb(args.upb)
+    lam = minimum_overlap(upb, _seesaw_cfg(args))
+    if not lam.converged:
+        raise _NoConvergence("overlap minimizer did not converge")
+    return certify(upb, lam)
 
 
 def _pair(z: complex) -> list[float]:
@@ -107,7 +117,7 @@ def _cmd_upb_list(args) -> int:
                 "complement_rank": upb.total_dim - upb.cardinality,
             }
         )
-    report = _header("upb-list", args)
+    report = _header("upb-list")
     report["sets"] = entries
     _emit(report, args.format, args.output)
     return EXIT_OK
@@ -117,7 +127,7 @@ def _cmd_lambda(args) -> int:
     upb = get_upb(args.upb)
     lam = minimum_overlap(upb, _seesaw_cfg(args))
     grid = grid_minimum_overlap(upb)
-    report = _header("lambda", args)
+    report = _header("lambda")
     report["config"] = {
         "upb": args.upb,
         "seed": args.seed,
@@ -138,14 +148,8 @@ def _cmd_lambda(args) -> int:
 
 
 def _cmd_profile(args) -> int:
-    upb = get_upb(args.upb)
-    lam = minimum_overlap(upb, _seesaw_cfg(args))
-    if not lam.converged:
-        print("overlap minimizer did not converge", file=sys.stderr)
-        return EXIT_NO_CONVERGENCE
-    witness = build_witness(upb, lam)
-    profile = robustness_profile(upb, lam, witness, grid_size=args.grid)
-    report = _header("profile", args)
+    profile = robustness_profile(_certificate(args), grid_size=args.grid)
+    report = _header("profile")
     report["config"] = {
         "upb": args.upb,
         "seed": args.seed,
@@ -160,32 +164,16 @@ def _cmd_profile(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    upb = get_upb(args.upb)
-    lam = minimum_overlap(upb, _seesaw_cfg(args))
-    if not lam.converged:
-        print("overlap minimizer did not converge", file=sys.stderr)
-        return EXIT_NO_CONVERGENCE
-    witness = build_witness(upb, lam)
-    omega = omega_state(upb)
-    lambda_omega = -witness_value(witness, omega)
-    x_star = 1.0 / (1.0 + upb.total_dim * lambda_omega)
-    xs = np.linspace(x_star, 1.0, args.grid + 2)[1:-1]
+    cert = _certificate(args)
     ball = verify_ball_robustness(
-        upb,
-        xs,
+        cert,
+        cert.x_grid(args.grid),
         args.y_fraction,
         args.trials,
-        SamplerConfig(args.seed, args.trials, stream_id=1),
-        lam=lam,
-        witness=witness,
+        SamplerConfig(args.seed, stream_id=1),
     )
     mixing = verify_separable_mixing(
-        upb,
-        args.z_fraction,
-        args.trials,
-        SamplerConfig(args.seed, args.trials, stream_id=2),
-        lam=lam,
-        witness=witness,
+        cert, args.z_fraction, args.trials, SamplerConfig(args.seed, stream_id=2)
     )
     violations = (
         ball.ppt_violations
@@ -193,7 +181,7 @@ def _cmd_verify(args) -> int:
         + mixing.ppt_violations
         + mixing.witness_violations
     )
-    report = _header("verify", args)
+    report = _header("verify")
     report["config"] = {
         "upb": args.upb,
         "seed": args.seed,
@@ -204,7 +192,7 @@ def _cmd_verify(args) -> int:
         "restarts": args.restarts,
         "max_iters": args.max_iters,
     }
-    report["lambda"] = lam.value
+    report["lambda"] = cert.lam.value
     report["suites"] = {
         "ball": ball.to_json_dict(),
         "separable-mixing": mixing.to_json_dict(),
@@ -215,24 +203,17 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_membership(args) -> int:
-    upb = get_upb(args.upb)
-    lam = minimum_overlap(upb, _seesaw_cfg(args))
-    if not lam.converged:
-        print("overlap minimizer did not converge", file=sys.stderr)
-        return EXIT_NO_CONVERGENCE
-    witness = build_witness(upb, lam)
-    omega = omega_state(upb)
-    lambda_omega = -witness_value(witness, omega)
-    x_star = 1.0 / (1.0 + upb.total_dim * lambda_omega)
+    cert = _certificate(args)
+    x_star = cert.x_star
     x = args.x if args.x is not None else 0.5 * (x_star + 1.0)
     if not x_star < x < 1.0:
         raise ValueError(f"--x must lie in (x* = {x_star!r}, 1), got {x!r}")
-    radius = radius_from_witness(x, witness, lambda_omega, mode="tight")
-    center = LineFamily(omega).member(x)
+    radius = cert.radius(x)
+    center = LineFamily(cert.omega).member(x)
     estimate = ball_fraction_estimate(
-        center, radius, args.trials, SamplerConfig(args.seed, args.trials, stream_id=3)
+        center, radius, args.trials, SamplerConfig(args.seed, stream_id=3)
     )
-    report = _header("membership", args)
+    report = _header("membership")
     report["config"] = {
         "upb": args.upb,
         "seed": args.seed,
@@ -260,6 +241,17 @@ def _cmd_export(args) -> int:
     return EXIT_OK
 
 
+def _count(text: str) -> int:
+    """argparse type for a count of restarts, iterations, trials or grid points."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pptball",
@@ -278,8 +270,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_seesaw(p):
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--restarts", type=int, default=200)
-        p.add_argument("--max-iters", type=int, default=500)
+        p.add_argument("--restarts", type=_count, default=200)
+        p.add_argument("--max-iters", type=_count, default=500)
 
     p_list = sub.add_parser("upb-list", help="list the catalog")
     add_common(p_list, upb=False)
@@ -293,14 +285,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_profile = sub.add_parser("profile", help="robustness profile")
     add_common(p_profile)
     add_seesaw(p_profile)
-    p_profile.add_argument("--grid", type=int, default=50, help="radius sample count")
+    p_profile.add_argument("--grid", type=_count, default=50, help="radius sample count")
     p_profile.set_defaults(handler=_cmd_profile)
 
     p_verify = sub.add_parser("verify", help="randomized ball and mixing suites")
     add_common(p_verify)
     add_seesaw(p_verify)
-    p_verify.add_argument("--trials", type=int, default=1000)
-    p_verify.add_argument("--grid", type=int, default=10, help="x grid size")
+    p_verify.add_argument("--trials", type=_count, default=1000)
+    p_verify.add_argument("--grid", type=_count, default=10, help="x grid size")
     p_verify.add_argument("--y-fraction", type=float, default=0.99)
     p_verify.add_argument("--z-fraction", type=float, default=0.99)
     p_verify.set_defaults(handler=_cmd_verify)
@@ -308,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_member = sub.add_parser("membership", help="ball-fraction estimate")
     add_common(p_member)
     add_seesaw(p_member)
-    p_member.add_argument("--trials", type=int, default=1000)
+    p_member.add_argument("--trials", type=_count, default=1000)
     p_member.add_argument("--x", type=float, default=None)
     p_member.set_defaults(handler=_cmd_membership)
 
@@ -324,6 +316,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
+    except _NoConvergence as exc:
+        print(exc, file=sys.stderr)
+        return EXIT_NO_CONVERGENCE
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -21,22 +21,8 @@ from .operators import (
     PSD_TOL,
     is_ppt_all_cuts,
 )
-from .robustness import (
-    LineFamily,
-    ball_membership,
-    entanglement_threshold,
-    mixture_tau,
-    radius_from_witness,
-)
-from .upb import UPBSet, omega_state
-from .witness import (
-    LambdaResult,
-    SeesawConfig,
-    Witness,
-    build_witness,
-    minimum_overlap,
-    witness_value,
-)
+from .robustness import Certificate, LineFamily, ball_membership, mixture_tau
+from .witness import witness_value
 
 _HS_TAG = 1
 _PRODUCT_TAG = 2
@@ -44,17 +30,14 @@ _PRODUCT_TAG = 2
 
 @dataclass(frozen=True)
 class SamplerConfig:
-    """Reproducible sampling plan: master seed, trial budget, stream label."""
+    """Reproducible sampling plan: master seed and stream label."""
 
     master_seed: int
-    trials: int
     stream_id: int = 0
 
     def __post_init__(self):
         if self.master_seed < 0 or self.stream_id < 0:
             raise ValueError("seeds and stream ids must be nonnegative")
-        if self.trials < 1:
-            raise ValueError("at least one trial is required")
 
 
 def _substream(cfg: SamplerConfig, tag: int, trial: int) -> np.random.Generator:
@@ -132,24 +115,13 @@ class VerificationOutcome:
         }
 
 
-def _resolve(upb, cfg_seesaw, lam, witness):
-    if lam is None:
-        lam = minimum_overlap(upb, cfg_seesaw or SeesawConfig())
-    if witness is None:
-        witness = build_witness(upb, lam)
-    return lam, witness
-
-
 def verify_ball_robustness(
-    upb: UPBSet,
+    cert: Certificate,
     x_grid,
     y_fraction: float,
     trials: int,
     cfg: SamplerConfig,
-    lam: LambdaResult | None = None,
-    witness: Witness | None = None,
     psd_tol: float = PSD_TOL,
-    seesaw: SeesawConfig | None = None,
 ) -> VerificationOutcome:
     """Perturb each family member by arbitrary random states inside its ball.
 
@@ -160,11 +132,10 @@ def verify_ball_robustness(
     """
     if not 0.0 < y_fraction < 1.0:
         raise ValueError(f"y_fraction must lie in (0, 1), got {y_fraction!r}")
-    lam, witness = _resolve(upb, seesaw, lam, witness)
-    omega = omega_state(upb)
-    fam = LineFamily(omega)
-    lambda_omega = -witness_value(witness, omega)
-    x_star = entanglement_threshold(lambda_omega, upb.total_dim)
+    if trials < 1:
+        raise ValueError("at least one trial is required")
+    upb, witness, x_star = cert.upb, cert.witness, cert.x_star
+    fam = LineFamily(cert.omega)
     ppt_bad = 0
     wit_bad = 0
     worst = np.inf
@@ -173,7 +144,7 @@ def verify_ball_robustness(
     for xi, x in enumerate(x_grid):
         if not x_star < x < 1.0:
             raise ValueError(f"grid point {x!r} outside (x* = {x_star!r}, 1)")
-        y = y_fraction * radius_from_witness(x, witness, lambda_omega, mode="tight")
+        y = y_fraction * cert.radius(x)
         for t in range(trials):
             flat = xi * trials + t
             sigma = sample_hs_density(upb.structure, cfg, trial=flat)
@@ -210,15 +181,12 @@ def verify_ball_robustness(
 
 
 def verify_separable_mixing(
-    upb: UPBSet,
+    cert: Certificate,
     z_fraction: float,
     trials: int,
     cfg: SamplerConfig,
-    lam: LambdaResult | None = None,
-    witness: Witness | None = None,
     mixture_terms: int = 4,
     psd_tol: float = PSD_TOL,
-    seesaw: SeesawConfig | None = None,
 ) -> VerificationOutcome:
     """Mix the complement state with random separable states below the threshold.
 
@@ -227,9 +195,10 @@ def verify_separable_mixing(
     """
     if not 0.0 < z_fraction < 1.0:
         raise ValueError(f"z_fraction must lie in (0, 1), got {z_fraction!r}")
-    lam, witness = _resolve(upb, seesaw, lam, witness)
-    omega = omega_state(upb)
-    z = z_fraction * lam.value
+    if trials < 1:
+        raise ValueError("at least one trial is required")
+    upb, witness, omega = cert.upb, cert.witness, cert.omega
+    z = z_fraction * cert.lam.value
     ppt_bad = 0
     wit_bad = 0
     worst = np.inf

@@ -22,7 +22,7 @@ from .operators import (
     purity,
 )
 from .upb import UPBSet, omega_state
-from .witness import LambdaResult, Witness, witness_value
+from .witness import LambdaResult, Witness, build_witness, witness_value
 
 IDENTITY_ATOL = 1e-12
 CROSSING_RESIDUAL = 1e-12
@@ -49,10 +49,6 @@ class LineFamily:
         return DensityMatrix.from_matrix(m, self.structure)
 
 
-def family_member(fam: LineFamily, x: float) -> DensityMatrix:
-    return fam.member(x)
-
-
 def entanglement_threshold(lambda_rho: float, dim_total: int) -> float:
     """x* = 1/(1 + D lambda); family members with x > x* stay witness-negative."""
     if lambda_rho <= 0.0:
@@ -71,12 +67,16 @@ def entanglement_threshold_upb(
     1/(1 + D lambda_omega) must agree with 1 - lambda D / n to IDENTITY_ATOL.
     """
     general = entanglement_threshold(lambda_omega, dim_total)
-    closed = 1.0 - lam_value * dim_total / cardinality
+    closed = _closed_threshold(cardinality, dim_total, lam_value)
     if abs(general - closed) > IDENTITY_ATOL:
         raise RuntimeError(
             f"threshold identity violated: {general!r} vs {closed!r}"
         )
     return general
+
+
+def _closed_threshold(n: int, dim_total: int, lam_value: float) -> float:
+    return 1.0 - lam_value * dim_total / n
 
 
 def radius_y0(
@@ -105,7 +105,6 @@ def radius_y0(
     x_star = entanglement_threshold(lambda_rho, dim_total)
     if not x_star < x < 1.0:
         raise ValueError(f"x must lie strictly between x* = {x_star!r} and 1, got {x!r}")
-    c = (x * (1.0 + dim_total * lambda_rho) - 1.0) / dim_total
     if mode == "tight":
         if max_pos_eigenvalue is None:
             raise ValueError("tight mode needs max_pos_eigenvalue")
@@ -114,9 +113,18 @@ def radius_y0(
         if p_count is None:
             raise ValueError("averaged mode needs p_count")
         bound = pos_part_trace / p_count
-    witness_branch = c / (bound + c)
-    purity_branch = (1.0 - x) / (dim_total - 1.0 - x)
-    return float(min(purity_branch, witness_branch))
+    return float(
+        min(_purity_branch(x, dim_total), _witness_branch(x, lambda_rho, dim_total, bound))
+    )
+
+
+def _purity_branch(x: float, dim_total: int) -> float:
+    return (1.0 - x) / (dim_total - 1.0 - x)
+
+
+def _witness_branch(x: float, lambda_rho: float, dim_total: int, bound: float) -> float:
+    c = (x * (1.0 + dim_total * lambda_rho) - 1.0) / dim_total
+    return c / (bound + c)
 
 
 def radius_from_witness(
@@ -134,12 +142,49 @@ def radius_from_witness(
     )
 
 
-def _purity_branch(x: float, dim_total: int) -> float:
-    return (1.0 - x) / (dim_total - 1.0 - x)
+@dataclass(frozen=True, eq=False)
+class Certificate:
+    """The chain from a product basis to its entanglement threshold.
+
+    ``lam`` is the minimum product overlap, ``witness`` the normalized
+    W = (P - lambda I)/(n - lambda D), ``omega`` the complement state,
+    ``lambda_omega`` = -Tr(W omega) its violation and ``x_star`` the threshold
+    above which the white-noise family through omega stays witness-negative.
+    Build it with ``certify``.
+    """
+
+    upb: UPBSet
+    lam: LambdaResult
+    witness: Witness
+    omega: DensityMatrix
+    lambda_omega: float
+    x_star: float
+
+    def x_grid(self, k: int) -> np.ndarray:
+        """k evenly spaced points strictly inside (x*, 1)."""
+        return np.linspace(self.x_star, 1.0, k + 2)[1:-1]
+
+    def radius(self, x: float, mode: str = "tight") -> float:
+        """Certified ball radius y0(x) around the family member at x."""
+        return radius_from_witness(x, self.witness, self.lambda_omega, mode=mode)
 
 
-def _witness_branch_upb(x: float, n: int, dim_total: int, lam: float) -> float:
-    return (n * x - n + lam * dim_total) / (n * x - n + dim_total)
+def certify(upb: UPBSet, lam: LambdaResult) -> Certificate:
+    """Build the witness, complement state, violation and threshold of a set.
+
+    The violation must stay below the 1 - 2/D ceiling, and x* must agree in
+    its two forms (see ``entanglement_threshold_upb``).
+    """
+    witness = build_witness(upb, lam)
+    omega = omega_state(upb)
+    lambda_omega = -witness_value(witness, omega)
+    d = upb.total_dim
+    if lambda_omega > 1.0 - 2.0 / d + IDENTITY_ATOL:
+        raise RuntimeError(
+            f"witness violation {lambda_omega!r} exceeds the 1 - 2/D ceiling"
+        )
+    x_star = entanglement_threshold_upb(upb.cardinality, d, lam.value, lambda_omega)
+    return Certificate(upb, lam, witness, omega, float(lambda_omega), float(x_star))
 
 
 @dataclass(frozen=True)
@@ -162,11 +207,18 @@ def crossing_x0(n: int, dim_total: int, lam_value: float) -> CrossingResult:
 
     The purity branch is strictly decreasing and the witness branch strictly
     increasing, so bisection on their difference converges to the single root.
+    The witness branch is that of the product-basis witness: violation
+    lambda/(n - lambda D) on the complement state and flat positive eigenvalue
+    (1 - lambda)/(n - lambda D).  The bracket starts at the closed form of x*,
+    whose rounding the reported root depends on.
     """
-    x_star = 1.0 - lam_value * dim_total / n
+    norm = n - lam_value * dim_total
+    lambda_omega = lam_value / norm
+    bound = (1.0 - lam_value) / norm
+    x_star = _closed_threshold(n, dim_total, lam_value)
 
     def gap(x):
-        return _purity_branch(x, dim_total) - _witness_branch_upb(x, n, dim_total, lam_value)
+        return _purity_branch(x, dim_total) - _witness_branch(x, lambda_omega, dim_total, bound)
 
     lo, hi = x_star, 1.0
     f_lo, f_hi = gap(lo), gap(hi)
@@ -376,7 +428,6 @@ class RobustnessProfile:
     x0_printed: float
     radius_samples: tuple[tuple[float, float, float], ...]
     mixing_threshold: float
-    bound_mode: str = "tight"
 
     def to_json_dict(self) -> dict:
         return {
@@ -394,34 +445,20 @@ class RobustnessProfile:
         }
 
 
-def robustness_profile(
-    upb: UPBSet, lam: LambdaResult, witness: Witness, grid_size: int = 50
-) -> RobustnessProfile:
+def robustness_profile(cert: Certificate, grid_size: int = 50) -> RobustnessProfile:
     """Assemble thresholds, crossing point, and sampled radii for one catalog set."""
-    omega = omega_state(upb)
-    lambda_omega = -witness_value(witness, omega)
-    d, n = upb.total_dim, upb.cardinality
-    if lambda_omega > 1.0 - 2.0 / d + IDENTITY_ATOL:
-        raise RuntimeError(
-            f"witness violation {lambda_omega!r} exceeds the 1 - 2/D ceiling"
-        )
-    x_star = entanglement_threshold_upb(n, d, lam.value, lambda_omega)
-    crossing = crossing_x0(n, d, lam.value)
-    xs = np.linspace(x_star, 1.0, grid_size + 2)[1:-1]
+    lam = cert.lam.value
+    crossing = crossing_x0(cert.upb.cardinality, cert.upb.total_dim, lam)
     samples = tuple(
-        (
-            float(x),
-            radius_from_witness(x, witness, lambda_omega, mode="tight"),
-            radius_from_witness(x, witness, lambda_omega, mode="averaged"),
-        )
-        for x in xs
+        (float(x), cert.radius(x, mode="tight"), cert.radius(x, mode="averaged"))
+        for x in cert.x_grid(grid_size)
     )
-    mixing = separable_mixing_threshold(witness, lambda_omega, lam.value)
+    mixing = separable_mixing_threshold(cert.witness, cert.lambda_omega, lam)
     return RobustnessProfile(
-        upb_name=upb.name,
-        lambda_value=lam.value,
-        lambda_omega=float(lambda_omega),
-        x_star=float(x_star),
+        upb_name=cert.upb.name,
+        lambda_value=lam,
+        lambda_omega=cert.lambda_omega,
+        x_star=cert.x_star,
         x0_root=crossing.x0_root,
         x0_printed=crossing.x0_printed,
         radius_samples=samples,

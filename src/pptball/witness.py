@@ -103,7 +103,12 @@ def _seesaw_once(local_mats, rng, max_iters, tol, init=None):
     return value, phis, converged, history
 
 
-def _minimize_overlap(upb: UPBSet, cfg: SeesawConfig) -> LambdaResult:
+def minimum_overlap(upb: UPBSet, cfg: SeesawConfig | None = None) -> LambdaResult:
+    """Minimum of <phi| P |phi> over fully product states, for any number of parties.
+
+    Each party's vector is optimized in turn, cyclically, from every restart.
+    """
+    cfg = cfg or SeesawConfig()
     local_mats = [upb.local_matrix(k) for k in range(upb.n_parties)]
     finals = []
     for r in range(cfg.restarts):
@@ -128,48 +133,11 @@ def _minimize_overlap(upb: UPBSet, cfg: SeesawConfig) -> LambdaResult:
     )
 
 
-def compute_lambda(upb: UPBSet, cfg: SeesawConfig | None = None) -> LambdaResult:
-    """Minimum of <phi_A phi_B| P |phi_A phi_B> over bipartite product states."""
-    if upb.n_parties != 2:
-        raise ValueError("expected a bipartite set; use compute_lambda_multipartite")
-    return _minimize_overlap(upb, cfg or SeesawConfig())
-
-
-def compute_lambda_multipartite(upb: UPBSet, cfg: SeesawConfig | None = None) -> LambdaResult:
-    """Minimum projector overlap over fully product states, cyclically over n >= 3 parties."""
-    if upb.n_parties < 3:
-        raise ValueError("expected at least three parties; use compute_lambda")
-    return _minimize_overlap(upb, cfg or SeesawConfig())
-
-
-def minimum_overlap(upb: UPBSet, cfg: SeesawConfig | None = None) -> LambdaResult:
-    """Dispatch to the bipartite or multipartite minimizer by party count."""
-    if upb.n_parties == 2:
-        return compute_lambda(upb, cfg)
-    return compute_lambda_multipartite(upb, cfg)
-
-
-@dataclass(frozen=True, eq=False)
-class Witness:
-    """Unit-trace Hermitian witness with cached spectral quantities.
-
-    The positive/negative part traces differ by exactly the trace (= 1), and
-    for any state pi the expectation Tr(W pi) lies in
-    [-neg_part_trace, pos_part_trace].
-    """
-
-    op: HermitianOperator
-    pos_part_trace: float
-    neg_part_trace: float
-    p_count: int
-    n_neg_count: int
-    max_pos_eigenvalue: float
-
-
 @dataclass(frozen=True, eq=False)
 class SpectralSplit:
-    """W = plus - minus with both parts PSD on mutually orthogonal supports."""
+    """op = plus - minus with both parts PSD on mutually orthogonal supports."""
 
+    op: HermitianOperator
     plus: HermitianOperator
     minus: HermitianOperator
     decomposition: EigenDecomposition
@@ -180,12 +148,21 @@ class SpectralSplit:
     max_pos_eigenvalue: float
 
 
-def spectral_split(op: Witness | HermitianOperator) -> SpectralSplit:
+class Witness(SpectralSplit):
+    """Unit-trace Hermitian witness with cached spectral quantities.
+
+    The positive/negative part traces differ by exactly the trace (= 1), and
+    for any state pi the expectation Tr(W pi) lies in
+    [-neg_part_trace, pos_part_trace].
+    """
+
+
+def spectral_split(op: SpectralSplit | HermitianOperator) -> SpectralSplit:
     """Split a Hermitian operator into its positive and negative parts.
 
     Eigenvalues within ZERO_EIG_ATOL of zero belong to neither part.
     """
-    herm = op.op if isinstance(op, Witness) else op
+    herm = op.op if isinstance(op, SpectralSplit) else op
     dec = eig_hermitian(herm)
     vals, vecs = dec.eigenvalues, dec.eigenvectors
     pos = vals > ZERO_EIG_ATOL
@@ -193,6 +170,7 @@ def spectral_split(op: Witness | HermitianOperator) -> SpectralSplit:
     plus = (vecs[:, pos] * vals[pos]) @ vecs[:, pos].conj().T
     minus = (vecs[:, neg] * (-vals[neg])) @ vecs[:, neg].conj().T
     return SpectralSplit(
+        op=herm,
         plus=HermitianOperator(plus),
         minus=HermitianOperator(minus),
         decomposition=dec,
@@ -211,14 +189,7 @@ def witness_from_operator(op: HermitianOperator) -> Witness:
     split = spectral_split(op)
     if abs(split.pos_part_trace - split.neg_part_trace - 1.0) > TRACE_ATOL:
         raise RuntimeError("spectral split violates the part-trace identity")
-    return Witness(
-        op=op,
-        pos_part_trace=split.pos_part_trace,
-        neg_part_trace=split.neg_part_trace,
-        p_count=split.p_count,
-        n_neg_count=split.n_neg_count,
-        max_pos_eigenvalue=split.max_pos_eigenvalue,
-    )
+    return Witness(**vars(split))
 
 
 def build_witness(upb: UPBSet, lam: LambdaResult | float) -> Witness:

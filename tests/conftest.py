@@ -6,6 +6,7 @@ from pptball import (
     build_shifts,
     build_tiles,
     build_witness,
+    certify,
     grid_minimum_overlap,
     minimum_overlap,
     omega_state,
@@ -60,6 +61,16 @@ def pyramid_witness(pyramid, pyramid_lambda):
 @pytest.fixture(scope="session")
 def shifts_witness(shifts, shifts_lambda):
     return build_witness(shifts, shifts_lambda)
+
+
+@pytest.fixture(scope="session")
+def tiles_cert(tiles, tiles_lambda):
+    return certify(tiles, tiles_lambda)
+
+
+@pytest.fixture(scope="session")
+def shifts_cert(shifts, shifts_lambda):
+    return certify(shifts, shifts_lambda)
 
 
 @pytest.fixture(scope="session")

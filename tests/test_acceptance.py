@@ -16,6 +16,7 @@ from pptball import (
     build_pyramid,
     build_shifts,
     build_tiles,
+    certify,
     crossing_x0,
     eig_hermitian,
     entanglement_threshold,
@@ -94,13 +95,13 @@ def test_a03_witness_algebra(tiles, tiles_lambda, tiles_witness, shifts, shifts_
     w = tiles_witness
     assert abs(w.op.trace - 1.0) < 1e-12
     assert abs(w.pos_part_trace - n * (1 - lam) / (n - lam * d)) < 1e-12
-    cfg = SamplerConfig(2024, 10_000)
+    cfg = SamplerConfig(2024)
     for t in range(10_000):
         pi = sample_hs_density(tiles.structure, cfg, trial=t)
         val = witness_value(w, pi)
         assert -w.neg_part_trace - 1e-12 <= val <= w.pos_part_trace + 1e-12
     for upb, witness in ((tiles, w), (shifts, shifts_witness)):
-        sep_cfg = SamplerConfig(2025, 10_000)
+        sep_cfg = SamplerConfig(2025)
         for t in range(10_000):
             sigma = sample_random_product_separable(upb.structure, 3, sep_cfg, trial=t)
             assert witness_value(witness, sigma) >= -1e-10
@@ -141,9 +142,8 @@ def test_a05_ball_verification(
         x_star = entanglement_threshold(lo, upb.total_dim)
         xs = np.linspace(x_star, 1.0, 12)[1:-1]
         out = verify_ball_robustness(
-            upb, xs, 0.99, 1000,
-            SamplerConfig(42, 1000, stream_id=1),
-            lam=lam, witness=witness,
+            certify(upb, lam), xs, 0.99, 1000,
+            SamplerConfig(42, stream_id=1),
         )
         assert out.trials == 10_000
         assert out.ppt_violations == 0
@@ -164,9 +164,8 @@ def test_a06_separable_mixing_verification(
         (shifts, shifts_lambda, shifts_witness),
     ):
         out = verify_separable_mixing(
-            upb, 0.99, 1000,
-            SamplerConfig(42, 1000, stream_id=2),
-            lam=lam, witness=witness,
+            certify(upb, lam), 0.99, 1000,
+            SamplerConfig(42, stream_id=2),
         )
         assert out.ppt_violations == 0
         assert out.witness_violations == 0
@@ -204,7 +203,7 @@ def test_a07_branch_crossing(tiles_lambda, pyramid_lambda, shifts_lambda, tiles,
 def test_a08_decomposition_identity_and_inner_mixture(tiles, tiles_omega):
     fam = LineFamily(tiles_omega)
     d = 9
-    cfg = SamplerConfig(777, 1000)
+    cfg = SamplerConfig(777)
     rng = np.random.default_rng(777)
     checked_inner = 0
     for t in range(1000):
@@ -234,7 +233,7 @@ def test_a09_ball_membership(tiles_omega):
     assert ball_membership(center, center) <= 1e-10
     pure = DensityMatrix.from_pure(np.eye(9)[4], fam.structure)
     assert abs(ball_membership(pure, center) - 1.0) <= 1e-10
-    cfg = SamplerConfig(31337, 1000)
+    cfg = SamplerConfig(31337)
     rng = np.random.default_rng(31337)
     for t in range(1000):
         sigma = sample_hs_density(fam.structure, cfg, trial=t)

@@ -67,6 +67,24 @@ def test_unknown_command_is_usage_error():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "command, flag",
+    [
+        ("lambda", "--restarts"),
+        ("lambda", "--max-iters"),
+        ("verify", "--trials"),
+        ("verify", "--grid"),
+    ],
+)
+def test_counts_below_one_are_usage_errors(tmp_path, capsys, command, flag):
+    path = tmp_path / "out.json"
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--upb", "tiles", flag, "0", "--output", str(path)])
+    assert exc.value.code == 2
+    assert "must be at least 1" in capsys.readouterr().err
+    assert not path.exists()
+
+
 def test_profile_report(tmp_path):
     code, path = run(tmp_path, "profile", "--upb", "tiles", "--grid", "8", "--seed", "1")
     assert code == 0

@@ -9,8 +9,8 @@ from pptball import (
     ball_membership,
     entanglement_threshold,
     is_ppt_all_cuts,
-    omega_state,
     purity,
+    radius_from_witness,
     sample_hs_density,
     sample_random_product_separable,
     verify_ball_robustness,
@@ -21,26 +21,26 @@ from pptball import (
 
 def test_sampler_determinism():
     structure = HilbertStructure((2, 2))
-    cfg = SamplerConfig(12345, 10, stream_id=4)
+    cfg = SamplerConfig(12345, stream_id=4)
     a = sample_hs_density(structure, cfg, trial=3)
     b = sample_hs_density(structure, cfg, trial=3)
     assert np.array_equal(a.matrix, b.matrix)
     c = sample_hs_density(structure, cfg, trial=4)
     assert not np.array_equal(a.matrix, c.matrix)
-    d = sample_hs_density(structure, SamplerConfig(12345, 10, stream_id=5), trial=3)
+    d = sample_hs_density(structure, SamplerConfig(12345, stream_id=5), trial=3)
     assert not np.array_equal(a.matrix, d.matrix)
 
 
 def test_sampler_config_validation():
     with pytest.raises(ValueError):
-        SamplerConfig(-1, 10)
+        SamplerConfig(-1)
     with pytest.raises(ValueError):
-        SamplerConfig(1, 0)
+        SamplerConfig(1, stream_id=-1)
 
 
 def test_hs_samples_have_expected_purity_band():
     structure = HilbertStructure((2, 2))
-    cfg = SamplerConfig(321, 10_000)
+    cfg = SamplerConfig(321)
     values = [
         purity(sample_hs_density(structure, cfg, trial=t)) for t in range(10_000)
     ]
@@ -50,7 +50,7 @@ def test_hs_samples_have_expected_purity_band():
 
 def test_product_sampler_is_separable():
     structure = HilbertStructure((3, 3))
-    cfg = SamplerConfig(77, 1)
+    cfg = SamplerConfig(77)
     single = sample_random_product_separable(structure, 1, cfg, trial=0)
     assert abs(purity(single) - 1.0) < 1e-12
     for t in range(50):
@@ -61,22 +61,13 @@ def test_product_sampler_is_separable():
 def test_product_sampler_rejects_zero_terms():
     with pytest.raises(ValueError):
         sample_random_product_separable(
-            HilbertStructure((2, 2)), 0, SamplerConfig(1, 1)
+            HilbertStructure((2, 2)), 0, SamplerConfig(1)
         )
 
 
-def test_ball_verification_clean_run(tiles, tiles_lambda, tiles_witness, tiles_omega):
-    lambda_omega = -witness_value(tiles_witness, tiles_omega)
-    x_star = entanglement_threshold(lambda_omega, 9)
-    xs = np.linspace(x_star, 1.0, 5)[1:-1]
+def test_ball_verification_clean_run(tiles_cert):
     out = verify_ball_robustness(
-        tiles,
-        xs,
-        0.99,
-        60,
-        SamplerConfig(42, 60, stream_id=1),
-        lam=tiles_lambda,
-        witness=tiles_witness,
+        tiles_cert, tiles_cert.x_grid(3), 0.99, 60, SamplerConfig(42, stream_id=1)
     )
     assert out.ok
     assert out.trials == 3 * 60
@@ -87,30 +78,26 @@ def test_ball_verification_clean_run(tiles, tiles_lambda, tiles_witness, tiles_o
     assert data["suite"] == "ball"
 
 
-def test_ball_verification_validates_inputs(tiles, tiles_lambda, tiles_witness):
+def test_ball_verification_validates_inputs(tiles_cert):
     with pytest.raises(ValueError, match="y_fraction"):
-        verify_ball_robustness(
-            tiles, [0.99], 1.0, 5, SamplerConfig(1, 5),
-            lam=tiles_lambda, witness=tiles_witness,
-        )
+        verify_ball_robustness(tiles_cert, [0.99], 1.0, 5, SamplerConfig(1))
     with pytest.raises(ValueError, match="outside"):
-        verify_ball_robustness(
-            tiles, [0.5], 0.9, 5, SamplerConfig(1, 5),
-            lam=tiles_lambda, witness=tiles_witness,
-        )
+        verify_ball_robustness(tiles_cert, [0.5], 0.9, 5, SamplerConfig(1))
+    with pytest.raises(ValueError, match="trial"):
+        verify_ball_robustness(tiles_cert, [0.99], 0.9, 0, SamplerConfig(1))
 
 
-def test_separable_mixing_clean_run(tiles, tiles_lambda, tiles_witness):
-    out = verify_separable_mixing(
-        tiles,
-        0.99,
-        200,
-        SamplerConfig(42, 200, stream_id=2),
-        lam=tiles_lambda,
-        witness=tiles_witness,
-    )
+def test_separable_mixing_clean_run(tiles_cert):
+    out = verify_separable_mixing(tiles_cert, 0.99, 200, SamplerConfig(42, stream_id=2))
     assert out.ok
     assert out.worst_margin > 0
+
+
+def test_separable_mixing_validates_inputs(tiles_cert):
+    with pytest.raises(ValueError, match="z_fraction"):
+        verify_separable_mixing(tiles_cert, 1.0, 5, SamplerConfig(1))
+    with pytest.raises(ValueError, match="trial"):
+        verify_separable_mixing(tiles_cert, 0.5, 0, SamplerConfig(1))
 
 
 def test_mixing_respects_minimizer_direction(tiles, tiles_lambda, tiles_witness, tiles_omega):
@@ -127,7 +114,7 @@ def test_mixing_respects_minimizer_direction(tiles, tiles_lambda, tiles_witness,
 def test_ball_fraction_extremes(tiles_omega):
     fam = LineFamily(tiles_omega)
     center = fam.member(0.9)
-    cfg = SamplerConfig(3, 40)
+    cfg = SamplerConfig(3)
     assert ball_fraction_estimate(center, 1.0, 40, cfg).fraction == 1.0
     assert ball_fraction_estimate(center, 0.0, 40, cfg).fraction == 0.0
 
@@ -138,13 +125,11 @@ def test_ball_fraction_reports_interval(tiles_omega, tiles_witness):
     x = (x_star + 1) / 2
     fam = LineFamily(tiles_omega)
     center = fam.member(x)
-    from pptball import radius_from_witness
-
     radius = radius_from_witness(x, tiles_witness, lambda_omega)
-    est = ball_fraction_estimate(center, radius, 200, SamplerConfig(9, 200))
+    est = ball_fraction_estimate(center, radius, 200, SamplerConfig(9))
     assert 0.0 <= est.ci_low <= est.fraction <= est.ci_high <= 1.0
     hits = sum(
-        ball_membership(sample_hs_density(center.structure, SamplerConfig(9, 200), trial=t), center)
+        ball_membership(sample_hs_density(center.structure, SamplerConfig(9), trial=t), center)
         < radius
         for t in range(200)
     )

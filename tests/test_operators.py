@@ -186,7 +186,7 @@ def test_ghz_fails_every_cut():
 
 
 def test_separable_states_are_ppt_on_every_cut():
-    cfg = SamplerConfig(99, 1)
+    cfg = SamplerConfig(99)
     for dims in ((3, 3), (2, 2, 2)):
         structure = HilbertStructure(dims)
         for t in range(25):

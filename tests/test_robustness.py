@@ -11,7 +11,6 @@ from pptball import (
     crossing_x0,
     entanglement_threshold,
     entanglement_threshold_upb,
-    family_member,
     in_gurvits_ball,
     is_ppt,
     is_ppt_all_cuts,
@@ -42,8 +41,8 @@ def tiles_setup(tiles, tiles_lambda, tiles_witness, tiles_omega):
 
 def test_family_endpoints(tiles_omega):
     fam = LineFamily(tiles_omega)
-    assert np.abs(family_member(fam, 1.0).matrix - tiles_omega.matrix).max() < 1e-15
-    assert np.abs(family_member(fam, 0.0).matrix - np.eye(9) / 9).max() < 1e-15
+    assert np.abs(fam.member(1.0).matrix - tiles_omega.matrix).max() < 1e-15
+    assert np.abs(fam.member(0.0).matrix - np.eye(9) / 9).max() < 1e-15
     with pytest.raises(ValueError):
         fam.member(1.5)
 
@@ -88,6 +87,27 @@ def test_threshold_identity_cross_check(tiles_setup):
     )
     with pytest.raises(RuntimeError, match="identity"):
         entanglement_threshold_upb(TILES_N, TILES_D, lam.value, lambda_omega * 1.01)
+
+
+@pytest.mark.parametrize("name", ["tiles", "shifts"])
+def test_certificate_matches_closed_forms(request, name):
+    cert = request.getfixturevalue(f"{name}_cert")
+    upb, lam = cert.upb, cert.lam.value
+    d, n = upb.total_dim, upb.cardinality
+    assert cert.lam is request.getfixturevalue(f"{name}_lambda")
+    assert abs(cert.x_star - (1.0 - lam * d / n)) < 1e-12
+    assert abs(cert.lambda_omega - lam / (n - lam * d)) < 1e-12
+    assert np.array_equal(cert.omega.matrix, omega_state(upb).matrix)
+    witness = request.getfixturevalue(f"{name}_witness")
+    assert np.array_equal(cert.witness.op.matrix, witness.op.matrix)
+    xs = cert.x_grid(7)
+    assert len(xs) == 7
+    assert np.all((cert.x_star < xs) & (xs < 1.0))
+    assert np.all(np.diff(xs) > 0)
+    for x in xs:
+        for mode in ("tight", "averaged"):
+            expected = radius_from_witness(x, cert.witness, cert.lambda_omega, mode=mode)
+            assert cert.radius(x, mode) == expected
 
 
 def test_radius_limits_and_positivity(tiles_setup):
@@ -181,7 +201,7 @@ def test_mixture_tau_zero_noise(tiles_setup):
 )
 def test_mixture_decomposition_identity(tiles_omega, seed, x, y):
     fam = LineFamily(tiles_omega)
-    sigma = sample_hs_density(fam.structure, SamplerConfig(seed, 1), trial=0)
+    sigma = sample_hs_density(fam.structure, SamplerConfig(seed), trial=0)
     tau, dec = mixture_tau(fam, sigma, x, y)
     assert 0.0 < dec.s <= 1.0
     assert 0.0 <= dec.t < 1.0
@@ -191,7 +211,7 @@ def test_mixture_decomposition_identity(tiles_omega, seed, x, y):
 
 def test_mixture_witness_value_identity(tiles_setup):
     fam, _, witness, lambda_omega, _ = tiles_setup
-    cfg = SamplerConfig(5, 1)
+    cfg = SamplerConfig(5)
     rng = np.random.default_rng(8)
     for t in range(50):
         sigma = sample_hs_density(fam.structure, cfg, trial=t)
@@ -247,7 +267,7 @@ def test_ball_membership_basics(tiles_setup):
 def test_ball_membership_of_constructed_mixtures(tiles_setup):
     fam, *_ = tiles_setup
     center = fam.member(0.9)
-    cfg = SamplerConfig(13, 1)
+    cfg = SamplerConfig(13)
     rng = np.random.default_rng(13)
     for t in range(100):
         sigma = sample_hs_density(fam.structure, cfg, trial=t)
@@ -307,8 +327,8 @@ def test_maximal_robustness_direction(tiles, tiles_setup):
         verify_maximal_robustness(fam, sigma_dir, witness, x, [1.0])
 
 
-def test_profile_contents_and_serialization(tiles, tiles_lambda, tiles_witness):
-    profile = robustness_profile(tiles, tiles_lambda, tiles_witness, grid_size=12)
+def test_profile_contents_and_serialization(tiles_cert, tiles_lambda):
+    profile = robustness_profile(tiles_cert, grid_size=12)
     assert profile.lambda_omega <= 1 - 2 / TILES_D
     data = profile.to_json_dict()
     assert set(data) == {

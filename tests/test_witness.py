@@ -9,8 +9,7 @@ from pptball import (
     UPBSet,
     build_complete_basis,
     build_witness,
-    compute_lambda,
-    compute_lambda_multipartite,
+    minimum_overlap,
     omega_state,
     spectral_split,
     witness_from_operator,
@@ -27,22 +26,15 @@ QUICK = SeesawConfig(restarts=40)
 
 
 def test_complete_basis_overlap_is_one(complete22):
-    lam = compute_lambda(complete22, QUICK)
+    lam = minimum_overlap(complete22, QUICK)
     assert abs(lam.value - 1.0) < 1e-12
     assert lam.converged
 
 
 def test_complete_basis_multipartite_overlap_is_one():
     upb = build_complete_basis((2, 2, 2))
-    lam = compute_lambda_multipartite(upb, QUICK)
+    lam = minimum_overlap(upb, QUICK)
     assert abs(lam.value - 1.0) < 1e-12
-
-
-def test_party_count_dispatch(tiles, shifts):
-    with pytest.raises(ValueError, match="bipartite"):
-        compute_lambda(shifts, QUICK)
-    with pytest.raises(ValueError, match="three parties"):
-        compute_lambda_multipartite(tiles, QUICK)
 
 
 def test_overlaps_are_positive_and_below_ratio(tiles_lambda, pyramid_lambda, shifts_lambda):
@@ -101,12 +93,12 @@ def test_overlap_invariant_under_joint_local_rotations(tiles, tiles_lambda):
     for m in tiles.members:
         rotated_members.append(tuple(u @ v for u, v in zip(us, m.local_vectors)))
     rotated = UPBSet.from_vectors("tiles-rotated", (3, 3), rotated_members)
-    lam_rot = compute_lambda(rotated)
+    lam_rot = minimum_overlap(rotated)
     assert abs(lam_rot.value - tiles_lambda.value) < 1e-10
 
 
 def test_non_convergence_is_flagged(tiles):
-    lam = compute_lambda(tiles, SeesawConfig(restarts=3, max_iters=1))
+    lam = minimum_overlap(tiles, SeesawConfig(restarts=3, max_iters=1))
     assert not lam.converged
 
 
@@ -144,14 +136,14 @@ def test_witness_value_on_maximally_mixed(tiles, tiles_witness):
 
 
 def test_witness_nonnegative_on_product_states(tiles, tiles_witness):
-    cfg = SamplerConfig(31, 1)
+    cfg = SamplerConfig(31)
     for t in range(1000):
         sigma = sample_random_product_separable(tiles.structure, 1, cfg, trial=t)
         assert witness_value(tiles_witness, sigma) >= -1e-10
 
 
 def test_expectation_sandwich(tiles, tiles_witness):
-    cfg = SamplerConfig(17, 1)
+    cfg = SamplerConfig(17)
     w = tiles_witness
     for t in range(1000):
         pi = sample_hs_density(tiles.structure, cfg, trial=t)
