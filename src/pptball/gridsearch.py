@@ -112,14 +112,11 @@ def _best_pairs(wa, wb, keep):
     return best[:keep]
 
 
-def grid_minimum_overlap(upb: UPBSet, theta_points=None, phi_points=None) -> GridMinimum:
+def grid_minimum_overlap(upb: UPBSet) -> GridMinimum:
     """Independent estimate of the minimum product-state overlap of the projector."""
-    dims = upb.structure.local_dims
-    grids = []
-    for d in dims:
-        tp = theta_points or THETA_POINTS[d]
-        pp = phi_points or PHI_POINTS[d]
-        grids.append(_grid_states(d, tp, pp))
+    grids = [
+        _grid_states(d, THETA_POINTS[d], PHI_POINTS[d]) for d in upb.structure.local_dims
+    ]
     weights = [
         _member_weights(upb, party, states) for party, (states, _) in enumerate(grids)
     ]

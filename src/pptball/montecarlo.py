@@ -9,7 +9,7 @@ up as trends, not just flips.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import reduce
 
 import numpy as np
@@ -22,10 +22,12 @@ from .operators import (
     is_ppt_all_cuts,
 )
 from .robustness import Certificate, LineFamily, ball_membership, mixture_tau
-from .witness import witness_value
+from .witness import Witness, witness_value
 
 _HS_TAG = 1
 _PRODUCT_TAG = 2
+# Product projectors per random separable state in the mixing suite.
+MIXTURE_TERMS = 4
 
 
 @dataclass(frozen=True)
@@ -40,8 +42,13 @@ class SamplerConfig:
             raise ValueError("seeds and stream ids must be nonnegative")
 
 
+def _key(cfg: SamplerConfig, tag: int, trial: int) -> tuple[int, int, int, int]:
+    """The substream key of one draw; it seeds the draw and replays it."""
+    return (cfg.master_seed, cfg.stream_id, tag, trial)
+
+
 def _substream(cfg: SamplerConfig, tag: int, trial: int) -> np.random.Generator:
-    return np.random.default_rng([cfg.master_seed, cfg.stream_id, tag, trial])
+    return np.random.default_rng(_key(cfg, tag, trial))
 
 
 def sample_hs_density(
@@ -86,7 +93,7 @@ class VerificationOutcome:
     """Counts and margins from one randomized suite, with its config echoed.
 
     ``worst_margin`` is the minimum over trials of
-    min(PT min-eigenvalue + psd_tol, -witness value); it stays positive for a
+    min(PT min-eigenvalue + PSD_TOL, -witness value); it stays positive for a
     clean run.  PPT and witness violations are counted independently, and the
     substream keys of failing trials are recorded for replay.
     """
@@ -104,15 +111,34 @@ class VerificationOutcome:
         return self.ppt_violations == 0 and self.witness_violations == 0
 
     def to_json_dict(self) -> dict:
-        return {
-            "suite": self.suite,
-            "trials": self.trials,
-            "ppt_violations": self.ppt_violations,
-            "witness_violations": self.witness_violations,
-            "worst_margin": self.worst_margin,
-            "seeds_of_failures": [list(k) for k in self.seeds_of_failures],
-            "config": self.config,
-        }
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out["seeds_of_failures"] = [list(k) for k in self.seeds_of_failures]
+        return out
+
+
+def _score(suite: str, witness: Witness, keyed_states, config: dict) -> VerificationOutcome:
+    """Check every (substream key, state) pair: PPT on every cut, witness-negative."""
+    trials = ppt_bad = wit_bad = 0
+    worst = np.inf
+    failures = []
+    for key, state in keyed_states:
+        trials += 1
+        rep = is_ppt_all_cuts(state)
+        wv = witness_value(witness, state)
+        worst = min(worst, rep.min_eigenvalue + PSD_TOL, -wv)
+        ppt_bad += not rep.is_ppt
+        wit_bad += wv >= 0.0
+        if not rep.is_ppt or wv >= 0.0:
+            failures.append(key)
+    return VerificationOutcome(
+        suite=suite,
+        trials=trials,
+        ppt_violations=ppt_bad,
+        witness_violations=wit_bad,
+        worst_margin=float(worst),
+        seeds_of_failures=tuple(failures),
+        config=config,
+    )
 
 
 def verify_ball_robustness(
@@ -121,7 +147,6 @@ def verify_ball_robustness(
     y_fraction: float,
     trials: int,
     cfg: SamplerConfig,
-    psd_tol: float = PSD_TOL,
 ) -> VerificationOutcome:
     """Perturb each family member by arbitrary random states inside its ball.
 
@@ -134,48 +159,32 @@ def verify_ball_robustness(
         raise ValueError(f"y_fraction must lie in (0, 1), got {y_fraction!r}")
     if trials < 1:
         raise ValueError("at least one trial is required")
-    upb, witness, x_star = cert.upb, cert.witness, cert.x_star
-    fam = LineFamily(cert.omega)
-    ppt_bad = 0
-    wit_bad = 0
-    worst = np.inf
-    failures = []
     x_grid = [float(x) for x in x_grid]
-    for xi, x in enumerate(x_grid):
-        if not x_star < x < 1.0:
-            raise ValueError(f"grid point {x!r} outside (x* = {x_star!r}, 1)")
-        y = y_fraction * cert.radius(x)
-        for t in range(trials):
-            flat = xi * trials + t
-            sigma = sample_hs_density(upb.structure, cfg, trial=flat)
-            tau, _ = mixture_tau(fam, sigma, x, y)
-            rep = is_ppt_all_cuts(tau, psd_tol)
-            wv = witness_value(witness, tau)
-            worst = min(worst, rep.min_eigenvalue + psd_tol, -wv)
-            bad = False
-            if not rep.is_ppt:
-                ppt_bad += 1
-                bad = True
-            if wv >= 0.0:
-                wit_bad += 1
-                bad = True
-            if bad:
-                failures.append((cfg.master_seed, cfg.stream_id, _HS_TAG, flat))
-    return VerificationOutcome(
-        suite="ball",
-        trials=len(x_grid) * trials,
-        ppt_violations=ppt_bad,
-        witness_violations=wit_bad,
-        worst_margin=float(worst),
-        seeds_of_failures=tuple(failures),
-        config={
-            "upb": upb.name,
+    for x in x_grid:
+        if not cert.x_star < x < 1.0:
+            raise ValueError(f"grid point {x!r} outside (x* = {cert.x_star!r}, 1)")
+    structure = cert.upb.structure
+    fam = LineFamily(cert.omega)
+
+    def keyed_states():
+        for xi, x in enumerate(x_grid):
+            y = y_fraction * cert.radius(x)
+            for t in range(xi * trials, (xi + 1) * trials):
+                sigma = sample_hs_density(structure, cfg, trial=t)
+                yield _key(cfg, _HS_TAG, t), mixture_tau(fam, sigma, x, y)[0]
+
+    return _score(
+        "ball",
+        cert.witness,
+        keyed_states(),
+        {
+            "upb": cert.upb.name,
             "master_seed": cfg.master_seed,
             "stream_id": cfg.stream_id,
             "trials_per_point": trials,
             "x_grid": x_grid,
             "y_fraction": y_fraction,
-            "psd_tol": psd_tol,
+            "psd_tol": PSD_TOL,
         },
     )
 
@@ -185,55 +194,38 @@ def verify_separable_mixing(
     z_fraction: float,
     trials: int,
     cfg: SamplerConfig,
-    mixture_terms: int = 4,
-    psd_tol: float = PSD_TOL,
 ) -> VerificationOutcome:
     """Mix the complement state with random separable states below the threshold.
 
-    z = z_fraction * lambda; every mixture is PPT by construction (both
-    components are) and must stay strictly witness-negative.
+    z = z_fraction * lambda; each separable state mixes MIXTURE_TERMS random
+    product projectors.  Every mixture is PPT by construction (both components
+    are) and must stay strictly witness-negative.
     """
     if not 0.0 < z_fraction < 1.0:
         raise ValueError(f"z_fraction must lie in (0, 1), got {z_fraction!r}")
     if trials < 1:
         raise ValueError("at least one trial is required")
-    upb, witness, omega = cert.upb, cert.witness, cert.omega
+    structure = cert.upb.structure
     z = z_fraction * cert.lam.value
-    ppt_bad = 0
-    wit_bad = 0
-    worst = np.inf
-    failures = []
-    for t in range(trials):
-        sigma = sample_random_product_separable(upb.structure, mixture_terms, cfg, trial=t)
-        m = z * sigma.matrix + (1.0 - z) * omega.matrix
-        state = DensityMatrix.from_matrix(m, upb.structure)
-        rep = is_ppt_all_cuts(state, psd_tol)
-        wv = witness_value(witness, state)
-        worst = min(worst, rep.min_eigenvalue + psd_tol, -wv)
-        bad = False
-        if not rep.is_ppt:
-            ppt_bad += 1
-            bad = True
-        if wv >= 0.0:
-            wit_bad += 1
-            bad = True
-        if bad:
-            failures.append((cfg.master_seed, cfg.stream_id, _PRODUCT_TAG, t))
-    return VerificationOutcome(
-        suite="separable-mixing",
-        trials=trials,
-        ppt_violations=ppt_bad,
-        witness_violations=wit_bad,
-        worst_margin=float(worst),
-        seeds_of_failures=tuple(failures),
-        config={
-            "upb": upb.name,
+
+    def keyed_states():
+        for t in range(trials):
+            sigma = sample_random_product_separable(structure, MIXTURE_TERMS, cfg, trial=t)
+            m = z * sigma.matrix + (1.0 - z) * cert.omega.matrix
+            yield _key(cfg, _PRODUCT_TAG, t), DensityMatrix.from_matrix(m, structure)
+
+    return _score(
+        "separable-mixing",
+        cert.witness,
+        keyed_states(),
+        {
+            "upb": cert.upb.name,
             "master_seed": cfg.master_seed,
             "stream_id": cfg.stream_id,
             "trials": trials,
             "z_fraction": z_fraction,
-            "mixture_terms": mixture_terms,
-            "psd_tol": psd_tol,
+            "mixture_terms": MIXTURE_TERMS,
+            "psd_tol": PSD_TOL,
         },
     )
 
@@ -252,7 +244,6 @@ class BallFractionEstimate:
     ci_high: float
     hits: int
     trials: int
-    confidence: float = 0.95
 
 
 def ball_fraction_estimate(

@@ -229,11 +229,10 @@ class PPTCheck:
 
     transposed_side: tuple[int, ...]
     min_eigenvalue: float
-    tol: float
 
     @property
     def is_ppt(self) -> bool:
-        return self.min_eigenvalue >= -self.tol
+        return self.min_eigenvalue >= -PSD_TOL
 
     def __bool__(self) -> bool:
         return self.is_ppt
@@ -257,8 +256,8 @@ class PPTAllCuts:
         return self.is_ppt
 
 
-def is_ppt(rho: DensityMatrix, cut: Bipartition | None = None, tol: float = PSD_TOL) -> PPTCheck:
-    """True iff the partial transpose over ``cut`` has min eigenvalue >= -tol.
+def is_ppt(rho: DensityMatrix, cut: Bipartition | None = None) -> PPTCheck:
+    """True iff the partial transpose over ``cut`` has min eigenvalue >= -PSD_TOL.
 
     ``cut`` defaults to transposing the last subsystem.
     """
@@ -267,12 +266,12 @@ def is_ppt(rho: DensityMatrix, cut: Bipartition | None = None, tol: float = PSD_
     cut.validate_for(rho.structure)
     pt = _partial_transpose_matrix(rho.matrix, rho.structure.local_dims, cut.transposed_side)
     lo = float(np.linalg.eigvalsh(pt)[0])
-    return PPTCheck(cut.transposed_side, lo, float(tol))
+    return PPTCheck(cut.transposed_side, lo)
 
 
-def is_ppt_all_cuts(rho: DensityMatrix, tol: float = PSD_TOL) -> PPTAllCuts:
+def is_ppt_all_cuts(rho: DensityMatrix) -> PPTAllCuts:
     """PPT check across all 2**(n-1) - 1 distinct bipartitions."""
-    return PPTAllCuts(tuple(is_ppt(rho, cut, tol) for cut in all_bipartitions(rho.structure)))
+    return PPTAllCuts(tuple(is_ppt(rho, cut) for cut in all_bipartitions(rho.structure)))
 
 
 def purity(rho: DensityMatrix) -> float:

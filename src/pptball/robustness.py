@@ -16,7 +16,6 @@ import numpy as np
 from .operators import (
     DensityMatrix,
     HilbertStructure,
-    PSD_TOL,
     eig_hermitian,
     is_ppt_all_cuts,
     purity,
@@ -393,7 +392,6 @@ def verify_maximal_robustness(
     witness: Witness,
     x: float,
     z_grid,
-    tol: float = PSD_TOL,
 ) -> MaximalRobustnessReport:
     """Check z sigma_dir + (1 - z) rho_x stays PPT and witness-negative on a z grid."""
     rho_x = fam.member(x)
@@ -404,7 +402,7 @@ def verify_maximal_robustness(
             raise ValueError(f"grid entries must lie in [0, 1), got {z!r}")
         m = z * sigma_dir.matrix + (1.0 - z) * rho_x.matrix
         state = DensityMatrix.from_matrix(m, fam.structure)
-        rep = is_ppt_all_cuts(state, tol)
+        rep = is_ppt_all_cuts(state)
         wv = witness_value(witness, state)
         checks.append(
             DirectionCheck(z, float(rep.min_eigenvalue), wv, rep.is_ppt, wv < 0.0)

@@ -26,6 +26,8 @@ from .upb import ProductState, UPBSet
 ZERO_EIG_ATOL = 1e-12
 MINIMIZER_VALUE_ATOL = 1e-9
 DISTINCT_FIDELITY = 1 - 1e-6
+# A restart has converged once a full sweep lowers the objective by less than this.
+SEESAW_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -39,7 +41,6 @@ class SeesawConfig:
 
     restarts: int = 200
     max_iters: int = 500
-    tol: float = 1e-12
     seed: int = 0
 
 
@@ -113,7 +114,7 @@ def minimum_overlap(upb: UPBSet, cfg: SeesawConfig | None = None) -> LambdaResul
     finals = []
     for r in range(cfg.restarts):
         rng = np.random.default_rng([cfg.seed, r])
-        value, phis, conv, _ = _seesaw_once(local_mats, rng, cfg.max_iters, cfg.tol)
+        value, phis, conv, _ = _seesaw_once(local_mats, rng, cfg.max_iters, SEESAW_TOL)
         finals.append((value, phis, conv))
     finals.sort(key=lambda item: item[0])
     best_value, best_phis, best_conv = finals[0]
