@@ -9,7 +9,7 @@ up as trends, not just flips.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass
 from functools import reduce
 
 import numpy as np
@@ -92,17 +92,21 @@ def sample_random_product_separable(
 class VerificationOutcome:
     """Counts and margins from one randomized suite, with its config echoed.
 
-    ``worst_margin`` is the minimum over trials of
-    min(PT min-eigenvalue + PSD_TOL, -witness value); it stays positive for a
-    clean run.  PPT and witness violations are counted independently, and the
-    substream keys of failing trials are recorded for replay.
+    ``ppt_margin`` is the minimum over trials of PT min-eigenvalue + PSD_TOL
+    and ``witness_margin`` the minimum of -Tr(W tau); each comes with the
+    substream key of the trial where it occurred, and both stay positive for
+    a clean run.  PPT and witness violations are counted independently, and
+    the substream keys of failing trials are recorded for replay.
     """
 
     suite: str
     trials: int
     ppt_violations: int
     witness_violations: int
-    worst_margin: float
+    ppt_margin: float
+    ppt_margin_key: tuple[int, ...]
+    witness_margin: float
+    witness_margin_key: tuple[int, ...]
     seeds_of_failures: tuple[tuple[int, ...], ...]
     config: dict
 
@@ -110,22 +114,28 @@ class VerificationOutcome:
     def ok(self) -> bool:
         return self.ppt_violations == 0 and self.witness_violations == 0
 
+    @property
+    def worst_margin(self) -> float:
+        return min(self.ppt_margin, self.witness_margin)
+
     def to_json_dict(self) -> dict:
-        out = {f.name: getattr(self, f.name) for f in fields(self)}
-        out["seeds_of_failures"] = [list(k) for k in self.seeds_of_failures]
-        return out
+        return asdict(self)
 
 
 def _score(suite: str, witness: Witness, keyed_states, config: dict) -> VerificationOutcome:
     """Check every (substream key, state) pair: PPT on every cut, witness-negative."""
     trials = ppt_bad = wit_bad = 0
-    worst = np.inf
+    ppt_margin = witness_margin = np.inf
+    ppt_key = witness_key = ()
     failures = []
     for key, state in keyed_states:
         trials += 1
         rep = is_ppt_all_cuts(state)
         wv = witness_value(witness, state)
-        worst = min(worst, rep.min_eigenvalue + PSD_TOL, -wv)
+        if rep.min_eigenvalue + PSD_TOL < ppt_margin:
+            ppt_margin, ppt_key = rep.min_eigenvalue + PSD_TOL, key
+        if -wv < witness_margin:
+            witness_margin, witness_key = -wv, key
         ppt_bad += not rep.is_ppt
         wit_bad += wv >= 0.0
         if not rep.is_ppt or wv >= 0.0:
@@ -135,7 +145,10 @@ def _score(suite: str, witness: Witness, keyed_states, config: dict) -> Verifica
         trials=trials,
         ppt_violations=ppt_bad,
         witness_violations=wit_bad,
-        worst_margin=float(worst),
+        ppt_margin=float(ppt_margin),
+        ppt_margin_key=ppt_key,
+        witness_margin=float(witness_margin),
+        witness_margin_key=witness_key,
         seeds_of_failures=tuple(failures),
         config=config,
     )
@@ -160,6 +173,8 @@ def verify_ball_robustness(
     if trials < 1:
         raise ValueError("at least one trial is required")
     x_grid = [float(x) for x in x_grid]
+    if not x_grid:
+        raise ValueError("x_grid must hold at least one point")
     for x in x_grid:
         if not cert.x_star < x < 1.0:
             raise ValueError(f"grid point {x!r} outside (x* = {cert.x_star!r}, 1)")

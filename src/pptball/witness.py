@@ -43,6 +43,10 @@ class SeesawConfig:
     max_iters: int = 500
     seed: int = 0
 
+    def __post_init__(self):
+        if self.restarts < 1 or self.max_iters < 1:
+            raise ValueError("restarts and max_iters must be at least 1")
+
 
 @dataclass(frozen=True, eq=False)
 class LambdaResult:

@@ -85,12 +85,28 @@ def test_ball_verification_validates_inputs(tiles_cert):
         verify_ball_robustness(tiles_cert, [0.5], 0.9, 5, SamplerConfig(1))
     with pytest.raises(ValueError, match="trial"):
         verify_ball_robustness(tiles_cert, [0.99], 0.9, 0, SamplerConfig(1))
+    with pytest.raises(ValueError, match="at least one point"):
+        verify_ball_robustness(tiles_cert, [], 0.9, 5, SamplerConfig(1))
 
 
 def test_separable_mixing_clean_run(tiles_cert):
     out = verify_separable_mixing(tiles_cert, 0.99, 200, SamplerConfig(42, stream_id=2))
     assert out.ok
     assert out.worst_margin > 0
+
+
+def test_separable_mixing_reports_witness_margin(tiles_cert):
+    # The PPT margin is PSD_TOL plus a PT eigenvalue of rounding size; the
+    # witness margin is the one that says how far the suite is from failing.
+    out = verify_separable_mixing(tiles_cert, 0.99, 50, SamplerConfig(1, stream_id=2))
+    assert out.ppt_margin < 2e-9
+    assert out.witness_margin > 1e-4
+    assert out.worst_margin == out.ppt_margin
+    assert out.witness_margin_key[:3] == (1, 2, 2)
+    data = out.to_json_dict()
+    assert "worst_margin" not in data
+    assert data["witness_margin"] == out.witness_margin
+    assert data["witness_margin_key"] == out.witness_margin_key
 
 
 def test_separable_mixing_validates_inputs(tiles_cert):

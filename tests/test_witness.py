@@ -102,6 +102,13 @@ def test_non_convergence_is_flagged(tiles):
     assert not lam.converged
 
 
+@pytest.mark.parametrize("field", ["restarts", "max_iters"])
+@pytest.mark.parametrize("value", [0, -1])
+def test_seesaw_config_rejects_counts_below_one(field, value):
+    with pytest.raises(ValueError, match="at least 1"):
+        SeesawConfig(**{field: value})
+
+
 def test_witness_flat_spectrum(tiles, tiles_lambda, tiles_witness):
     n, d = 5, 9
     lam = tiles_lambda.value
