@@ -1,8 +1,8 @@
 """Certified robustness ball along the white-noise line through a catalog state.
 
 Prints the entanglement threshold, the radius curve with its two branches,
-the branch-crossing point (bisection root beside the tabulated closed form,
-which disagrees and is reported for comparison only), and a descriptive probe
+the branch-crossing point (the closed-form root of branch equality beside the
+tabulated closed form, which disagrees and is reported for comparison only), and a descriptive probe
 just outside the certified radius: the radius is sufficient, not necessary,
 so violations beyond it may or may not occur and are simply recorded.
 """
@@ -29,11 +29,11 @@ profile = robustness_profile(cert, grid_size=12)
 print(f"lambda          = {profile.lambda_value:.12f}")
 print(f"lambda_omega    = {profile.lambda_omega:.12f}")
 print(f"x*              = {profile.x_star:.12f}  (family entangled for x > x*)")
-print(f"x0 (bisection)  = {profile.x0_root:.12f}")
+print(f"x0 (root)       = {profile.x0_root:.12f}")
 print(f"x0 (printed)    = {profile.x0_printed:.12f}  <- tabulated closed form, "
       f"disagrees with the root; comparison only")
 res = crossing_x0(upb.cardinality, upb.total_dim, lam.value)
-print(f"branch value at root = {res.branch_value:.12f}, residual {res.residual:.1e}")
+print(f"branch value at root = {res.branch_value:.12f}, branch gap {res.residual:.1e}")
 print(f"mixing threshold = {profile.mixing_threshold:.12f} (= lambda)")
 
 print()

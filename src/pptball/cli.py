@@ -6,7 +6,7 @@ configuration and stamp the tool version, and contain no timestamps, so
 repeated runs with identical seeds are byte-identical.
 
 Exit status: 0 success; 1 verification violations; 2 usage or validation
-error; 3 minimizer non-convergence.
+error; 3 minimizer non-convergence; 4 a failed internal contract check.
 
 Export schema (``export``):
     {"name": str,
@@ -41,11 +41,13 @@ EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_USAGE = 2
 EXIT_NO_CONVERGENCE = 3
+EXIT_CONTRACT = 4
 
 X0_NOTE = (
-    "x0_root solves branch equality by bisection; x0_printed_eq32 evaluates "
-    "the tabulated closed form, which disagrees with the root and is carried "
-    "for comparison only."
+    "x0_root is the root of branch equality, (n(D-2) + D(1 - lambda(D-1))) / "
+    "(n(D-2) + D(1 - lambda)); x0_printed_eq32 evaluates the tabulated closed "
+    "form, whose denominator multiplies n(D-2) by D(1 - lambda) where the root "
+    "adds them, so it disagrees with the root and is carried for comparison only."
 )
 
 
@@ -219,6 +221,8 @@ def _cmd_membership(args) -> int:
         "seed": args.seed,
         "trials": args.trials,
         "x": x,
+        "restarts": args.restarts,
+        "max_iters": args.max_iters,
     }
     report["x_star"] = x_star
     report["radius"] = radius
@@ -322,6 +326,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except RuntimeError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_CONTRACT
 
 
 if __name__ == "__main__":

@@ -192,7 +192,7 @@ class CrossingResult:
 
     ``x0_printed`` evaluates the closed-form expression as tabulated; it does
     not match the branch-equality root and is carried for comparison only,
-    never used downstream.
+    never used downstream.  ``residual`` is the branch gap at the root.
     """
 
     x0_root: float
@@ -204,48 +204,33 @@ class CrossingResult:
 def crossing_x0(n: int, dim_total: int, lam_value: float) -> CrossingResult:
     """Unique x in (x*, 1) where the purity and witness branches are equal.
 
-    The purity branch is strictly decreasing and the witness branch strictly
-    increasing, so bisection on their difference converges to the single root.
     The witness branch is that of the product-basis witness: violation
     lambda/(n - lambda D) on the complement state and flat positive eigenvalue
-    (1 - lambda)/(n - lambda D).  The bracket starts at the closed form of x*,
-    whose rounding the reported root depends on.
+    (1 - lambda)/(n - lambda D).  With a = 1 + D lambda_omega and b that
+    eigenvalue, branch equality reduces to (1 - x) b = (D - 2)(x a - 1)/D,
+    which is linear in x; its root is
+    (n(D - 2) + D(1 - lambda(D - 1))) / (n(D - 2) + D(1 - lambda)).
+    The tabulated form has the same numerator but multiplies n(D - 2) by
+    D(1 - lambda) in its denominator where the root adds them.  The root must
+    lie in (x*, 1) and close the branch gap to CROSSING_RESIDUAL.
     """
     norm = n - lam_value * dim_total
     lambda_omega = lam_value / norm
     bound = (1.0 - lam_value) / norm
     x_star = _closed_threshold(n, dim_total, lam_value)
-
-    def gap(x):
-        return _purity_branch(x, dim_total) - _witness_branch(x, lambda_omega, dim_total, bound)
-
-    lo, hi = x_star, 1.0
-    f_lo, f_hi = gap(lo), gap(hi)
-    if not (f_lo > 0.0 > f_hi):
-        raise RuntimeError(
-            f"no branch crossing bracketed in ({x_star!r}, 1): "
-            f"gap endpoints {f_lo!r}, {f_hi!r}"
-        )
-    mid = 0.5 * (lo + hi)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        f_mid = gap(mid)
-        if abs(f_mid) < CROSSING_RESIDUAL and hi - lo < 1e-14:
-            break
-        if f_mid > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    residual = abs(gap(mid))
+    numerator = n * (dim_total - 2) + dim_total * (1.0 - lam_value * (dim_total - 1))
+    x0 = numerator / (n * (dim_total - 2) + dim_total * (1.0 - lam_value))
+    if not x_star < x0 < 1.0:
+        raise RuntimeError(f"branch crossing {x0!r} outside (x* = {x_star!r}, 1)")
+    branch = _purity_branch(x0, dim_total)
+    residual = abs(branch - _witness_branch(x0, lambda_omega, dim_total, bound))
     if residual > CROSSING_RESIDUAL:
-        raise RuntimeError(f"bisection stalled with residual {residual:.3e}")
-    printed = (n * (dim_total - 2) + dim_total * (1.0 - lam_value * (dim_total - 1))) / (
-        n * (dim_total - 2) * dim_total * (1.0 - lam_value)
-    )
+        raise RuntimeError(f"branch gap {residual:.3e} at the closed-form crossing")
+    printed = numerator / (n * (dim_total - 2) * dim_total * (1.0 - lam_value))
     return CrossingResult(
-        x0_root=float(mid),
+        x0_root=float(x0),
         x0_printed=float(printed),
-        branch_value=float(_purity_branch(mid, dim_total)),
+        branch_value=float(branch),
         residual=float(residual),
     )
 

@@ -111,6 +111,9 @@ def test_verify_reports_zero_violations(tmp_path):
     assert report["violations_total"] == 0
     assert report["suites"]["ball"]["ppt_violations"] == 0
     assert report["suites"]["separable-mixing"]["witness_violations"] == 0
+    for suite in report["suites"].values():
+        assert suite["ppt_margin"] > 0 and suite["witness_margin"] > 0
+        assert suite["witness_margin_key"][:2] == [42, suite["config"]["stream_id"]]
 
 
 def test_verify_shifts_covers_all_cuts(tmp_path):
@@ -137,6 +140,20 @@ def test_membership_report(tmp_path):
     report = json.loads(path.read_text())
     assert 0.0 <= report["ci_low"] <= report["fraction"] <= report["ci_high"] <= 1.0
     assert report["radius"] > 0
+    assert report["config"]["restarts"] == 200
+    assert report["config"]["max_iters"] == 500
+
+
+def test_contract_failure_exits_4(tmp_path, capsys, monkeypatch):
+    def broken(upb, lam):
+        raise RuntimeError("threshold identity violated")
+
+    monkeypatch.setattr("pptball.cli.certify", broken)
+    code, path = run(tmp_path, "profile", "--upb", "tiles", "--restarts", "20")
+    assert code == 4
+    err = capsys.readouterr().err
+    assert err == "internal error: threshold identity violated\n"
+    assert not path.exists()
 
 
 def test_export_schema(tmp_path):
