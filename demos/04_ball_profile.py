@@ -1,10 +1,11 @@
 """Certified robustness ball along the white-noise line through a catalog state.
 
 Prints the entanglement threshold, the radius curve with its two branches,
-the branch-crossing point (the closed-form root of branch equality beside the
-tabulated closed form, which disagrees and is reported for comparison only), and a descriptive probe
-just outside the certified radius: the radius is sufficient, not necessary,
-so violations beyond it may or may not occur and are simply recorded.
+the branch-crossing point (the closed-form root of branch equality beside
+the tabulated closed form, which disagrees and is reported for comparison
+only), and a descriptive probe just outside the certified radius: the radius
+is sufficient, not necessary, so violations beyond it may or may not occur
+and are simply recorded.
 """
 
 from pptball import (

@@ -7,9 +7,10 @@ admixture does the same.  Each suite prints its PPT margin (smallest PT
 eigenvalue plus the PSD tolerance) and its witness margin (smallest -Tr(W tau))
 separately.  In the mixing suite the PPT margin stays near the tolerance,
 because the complement state's partial transposes are singular, and the
-witness margin is the one that shows how close the suite came to failing.  The ball-fraction estimator then shows why absolute
-volumes are not reported: the certified balls are far too small to hit by
-Hilbert-Schmidt sampling at these dimensions.
+witness margin is the one that shows how close the suite came to failing.
+The ball-fraction estimator then shows why absolute volumes are not reported:
+the certified balls are far too small to hit by Hilbert-Schmidt sampling at
+these dimensions.
 """
 
 from pptball import (
