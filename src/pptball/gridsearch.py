@@ -3,7 +3,9 @@
 Deliberately a separate code path from the alternating minimizer: local pure
 states are swept over an explicit generalized-spherical-angle grid and the
 best cells are polished with a derivative-free simplex search.  Agreement
-between the two routes certifies the reported minimum.
+between the two routes certifies the reported minimum.  For any party count
+the grid objective is streamed in fixed blocks of PAIR_BLOCK_DOUBLES doubles,
+so it is never held in full.
 """
 
 from __future__ import annotations
@@ -98,12 +100,18 @@ def _refine(upb: UPBSet, angles0: np.ndarray) -> float:
 
 
 def _best_pairs(wa, wb, keep):
-    """Smallest sum_i wa[a, i] wb[b, i] over all (a, b), blockwise to cap memory."""
+    """The ``keep`` rows a of wa with the smallest min_b sum_i wa[a, i] wb[b, i].
+
+    Returns (value, a, b) triples sorted by value, b being row a's best row of
+    wb.  Blocks of rows go through one reused buffer, so at most
+    PAIR_BLOCK_DOUBLES doubles of the objective exist at once.
+    """
     best = []
     block = max(1, PAIR_BLOCK_DOUBLES // wb.shape[0])
+    buf = np.empty((min(block, wa.shape[0]), wb.shape[0]))
     for start in range(0, wa.shape[0], block):
         chunk = wa[start : start + block]
-        obj = chunk @ wb.T
+        obj = np.matmul(chunk, wb.T, out=buf[: chunk.shape[0]])
         b_idx = obj.argmin(axis=1)
         vals = obj[np.arange(chunk.shape[0]), b_idx]
         for off in np.argsort(vals)[:keep]:
@@ -114,31 +122,20 @@ def _best_pairs(wa, wb, keep):
 
 def grid_minimum_overlap(upb: UPBSet) -> GridMinimum:
     """Independent estimate of the minimum product-state overlap of the projector."""
-    grids = [
-        _grid_states(d, THETA_POINTS[d], PHI_POINTS[d]) for d in upb.structure.local_dims
+    dims = upb.structure.local_dims
+    states, angles = zip(*(_grid_states(d, THETA_POINTS[d], PHI_POINTS[d]) for d in dims))
+    weights = [_member_weights(upb, party, s) for party, s in enumerate(states)]
+    # Parties 1.. fold into one table whose rows run over their grid cells in
+    # C order; starting from a row of ones keeps single-party sets working.
+    trailing = np.ones((1, upb.cardinality))
+    for w in weights[1:]:
+        trailing = (trailing[:, None, :] * w).reshape(-1, upb.cardinality)
+    pairs = _best_pairs(weights[0], trailing, REFINE_CANDIDATES)
+    shape = [len(a) for a in angles[1:]]
+    candidates = [
+        np.concatenate([g[i] for g, i in zip(angles, (a, *np.unravel_index(b, shape)))])
+        for _, a, b in pairs
     ]
-    weights = [
-        _member_weights(upb, party, states) for party, (states, _) in enumerate(grids)
-    ]
-
-    if upb.n_parties == 2:
-        pairs = _best_pairs(weights[0], weights[1], REFINE_CANDIDATES)
-        grid_value = pairs[0][0]
-        candidates = [
-            np.concatenate([grids[0][1][a], grids[1][1][b]]) for _, a, b in pairs
-        ]
-    else:
-        letters = "abcdefgh"
-        subs = ",".join(f"{letters[k]}i" for k in range(upb.n_parties))
-        subs += "->" + letters[: upb.n_parties]
-        obj = np.einsum(subs, *weights)
-        order = np.argsort(obj, axis=None)[:REFINE_CANDIDATES]
-        idx = np.unravel_index(order, obj.shape)
-        grid_value = float(obj.reshape(-1)[order[0]])
-        candidates = [
-            np.concatenate([grids[k][1][idx[k][c]] for k in range(upb.n_parties)])
-            for c in range(len(order))
-        ]
-
+    grid_value = pairs[0][0]
     refined = min(_refine(upb, cand) for cand in candidates)
     return GridMinimum(value=min(refined, grid_value), grid_value=grid_value)

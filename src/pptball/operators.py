@@ -101,6 +101,8 @@ class HermitianOperator:
             raise ValueError(f"expected a square matrix, got shape {m.shape}")
         if m.shape[0] < 1:
             raise ValueError("dimension must be at least 1")
+        if not np.isfinite(m).all():
+            raise ValueError("matrix entries are not finite")
         dev = float(np.abs(m - m.conj().T).max())
         if dev > HERMITICITY_ATOL:
             raise ValueError(f"matrix is not Hermitian: max |A - A^dag| = {dev:.3e}")
@@ -154,6 +156,8 @@ class DensityMatrix:
     @classmethod
     def from_pure(cls, vector, structure: HilbertStructure) -> "DensityMatrix":
         v = np.asarray(vector, dtype=complex).reshape(-1)
+        if not np.isfinite(v).all() or not v.any():
+            raise ValueError("vector entries are not finite, or all zero")
         v = v / np.linalg.norm(v)
         return cls.from_matrix(np.outer(v, v.conj()), structure)
 

@@ -38,6 +38,8 @@ class ProductState:
         vecs = []
         for v in self.local_vectors:
             arr = np.array(v, dtype=complex).reshape(-1)
+            if not np.isfinite(arr).all():
+                raise ValueError("local vector entries are not finite")
             nrm = float(np.linalg.norm(arr))
             if abs(nrm - 1.0) > UNIT_NORM_ATOL:
                 raise ValueError(f"local vector norm {nrm!r} is not 1")

@@ -1,6 +1,9 @@
-import numpy as np
+import tracemalloc
 
-from pptball import build_complete_basis, grid_minimum_overlap
+import numpy as np
+import pytest
+
+from pptball import UPBSet, build_complete_basis, grid_minimum_overlap, gridsearch
 from pptball.gridsearch import _angles_to_state, _grid_states
 
 
@@ -40,3 +43,71 @@ def test_grid_agreement_multipartite(shifts_lambda, shifts_grid):
 def test_refined_value_never_exceeds_grid_value(tiles_grid, pyramid_grid, shifts_grid):
     for res in (tiles_grid, pyramid_grid, shifts_grid):
         assert res.value <= res.grid_value + 1e-15
+
+
+def _random_orthogonal_product_set(seed, dims, n):
+    """n generic product vectors; member j is orthogonal to member i < j on party i % k.
+
+    Generic entries leave no exact ties in the grid objective, so the selected
+    cells depend on the selection rule alone, not on tie order.
+    """
+    rng = np.random.default_rng(seed)
+    members = []
+    for j in range(n):
+        member = []
+        for p, d in enumerate(dims):
+            v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+            fixed = [members[i][p] for i in range(p, j, len(dims))]
+            if fixed:
+                q, _ = np.linalg.qr(np.column_stack(fixed))
+                v = v - q @ (q.conj().T @ v)
+            member.append(v / np.linalg.norm(v))
+        members.append(member)
+    return UPBSet.from_vectors("random", dims, members)
+
+
+@pytest.mark.parametrize(
+    "dims, n",
+    [((3,), 2), ((3, 3), 3), ((2, 2, 2), 4), ((2, 2, 2, 2), 3)],
+    ids=["1-party", "2-party", "3-party", "4-party"],
+)
+def test_streamed_kernel_matches_dense_einsum(monkeypatch, dims, n):
+    monkeypatch.setattr(gridsearch, "THETA_POINTS", {2: 4, 3: 3})
+    monkeypatch.setattr(gridsearch, "PHI_POINTS", {2: 5, 3: 4})
+    candidates = []
+    monkeypatch.setattr(
+        gridsearch, "_refine", lambda upb, angles0: candidates.append(angles0) or np.inf
+    )
+    upb = _random_orthogonal_product_set(len(dims), dims, n)
+    res = grid_minimum_overlap(upb)
+
+    grids = [_grid_states(d, gridsearch.THETA_POINTS[d], gridsearch.PHI_POINTS[d]) for d in dims]
+    weights = [gridsearch._member_weights(upb, k, states) for k, (states, _) in enumerate(grids)]
+    letters = "abcd"[: len(dims)]
+    obj = np.einsum(",".join(c + "i" for c in letters) + "->" + letters, *weights)
+    rows = obj.reshape(obj.shape[0], -1)
+    best = rows.argmin(axis=1)
+    lead = np.argsort(rows.min(axis=1))[: gridsearch.REFINE_CANDIDATES]
+    expected = []
+    for a in lead:
+        cell = (a, *np.unravel_index(best[a], obj.shape[1:]))
+        expected.append(np.concatenate([g[1][i] for g, i in zip(grids, cell)]))
+
+    assert sorted(map(tuple, candidates)) == sorted(map(tuple, expected))
+    assert abs(res.grid_value - obj.min()) < 1e-14
+    assert res.value == res.grid_value
+
+
+def test_grid_oracle_memory_is_one_block(monkeypatch, tiles, shifts):
+    # The simplex polish allocates almost nothing; stubbing it keeps the
+    # traced run short and leaves the objective blocks as the peak.
+    monkeypatch.setattr(gridsearch, "_refine", lambda upb, angles0: np.inf)
+    limit = 1.25 * gridsearch.PAIR_BLOCK_DOUBLES * 8
+    for upb in (tiles, shifts):
+        tracemalloc.start()
+        try:
+            grid_minimum_overlap(upb)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < limit, f"{upb.name}: peak {peak / 2**20:.1f} MiB"

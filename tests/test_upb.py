@@ -3,6 +3,9 @@ import pytest
 
 from pptball import (
     Bipartition,
+    DensityMatrix,
+    HermitianOperator,
+    HilbertStructure,
     ProductState,
     UPBSet,
     build_complete_basis,
@@ -59,6 +62,24 @@ def test_from_vectors_rejects_non_orthonormal():
     e = np.eye(3)
     with pytest.raises(ValueError, match="orthonormal"):
         UPBSet.from_vectors("bad", (3, 3), [(e[0], e[0]), (e[0], e[0])])
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: HermitianOperator(np.full((2, 2), np.nan)),
+        lambda: HermitianOperator([[np.inf, 0.0], [0.0, 1.0]]),
+        lambda: ProductState((np.array([np.nan, 0.0]),)),
+        lambda: UPBSet.from_vectors(
+            "bad", (2, 2), [(np.array([1.0, 0.0]), np.array([np.nan, 1.0]))]
+        ),
+        lambda: DensityMatrix.from_pure(np.zeros(4), HilbertStructure((2, 2))),
+    ],
+    ids=["hermitian-nan", "hermitian-inf", "product-nan", "from-vectors-nan", "pure-zero"],
+)
+def test_non_finite_input_is_rejected(build):
+    with pytest.raises(ValueError, match="not finite"):
+        build()
 
 
 def test_omega_flat_spectrum(tiles):
