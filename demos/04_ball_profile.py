@@ -14,7 +14,7 @@ from pptball import (
     certify,
     crossing_x0,
     get_upb,
-    is_ppt_all_cuts,
+    is_ppt,
     minimum_overlap,
     mixture_tau,
     robustness_profile,
@@ -55,7 +55,7 @@ for factor in (0.99, 1.05, 1.5):
     for t in range(200):
         sigma = sample_hs_density(upb.structure, cfg, trial=t)
         tau, _ = mixture_tau(fam, sigma, x, y)
-        if not is_ppt_all_cuts(tau) or witness_value(cert.witness, tau) >= 0:
+        if not is_ppt(tau) or witness_value(cert.witness, tau) >= 0:
             bad += 1
     print(f"perturbation at {factor:.2f} * y0 (x = {x:.4f}): "
           f"{bad}/200 draws broke PPT or the witness sign")

@@ -6,7 +6,8 @@ configuration and stamp the tool version, and contain no timestamps, so
 repeated runs with identical seeds are byte-identical.
 
 Exit status: 0 success; 1 verification violations; 2 usage or validation
-error; 3 minimizer non-convergence; 4 a failed internal contract check.
+error, or a report that cannot be written; 3 minimizer non-convergence; 4 a
+failed internal contract check.
 
 Export schema (``export``):
     {"name": str,
@@ -245,15 +246,19 @@ def _cmd_export(args) -> int:
     return EXIT_OK
 
 
-def _count(text: str) -> int:
-    """argparse type for a count of restarts, iterations, trials or grid points."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _at_least(floor: int):
+    """argparse type for an integer of at least ``floor``: 1 for counts, 0 for seeds."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        if value < floor:
+            raise argparse.ArgumentTypeError(f"must be at least {floor}, got {value}")
+        return value
+
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -273,9 +278,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--output", default=None, help="write the report to a file")
 
     def add_seesaw(p):
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--restarts", type=_count, default=200)
-        p.add_argument("--max-iters", type=_count, default=500)
+        p.add_argument("--seed", type=_at_least(0), default=0)
+        p.add_argument("--restarts", type=_at_least(1), default=200)
+        p.add_argument("--max-iters", type=_at_least(1), default=500)
 
     p_list = sub.add_parser("upb-list", help="list the catalog")
     add_common(p_list, upb=False)
@@ -289,14 +294,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_profile = sub.add_parser("profile", help="robustness profile")
     add_common(p_profile)
     add_seesaw(p_profile)
-    p_profile.add_argument("--grid", type=_count, default=50, help="radius sample count")
+    p_profile.add_argument("--grid", type=_at_least(1), default=50, help="radius sample count")
     p_profile.set_defaults(handler=_cmd_profile)
 
     p_verify = sub.add_parser("verify", help="randomized ball and mixing suites")
     add_common(p_verify)
     add_seesaw(p_verify)
-    p_verify.add_argument("--trials", type=_count, default=1000)
-    p_verify.add_argument("--grid", type=_count, default=10, help="x grid size")
+    p_verify.add_argument("--trials", type=_at_least(1), default=1000)
+    p_verify.add_argument("--grid", type=_at_least(1), default=10, help="x grid size")
     p_verify.add_argument("--y-fraction", type=float, default=0.99)
     p_verify.add_argument("--z-fraction", type=float, default=0.99)
     p_verify.set_defaults(handler=_cmd_verify)
@@ -304,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_member = sub.add_parser("membership", help="ball-fraction estimate")
     add_common(p_member)
     add_seesaw(p_member)
-    p_member.add_argument("--trials", type=_count, default=1000)
+    p_member.add_argument("--trials", type=_at_least(1), default=1000)
     p_member.add_argument("--x", type=float, default=None)
     p_member.set_defaults(handler=_cmd_membership)
 
@@ -323,7 +328,7 @@ def main(argv=None) -> int:
     except _NoConvergence as exc:
         print(exc, file=sys.stderr)
         return EXIT_NO_CONVERGENCE
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except RuntimeError as exc:

@@ -15,13 +15,8 @@ from functools import reduce
 import numpy as np
 from scipy import stats
 
-from .operators import (
-    DensityMatrix,
-    HilbertStructure,
-    PSD_TOL,
-    is_ppt_all_cuts,
-)
-from .robustness import Certificate, LineFamily, ball_membership, mixture_tau
+from .operators import DensityMatrix, HilbertStructure, PSD_TOL, min_pt_eigenvalue
+from .robustness import Certificate, LineFamily, ball_membership
 from .witness import Witness, witness_value
 
 _HS_TAG = 1
@@ -122,23 +117,26 @@ class VerificationOutcome:
         return asdict(self)
 
 
-def _score(suite: str, witness: Witness, keyed_states, config: dict) -> VerificationOutcome:
-    """Check every (substream key, state) pair: PPT on every cut, witness-negative."""
+def _score(
+    suite: str, witness: Witness, structure: HilbertStructure, keyed_matrices, config: dict
+) -> VerificationOutcome:
+    """Check every (substream key, matrix) pair: PPT on every cut, witness-negative."""
     trials = ppt_bad = wit_bad = 0
     ppt_margin = witness_margin = np.inf
     ppt_key = witness_key = ()
     failures = []
-    for key, state in keyed_states:
+    for key, m in keyed_matrices:
         trials += 1
-        rep = is_ppt_all_cuts(state)
-        wv = witness_value(witness, state)
-        if rep.min_eigenvalue + PSD_TOL < ppt_margin:
-            ppt_margin, ppt_key = rep.min_eigenvalue + PSD_TOL, key
+        lo = min_pt_eigenvalue(m, structure)
+        wv = witness_value(witness, m)
+        if lo + PSD_TOL < ppt_margin:
+            ppt_margin, ppt_key = lo + PSD_TOL, key
         if -wv < witness_margin:
             witness_margin, witness_key = -wv, key
-        ppt_bad += not rep.is_ppt
+        ppt_ok = lo >= -PSD_TOL
+        ppt_bad += not ppt_ok
         wit_bad += wv >= 0.0
-        if not rep.is_ppt or wv >= 0.0:
+        if not ppt_ok or wv >= 0.0:
             failures.append(key)
     return VerificationOutcome(
         suite=suite,
@@ -181,17 +179,19 @@ def verify_ball_robustness(
     structure = cert.upb.structure
     fam = LineFamily(cert.omega)
 
-    def keyed_states():
+    def keyed_matrices():
         for xi, x in enumerate(x_grid):
             y = y_fraction * cert.radius(x)
+            rho_x = fam.member(x).matrix
             for t in range(xi * trials, (xi + 1) * trials):
                 sigma = sample_hs_density(structure, cfg, trial=t)
-                yield _key(cfg, _HS_TAG, t), mixture_tau(fam, sigma, x, y)[0]
+                yield _key(cfg, _HS_TAG, t), y * sigma.matrix + (1.0 - y) * rho_x
 
     return _score(
         "ball",
         cert.witness,
-        keyed_states(),
+        structure,
+        keyed_matrices(),
         {
             "upb": cert.upb.name,
             "master_seed": cfg.master_seed,
@@ -223,16 +223,16 @@ def verify_separable_mixing(
     structure = cert.upb.structure
     z = z_fraction * cert.lam.value
 
-    def keyed_states():
+    def keyed_matrices():
         for t in range(trials):
             sigma = sample_random_product_separable(structure, MIXTURE_TERMS, cfg, trial=t)
-            m = z * sigma.matrix + (1.0 - z) * cert.omega.matrix
-            yield _key(cfg, _PRODUCT_TAG, t), DensityMatrix.from_matrix(m, structure)
+            yield _key(cfg, _PRODUCT_TAG, t), z * sigma.matrix + (1.0 - z) * cert.omega.matrix
 
     return _score(
         "separable-mixing",
         cert.witness,
-        keyed_states(),
+        structure,
+        keyed_matrices(),
         {
             "upb": cert.upb.name,
             "master_seed": cfg.master_seed,

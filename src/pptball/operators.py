@@ -53,40 +53,12 @@ class HilbertStructure:
         return len(self.local_dims)
 
 
-@dataclass(frozen=True, eq=False)
-class Bipartition:
-    """Subsystem indices whose bra/ket indices get swapped by partial transposition."""
-
-    transposed_side: tuple[int, ...]
-
-    def __post_init__(self):
-        side = tuple(sorted(int(k) for k in self.transposed_side))
-        if not side:
-            raise ValueError("transposed side must be a nonempty set of subsystem indices")
-        if len(set(side)) != len(side):
-            raise ValueError(f"duplicate subsystem indices in {side}")
-        object.__setattr__(self, "transposed_side", side)
-
-    def validate_for(self, structure: HilbertStructure) -> None:
-        n = structure.n_parties
-        if any(k < 0 or k >= n for k in self.transposed_side):
-            raise ValueError(
-                f"subsystem indices {self.transposed_side} out of range for {n} parties"
-            )
-        if len(self.transposed_side) == n:
-            raise ValueError("transposed side must be a proper subset of the subsystems")
-
-
-def all_bipartitions(structure: HilbertStructure) -> tuple[Bipartition, ...]:
-    """The 2**(n-1) - 1 distinct splits; subsystem 0 always stays untransposed."""
+def all_bipartitions(structure: HilbertStructure) -> tuple[tuple[int, ...], ...]:
+    """Transposed sides of the 2**(n-1) - 1 distinct splits; subsystem 0 is never transposed."""
     n = structure.n_parties
     if n < 2:
         raise ValueError("bipartitions require at least two subsystems")
-    cuts = []
-    for r in range(1, n):
-        for side in combinations(range(1, n), r):
-            cuts.append(Bipartition(side))
-    return tuple(cuts)
+    return tuple(side for r in range(1, n) for side in combinations(range(1, n), r))
 
 
 @dataclass(frozen=True, eq=False)
@@ -158,6 +130,9 @@ class DensityMatrix:
         v = np.asarray(vector, dtype=complex).reshape(-1)
         if not np.isfinite(v).all() or not v.any():
             raise ValueError("vector entries are not finite, or all zero")
+        # Scale to unit max modulus first: the norm squares the entries, which
+        # underflows or overflows at extreme scales.
+        v = v / np.abs(v).max()
         v = v / np.linalg.norm(v)
         return cls.from_matrix(np.outer(v, v.conj()), structure)
 
@@ -207,12 +182,13 @@ def _partial_transpose_matrix(matrix, local_dims, transposed_side) -> np.ndarray
 
 def partial_transpose(
     rho: DensityMatrix | HermitianOperator,
-    cut: Bipartition,
+    side: tuple[int, ...],
     structure: HilbertStructure | None = None,
 ) -> HermitianOperator:
-    """Transpose bra/ket indices of the chosen subsystems in the product basis.
+    """Transpose bra/ket indices of the subsystems in ``side`` in the product basis.
 
-    Trace-preserving, Hermiticity-preserving, and an involution.  A bare
+    Trace-preserving, Hermiticity-preserving, and an involution.  ``side``
+    must be a nonempty proper subset of the subsystem indices.  A bare
     Hermitian operator (e.g. a previous partial transpose) needs an explicit
     ``structure``; density matrices carry their own.
     """
@@ -222,60 +198,41 @@ def partial_transpose(
         raise ValueError("a bare Hermitian operator needs an explicit structure")
     if rho.matrix.shape[0] != structure.total_dim:
         raise ValueError("operator dimension does not match the structure")
-    cut.validate_for(structure)
-    pt = _partial_transpose_matrix(rho.matrix, structure.local_dims, cut.transposed_side)
+    side = tuple(sorted(int(k) for k in side))
+    n = structure.n_parties
+    if not side:
+        raise ValueError("transposed side must be a nonempty set of subsystem indices")
+    if len(set(side)) != len(side):
+        raise ValueError(f"duplicate subsystem indices in {side}")
+    if side[0] < 0 or side[-1] >= n:
+        raise ValueError(f"subsystem indices {side} out of range for {n} parties")
+    if len(side) == n:
+        raise ValueError("transposed side must be a proper subset of the subsystems")
+    pt = _partial_transpose_matrix(rho.matrix, structure.local_dims, side)
     return HermitianOperator(pt)
 
 
-@dataclass(frozen=True, eq=False)
-class PPTCheck:
-    """Positivity report for one partial transpose."""
+def min_pt_eigenvalue(
+    rho: DensityMatrix | np.ndarray, structure: HilbertStructure | None = None
+) -> float:
+    """Smallest partial-transpose eigenvalue over every bipartition.
 
-    transposed_side: tuple[int, ...]
-    min_eigenvalue: float
-
-    @property
-    def is_ppt(self) -> bool:
-        return self.min_eigenvalue >= -PSD_TOL
-
-    def __bool__(self) -> bool:
-        return self.is_ppt
-
-
-@dataclass(frozen=True, eq=False)
-class PPTAllCuts:
-    """Conjunction of PPT checks over every distinct bipartition."""
-
-    checks: tuple[PPTCheck, ...]
-
-    @property
-    def is_ppt(self) -> bool:
-        return all(c.is_ppt for c in self.checks)
-
-    @property
-    def min_eigenvalue(self) -> float:
-        return min(c.min_eigenvalue for c in self.checks)
-
-    def __bool__(self) -> bool:
-        return self.is_ppt
-
-
-def is_ppt(rho: DensityMatrix, cut: Bipartition | None = None) -> PPTCheck:
-    """True iff the partial transpose over ``cut`` has min eigenvalue >= -PSD_TOL.
-
-    ``cut`` defaults to transposing the last subsystem.
+    Takes a density matrix, or a plain matrix together with its structure
+    (hot loops pass matrices that are valid states by construction).
     """
-    if cut is None:
-        cut = Bipartition((rho.structure.n_parties - 1,))
-    cut.validate_for(rho.structure)
-    pt = _partial_transpose_matrix(rho.matrix, rho.structure.local_dims, cut.transposed_side)
-    lo = float(np.linalg.eigvalsh(pt)[0])
-    return PPTCheck(cut.transposed_side, lo)
+    if isinstance(rho, DensityMatrix):
+        rho, structure = rho.matrix, rho.structure
+    elif structure is None:
+        raise ValueError("a plain matrix needs an explicit structure")
+    return min(
+        float(np.linalg.eigvalsh(_partial_transpose_matrix(rho, structure.local_dims, side))[0])
+        for side in all_bipartitions(structure)
+    )
 
 
-def is_ppt_all_cuts(rho: DensityMatrix) -> PPTAllCuts:
-    """PPT check across all 2**(n-1) - 1 distinct bipartitions."""
-    return PPTAllCuts(tuple(is_ppt(rho, cut) for cut in all_bipartitions(rho.structure)))
+def is_ppt(rho: DensityMatrix) -> bool:
+    """True iff every partial transpose has min eigenvalue >= -PSD_TOL."""
+    return min_pt_eigenvalue(rho) >= -PSD_TOL
 
 
 def purity(rho: DensityMatrix) -> float:

@@ -16,8 +16,10 @@ import numpy as np
 from .operators import (
     DensityMatrix,
     HilbertStructure,
+    PSD_TOL,
     eig_hermitian,
-    is_ppt_all_cuts,
+    is_ppt,
+    min_pt_eigenvalue,
     purity,
 )
 from .upb import UPBSet, omega_state
@@ -26,6 +28,8 @@ from .witness import LambdaResult, Witness, build_witness, witness_value
 IDENTITY_ATOL = 1e-12
 CROSSING_RESIDUAL = 1e-12
 RANK_TOL = 1e-12
+# Tr(W sigma) of a zero-witness direction is zero only up to the rounding of the trace.
+WITNESS_SIGN_ATOL = 1e-10
 
 RADIUS_MODES = ("tight", "averaged")
 
@@ -330,11 +334,11 @@ def ppt_mixing_threshold(
     the threshold stay witness-negative (and PPT, both components being PPT).
     """
     val = witness_value(witness, sigma)
-    if val < -1e-10:
+    if val < -WITNESS_SIGN_ATOL:
         raise ValueError(
             f"direction has negative witness value {val!r}; threshold undefined"
         )
-    if not is_ppt_all_cuts(sigma):
+    if not is_ppt(sigma):
         raise ValueError("direction must be PPT on every bipartition")
     return float(lambda_omega / (lambda_omega + max(val, 0.0)))
 
@@ -379,19 +383,16 @@ def verify_maximal_robustness(
     z_grid,
 ) -> MaximalRobustnessReport:
     """Check z sigma_dir + (1 - z) rho_x stays PPT and witness-negative on a z grid."""
-    rho_x = fam.member(x)
+    rho_x = fam.member(x).matrix
     checks = []
     for z in z_grid:
         z = float(z)
         if not 0.0 <= z < 1.0:
             raise ValueError(f"grid entries must lie in [0, 1), got {z!r}")
-        m = z * sigma_dir.matrix + (1.0 - z) * rho_x.matrix
-        state = DensityMatrix.from_matrix(m, fam.structure)
-        rep = is_ppt_all_cuts(state)
-        wv = witness_value(witness, state)
-        checks.append(
-            DirectionCheck(z, float(rep.min_eigenvalue), wv, rep.is_ppt, wv < 0.0)
-        )
+        m = z * sigma_dir.matrix + (1.0 - z) * rho_x
+        lo = min_pt_eigenvalue(m, fam.structure)
+        wv = witness_value(witness, m)
+        checks.append(DirectionCheck(z, lo, wv, lo >= -PSD_TOL, wv < 0.0))
     return MaximalRobustnessReport(float(x), tuple(checks))
 
 

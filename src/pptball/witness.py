@@ -214,11 +214,10 @@ def build_witness(upb: UPBSet, lam: LambdaResult | float) -> Witness:
     return witness_from_operator(HermitianOperator(w))
 
 
-def witness_value(w: Witness | HermitianOperator, rho: DensityMatrix) -> float:
-    """Tr(W rho)."""
+def witness_value(w: Witness | HermitianOperator, rho: DensityMatrix | np.ndarray) -> float:
+    """Tr(W rho), for a density matrix or a plain matrix."""
     mat = w.op.matrix if isinstance(w, Witness) else w.matrix
-    if mat.shape != rho.matrix.shape:
-        raise ValueError(
-            f"dimension mismatch: witness {mat.shape[0]}, state {rho.matrix.shape[0]}"
-        )
-    return float(np.vdot(mat, rho.matrix).real)
+    rho = rho.matrix if isinstance(rho, DensityMatrix) else rho
+    if mat.shape != rho.shape:
+        raise ValueError(f"dimension mismatch: witness {mat.shape[0]}, state {rho.shape[0]}")
+    return float(np.vdot(mat, rho).real)

@@ -22,7 +22,8 @@ from pptball import (
     entanglement_threshold,
     grid_minimum_overlap,
     in_gurvits_ball,
-    is_ppt_all_cuts,
+    is_ppt,
+    min_pt_eigenvalue,
     minimizer_direction,
     minimum_overlap,
     mixture_tau,
@@ -82,8 +83,7 @@ def test_a02_complement_state_contract(
         vals = eig_hermitian(omega.op).eigenvalues
         assert np.abs(vals[:n]).max() < 1e-10
         assert np.abs(vals[n:] - 1.0 / (d - n)).max() < 1e-10
-        rep = is_ppt_all_cuts(omega)
-        assert rep.min_eigenvalue >= -1e-9
+        assert min_pt_eigenvalue(omega) >= -1e-9
         expected = -lam.value / (n - lam.value * d)
         assert abs(witness_value(witness, omega) - expected) < 1e-12
     print("[PASS] criterion 2: complement-state contract "
@@ -220,7 +220,7 @@ def test_a08_decomposition_identity_and_inner_mixture(tiles, tiles_omega):
                 dec.t * sigma.matrix + (1 - dec.t) * np.eye(d) / d, fam.structure
             )
             assert in_gurvits_ball(inner)
-            assert is_ppt_all_cuts(inner)
+            assert is_ppt(inner)
             checked_inner += 1
     assert checked_inner >= 500
     print(f"[PASS] criterion 8: decomposition identity x1e3 "

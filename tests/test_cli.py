@@ -74,15 +74,27 @@ def test_unknown_command_is_usage_error():
         ("lambda", "--max-iters"),
         ("verify", "--trials"),
         ("verify", "--grid"),
+        ("lambda", "--seed"),
     ],
 )
 def test_counts_below_one_are_usage_errors(tmp_path, capsys, command, flag):
+    floor = 0 if flag == "--seed" else 1
     path = tmp_path / "out.json"
     with pytest.raises(SystemExit) as exc:
-        main([command, "--upb", "tiles", flag, "0", "--output", str(path)])
+        main([command, "--upb", "tiles", flag, str(floor - 1), "--output", str(path)])
     assert exc.value.code == 2
-    assert "must be at least 1" in capsys.readouterr().err
+    assert f"argument {flag}: must be at least {floor}" in capsys.readouterr().err
     assert not path.exists()
+
+
+@pytest.mark.parametrize("target", ["missing-dir", "directory"])
+def test_unwritable_output_is_usage_error(tmp_path, capsys, target):
+    path = tmp_path / "missing" / "x.json" if target == "missing-dir" else tmp_path
+    code = main(["upb-list", "--output", str(path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(path) in err
 
 
 def test_profile_report(tmp_path):

@@ -2,13 +2,17 @@ import numpy as np
 import pytest
 
 from pptball import (
+    DensityMatrix,
     HilbertStructure,
     LineFamily,
+    PSD_TOL,
     SamplerConfig,
     ball_fraction_estimate,
     ball_membership,
     entanglement_threshold,
-    is_ppt_all_cuts,
+    is_ppt,
+    min_pt_eigenvalue,
+    mixture_tau,
     purity,
     radius_from_witness,
     sample_hs_density,
@@ -17,6 +21,7 @@ from pptball import (
     verify_separable_mixing,
     witness_value,
 )
+from pptball.montecarlo import MIXTURE_TERMS
 
 
 def test_sampler_determinism():
@@ -55,7 +60,7 @@ def test_product_sampler_is_separable():
     assert abs(purity(single) - 1.0) < 1e-12
     for t in range(50):
         rho = sample_random_product_separable(structure, 5, cfg, trial=t)
-        assert is_ppt_all_cuts(rho)
+        assert is_ppt(rho)
 
 
 def test_product_sampler_rejects_zero_terms():
@@ -116,15 +121,73 @@ def test_separable_mixing_validates_inputs(tiles_cert):
         verify_separable_mixing(tiles_cert, 0.5, 0, SamplerConfig(1))
 
 
+def _score_states(witness, keyed_states):
+    """Counts, margins and failing keys of validated states, one object at a time."""
+    ppt_bad = wit_bad = 0
+    ppt_margin = witness_margin = (np.inf, ())
+    failures = []
+    for key, state in keyed_states:
+        margin = min_pt_eigenvalue(state) + PSD_TOL
+        wv = witness_value(witness, state)
+        if margin < ppt_margin[0]:
+            ppt_margin = (margin, key)
+        if -wv < witness_margin[0]:
+            witness_margin = (-wv, key)
+        ppt_bad += not is_ppt(state)
+        wit_bad += wv >= 0.0
+        if not is_ppt(state) or wv >= 0.0:
+            failures.append(key)
+    return ppt_bad, wit_bad, ppt_margin, witness_margin, tuple(failures)
+
+
+def _outcome_fields(out):
+    return (
+        out.ppt_violations,
+        out.witness_violations,
+        (out.ppt_margin, out.ppt_margin_key),
+        (out.witness_margin, out.witness_margin_key),
+        out.seeds_of_failures,
+    )
+
+
+@pytest.mark.parametrize("cert_name", ["tiles_cert", "shifts_cert"])
+def test_plain_matrix_suites_match_object_path(request, cert_name):
+    cert = request.getfixturevalue(cert_name)
+    structure = cert.upb.structure
+    grid, trials = cert.x_grid(2), 20
+    # Substream keys are (master seed, stream, tag, trial); tag 1 draws
+    # Hilbert-Schmidt states, tag 2 product mixtures.
+    cfg = SamplerConfig(5, stream_id=1)
+    fam = LineFamily(cert.omega)
+    ball_states = []
+    for xi, x in enumerate(grid):
+        y = 0.99 * cert.radius(x)
+        for t in range(xi * trials, (xi + 1) * trials):
+            sigma = sample_hs_density(structure, cfg, trial=t)
+            ball_states.append(((5, 1, 1, t), mixture_tau(fam, sigma, x, y)[0]))
+    ball = verify_ball_robustness(cert, grid, 0.99, trials, cfg)
+    assert ball.trials == len(ball_states)
+    assert _outcome_fields(ball) == _score_states(cert.witness, ball_states)
+
+    cfg = SamplerConfig(5, stream_id=2)
+    z = 0.99 * cert.lam.value
+    mixing_states = []
+    for t in range(trials):
+        sigma = sample_random_product_separable(structure, MIXTURE_TERMS, cfg, trial=t)
+        m = z * sigma.matrix + (1.0 - z) * cert.omega.matrix
+        mixing_states.append(((5, 2, 2, t), DensityMatrix.from_matrix(m, structure)))
+    mixing = verify_separable_mixing(cert, 0.99, trials, cfg)
+    assert mixing.trials == trials
+    assert _outcome_fields(mixing) == _score_states(cert.witness, mixing_states)
+
+
 def test_mixing_respects_minimizer_direction(tiles, tiles_lambda, tiles_witness, tiles_omega):
     sigma = tiles_lambda.minimizer.to_density(tiles.structure)
     for z in (0.1, 0.5, 0.9, 0.999):
         m = z * sigma.matrix + (1 - z) * tiles_omega.matrix
-        from pptball import DensityMatrix
-
         state = DensityMatrix.from_matrix(m, tiles.structure)
         assert witness_value(tiles_witness, state) < 0
-        assert is_ppt_all_cuts(state)
+        assert is_ppt(state)
 
 
 def test_ball_fraction_extremes(tiles_omega):

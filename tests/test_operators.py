@@ -4,14 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pptball import (
-    Bipartition,
     DensityMatrix,
     HermitianOperator,
     HilbertStructure,
     all_bipartitions,
     eig_hermitian,
     is_ppt,
-    is_ppt_all_cuts,
+    min_pt_eigenvalue,
     partial_transpose,
     purity,
 )
@@ -49,16 +48,18 @@ def test_structure_requires_physical_dims():
 
 
 def test_bipartition_validation():
-    with pytest.raises(ValueError):
-        Bipartition(())
-    with pytest.raises(ValueError):
-        Bipartition((1, 1))
-    cut = Bipartition((1,))
+    rho = DensityMatrix.maximally_mixed(HilbertStructure((2, 2)))
+    with pytest.raises(ValueError, match="nonempty"):
+        partial_transpose(rho, ())
+    with pytest.raises(ValueError, match="duplicate"):
+        partial_transpose(rho, (1, 1))
     with pytest.raises(ValueError, match="proper subset"):
-        Bipartition((0, 1)).validate_for(HilbertStructure((2, 2)))
+        partial_transpose(rho, (0, 1))
     with pytest.raises(ValueError, match="out of range"):
-        Bipartition((5,)).validate_for(HilbertStructure((2, 2)))
-    cut.validate_for(HilbertStructure((2, 2)))
+        partial_transpose(rho, (5,))
+    with pytest.raises(ValueError, match="out of range"):
+        partial_transpose(rho, (-1,))
+    partial_transpose(rho, (1,))
 
 
 def test_eig_identity():
@@ -95,7 +96,7 @@ def test_eig_contract_sweep_up_to_dim_81():
 def test_partial_transpose_fixes_identity():
     structure = HilbertStructure((3, 3))
     rho = DensityMatrix.maximally_mixed(structure)
-    pt = partial_transpose(rho, Bipartition((1,)))
+    pt = partial_transpose(rho, (1,))
     assert np.abs(pt.matrix - rho.matrix).max() == 0.0
 
 
@@ -117,7 +118,7 @@ def test_partial_transpose_preserves_trace_and_hermiticity(seed):
     rng = np.random.default_rng(seed)
     structure = HilbertStructure((2, 3))
     rho = rand_density(rng, structure)
-    pt = partial_transpose(rho, Bipartition((1,)))
+    pt = partial_transpose(rho, (1,))
     assert abs(pt.trace - 1.0) < 1e-12
 
 
@@ -125,7 +126,7 @@ def test_partial_transpose_bell_spectrum():
     structure = HilbertStructure((2, 2))
     bell = np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2.0)
     rho = DensityMatrix.from_pure(bell, structure)
-    pt = partial_transpose(rho, Bipartition((1,)))
+    pt = partial_transpose(rho, (1,))
     vals = eig_hermitian(pt).eigenvalues
     assert np.allclose(vals, [-0.5, 0.5, 0.5, 0.5], atol=1e-12)
 
@@ -134,7 +135,7 @@ def test_partial_transpose_rejects_bad_cut():
     structure = HilbertStructure((3, 3))
     rho = DensityMatrix.maximally_mixed(structure)
     with pytest.raises(ValueError, match="out of range"):
-        partial_transpose(rho, Bipartition((2,)))
+        partial_transpose(rho, (2,))
 
 
 def test_is_ppt_product_state():
@@ -148,16 +149,18 @@ def test_is_ppt_detects_bell():
     structure = HilbertStructure((2, 2))
     bell = np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2.0)
     rho = DensityMatrix.from_pure(bell, structure)
-    rep = is_ppt(rho)
-    assert not rep
-    assert abs(rep.min_eigenvalue - (-0.5)) < 1e-12
+    assert not is_ppt(rho)
+    assert abs(min_pt_eigenvalue(rho) - (-0.5)) < 1e-12
 
 
 def test_is_ppt_maximally_mixed():
     structure = HilbertStructure((3, 3))
-    rep = is_ppt(DensityMatrix.maximally_mixed(structure))
-    assert rep
-    assert abs(rep.min_eigenvalue - 1.0 / 9.0) < 1e-14
+    rho = DensityMatrix.maximally_mixed(structure)
+    assert is_ppt(rho)
+    assert abs(min_pt_eigenvalue(rho) - 1.0 / 9.0) < 1e-14
+    assert min_pt_eigenvalue(rho.matrix, structure) == min_pt_eigenvalue(rho)
+    with pytest.raises(ValueError, match="explicit structure"):
+        min_pt_eigenvalue(rho.matrix)
 
 
 def test_all_bipartitions_count():
@@ -168,9 +171,8 @@ def test_all_bipartitions_count():
 
 def test_is_ppt_all_cuts_identity_three_qubits():
     structure = HilbertStructure((2, 2, 2))
-    rep = is_ppt_all_cuts(DensityMatrix.maximally_mixed(structure))
-    assert rep
-    assert len(rep.checks) == 3
+    assert is_ppt(DensityMatrix.maximally_mixed(structure))
+    assert all_bipartitions(structure) == ((1,), (2,), (1, 2))
 
 
 def test_ghz_fails_every_cut():
@@ -178,11 +180,11 @@ def test_ghz_fails_every_cut():
     ghz = np.zeros(8)
     ghz[0] = ghz[7] = 1.0 / np.sqrt(2.0)
     rho = DensityMatrix.from_pure(ghz, structure)
-    rep = is_ppt_all_cuts(rho)
-    assert not rep
-    for check in rep.checks:
-        assert not check
-        assert abs(check.min_eigenvalue - (-0.5)) < 1e-12
+    assert not is_ppt(rho)
+    assert abs(min_pt_eigenvalue(rho) - (-0.5)) < 1e-12
+    for side in all_bipartitions(structure):
+        lo = eig_hermitian(partial_transpose(rho, side)).eigenvalues[0]
+        assert abs(lo - (-0.5)) < 1e-12
 
 
 def test_separable_states_are_ppt_on_every_cut():
@@ -191,7 +193,7 @@ def test_separable_states_are_ppt_on_every_cut():
         structure = HilbertStructure(dims)
         for t in range(25):
             rho = sample_random_product_separable(structure, 3, cfg, trial=t)
-            assert is_ppt_all_cuts(rho)
+            assert is_ppt(rho)
 
 
 def test_purity_extremes():
@@ -221,3 +223,12 @@ def test_density_matrix_validation():
         DensityMatrix.from_matrix(bad, structure)
     with pytest.raises(ValueError, match="does not match"):
         DensityMatrix.from_matrix(np.eye(4) / 4.0, HilbertStructure((2, 4)))
+
+
+@pytest.mark.parametrize(
+    "vector", [[1e-200, 0, 0, 0], [1e200, 0, 0, 0], [1e-170, 1e-170, 0, 0]]
+)
+def test_from_pure_at_extreme_scales(vector):
+    unit = np.sign(vector) / np.linalg.norm(np.sign(vector))
+    rho = DensityMatrix.from_pure(vector, HilbertStructure((2, 2)))
+    assert np.abs(rho.matrix - np.outer(unit, unit)).max() < 1e-15

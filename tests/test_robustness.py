@@ -13,7 +13,6 @@ from pptball import (
     entanglement_threshold_upb,
     in_gurvits_ball,
     is_ppt,
-    is_ppt_all_cuts,
     minimizer_direction,
     mixture_tau,
     omega_state,
@@ -253,7 +252,7 @@ def test_gurvits_ball_boundary_mixture_is_ppt():
     )
     assert in_gurvits_ball(rho)
     assert purity(rho) < 1 / 8
-    assert is_ppt_all_cuts(rho)
+    assert is_ppt(rho)
 
 
 def test_ball_membership_basics(tiles_setup):

@@ -2,17 +2,17 @@ import numpy as np
 import pytest
 
 from pptball import (
-    Bipartition,
     DensityMatrix,
     HermitianOperator,
     HilbertStructure,
     ProductState,
     UPBSet,
+    all_bipartitions,
     build_complete_basis,
     eig_hermitian,
     get_upb,
     is_ppt,
-    is_ppt_all_cuts,
+    min_pt_eigenvalue,
     omega_state,
 )
 
@@ -90,10 +90,9 @@ def test_omega_flat_spectrum(tiles):
 
 
 def test_omega_is_ppt(tiles, shifts):
-    rep = is_ppt(omega_state(tiles), Bipartition((1,)))
-    assert rep and rep.min_eigenvalue >= -1e-9
-    rep_all = is_ppt_all_cuts(omega_state(shifts))
-    assert rep_all and len(rep_all.checks) == 3
+    assert min_pt_eigenvalue(omega_state(tiles)) >= -1e-9
+    assert is_ppt(omega_state(shifts))
+    assert len(all_bipartitions(shifts.structure)) == 3
 
 
 def test_omega_has_zero_overlap_with_members(tiles, pyramid, shifts):
