@@ -11,12 +11,12 @@ from pptball import (
     DensityMatrix,
     SamplerConfig,
     build_witness,
+    eig_hermitian,
     get_upb,
     minimum_overlap,
     omega_state,
     sample_hs_density,
     sample_random_product_separable,
-    spectral_split,
     witness_value,
 )
 
@@ -26,10 +26,9 @@ w = build_witness(upb, lam)
 omega = omega_state(upb)
 n, d = upb.cardinality, upb.total_dim
 
-split = spectral_split(w)
 print("witness spectrum (ascending):")
-print(" ", np.round(split.decomposition.eigenvalues, 10))
-print(f"positive count p = {split.p_count}, negative count = {split.n_neg_count}")
+print(" ", np.round(eig_hermitian(w.op).eigenvalues, 10))
+print(f"positive count p = {w.p_count}, negative count = {w.n_neg_count}")
 print(f"Tr W        = {w.op.trace:.15f}")
 print(f"Tr W+       = {w.pos_part_trace:.15f} "
       f"(closed form n(1-lambda)/(n-lambda D) = {n*(1-lam.value)/(n-lam.value*d):.15f})")

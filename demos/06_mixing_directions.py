@@ -6,44 +6,33 @@ thresholds are larger, and along directions built from overlap minimizers the
 mixture stays bound entangled for every weight short of 1.
 """
 
-import numpy as np
-
 from pptball import (
     DensityMatrix,
-    LineFamily,
-    build_witness,
-    entanglement_threshold,
+    certify,
     get_upb,
     minimizer_direction,
     minimum_overlap,
-    omega_state,
     ppt_mixing_threshold,
     separable_mixing_threshold,
     verify_maximal_robustness,
-    witness_value,
 )
 
 upb = get_upb("tiles")
-lam = minimum_overlap(upb)
-w = build_witness(upb, lam)
-omega = omega_state(upb)
-lo = -witness_value(w, omega)
+cert = certify(upb, minimum_overlap(upb))
 
-universal = separable_mixing_threshold(w, lo, lam.value)
+universal = separable_mixing_threshold(cert)
 print(f"universal separable-mixing threshold = {universal:.12f} (= lambda)")
 
 mixed = DensityMatrix.maximally_mixed(upb.structure)
-sigma_dir = minimizer_direction(lam, upb.structure)
+sigma_dir = minimizer_direction(cert)
 print(f"per-direction thresholds:")
-print(f"  white noise I/D      : {ppt_mixing_threshold(w, lo, mixed):.12f}")
-print(f"  minimizer direction  : {ppt_mixing_threshold(w, lo, sigma_dir):.12f} "
+print(f"  white noise I/D      : {ppt_mixing_threshold(cert, mixed):.12f}")
+print(f"  minimizer direction  : {ppt_mixing_threshold(cert, sigma_dir):.12f} "
       f"(zero witness value, maximal robustness)")
 
-x_star = entanglement_threshold(lo, upb.total_dim)
-x = (x_star + 1.0) / 2
-fam = LineFamily(omega)
+x = (cert.x_star + 1.0) / 2
 zs = [0.0, 0.25, 0.5, 0.75, 0.9, 0.99, 0.999]
-report = verify_maximal_robustness(fam, sigma_dir, w, x, zs)
+report = verify_maximal_robustness(cert, sigma_dir, x, zs)
 print()
 print(f"mixing toward the minimizer direction at x = {x:.6f}:")
 print(f"{'z':>8}{'min PT eig':>14}{'witness':>14}{'PPT':>6}{'neg':>6}")

@@ -21,8 +21,10 @@ from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import io
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -83,6 +85,21 @@ def _emit(report: dict, fmt: str, path: str | None) -> None:
         Path(path).write_text(text)
     else:
         sys.stdout.write(text)
+
+
+def _check_output(path: str) -> None:
+    """Raise the OSError that writing to ``path`` would raise, before any work runs.
+
+    Only the path and its parent are inspected; nothing is created.
+    """
+    target = Path(path)
+    if target.is_dir():
+        code = errno.EISDIR
+    elif not target.parent.is_dir():
+        code = errno.ENOTDIR if target.parent.exists() else errno.ENOENT
+    else:
+        return
+    raise OSError(code, os.strerror(code), path)
 
 
 def _header(command: str) -> dict:
@@ -324,6 +341,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.output:
+            _check_output(args.output)
         return args.handler(args)
     except _NoConvergence as exc:
         print(exc, file=sys.stderr)

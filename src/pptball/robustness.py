@@ -1,10 +1,10 @@
 """Robustness geometry around bound entangled states.
 
 Covers the straight-line noise family through a base state, its entanglement
-threshold, the certified ball radius around each family member (two bound
-modes), the branch-crossing point of the radius formula, mixture
-decompositions through the separable purity ball, ball membership, and the
-separable-mixing thresholds with their maximal-robustness directions.
+threshold, the certified ball radius around each family member, the
+branch-crossing point of the radius formula, mixture decompositions through
+the separable purity ball, ball membership, and the separable-mixing
+thresholds with their maximal-robustness directions.
 """
 
 from __future__ import annotations
@@ -30,8 +30,6 @@ CROSSING_RESIDUAL = 1e-12
 RANK_TOL = 1e-12
 # Tr(W sigma) of a zero-witness direction is zero only up to the rounding of the trace.
 WITNESS_SIGN_ATOL = 1e-10
-
-RADIUS_MODES = ("tight", "averaged")
 
 
 @dataclass(frozen=True, eq=False)
@@ -82,45 +80,6 @@ def _closed_threshold(n: int, dim_total: int, lam_value: float) -> float:
     return 1.0 - lam_value * dim_total / n
 
 
-def radius_y0(
-    x: float,
-    *,
-    lambda_rho: float,
-    dim_total: int,
-    pos_part_trace: float,
-    p_count: int | None = None,
-    max_pos_eigenvalue: float | None = None,
-    mode: str = "tight",
-) -> float:
-    """Certified ball radius around the family member at x.
-
-    Minimum of two branches: the purity-ball branch (1 - x)/(D - 1 - x), under
-    which every perturbation direction mixes into the separable purity ball,
-    and the witness branch, under which the mixture stays witness-negative for
-    the worst-case direction.  The worst-case witness expectation is bounded
-    by the maximum positive eigenvalue in ``tight`` mode and by
-    pos_part_trace / p_count in ``averaged`` mode; the two coincide exactly
-    when the positive spectrum is flat (as for product-basis witnesses), and
-    ``averaged`` is only a valid bound in that case.
-    """
-    if mode not in RADIUS_MODES:
-        raise ValueError(f"mode must be one of {RADIUS_MODES}, got {mode!r}")
-    x_star = entanglement_threshold(lambda_rho, dim_total)
-    if not x_star < x < 1.0:
-        raise ValueError(f"x must lie strictly between x* = {x_star!r} and 1, got {x!r}")
-    if mode == "tight":
-        if max_pos_eigenvalue is None:
-            raise ValueError("tight mode needs max_pos_eigenvalue")
-        bound = max_pos_eigenvalue
-    else:
-        if p_count is None:
-            raise ValueError("averaged mode needs p_count")
-        bound = pos_part_trace / p_count
-    return float(
-        min(_purity_branch(x, dim_total), _witness_branch(x, lambda_rho, dim_total, bound))
-    )
-
-
 def _purity_branch(x: float, dim_total: int) -> float:
     return (1.0 - x) / (dim_total - 1.0 - x)
 
@@ -128,21 +87,6 @@ def _purity_branch(x: float, dim_total: int) -> float:
 def _witness_branch(x: float, lambda_rho: float, dim_total: int, bound: float) -> float:
     c = (x * (1.0 + dim_total * lambda_rho) - 1.0) / dim_total
     return c / (bound + c)
-
-
-def radius_from_witness(
-    x: float, witness: Witness, lambda_rho: float, mode: str = "tight"
-) -> float:
-    """radius_y0 with the spectral inputs read off a cached witness."""
-    return radius_y0(
-        x,
-        lambda_rho=lambda_rho,
-        dim_total=witness.op.dim,
-        pos_part_trace=witness.pos_part_trace,
-        p_count=witness.p_count,
-        max_pos_eigenvalue=witness.max_pos_eigenvalue,
-        mode=mode,
-    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -167,9 +111,25 @@ class Certificate:
         """k evenly spaced points strictly inside (x*, 1)."""
         return np.linspace(self.x_star, 1.0, k + 2)[1:-1]
 
-    def radius(self, x: float, mode: str = "tight") -> float:
-        """Certified ball radius y0(x) around the family member at x."""
-        return radius_from_witness(x, self.witness, self.lambda_omega, mode=mode)
+    def radius(self, x: float) -> float:
+        """Certified ball radius y0(x) around the family member at x.
+
+        Minimum of two branches: the purity-ball branch (1 - x)/(D - 1 - x),
+        under which every perturbation direction mixes into the separable
+        purity ball, and the witness branch, under which the mixture stays
+        witness-negative even when Tr(W sigma) takes the largest eigenvalue of W.
+        """
+        if not self.x_star < x < 1.0:
+            raise ValueError(
+                f"x must lie strictly between x* = {self.x_star!r} and 1, got {x!r}"
+            )
+        d = self.upb.total_dim
+        return float(
+            min(
+                _purity_branch(x, d),
+                _witness_branch(x, self.lambda_omega, d, self.witness.max_pos_eigenvalue),
+            )
+        )
 
 
 def certify(upb: UPBSet, lam: LambdaResult) -> Certificate:
@@ -305,42 +265,35 @@ def ball_membership(tau: DensityMatrix, center: DensityMatrix) -> float:
     return float(min(1.0, max(0.0, 1.0 - lam_min)))
 
 
-def separable_mixing_threshold(
-    witness: Witness, lambda_omega: float, lam_value: float
-) -> float:
+def separable_mixing_threshold(cert: Certificate) -> float:
     """Mixing weight below which any separable admixture stays witness-negative.
 
     Equals the minimum overlap itself: p lambda_omega / (Tr W+ + p lambda_omega);
     the identity is re-verified numerically to IDENTITY_ATOL.
     """
-    threshold = (
-        witness.p_count
-        * lambda_omega
-        / (witness.pos_part_trace + witness.p_count * lambda_omega)
-    )
-    if abs(threshold - lam_value) > IDENTITY_ATOL:
+    p, lambda_omega = cert.witness.p_count, cert.lambda_omega
+    threshold = p * lambda_omega / (cert.witness.pos_part_trace + p * lambda_omega)
+    if abs(threshold - cert.lam.value) > IDENTITY_ATOL:
         raise RuntimeError(
-            f"mixing-threshold identity violated: {threshold!r} vs {lam_value!r}"
+            f"mixing-threshold identity violated: {threshold!r} vs {cert.lam.value!r}"
         )
     return float(threshold)
 
 
-def ppt_mixing_threshold(
-    witness: Witness, lambda_omega: float, sigma: DensityMatrix
-) -> float:
+def ppt_mixing_threshold(cert: Certificate, sigma: DensityMatrix) -> float:
     """Per-direction mixing threshold lambda_omega / (lambda_omega + Tr(W sigma)).
 
     Defined for PPT directions with nonnegative witness value; mixtures below
     the threshold stay witness-negative (and PPT, both components being PPT).
     """
-    val = witness_value(witness, sigma)
+    val = witness_value(cert.witness, sigma)
     if val < -WITNESS_SIGN_ATOL:
         raise ValueError(
             f"direction has negative witness value {val!r}; threshold undefined"
         )
     if not is_ppt(sigma):
         raise ValueError("direction must be PPT on every bipartition")
-    return float(lambda_omega / (lambda_omega + max(val, 0.0)))
+    return float(cert.lambda_omega / (cert.lambda_omega + max(val, 0.0)))
 
 
 @dataclass(frozen=True)
@@ -369,29 +322,33 @@ class MaximalRobustnessReport:
         return all(c.ppt_ok and c.witness_ok for c in self.checks)
 
 
-def minimizer_direction(lam: LambdaResult, structure: HilbertStructure) -> DensityMatrix:
+def minimizer_direction(cert: Certificate) -> DensityMatrix:
     """Uniform mixture of the collected minimizing product-state projectors."""
-    mats = [m.to_density(structure).matrix for m in lam.minimizers]
+    structure = cert.upb.structure
+    mats = [m.to_density(structure).matrix for m in cert.lam.minimizers]
     return DensityMatrix.from_matrix(sum(mats) / len(mats), structure)
 
 
 def verify_maximal_robustness(
-    fam: LineFamily,
-    sigma_dir: DensityMatrix,
-    witness: Witness,
-    x: float,
-    z_grid,
+    cert: Certificate, sigma_dir: DensityMatrix, x: float, z_grid
 ) -> MaximalRobustnessReport:
-    """Check z sigma_dir + (1 - z) rho_x stays PPT and witness-negative on a z grid."""
-    rho_x = fam.member(x).matrix
+    """Check z sigma_dir + (1 - z) rho_x stays PPT and witness-negative on a z grid.
+
+    x must lie in (x*, 1) and the grid must hold at least one z in [0, 1).
+    """
+    if not cert.x_star < x < 1.0:
+        raise ValueError(f"x must lie strictly between x* = {cert.x_star!r} and 1, got {x!r}")
+    z_grid = [float(z) for z in z_grid]
+    if not z_grid:
+        raise ValueError("z_grid must hold at least one point")
+    rho_x = LineFamily(cert.omega).member(x).matrix
     checks = []
     for z in z_grid:
-        z = float(z)
         if not 0.0 <= z < 1.0:
             raise ValueError(f"grid entries must lie in [0, 1), got {z!r}")
         m = z * sigma_dir.matrix + (1.0 - z) * rho_x
-        lo = min_pt_eigenvalue(m, fam.structure)
-        wv = witness_value(witness, m)
+        lo = min_pt_eigenvalue(m, cert.upb.structure)
+        wv = witness_value(cert.witness, m)
         checks.append(DirectionCheck(z, lo, wv, lo >= -PSD_TOL, wv < 0.0))
     return MaximalRobustnessReport(float(x), tuple(checks))
 
@@ -400,8 +357,9 @@ def verify_maximal_robustness(
 class RobustnessProfile:
     """Full robustness summary of one product-basis complement state.
 
-    ``radius_samples`` rows are (x, radius in tight mode, radius in averaged
-    mode); the two columns agree for flat-spectrum witnesses.
+    ``radius_samples`` rows are (x, certified radius, radius with Tr W+ / p in
+    place of the largest eigenvalue of W); the two columns agree for
+    flat-spectrum witnesses.
     """
 
     upb_name: str
@@ -432,12 +390,17 @@ class RobustnessProfile:
 def robustness_profile(cert: Certificate, grid_size: int = 50) -> RobustnessProfile:
     """Assemble thresholds, crossing point, and sampled radii for one catalog set."""
     lam = cert.lam.value
-    crossing = crossing_x0(cert.upb.cardinality, cert.upb.total_dim, lam)
+    d = cert.upb.total_dim
+    crossing = crossing_x0(cert.upb.cardinality, d, lam)
+    averaged = cert.witness.pos_part_trace / cert.witness.p_count
     samples = tuple(
-        (float(x), cert.radius(x, mode="tight"), cert.radius(x, mode="averaged"))
+        (
+            float(x),
+            cert.radius(x),
+            float(min(_purity_branch(x, d), _witness_branch(x, cert.lambda_omega, d, averaged))),
+        )
         for x in cert.x_grid(grid_size)
     )
-    mixing = separable_mixing_threshold(cert.witness, cert.lambda_omega, lam)
     return RobustnessProfile(
         upb_name=cert.upb.name,
         lambda_value=lam,
@@ -446,5 +409,5 @@ def robustness_profile(cert: Certificate, grid_size: int = 50) -> RobustnessProf
         x0_root=crossing.x0_root,
         x0_printed=crossing.x0_printed,
         radius_samples=samples,
-        mixing_threshold=mixing,
+        mixing_threshold=separable_mixing_threshold(cert),
     )

@@ -14,13 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import (
-    DensityMatrix,
-    EigenDecomposition,
-    HermitianOperator,
-    TRACE_ATOL,
-    eig_hermitian,
-)
+from .operators import DensityMatrix, HermitianOperator, TRACE_ATOL, eig_hermitian
 from .upb import ProductState, UPBSet
 
 ZERO_EIG_ATOL = 1e-12
@@ -140,12 +134,13 @@ def minimum_overlap(upb: UPBSet, cfg: SeesawConfig | None = None) -> LambdaResul
 
 @dataclass(frozen=True, eq=False)
 class SpectralSplit:
-    """op = plus - minus with both parts PSD on mutually orthogonal supports."""
+    """Eigenvalue counts and traces of the positive and negative parts of ``op``.
+
+    ``max_pos_eigenvalue`` is the largest eigenvalue (0 when none is positive);
+    ``eig_hermitian(op)`` gives the full spectrum.
+    """
 
     op: HermitianOperator
-    plus: HermitianOperator
-    minus: HermitianOperator
-    decomposition: EigenDecomposition
     p_count: int
     n_neg_count: int
     pos_part_trace: float
@@ -168,17 +163,11 @@ def spectral_split(op: SpectralSplit | HermitianOperator) -> SpectralSplit:
     Eigenvalues within ZERO_EIG_ATOL of zero belong to neither part.
     """
     herm = op.op if isinstance(op, SpectralSplit) else op
-    dec = eig_hermitian(herm)
-    vals, vecs = dec.eigenvalues, dec.eigenvectors
+    vals = eig_hermitian(herm).eigenvalues
     pos = vals > ZERO_EIG_ATOL
     neg = vals < -ZERO_EIG_ATOL
-    plus = (vecs[:, pos] * vals[pos]) @ vecs[:, pos].conj().T
-    minus = (vecs[:, neg] * (-vals[neg])) @ vecs[:, neg].conj().T
     return SpectralSplit(
         op=herm,
-        plus=HermitianOperator(plus),
-        minus=HermitianOperator(minus),
-        decomposition=dec,
         p_count=int(pos.sum()),
         n_neg_count=int(neg.sum()),
         pos_part_trace=float(vals[pos].sum()),

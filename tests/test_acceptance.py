@@ -156,27 +156,19 @@ def test_a05_ball_verification(
           f"trials (worst margins {worst}; {elapsed:.1f}s)")
 
 
-def test_a06_separable_mixing_verification(
-    tiles, shifts, tiles_lambda, shifts_lambda, tiles_witness, shifts_witness
-):
-    for upb, lam, witness in (
-        (tiles, tiles_lambda, tiles_witness),
-        (shifts, shifts_lambda, shifts_witness),
-    ):
+def test_a06_separable_mixing_verification(tiles, shifts, tiles_lambda, shifts_lambda):
+    for upb, lam in ((tiles, tiles_lambda), (shifts, shifts_lambda)):
+        cert = certify(upb, lam)
         out = verify_separable_mixing(
-            certify(upb, lam), 0.99, 1000,
+            cert, 0.99, 1000,
             SamplerConfig(42, stream_id=2),
         )
         assert out.ppt_violations == 0
         assert out.witness_violations == 0
-        omega = omega_state(upb)
-        fam = LineFamily(omega)
-        lo = lambda_omega_of(witness, omega)
-        x_star = entanglement_threshold(lo, upb.total_dim)
-        sigma_dir = minimizer_direction(lam, upb.structure)
+        sigma_dir = minimizer_direction(cert)
         zs = list(np.linspace(0.0, 0.9, 10)) + [0.99, 0.999]
-        for x in ((x_star + 1.0) / 2, 0.99):
-            report = verify_maximal_robustness(fam, sigma_dir, witness, x, zs)
+        for x in ((cert.x_star + 1.0) / 2, 0.99):
+            report = verify_maximal_robustness(cert, sigma_dir, x, zs)
             assert report.all_ok
     print("[PASS] criterion 6: separable mixing below threshold + "
           "maximal-direction grid up to z = 0.999")

@@ -97,6 +97,20 @@ def test_unwritable_output_is_usage_error(tmp_path, capsys, target):
     assert str(path) in err
 
 
+def test_unwritable_output_fails_before_any_work(tmp_path, capsys, monkeypatch):
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("the report was computed before the output path was checked")
+
+    monkeypatch.setattr("pptball.cli.minimum_overlap", must_not_run)
+    path = tmp_path / "missing" / "x.json"
+    code = main(["verify", "--upb", "tiles", "--output", str(path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(path) in err
+    assert not path.parent.exists()
+
+
 def test_profile_report(tmp_path):
     code, path = run(tmp_path, "profile", "--upb", "tiles", "--grid", "8", "--seed", "1")
     assert code == 0

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -9,19 +14,17 @@ from pptball import (
     SamplerConfig,
     ball_fraction_estimate,
     ball_membership,
-    entanglement_threshold,
     is_ppt,
     min_pt_eigenvalue,
     mixture_tau,
     purity,
-    radius_from_witness,
     sample_hs_density,
     sample_random_product_separable,
     verify_ball_robustness,
     verify_separable_mixing,
     witness_value,
 )
-from pptball.montecarlo import MIXTURE_TERMS
+from pptball.montecarlo import MIXTURE_TERMS, _wilson_interval
 
 
 def test_sampler_determinism():
@@ -198,13 +201,10 @@ def test_ball_fraction_extremes(tiles_omega):
     assert ball_fraction_estimate(center, 0.0, 40, cfg).fraction == 0.0
 
 
-def test_ball_fraction_reports_interval(tiles_omega, tiles_witness):
-    lambda_omega = -witness_value(tiles_witness, tiles_omega)
-    x_star = entanglement_threshold(lambda_omega, 9)
-    x = (x_star + 1) / 2
-    fam = LineFamily(tiles_omega)
-    center = fam.member(x)
-    radius = radius_from_witness(x, tiles_witness, lambda_omega)
+def test_ball_fraction_reports_interval(tiles_cert):
+    x = (tiles_cert.x_star + 1) / 2
+    center = LineFamily(tiles_cert.omega).member(x)
+    radius = tiles_cert.radius(x)
     est = ball_fraction_estimate(center, radius, 200, SamplerConfig(9))
     assert 0.0 <= est.ci_low <= est.fraction <= est.ci_high <= 1.0
     hits = sum(
@@ -213,3 +213,28 @@ def test_ball_fraction_reports_interval(tiles_omega, tiles_witness):
         for t in range(200)
     )
     assert est.hits == hits
+
+
+@pytest.mark.parametrize(
+    "k, n", [(0, 1), (1, 1), (0, 40), (40, 40), (3, 200), (17, 1000), (1, 100000), (50000, 100000)]
+)
+def test_wilson_interval_matches_scipy(k, n):
+    from scipy.stats import binomtest
+
+    ci = binomtest(k, n).proportion_ci(confidence_level=0.95, method="wilson")
+    assert _wilson_interval(k, n) == (float(ci.low), float(ci.high))
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    import pptball
+
+    src = str(Path(pptball.__file__).resolve().parent.parent)
+    probe = "import sys, pptball.cli; print('scipy.stats' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.strip() == "False"

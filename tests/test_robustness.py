@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ from pptball import (
     HilbertStructure,
     LineFamily,
     ball_membership,
+    certify,
     crossing_x0,
     entanglement_threshold,
     entanglement_threshold_upb,
@@ -18,8 +21,6 @@ from pptball import (
     omega_state,
     ppt_mixing_threshold,
     purity,
-    radius_from_witness,
-    radius_y0,
     robustness_profile,
     separable_mixing_threshold,
     verify_maximal_robustness,
@@ -30,14 +31,6 @@ from pptball.montecarlo import SamplerConfig, sample_hs_density
 TILES_N, TILES_D = 5, 9
 
 
-@pytest.fixture(scope="module")
-def tiles_setup(tiles, tiles_lambda, tiles_witness, tiles_omega):
-    lambda_omega = -witness_value(tiles_witness, tiles_omega)
-    fam = LineFamily(tiles_omega)
-    x_star = entanglement_threshold(lambda_omega, TILES_D)
-    return fam, tiles_lambda, tiles_witness, lambda_omega, x_star
-
-
 def test_family_endpoints(tiles_omega):
     fam = LineFamily(tiles_omega)
     assert np.abs(fam.member(1.0).matrix - tiles_omega.matrix).max() < 1e-15
@@ -46,26 +39,26 @@ def test_family_endpoints(tiles_omega):
         fam.member(1.5)
 
 
-def test_family_witness_value_is_linear(tiles_setup):
-    fam, _, witness, lambda_omega, _ = tiles_setup
+def test_family_witness_value_is_linear(tiles_cert):
+    fam = LineFamily(tiles_cert.omega)
     for x in (0.2, 0.9, 0.97):
-        expected = (1.0 - x * (1.0 + TILES_D * lambda_omega)) / TILES_D
-        assert abs(witness_value(witness, fam.member(x)) - expected) < 1e-13
+        expected = (1.0 - x * (1.0 + TILES_D * tiles_cert.lambda_omega)) / TILES_D
+        assert abs(witness_value(tiles_cert.witness, fam.member(x)) - expected) < 1e-13
 
 
-def test_witness_value_changes_sign_at_threshold(tiles_setup):
-    fam, _, witness, _, x_star = tiles_setup
-    assert witness_value(witness, fam.member(x_star - 1e-9)) > 0
-    assert witness_value(witness, fam.member(x_star + 1e-9)) < 0
+def test_witness_value_changes_sign_at_threshold(tiles_cert):
+    fam, x_star = LineFamily(tiles_cert.omega), tiles_cert.x_star
+    assert witness_value(tiles_cert.witness, fam.member(x_star - 1e-9)) > 0
+    assert witness_value(tiles_cert.witness, fam.member(x_star + 1e-9)) < 0
 
 
-def test_family_members_stay_ppt_and_detected(tiles_setup):
-    fam, _, witness, lambda_omega, x_star = tiles_setup
-    for x in np.linspace(x_star, 1.0, 52)[1:-1]:
+def test_family_members_stay_ppt_and_detected(tiles_cert):
+    fam = LineFamily(tiles_cert.omega)
+    for x in tiles_cert.x_grid(50):
         rho = fam.member(x)
         assert is_ppt(rho)
-        assert witness_value(witness, rho) < 0
-        assert radius_from_witness(x, witness, lambda_omega) > 0
+        assert witness_value(tiles_cert.witness, rho) < 0
+        assert tiles_cert.radius(x) > 0
 
 
 def test_entanglement_threshold_forms():
@@ -77,8 +70,9 @@ def test_entanglement_threshold_forms():
     assert entanglement_threshold(1e-9, 9) > 0.99999
 
 
-def test_threshold_identity_cross_check(tiles_setup):
-    _, lam, _, lambda_omega, x_star = tiles_setup
+def test_threshold_identity_cross_check(tiles_cert):
+    lam, lambda_omega, x_star = tiles_cert.lam, tiles_cert.lambda_omega, tiles_cert.x_star
+    assert x_star == entanglement_threshold(lambda_omega, TILES_D)
     closed = 1.0 - lam.value * TILES_D / TILES_N
     assert abs(x_star - closed) < 1e-12
     assert (
@@ -103,57 +97,32 @@ def test_certificate_matches_closed_forms(request, name):
     assert len(xs) == 7
     assert np.all((cert.x_star < xs) & (xs < 1.0))
     assert np.all(np.diff(xs) > 0)
+    b = cert.witness.max_pos_eigenvalue
     for x in xs:
-        for mode in ("tight", "averaged"):
-            expected = radius_from_witness(x, cert.witness, cert.lambda_omega, mode=mode)
-            assert cert.radius(x, mode) == expected
+        c = (x * (1.0 + d * cert.lambda_omega) - 1.0) / d
+        assert cert.radius(x) == float(min((1.0 - x) / (d - 1.0 - x), c / (b + c)))
 
 
-def test_radius_limits_and_positivity(tiles_setup):
-    _, _, witness, lambda_omega, x_star = tiles_setup
-    near_star = radius_from_witness(x_star + 1e-8, witness, lambda_omega)
-    near_one = radius_from_witness(1.0 - 1e-8, witness, lambda_omega)
+def test_radius_limits_and_positivity(tiles_cert):
+    x_star = tiles_cert.x_star
+    near_star = tiles_cert.radius(x_star + 1e-8)
+    near_one = tiles_cert.radius(1.0 - 1e-8)
     assert 0 < near_star < 1e-6
     assert 0 < near_one < 1e-6
-    mid = radius_from_witness((x_star + 1.0) / 2, witness, lambda_omega)
+    mid = tiles_cert.radius((x_star + 1.0) / 2)
     assert mid > near_star and mid > near_one
-    with pytest.raises(ValueError):
-        radius_from_witness(x_star, witness, lambda_omega)
-    with pytest.raises(ValueError):
-        radius_from_witness(1.0, witness, lambda_omega)
+    with pytest.raises(ValueError, match="strictly between"):
+        tiles_cert.radius(x_star)
+    with pytest.raises(ValueError, match="strictly between"):
+        tiles_cert.radius(1.0)
 
 
-def test_radius_modes_agree_for_flat_spectrum(
-    tiles_witness, pyramid_witness, shifts_witness,
-    tiles_omega, pyramid, shifts,
-):
-    cases = (
-        (tiles_witness, tiles_omega),
-        (pyramid_witness, omega_state(pyramid)),
-        (shifts_witness, omega_state(shifts)),
-    )
-    for witness, omega in cases:
-        lambda_omega = -witness_value(witness, omega)
-        x_star = entanglement_threshold(lambda_omega, witness.op.dim)
-        for x in np.linspace(x_star, 1.0, 23)[1:-1]:
-            tight = radius_from_witness(x, witness, lambda_omega, mode="tight")
-            averaged = radius_from_witness(x, witness, lambda_omega, mode="averaged")
+def test_radius_modes_agree_for_flat_spectrum(request):
+    for name in ("tiles", "pyramid", "shifts"):
+        upb, lam = request.getfixturevalue(name), request.getfixturevalue(f"{name}_lambda")
+        profile = robustness_profile(certify(upb, lam), grid_size=21)
+        for _, tight, averaged in profile.radius_samples:
             assert abs(tight - averaged) < 1e-12
-
-
-def test_radius_modes_differ_for_non_flat_spectrum():
-    kwargs = dict(
-        lambda_rho=0.05,
-        dim_total=9,
-        pos_part_trace=1.25,
-        p_count=2,
-        max_pos_eigenvalue=0.9,
-    )
-    tight = radius_y0(0.7, mode="tight", **kwargs)
-    averaged = radius_y0(0.7, mode="averaged", **kwargs)
-    assert tight < averaged
-    with pytest.raises(ValueError, match="mode"):
-        radius_y0(0.7, mode="loose", **kwargs)
 
 
 def test_crossing_root_and_branch_equality(tiles_lambda):
@@ -184,8 +153,8 @@ def test_crossing_sweep_is_monotone():
         assert s < r < 1.0
 
 
-def test_mixture_tau_zero_noise(tiles_setup):
-    fam, *_ = tiles_setup
+def test_mixture_tau_zero_noise(tiles_omega):
+    fam = LineFamily(tiles_omega)
     tau, dec = mixture_tau(fam, DensityMatrix.maximally_mixed(fam.structure), 0.4, 0.0)
     assert abs(dec.s - 0.6) < 1e-15
     assert dec.t == 0.0
@@ -208,8 +177,9 @@ def test_mixture_decomposition_identity(tiles_omega, seed, x, y):
     assert abs(dec.t - y / dec.s) < 1e-15
 
 
-def test_mixture_witness_value_identity(tiles_setup):
-    fam, _, witness, lambda_omega, _ = tiles_setup
+def test_mixture_witness_value_identity(tiles_cert):
+    fam = LineFamily(tiles_cert.omega)
+    witness, lambda_omega = tiles_cert.witness, tiles_cert.lambda_omega
     cfg = SamplerConfig(5)
     rng = np.random.default_rng(8)
     for t in range(50):
@@ -223,8 +193,8 @@ def test_mixture_witness_value_identity(tiles_setup):
         assert abs(witness_value(witness, tau) - expected) < 1e-12
 
 
-def test_mixture_tau_range_validation(tiles_setup):
-    fam, *_ = tiles_setup
+def test_mixture_tau_range_validation(tiles_omega):
+    fam = LineFamily(tiles_omega)
     mixed = DensityMatrix.maximally_mixed(fam.structure)
     with pytest.raises(ValueError):
         mixture_tau(fam, mixed, 0.0, 0.1)
@@ -255,16 +225,16 @@ def test_gurvits_ball_boundary_mixture_is_ppt():
     assert is_ppt(rho)
 
 
-def test_ball_membership_basics(tiles_setup):
-    fam, *_ = tiles_setup
+def test_ball_membership_basics(tiles_omega):
+    fam = LineFamily(tiles_omega)
     center = fam.member(0.9)
     assert ball_membership(center, center) < 1e-10
     pure = DensityMatrix.from_pure(np.eye(9)[3], fam.structure)
     assert abs(ball_membership(pure, center) - 1.0) < 1e-10
 
 
-def test_ball_membership_of_constructed_mixtures(tiles_setup):
-    fam, *_ = tiles_setup
+def test_ball_membership_of_constructed_mixtures(tiles_omega):
+    fam = LineFamily(tiles_omega)
     center = fam.member(0.9)
     cfg = SamplerConfig(13)
     rng = np.random.default_rng(13)
@@ -277,8 +247,8 @@ def test_ball_membership_of_constructed_mixtures(tiles_setup):
         assert ball_membership(tau, center) <= y + 1e-10
 
 
-def test_ball_membership_is_bounded_by_line_weights(tiles_setup):
-    fam, *_ = tiles_setup
+def test_ball_membership_is_bounded_by_line_weights(tiles_omega):
+    fam = LineFamily(tiles_omega)
     x, delta = 0.7, 0.05
     center = fam.member(x)
     up = ball_membership(fam.member(x + delta), center)
@@ -293,37 +263,43 @@ def test_ball_membership_rejects_rank_deficient_center(tiles_omega):
         ball_membership(pure, tiles_omega)
 
 
-def test_separable_mixing_threshold_identity(tiles_setup):
-    _, lam, witness, lambda_omega, _ = tiles_setup
-    threshold = separable_mixing_threshold(witness, lambda_omega, lam.value)
+def test_separable_mixing_threshold_identity(tiles_cert):
+    lam, lambda_omega = tiles_cert.lam, tiles_cert.lambda_omega
+    threshold = separable_mixing_threshold(tiles_cert)
     assert abs(threshold - lam.value) < 1e-12
     with pytest.raises(RuntimeError, match="identity"):
-        separable_mixing_threshold(witness, lambda_omega * 1.01, lam.value)
+        separable_mixing_threshold(replace(tiles_cert, lambda_omega=lambda_omega * 1.01))
 
 
-def test_ppt_mixing_threshold_directions(tiles, tiles_setup):
-    fam, lam, witness, lambda_omega, _ = tiles_setup
-    sigma_min = lam.minimizer.to_density(tiles.structure)
-    assert abs(ppt_mixing_threshold(witness, lambda_omega, sigma_min) - 1.0) < 1e-6
+def test_ppt_mixing_threshold_directions(tiles, tiles_cert):
+    lambda_omega = tiles_cert.lambda_omega
+    sigma_min = tiles_cert.lam.minimizer.to_density(tiles.structure)
+    assert abs(ppt_mixing_threshold(tiles_cert, sigma_min) - 1.0) < 1e-6
     mixed = DensityMatrix.maximally_mixed(tiles.structure)
     expected = lambda_omega / (lambda_omega + 1.0 / TILES_D)
-    assert abs(ppt_mixing_threshold(witness, lambda_omega, mixed) - expected) < 1e-12
+    assert abs(ppt_mixing_threshold(tiles_cert, mixed) - expected) < 1e-12
     with pytest.raises(ValueError, match="negative witness value"):
-        ppt_mixing_threshold(witness, lambda_omega, fam.base)
+        ppt_mixing_threshold(tiles_cert, tiles_cert.omega)
 
 
-def test_maximal_robustness_direction(tiles, tiles_setup):
-    fam, lam, witness, lambda_omega, x_star = tiles_setup
-    sigma_dir = minimizer_direction(lam, tiles.structure)
+def test_maximal_robustness_direction(tiles_cert):
+    sigma_dir = minimizer_direction(tiles_cert)
+    x_star = tiles_cert.x_star
     x = (x_star + 1.0) / 2
     zs = [0.0, 0.3, 0.6, 0.9, 0.99, 0.999]
-    report = verify_maximal_robustness(fam, sigma_dir, witness, x, zs)
+    report = verify_maximal_robustness(tiles_cert, sigma_dir, x, zs)
     assert report.all_ok
-    v_x = witness_value(witness, fam.member(x))
+    assert len(report.checks) == len(zs)
+    v_x = witness_value(tiles_cert.witness, LineFamily(tiles_cert.omega).member(x))
     for check in report.checks:
         assert abs(check.witness_value - (1 - check.z) * v_x) < 1e-7
-    with pytest.raises(ValueError):
-        verify_maximal_robustness(fam, sigma_dir, witness, x, [1.0])
+    with pytest.raises(ValueError, match=r"\[0, 1\)"):
+        verify_maximal_robustness(tiles_cert, sigma_dir, x, [1.0])
+    with pytest.raises(ValueError, match="at least one point"):
+        verify_maximal_robustness(tiles_cert, sigma_dir, x, [])
+    for outside in (x_star / 2, x_star, 1.0):
+        with pytest.raises(ValueError, match="strictly between"):
+            verify_maximal_robustness(tiles_cert, sigma_dir, outside, zs)
 
 
 def test_profile_contents_and_serialization(tiles_cert, tiles_lambda):
