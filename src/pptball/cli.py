@@ -278,6 +278,18 @@ def _at_least(floor: int):
     return parse
 
 
+def _open_unit(text: str) -> float:
+    """argparse type for a float strictly inside (0, 1); NaN and inf fail the range check."""
+    try:
+        value = float(text)
+    except ValueError:
+        # argparse's own wording for type=float.
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not 0.0 < value < 1.0:
+        raise argparse.ArgumentTypeError(f"must lie in (0, 1), got {value!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pptball",
@@ -319,15 +331,15 @@ def build_parser() -> argparse.ArgumentParser:
     add_seesaw(p_verify)
     p_verify.add_argument("--trials", type=_at_least(1), default=1000)
     p_verify.add_argument("--grid", type=_at_least(1), default=10, help="x grid size")
-    p_verify.add_argument("--y-fraction", type=float, default=0.99)
-    p_verify.add_argument("--z-fraction", type=float, default=0.99)
+    p_verify.add_argument("--y-fraction", type=_open_unit, default=0.99)
+    p_verify.add_argument("--z-fraction", type=_open_unit, default=0.99)
     p_verify.set_defaults(handler=_cmd_verify)
 
     p_member = sub.add_parser("membership", help="ball-fraction estimate")
     add_common(p_member)
     add_seesaw(p_member)
     p_member.add_argument("--trials", type=_at_least(1), default=1000)
-    p_member.add_argument("--x", type=float, default=None)
+    p_member.add_argument("--x", type=_open_unit, default=None)
     p_member.set_defaults(handler=_cmd_membership)
 
     p_export = sub.add_parser("export", help="export a catalog set as JSON")

@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 
 from .upb import UPBSet
 
@@ -71,6 +70,9 @@ def _member_weights(upb, party, states) -> np.ndarray:
 
 
 def _refine(upb: UPBSet, angles0: np.ndarray) -> float:
+    # Imported here, its only use, so that importing pptball loads numpy alone.
+    from scipy import optimize
+
     dims = upb.structure.local_dims
     mats = [upb.local_matrix(k) for k in range(upb.n_parties)]
     sizes = [2 * (d - 1) for d in dims]

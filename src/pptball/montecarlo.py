@@ -16,7 +16,7 @@ from functools import reduce
 import numpy as np
 
 from .operators import DensityMatrix, HilbertStructure, PSD_TOL, min_pt_eigenvalue
-from .robustness import Certificate, LineFamily, ball_membership
+from .robustness import Certificate, LineFamily, _center_inv_sqrt, _membership
 from .witness import Witness, witness_value
 
 _HS_TAG = 1
@@ -281,13 +281,18 @@ def _wilson_interval(k: int, n: int) -> tuple[float, float]:
 def ball_fraction_estimate(
     center: DensityMatrix, radius: float, trials: int, cfg: SamplerConfig
 ) -> BallFractionEstimate:
-    """Estimate the Hilbert-Schmidt probability of landing inside the ball."""
+    """Estimate the Hilbert-Schmidt probability of landing inside the ball.
+
+    Scores each trial as ``ball_membership`` does, with the center's inverse
+    square root computed once.
+    """
     if trials < 1:
         raise ValueError("at least one trial is required")
+    inv_sqrt = _center_inv_sqrt(center)
     hits = 0
     for t in range(trials):
         tau = sample_hs_density(center.structure, cfg, trial=t)
-        if ball_membership(tau, center) < radius:
+        if _membership(tau.matrix, inv_sqrt) < radius:
             hits += 1
     low, high = _wilson_interval(hits, trials)
     return BallFractionEstimate(

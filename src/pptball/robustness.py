@@ -246,6 +246,22 @@ def in_gurvits_ball(rho: DensityMatrix) -> bool:
     return purity(rho) < 1.0 / (d - 1)
 
 
+def _center_inv_sqrt(center: DensityMatrix) -> np.ndarray:
+    """center^{-1/2}; the center must have full rank."""
+    dec = eig_hermitian(center.op)
+    if float(dec.eigenvalues[0]) < RANK_TOL:
+        raise ValueError(
+            "center must have full rank; line-family members with x < 1 qualify"
+        )
+    return (dec.eigenvectors / np.sqrt(dec.eigenvalues)) @ dec.eigenvectors.conj().T
+
+
+def _membership(tau: np.ndarray, inv_sqrt: np.ndarray) -> float:
+    """1 - min eigenvalue of inv_sqrt tau inv_sqrt, clamped to [0, 1]."""
+    lam_min = float(np.linalg.eigvalsh(inv_sqrt @ tau @ inv_sqrt)[0])
+    return float(min(1.0, max(0.0, 1.0 - lam_min)))
+
+
 def ball_membership(tau: DensityMatrix, center: DensityMatrix) -> float:
     """Smallest mu with tau = mu rho' + (1 - mu) center for a valid state rho'.
 
@@ -254,15 +270,7 @@ def ball_membership(tau: DensityMatrix, center: DensityMatrix) -> float:
     """
     if tau.dim != center.dim:
         raise ValueError("state and center dimensions differ")
-    dec = eig_hermitian(center.op)
-    if float(dec.eigenvalues[0]) < RANK_TOL:
-        raise ValueError(
-            "center must have full rank; line-family members with x < 1 qualify"
-        )
-    inv_sqrt = (dec.eigenvectors / np.sqrt(dec.eigenvalues)) @ dec.eigenvectors.conj().T
-    m = inv_sqrt @ tau.matrix @ inv_sqrt
-    lam_min = float(np.linalg.eigvalsh(m)[0])
-    return float(min(1.0, max(0.0, 1.0 - lam_min)))
+    return _membership(tau.matrix, _center_inv_sqrt(center))
 
 
 def separable_mixing_threshold(cert: Certificate) -> float:

@@ -87,6 +87,24 @@ def test_counts_below_one_are_usage_errors(tmp_path, capsys, command, flag):
     assert not path.exists()
 
 
+@pytest.mark.parametrize("value", ["0", "1", "1.5", "nan"])
+@pytest.mark.parametrize(
+    "command, flag",
+    [("verify", "--y-fraction"), ("verify", "--z-fraction"), ("membership", "--x")],
+)
+def test_fractions_outside_open_unit_interval_fail_before_any_work(
+    capsys, monkeypatch, command, flag, value
+):
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("the seesaw ran before the flag was checked")
+
+    monkeypatch.setattr("pptball.cli.minimum_overlap", must_not_run)
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--upb", "tiles", flag, value])
+    assert exc.value.code == 2
+    assert f"argument {flag}:" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("target", ["missing-dir", "directory"])
 def test_unwritable_output_is_usage_error(tmp_path, capsys, target):
     path = tmp_path / "missing" / "x.json" if target == "missing-dir" else tmp_path

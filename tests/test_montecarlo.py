@@ -225,16 +225,40 @@ def test_wilson_interval_matches_scipy(k, n):
     assert _wilson_interval(k, n) == (float(ci.low), float(ci.high))
 
 
-def test_cli_import_leaves_scipy_stats_unloaded():
+def _probe(code: str) -> list[str]:
+    """Run ``code`` in a fresh interpreter on this checkout; the words it prints."""
     import pptball
 
     src = str(Path(pptball.__file__).resolve().parent.parent)
-    probe = "import sys, pptball.cli; print('scipy.stats' in sys.modules)"
     out = subprocess.run(
-        [sys.executable, "-c", probe],
+        [sys.executable, "-c", code],
         env={**os.environ, "PYTHONPATH": src},
         capture_output=True,
         text=True,
         check=True,
     )
-    assert out.stdout.strip() == "False"
+    return out.stdout.split()
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    probe = (
+        "import sys, pptball.cli; "
+        "print([m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')])"
+    )
+    assert _probe(probe) == ["[]"]
+
+
+def test_only_the_grid_oracle_loads_scipy_optimize():
+    probe = """
+import sys
+from pptball import (
+    SeesawConfig, build_complete_basis, build_shifts, certify, grid_minimum_overlap,
+    minimum_overlap, robustness_profile,
+)
+shifts = build_shifts()
+robustness_profile(certify(shifts, minimum_overlap(shifts, SeesawConfig(restarts=20))), grid_size=3)
+print("scipy.optimize" in sys.modules)
+grid_minimum_overlap(build_complete_basis((2, 2)))
+print("scipy.optimize" in sys.modules)
+"""
+    assert _probe(probe) == ["False", "True"]

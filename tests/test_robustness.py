@@ -16,6 +16,7 @@ from pptball import (
     entanglement_threshold_upb,
     in_gurvits_ball,
     is_ppt,
+    min_pt_eigenvalue,
     minimizer_direction,
     mixture_tau,
     omega_state,
@@ -59,6 +60,16 @@ def test_family_members_stay_ppt_and_detected(tiles_cert):
         assert is_ppt(rho)
         assert witness_value(tiles_cert.witness, rho) < 0
         assert tiles_cert.radius(x) > 0
+
+
+@pytest.mark.parametrize("name", ["tiles", "pyramid", "shifts"])
+def test_min_pt_eigenvalue_on_noise_line_is_closed_form(request, name):
+    # omega^Gamma = (I - P')/(D - n) with P' an orthogonal projector, so on the
+    # noise line the smallest eigenvalue over every cut is (1 - x)/D.
+    upb = request.getfixturevalue(name)
+    fam, d = LineFamily(omega_state(upb)), upb.total_dim
+    for x in np.linspace(0.0, 1.0, 22)[:-1]:
+        assert abs(min_pt_eigenvalue(fam.member(x)) - (1.0 - x) / d) < 1e-12
 
 
 def test_entanglement_threshold_forms():
