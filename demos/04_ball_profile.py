@@ -9,7 +9,6 @@ and are simply recorded.
 """
 
 from pptball import (
-    LineFamily,
     SamplerConfig,
     certify,
     crossing_x0,
@@ -45,7 +44,6 @@ print("the curve rises on the witness branch, peaks at x0, and falls on the "
       "purity branch")
 
 # Descriptive probe around the certified radius: nothing is asserted here.
-fam = LineFamily(cert.omega)
 x = (profile.x_star + profile.x0_root) / 2
 y0 = cert.radius(x)
 cfg = SamplerConfig(99)
@@ -54,7 +52,7 @@ for factor in (0.99, 1.05, 1.5):
     bad = 0
     for t in range(200):
         sigma = sample_hs_density(upb.structure, cfg, trial=t)
-        tau, _ = mixture_tau(fam, sigma, x, y)
+        tau, _ = mixture_tau(cert, sigma, x, y)
         if not is_ppt(tau) or witness_value(cert.witness, tau) >= 0:
             bad += 1
     print(f"perturbation at {factor:.2f} * y0 (x = {x:.4f}): "

@@ -14,7 +14,6 @@ these dimensions.
 """
 
 from pptball import (
-    LineFamily,
     SamplerConfig,
     ball_fraction_estimate,
     certify,
@@ -46,7 +45,7 @@ for name in ("tiles", "shifts"):
 
 cert = certs["tiles"]
 x = (cert.x_star + 1.0) / 2
-center = LineFamily(cert.omega).member(x)
+center = cert.member(x)
 radius = cert.radius(x)
 est = ball_fraction_estimate(center, radius, 2000, SamplerConfig(7))
 print()

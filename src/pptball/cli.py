@@ -36,7 +36,7 @@ from .montecarlo import (
     verify_ball_robustness,
     verify_separable_mixing,
 )
-from .robustness import Certificate, LineFamily, certify, robustness_profile
+from .robustness import Certificate, certify, robustness_profile
 from .upb import CATALOG, get_upb
 from .witness import SeesawConfig, minimum_overlap
 
@@ -109,6 +109,17 @@ def _header(command: str) -> dict:
     }
 
 
+def _config(args, **extra) -> dict:
+    """The echoed configuration: set, seed, the command's own flags, then seesaw counts."""
+    return {
+        "upb": args.upb,
+        "seed": args.seed,
+        **extra,
+        "restarts": args.restarts,
+        "max_iters": args.max_iters,
+    }
+
+
 def _seesaw_cfg(args) -> SeesawConfig:
     return SeesawConfig(restarts=args.restarts, max_iters=args.max_iters, seed=args.seed)
 
@@ -148,12 +159,7 @@ def _cmd_lambda(args) -> int:
     lam = minimum_overlap(upb, _seesaw_cfg(args))
     grid = grid_minimum_overlap(upb)
     report = _header("lambda")
-    report["config"] = {
-        "upb": args.upb,
-        "seed": args.seed,
-        "restarts": args.restarts,
-        "max_iters": args.max_iters,
-    }
+    report["config"] = _config(args)
     report["lambda"] = lam.value
     report["restarts"] = lam.restarts_used
     report["converged"] = lam.converged
@@ -170,13 +176,7 @@ def _cmd_lambda(args) -> int:
 def _cmd_profile(args) -> int:
     profile = robustness_profile(_certificate(args), grid_size=args.grid)
     report = _header("profile")
-    report["config"] = {
-        "upb": args.upb,
-        "seed": args.seed,
-        "grid": args.grid,
-        "restarts": args.restarts,
-        "max_iters": args.max_iters,
-    }
+    report["config"] = _config(args, grid=args.grid)
     report.update(profile.to_json_dict())
     report["x0_note"] = X0_NOTE
     _emit(report, args.format, args.output)
@@ -202,16 +202,13 @@ def _cmd_verify(args) -> int:
         + mixing.witness_violations
     )
     report = _header("verify")
-    report["config"] = {
-        "upb": args.upb,
-        "seed": args.seed,
-        "trials": args.trials,
-        "grid": args.grid,
-        "y_fraction": args.y_fraction,
-        "z_fraction": args.z_fraction,
-        "restarts": args.restarts,
-        "max_iters": args.max_iters,
-    }
+    report["config"] = _config(
+        args,
+        trials=args.trials,
+        grid=args.grid,
+        y_fraction=args.y_fraction,
+        z_fraction=args.z_fraction,
+    )
     report["lambda"] = cert.lam.value
     report["suites"] = {
         "ball": ball.to_json_dict(),
@@ -229,19 +226,12 @@ def _cmd_membership(args) -> int:
     if not x_star < x < 1.0:
         raise ValueError(f"--x must lie in (x* = {x_star!r}, 1), got {x!r}")
     radius = cert.radius(x)
-    center = LineFamily(cert.omega).member(x)
+    center = cert.member(x)
     estimate = ball_fraction_estimate(
         center, radius, args.trials, SamplerConfig(args.seed, stream_id=3)
     )
     report = _header("membership")
-    report["config"] = {
-        "upb": args.upb,
-        "seed": args.seed,
-        "trials": args.trials,
-        "x": x,
-        "restarts": args.restarts,
-        "max_iters": args.max_iters,
-    }
+    report["config"] = _config(args, trials=args.trials, x=x)
     report["x_star"] = x_star
     report["radius"] = radius
     report["fraction"] = estimate.fraction

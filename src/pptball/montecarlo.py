@@ -16,7 +16,7 @@ from functools import reduce
 import numpy as np
 
 from .operators import DensityMatrix, HilbertStructure, PSD_TOL, min_pt_eigenvalue
-from .robustness import Certificate, LineFamily, _center_inv_sqrt, _membership
+from .robustness import Certificate, _center_inv_sqrt, _membership
 from .witness import Witness, witness_value
 
 _HS_TAG = 1
@@ -48,6 +48,28 @@ def _substream(cfg: SamplerConfig, tag: int, trial: int) -> np.random.Generator:
     return np.random.default_rng(_key(cfg, tag, trial))
 
 
+def _hs_matrix(d: int, rng: np.random.Generator) -> np.ndarray:
+    """G G^dag / Tr(G G^dag) for a d x d complex Gaussian G."""
+    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    m = g @ g.conj().T
+    return m / np.trace(m).real
+
+
+def _product_mixture(local_dims, terms: int, rng: np.random.Generator) -> np.ndarray:
+    """Dirichlet-weighted sum of ``terms`` random product projectors."""
+    weights = rng.dirichlet(np.ones(terms))
+    d = math.prod(local_dims)
+    m = np.zeros((d, d), dtype=complex)
+    for w in weights:
+        locals_ = []
+        for dim in local_dims:
+            v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+            locals_.append(v / np.linalg.norm(v))
+        full = reduce(np.kron, locals_)
+        m += w * np.outer(full, full.conj())
+    return m
+
+
 def sample_hs_density(
     structure: HilbertStructure, cfg: SamplerConfig, trial: int = 0
 ) -> DensityMatrix:
@@ -55,11 +77,8 @@ def sample_hs_density(
 
     Full rank with probability 1.
     """
-    rng = _substream(cfg, _HS_TAG, trial)
-    d = structure.total_dim
-    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    m = g @ g.conj().T
-    return DensityMatrix.from_matrix(m / np.trace(m).real, structure)
+    m = _hs_matrix(structure.total_dim, _substream(cfg, _HS_TAG, trial))
+    return DensityMatrix.from_matrix(m, structure)
 
 
 def sample_random_product_separable(
@@ -72,17 +91,9 @@ def sample_random_product_separable(
     if mixture_terms < 1:
         raise ValueError("mixture_terms must be at least 1")
     rng = _substream(cfg, _PRODUCT_TAG, trial)
-    weights = rng.dirichlet(np.ones(mixture_terms))
-    d = structure.total_dim
-    m = np.zeros((d, d), dtype=complex)
-    for w in weights:
-        locals_ = []
-        for dim in structure.local_dims:
-            v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-            locals_.append(v / np.linalg.norm(v))
-        full = reduce(np.kron, locals_)
-        m += w * np.outer(full, full.conj())
-    return DensityMatrix.from_matrix(m, structure)
+    return DensityMatrix.from_matrix(
+        _product_mixture(structure.local_dims, mixture_terms, rng), structure
+    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -179,15 +190,14 @@ def verify_ball_robustness(
         if not cert.x_star < x < 1.0:
             raise ValueError(f"grid point {x!r} outside (x* = {cert.x_star!r}, 1)")
     structure = cert.upb.structure
-    fam = LineFamily(cert.omega)
 
     def keyed_matrices():
         for xi, x in enumerate(x_grid):
             y = y_fraction * cert.radius(x)
-            rho_x = fam.member(x).matrix
+            rho_x = cert.member(x).matrix
             for t in range(xi * trials, (xi + 1) * trials):
-                sigma = sample_hs_density(structure, cfg, trial=t)
-                yield _key(cfg, _HS_TAG, t), y * sigma.matrix + (1.0 - y) * rho_x
+                sigma = _hs_matrix(structure.total_dim, _substream(cfg, _HS_TAG, t))
+                yield _key(cfg, _HS_TAG, t), y * sigma + (1.0 - y) * rho_x
 
     return _score(
         "ball",
@@ -227,8 +237,9 @@ def verify_separable_mixing(
 
     def keyed_matrices():
         for t in range(trials):
-            sigma = sample_random_product_separable(structure, MIXTURE_TERMS, cfg, trial=t)
-            yield _key(cfg, _PRODUCT_TAG, t), z * sigma.matrix + (1.0 - z) * cert.omega.matrix
+            rng = _substream(cfg, _PRODUCT_TAG, t)
+            sigma = _product_mixture(structure.local_dims, MIXTURE_TERMS, rng)
+            yield _key(cfg, _PRODUCT_TAG, t), z * sigma + (1.0 - z) * cert.omega.matrix
 
     return _score(
         "separable-mixing",
@@ -291,8 +302,8 @@ def ball_fraction_estimate(
     inv_sqrt = _center_inv_sqrt(center)
     hits = 0
     for t in range(trials):
-        tau = sample_hs_density(center.structure, cfg, trial=t)
-        if _membership(tau.matrix, inv_sqrt) < radius:
+        tau = _hs_matrix(center.dim, _substream(cfg, _HS_TAG, t))
+        if _membership(tau, inv_sqrt) < radius:
             hits += 1
     low, high = _wilson_interval(hits, trials)
     return BallFractionEstimate(

@@ -27,6 +27,13 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _integer(value, what: str) -> int:
+    """``value`` as an int; Python and numpy integers pass, anything else raises."""
+    if not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True, eq=False)
 class HilbertStructure:
     """Ordered local dimensions (d1, ..., dn) of a composite system."""
@@ -34,7 +41,7 @@ class HilbertStructure:
     local_dims: tuple[int, ...]
 
     def __post_init__(self):
-        dims = tuple(int(d) for d in self.local_dims)
+        dims = tuple(_integer(d, "local dimension") for d in self.local_dims)
         if not dims:
             raise ValueError("at least one subsystem is required")
         if any(d < 2 for d in dims):
@@ -150,15 +157,13 @@ class EigenDecomposition:
     eigenvectors: np.ndarray
 
 
-def eig_hermitian(op: HermitianOperator | np.ndarray) -> EigenDecomposition:
+def eig_hermitian(op: HermitianOperator) -> EigenDecomposition:
     """Full spectral decomposition of a Hermitian operator.
 
     Eigenvalues come back ascending; column k of ``eigenvectors`` belongs to
     eigenvalue k.  The reconstruction V diag(w) V^dag and the eigenvector Gram
     matrix are checked against DECOMPOSITION_ATOL before returning.
     """
-    if not isinstance(op, HermitianOperator):
-        op = HermitianOperator(op)
     vals, vecs = np.linalg.eigh(op.matrix)
     recon = (vecs * vals) @ vecs.conj().T
     resid = float(np.abs(recon - op.matrix).max())
@@ -198,7 +203,7 @@ def partial_transpose(
         raise ValueError("a bare Hermitian operator needs an explicit structure")
     if rho.matrix.shape[0] != structure.total_dim:
         raise ValueError("operator dimension does not match the structure")
-    side = tuple(sorted(int(k) for k in side))
+    side = tuple(sorted(_integer(k, "subsystem index") for k in side))
     n = structure.n_parties
     if not side:
         raise ValueError("transposed side must be a nonempty set of subsystem indices")

@@ -1,6 +1,6 @@
 """Robustness geometry around bound entangled states.
 
-Covers the straight-line noise family through a base state, its entanglement
+Covers the white-noise family through a complement state, its entanglement
 threshold, the certified ball radius around each family member, the
 branch-crossing point of the radius formula, mixture decompositions through
 the separable purity ball, ball membership, and the separable-mixing
@@ -15,7 +15,6 @@ import numpy as np
 
 from .operators import (
     DensityMatrix,
-    HilbertStructure,
     PSD_TOL,
     eig_hermitian,
     is_ppt,
@@ -32,27 +31,9 @@ RANK_TOL = 1e-12
 WITNESS_SIGN_ATOL = 1e-10
 
 
-@dataclass(frozen=True, eq=False)
-class LineFamily:
-    """Mixtures x * base + (1 - x) * I/D of a base state with white noise."""
-
-    base: DensityMatrix
-
-    @property
-    def structure(self) -> HilbertStructure:
-        return self.base.structure
-
-    def member(self, x: float) -> DensityMatrix:
-        if not 0.0 <= x <= 1.0:
-            raise ValueError(f"mixing parameter must lie in [0, 1], got {x!r}")
-        d = self.structure.total_dim
-        m = x * self.base.matrix + (1.0 - x) * np.eye(d) / d
-        return DensityMatrix.from_matrix(m, self.structure)
-
-
 def entanglement_threshold(lambda_rho: float, dim_total: int) -> float:
     """x* = 1/(1 + D lambda); family members with x > x* stay witness-negative."""
-    if lambda_rho <= 0.0:
+    if not lambda_rho > 0.0:
         raise ValueError(
             "witness violation must be strictly positive; a separable base state "
             "has no entanglement threshold"
@@ -110,6 +91,14 @@ class Certificate:
     def x_grid(self, k: int) -> np.ndarray:
         """k evenly spaced points strictly inside (x*, 1)."""
         return np.linspace(self.x_star, 1.0, k + 2)[1:-1]
+
+    def member(self, x: float) -> DensityMatrix:
+        """The white-noise family member x * omega + (1 - x) * I/D."""
+        if not 0.0 <= x <= 1.0:
+            raise ValueError(f"mixing parameter must lie in [0, 1], got {x!r}")
+        d = self.upb.total_dim
+        m = x * self.omega.matrix + (1.0 - x) * np.eye(d) / d
+        return DensityMatrix.from_matrix(m, self.upb.structure)
 
     def radius(self, x: float) -> float:
         """Certified ball radius y0(x) around the family member at x.
@@ -212,30 +201,31 @@ class MixtureDecomposition:
 
 
 def mixture_tau(
-    fam: LineFamily, sigma: DensityMatrix, x: float, y: float
+    cert: Certificate, sigma: DensityMatrix, x: float, y: float
 ) -> tuple[DensityMatrix, MixtureDecomposition]:
     """y sigma + (1 - y) rho_x together with its (s, t) decomposition.
 
-    The rewrite tau = s {t sigma + (1 - t) I/D} + (1 - s) base is verified to
+    The rewrite tau = s {t sigma + (1 - t) I/D} + (1 - s) omega is verified to
     IDENTITY_ATOL on every call.
     """
     if not 0.0 < x < 1.0:
         raise ValueError(f"x must lie in (0, 1), got {x!r}")
     if not 0.0 <= y < 1.0:
         raise ValueError(f"y must lie in [0, 1), got {y!r}")
-    if sigma.structure.total_dim != fam.structure.total_dim:
+    structure = cert.upb.structure
+    if sigma.structure.total_dim != structure.total_dim:
         raise ValueError("sigma dimension does not match the family")
-    rho_x = fam.member(x)
+    rho_x = cert.member(x)
     tau_m = y * sigma.matrix + (1.0 - y) * rho_x.matrix
     s = 1.0 - x * (1.0 - y)
     t = y / s
-    d = fam.structure.total_dim
+    d = structure.total_dim
     inner = t * sigma.matrix + (1.0 - t) * np.eye(d) / d
-    recon = s * inner + (1.0 - s) * fam.base.matrix
+    recon = s * inner + (1.0 - s) * cert.omega.matrix
     resid = float(np.abs(tau_m - recon).max())
     if resid > IDENTITY_ATOL:
         raise RuntimeError(f"mixture decomposition identity violated: residual {resid:.3e}")
-    return DensityMatrix.from_matrix(tau_m, fam.structure), MixtureDecomposition(float(s), float(t))
+    return DensityMatrix.from_matrix(tau_m, structure), MixtureDecomposition(float(s), float(t))
 
 
 def in_gurvits_ball(rho: DensityMatrix) -> bool:
@@ -349,7 +339,7 @@ def verify_maximal_robustness(
     z_grid = [float(z) for z in z_grid]
     if not z_grid:
         raise ValueError("z_grid must hold at least one point")
-    rho_x = LineFamily(cert.omega).member(x).matrix
+    rho_x = cert.member(x).matrix
     checks = []
     for z in z_grid:
         if not 0.0 <= z < 1.0:

@@ -181,7 +181,7 @@ def build_shifts() -> UPBSet:
 
 def build_complete_basis(local_dims) -> UPBSet:
     """Full computational product basis (n = D); its minimum overlap is exactly 1."""
-    dims = tuple(int(d) for d in local_dims)
+    dims = HilbertStructure(tuple(local_dims)).local_dims
     name = "complete-" + "x".join(str(d) for d in dims)
     eyes = [np.eye(d) for d in dims]
     vectors = [

@@ -133,11 +133,14 @@ def minimum_overlap(upb: UPBSet, cfg: SeesawConfig | None = None) -> LambdaResul
 
 
 @dataclass(frozen=True, eq=False)
-class SpectralSplit:
-    """Eigenvalue counts and traces of the positive and negative parts of ``op``.
+class Witness:
+    """Unit-trace Hermitian witness with the counts and traces of its two parts.
 
-    ``max_pos_eigenvalue`` is the largest eigenvalue (0 when none is positive);
-    ``eig_hermitian(op)`` gives the full spectrum.
+    Eigenvalues within ZERO_EIG_ATOL of zero belong to neither part.  The part
+    traces differ by exactly the trace (= 1), and for any state pi the
+    expectation Tr(W pi) lies in [-neg_part_trace, pos_part_trace].
+    ``max_pos_eigenvalue`` is the largest eigenvalue (0 when none is
+    positive).  Build it with ``witness_from_operator``.
     """
 
     op: HermitianOperator
@@ -148,42 +151,24 @@ class SpectralSplit:
     max_pos_eigenvalue: float
 
 
-class Witness(SpectralSplit):
-    """Unit-trace Hermitian witness with cached spectral quantities.
-
-    The positive/negative part traces differ by exactly the trace (= 1), and
-    for any state pi the expectation Tr(W pi) lies in
-    [-neg_part_trace, pos_part_trace].
-    """
-
-
-def spectral_split(op: SpectralSplit | HermitianOperator) -> SpectralSplit:
-    """Split a Hermitian operator into its positive and negative parts.
-
-    Eigenvalues within ZERO_EIG_ATOL of zero belong to neither part.
-    """
-    herm = op.op if isinstance(op, SpectralSplit) else op
-    vals = eig_hermitian(herm).eigenvalues
+def witness_from_operator(op: HermitianOperator) -> Witness:
+    """Split a unit-trace Hermitian operator into its positive and negative parts."""
+    if abs(op.trace - 1.0) > TRACE_ATOL:
+        raise ValueError(f"witness trace must be 1, got {op.trace!r}")
+    vals = eig_hermitian(op).eigenvalues
     pos = vals > ZERO_EIG_ATOL
     neg = vals < -ZERO_EIG_ATOL
-    return SpectralSplit(
-        op=herm,
+    witness = Witness(
+        op=op,
         p_count=int(pos.sum()),
         n_neg_count=int(neg.sum()),
         pos_part_trace=float(vals[pos].sum()),
         neg_part_trace=float(-vals[neg].sum()),
         max_pos_eigenvalue=float(vals[-1]) if pos.any() else 0.0,
     )
-
-
-def witness_from_operator(op: HermitianOperator) -> Witness:
-    """Wrap a unit-trace Hermitian operator with its cached spectral data."""
-    if abs(op.trace - 1.0) > TRACE_ATOL:
-        raise ValueError(f"witness trace must be 1, got {op.trace!r}")
-    split = spectral_split(op)
-    if abs(split.pos_part_trace - split.neg_part_trace - 1.0) > TRACE_ATOL:
+    if abs(witness.pos_part_trace - witness.neg_part_trace - 1.0) > TRACE_ATOL:
         raise RuntimeError("spectral split violates the part-trace identity")
-    return Witness(**vars(split))
+    return witness
 
 
 def build_witness(upb: UPBSet, lam: LambdaResult | float) -> Witness:
@@ -203,9 +188,9 @@ def build_witness(upb: UPBSet, lam: LambdaResult | float) -> Witness:
     return witness_from_operator(HermitianOperator(w))
 
 
-def witness_value(w: Witness | HermitianOperator, rho: DensityMatrix | np.ndarray) -> float:
+def witness_value(w: Witness, rho: DensityMatrix | np.ndarray) -> float:
     """Tr(W rho), for a density matrix or a plain matrix."""
-    mat = w.op.matrix if isinstance(w, Witness) else w.matrix
+    mat = w.op.matrix
     rho = rho.matrix if isinstance(rho, DensityMatrix) else rho
     if mat.shape != rho.shape:
         raise ValueError(f"dimension mismatch: witness {mat.shape[0]}, state {rho.shape[0]}")

@@ -69,6 +69,11 @@ def tiles_cert(tiles, tiles_lambda):
 
 
 @pytest.fixture(scope="session")
+def pyramid_cert(pyramid, pyramid_lambda):
+    return certify(pyramid, pyramid_lambda)
+
+
+@pytest.fixture(scope="session")
 def shifts_cert(shifts, shifts_lambda):
     return certify(shifts, shifts_lambda)
 

@@ -10,7 +10,6 @@ import numpy as np
 
 from pptball import (
     DensityMatrix,
-    LineFamily,
     SamplerConfig,
     ball_membership,
     build_pyramid,
@@ -192,24 +191,23 @@ def test_a07_branch_crossing(tiles_lambda, pyramid_lambda, shifts_lambda, tiles,
           + "; ".join(lines) + ")")
 
 
-def test_a08_decomposition_identity_and_inner_mixture(tiles, tiles_omega):
-    fam = LineFamily(tiles_omega)
+def test_a08_decomposition_identity_and_inner_mixture(tiles, tiles_cert):
     d = 9
     cfg = SamplerConfig(777)
     rng = np.random.default_rng(777)
     checked_inner = 0
     for t in range(1000):
-        sigma = sample_hs_density(fam.structure, cfg, trial=t)
+        sigma = sample_hs_density(tiles.structure, cfg, trial=t)
         x = float(rng.uniform(0.05, 0.95))
         bound = (1 - x) / (d - 1 - x)
         if t % 2 == 0:
             y = float(rng.uniform(0.0, 0.999 * bound))
         else:
             y = float(rng.uniform(0.0, 0.95))
-        tau, dec = mixture_tau(fam, sigma, x, y)
+        tau, dec = mixture_tau(tiles_cert, sigma, x, y)
         if y < bound:
             inner = DensityMatrix.from_matrix(
-                dec.t * sigma.matrix + (1 - dec.t) * np.eye(d) / d, fam.structure
+                dec.t * sigma.matrix + (1 - dec.t) * np.eye(d) / d, tiles.structure
             )
             assert in_gurvits_ball(inner)
             assert is_ppt(inner)
@@ -219,19 +217,18 @@ def test_a08_decomposition_identity_and_inner_mixture(tiles, tiles_omega):
           f"(inner mixture separable-ball + PPT on {checked_inner} qualifying draws)")
 
 
-def test_a09_ball_membership(tiles_omega):
-    fam = LineFamily(tiles_omega)
-    center = fam.member(0.9)
+def test_a09_ball_membership(tiles, tiles_cert):
+    center = tiles_cert.member(0.9)
     assert ball_membership(center, center) <= 1e-10
-    pure = DensityMatrix.from_pure(np.eye(9)[4], fam.structure)
+    pure = DensityMatrix.from_pure(np.eye(9)[4], tiles.structure)
     assert abs(ball_membership(pure, center) - 1.0) <= 1e-10
     cfg = SamplerConfig(31337)
     rng = np.random.default_rng(31337)
     for t in range(1000):
-        sigma = sample_hs_density(fam.structure, cfg, trial=t)
+        sigma = sample_hs_density(tiles.structure, cfg, trial=t)
         y = float(rng.uniform(0.0, 1.0))
         tau = DensityMatrix.from_matrix(
-            y * sigma.matrix + (1 - y) * center.matrix, fam.structure
+            y * sigma.matrix + (1 - y) * center.matrix, tiles.structure
         )
         assert ball_membership(tau, center) <= y + 1e-10
     print("[PASS] criterion 9: ball membership (center 0, pure 1, "

@@ -9,9 +9,9 @@ import pytest
 from pptball import (
     DensityMatrix,
     HilbertStructure,
-    LineFamily,
     PSD_TOL,
     SamplerConfig,
+    all_bipartitions,
     ball_fraction_estimate,
     ball_membership,
     is_ppt,
@@ -161,13 +161,12 @@ def test_plain_matrix_suites_match_object_path(request, cert_name):
     # Substream keys are (master seed, stream, tag, trial); tag 1 draws
     # Hilbert-Schmidt states, tag 2 product mixtures.
     cfg = SamplerConfig(5, stream_id=1)
-    fam = LineFamily(cert.omega)
     ball_states = []
     for xi, x in enumerate(grid):
         y = 0.99 * cert.radius(x)
         for t in range(xi * trials, (xi + 1) * trials):
             sigma = sample_hs_density(structure, cfg, trial=t)
-            ball_states.append(((5, 1, 1, t), mixture_tau(fam, sigma, x, y)[0]))
+            ball_states.append(((5, 1, 1, t), mixture_tau(cert, sigma, x, y)[0]))
     ball = verify_ball_robustness(cert, grid, 0.99, trials, cfg)
     assert ball.trials == len(ball_states)
     assert _outcome_fields(ball) == _score_states(cert.witness, ball_states)
@@ -184,6 +183,34 @@ def test_plain_matrix_suites_match_object_path(request, cert_name):
     assert _outcome_fields(mixing) == _score_states(cert.witness, mixing_states)
 
 
+@pytest.mark.parametrize("cert_name", ["tiles_cert", "shifts_cert"])
+def test_suites_diagonalize_each_trial_once_per_cut(request, monkeypatch, cert_name):
+    # One eigvalsh per cut per trial, plus one per x point for the validated
+    # family member; the sampled states themselves are not re-validated.
+    cert = request.getfixturevalue(cert_name)
+    cuts = len(all_bipartitions(cert.upb.structure))
+    k, trials = 3, 7
+    x = (cert.x_star + 1.0) / 2
+    center = cert.member(x)
+    calls = 0
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting(a, *args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    verify_ball_robustness(cert, cert.x_grid(k), 0.99, trials, SamplerConfig(3, stream_id=1))
+    assert calls == k * trials * cuts + k
+    calls = 0
+    verify_separable_mixing(cert, 0.99, trials, SamplerConfig(3, stream_id=2))
+    assert calls == trials * cuts
+    calls = 0
+    ball_fraction_estimate(center, cert.radius(x), trials, SamplerConfig(3, stream_id=3))
+    assert calls == trials
+
+
 def test_mixing_respects_minimizer_direction(tiles, tiles_lambda, tiles_witness, tiles_omega):
     sigma = tiles_lambda.minimizer.to_density(tiles.structure)
     for z in (0.1, 0.5, 0.9, 0.999):
@@ -193,9 +220,8 @@ def test_mixing_respects_minimizer_direction(tiles, tiles_lambda, tiles_witness,
         assert is_ppt(state)
 
 
-def test_ball_fraction_extremes(tiles_omega):
-    fam = LineFamily(tiles_omega)
-    center = fam.member(0.9)
+def test_ball_fraction_extremes(tiles_cert):
+    center = tiles_cert.member(0.9)
     cfg = SamplerConfig(3)
     assert ball_fraction_estimate(center, 1.0, 40, cfg).fraction == 1.0
     assert ball_fraction_estimate(center, 0.0, 40, cfg).fraction == 0.0
@@ -203,7 +229,7 @@ def test_ball_fraction_extremes(tiles_omega):
 
 def test_ball_fraction_reports_interval(tiles_cert):
     x = (tiles_cert.x_star + 1) / 2
-    center = LineFamily(tiles_cert.omega).member(x)
+    center = tiles_cert.member(x)
     radius = tiles_cert.radius(x)
     est = ball_fraction_estimate(center, radius, 200, SamplerConfig(9))
     assert 0.0 <= est.ci_low <= est.fraction <= est.ci_high <= 1.0

@@ -8,7 +8,9 @@ from pptball import (
     HermitianOperator,
     HilbertStructure,
     all_bipartitions,
+    build_complete_basis,
     eig_hermitian,
+    entanglement_threshold,
     is_ppt,
     min_pt_eigenvalue,
     partial_transpose,
@@ -45,6 +47,27 @@ def test_structure_requires_physical_dims():
         HilbertStructure((3, 1))
     assert HilbertStructure((3, 3)).total_dim == 9
     assert HilbertStructure((2, 2, 2)).n_parties == 3
+    assert HilbertStructure((np.int64(2), 3)).local_dims == (2, 3)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: HilbertStructure((2.7, 3)), "local dimension must be an integer, got 2.7"),
+        (lambda: build_complete_basis((2.5, 2)), "local dimension must be an integer, got 2.5"),
+        (
+            lambda: partial_transpose(
+                DensityMatrix.maximally_mixed(HilbertStructure((2, 2))), (1.5,)
+            ),
+            "subsystem index must be an integer, got 1.5",
+        ),
+        (lambda: entanglement_threshold(float("nan"), 9), "strictly positive"),
+    ],
+    ids=["structure", "complete-basis", "partial-transpose", "nan-violation"],
+)
+def test_non_integral_and_nan_inputs_are_rejected(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 def test_bipartition_validation():

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from pptball import (
     DensityMatrix,
     HilbertStructure,
-    LineFamily,
     ball_membership,
     certify,
     crossing_x0,
@@ -32,31 +31,28 @@ from pptball.montecarlo import SamplerConfig, sample_hs_density
 TILES_N, TILES_D = 5, 9
 
 
-def test_family_endpoints(tiles_omega):
-    fam = LineFamily(tiles_omega)
-    assert np.abs(fam.member(1.0).matrix - tiles_omega.matrix).max() < 1e-15
-    assert np.abs(fam.member(0.0).matrix - np.eye(9) / 9).max() < 1e-15
+def test_family_endpoints(tiles_cert):
+    assert np.abs(tiles_cert.member(1.0).matrix - tiles_cert.omega.matrix).max() < 1e-15
+    assert np.abs(tiles_cert.member(0.0).matrix - np.eye(9) / 9).max() < 1e-15
     with pytest.raises(ValueError):
-        fam.member(1.5)
+        tiles_cert.member(1.5)
 
 
 def test_family_witness_value_is_linear(tiles_cert):
-    fam = LineFamily(tiles_cert.omega)
     for x in (0.2, 0.9, 0.97):
         expected = (1.0 - x * (1.0 + TILES_D * tiles_cert.lambda_omega)) / TILES_D
-        assert abs(witness_value(tiles_cert.witness, fam.member(x)) - expected) < 1e-13
+        assert abs(witness_value(tiles_cert.witness, tiles_cert.member(x)) - expected) < 1e-13
 
 
 def test_witness_value_changes_sign_at_threshold(tiles_cert):
-    fam, x_star = LineFamily(tiles_cert.omega), tiles_cert.x_star
-    assert witness_value(tiles_cert.witness, fam.member(x_star - 1e-9)) > 0
-    assert witness_value(tiles_cert.witness, fam.member(x_star + 1e-9)) < 0
+    x_star = tiles_cert.x_star
+    assert witness_value(tiles_cert.witness, tiles_cert.member(x_star - 1e-9)) > 0
+    assert witness_value(tiles_cert.witness, tiles_cert.member(x_star + 1e-9)) < 0
 
 
 def test_family_members_stay_ppt_and_detected(tiles_cert):
-    fam = LineFamily(tiles_cert.omega)
     for x in tiles_cert.x_grid(50):
-        rho = fam.member(x)
+        rho = tiles_cert.member(x)
         assert is_ppt(rho)
         assert witness_value(tiles_cert.witness, rho) < 0
         assert tiles_cert.radius(x) > 0
@@ -66,10 +62,10 @@ def test_family_members_stay_ppt_and_detected(tiles_cert):
 def test_min_pt_eigenvalue_on_noise_line_is_closed_form(request, name):
     # omega^Gamma = (I - P')/(D - n) with P' an orthogonal projector, so on the
     # noise line the smallest eigenvalue over every cut is (1 - x)/D.
-    upb = request.getfixturevalue(name)
-    fam, d = LineFamily(omega_state(upb)), upb.total_dim
+    cert = request.getfixturevalue(f"{name}_cert")
+    d = cert.upb.total_dim
     for x in np.linspace(0.0, 1.0, 22)[:-1]:
-        assert abs(min_pt_eigenvalue(fam.member(x)) - (1.0 - x) / d) < 1e-12
+        assert abs(min_pt_eigenvalue(cert.member(x)) - (1.0 - x) / d) < 1e-12
 
 
 def test_entanglement_threshold_forms():
@@ -164,12 +160,11 @@ def test_crossing_sweep_is_monotone():
         assert s < r < 1.0
 
 
-def test_mixture_tau_zero_noise(tiles_omega):
-    fam = LineFamily(tiles_omega)
-    tau, dec = mixture_tau(fam, DensityMatrix.maximally_mixed(fam.structure), 0.4, 0.0)
+def test_mixture_tau_zero_noise(tiles, tiles_cert):
+    tau, dec = mixture_tau(tiles_cert, DensityMatrix.maximally_mixed(tiles.structure), 0.4, 0.0)
     assert abs(dec.s - 0.6) < 1e-15
     assert dec.t == 0.0
-    assert np.abs(tau.matrix - fam.member(0.4).matrix).max() < 1e-15
+    assert np.abs(tau.matrix - tiles_cert.member(0.4).matrix).max() < 1e-15
 
 
 @settings(max_examples=60, deadline=None)
@@ -178,39 +173,36 @@ def test_mixture_tau_zero_noise(tiles_omega):
     x=st.floats(0.02, 0.98),
     y=st.floats(0.0, 0.97),
 )
-def test_mixture_decomposition_identity(tiles_omega, seed, x, y):
-    fam = LineFamily(tiles_omega)
-    sigma = sample_hs_density(fam.structure, SamplerConfig(seed), trial=0)
-    tau, dec = mixture_tau(fam, sigma, x, y)
+def test_mixture_decomposition_identity(tiles, tiles_cert, seed, x, y):
+    sigma = sample_hs_density(tiles.structure, SamplerConfig(seed), trial=0)
+    tau, dec = mixture_tau(tiles_cert, sigma, x, y)
     assert 0.0 < dec.s <= 1.0
     assert 0.0 <= dec.t < 1.0
     assert abs(dec.s - (1 - x * (1 - y))) < 1e-15
     assert abs(dec.t - y / dec.s) < 1e-15
 
 
-def test_mixture_witness_value_identity(tiles_cert):
-    fam = LineFamily(tiles_cert.omega)
+def test_mixture_witness_value_identity(tiles, tiles_cert):
     witness, lambda_omega = tiles_cert.witness, tiles_cert.lambda_omega
     cfg = SamplerConfig(5)
     rng = np.random.default_rng(8)
     for t in range(50):
-        sigma = sample_hs_density(fam.structure, cfg, trial=t)
+        sigma = sample_hs_density(tiles.structure, cfg, trial=t)
         x = float(rng.uniform(0.05, 0.95))
         y = float(rng.uniform(0.0, 0.95))
-        tau, _ = mixture_tau(fam, sigma, x, y)
+        tau, _ = mixture_tau(tiles_cert, sigma, x, y)
         expected = y * witness_value(witness, sigma) - (1 - y) * (
             x * (1 + TILES_D * lambda_omega) - 1
         ) / TILES_D
         assert abs(witness_value(witness, tau) - expected) < 1e-12
 
 
-def test_mixture_tau_range_validation(tiles_omega):
-    fam = LineFamily(tiles_omega)
-    mixed = DensityMatrix.maximally_mixed(fam.structure)
+def test_mixture_tau_range_validation(tiles, tiles_cert):
+    mixed = DensityMatrix.maximally_mixed(tiles.structure)
     with pytest.raises(ValueError):
-        mixture_tau(fam, mixed, 0.0, 0.1)
+        mixture_tau(tiles_cert, mixed, 0.0, 0.1)
     with pytest.raises(ValueError):
-        mixture_tau(fam, mixed, 0.5, 1.0)
+        mixture_tau(tiles_cert, mixed, 0.5, 1.0)
 
 
 def test_gurvits_ball_basics():
@@ -236,34 +228,31 @@ def test_gurvits_ball_boundary_mixture_is_ppt():
     assert is_ppt(rho)
 
 
-def test_ball_membership_basics(tiles_omega):
-    fam = LineFamily(tiles_omega)
-    center = fam.member(0.9)
+def test_ball_membership_basics(tiles, tiles_cert):
+    center = tiles_cert.member(0.9)
     assert ball_membership(center, center) < 1e-10
-    pure = DensityMatrix.from_pure(np.eye(9)[3], fam.structure)
+    pure = DensityMatrix.from_pure(np.eye(9)[3], tiles.structure)
     assert abs(ball_membership(pure, center) - 1.0) < 1e-10
 
 
-def test_ball_membership_of_constructed_mixtures(tiles_omega):
-    fam = LineFamily(tiles_omega)
-    center = fam.member(0.9)
+def test_ball_membership_of_constructed_mixtures(tiles, tiles_cert):
+    center = tiles_cert.member(0.9)
     cfg = SamplerConfig(13)
     rng = np.random.default_rng(13)
     for t in range(100):
-        sigma = sample_hs_density(fam.structure, cfg, trial=t)
+        sigma = sample_hs_density(tiles.structure, cfg, trial=t)
         y = float(rng.uniform(0.0, 1.0))
         tau = DensityMatrix.from_matrix(
-            y * sigma.matrix + (1 - y) * center.matrix, fam.structure
+            y * sigma.matrix + (1 - y) * center.matrix, tiles.structure
         )
         assert ball_membership(tau, center) <= y + 1e-10
 
 
-def test_ball_membership_is_bounded_by_line_weights(tiles_omega):
-    fam = LineFamily(tiles_omega)
+def test_ball_membership_is_bounded_by_line_weights(tiles_cert):
     x, delta = 0.7, 0.05
-    center = fam.member(x)
-    up = ball_membership(fam.member(x + delta), center)
-    down = ball_membership(fam.member(x - delta), center)
+    center = tiles_cert.member(x)
+    up = ball_membership(tiles_cert.member(x + delta), center)
+    down = ball_membership(tiles_cert.member(x - delta), center)
     assert up <= delta / (1 - x) + 1e-12
     assert down <= delta / x + 1e-12
 
@@ -301,7 +290,7 @@ def test_maximal_robustness_direction(tiles_cert):
     report = verify_maximal_robustness(tiles_cert, sigma_dir, x, zs)
     assert report.all_ok
     assert len(report.checks) == len(zs)
-    v_x = witness_value(tiles_cert.witness, LineFamily(tiles_cert.omega).member(x))
+    v_x = witness_value(tiles_cert.witness, tiles_cert.member(x))
     for check in report.checks:
         assert abs(check.witness_value - (1 - check.z) * v_x) < 1e-7
     with pytest.raises(ValueError, match=r"\[0, 1\)"):

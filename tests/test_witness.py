@@ -12,7 +12,6 @@ from pptball import (
     eig_hermitian,
     minimum_overlap,
     omega_state,
-    spectral_split,
     witness_from_operator,
     witness_value,
 )
@@ -177,10 +176,10 @@ def test_witness_value_dimension_mismatch(tiles_witness):
 
 
 def test_spectral_split_diagonal_example(tiles_witness):
-    split = spectral_split(HermitianOperator(np.diag([0.75, 0.75, -0.5])))
+    split = witness_from_operator(HermitianOperator(np.diag([0.75, 0.75, -0.5])))
     assert split.p_count == 2 and split.n_neg_count == 1
     assert abs(split.pos_part_trace - 1.5) < 1e-14
     assert abs(split.neg_part_trace - 0.5) < 1e-14
     assert abs(split.max_pos_eigenvalue - 0.75) < 1e-14
-    split = spectral_split(tiles_witness)
+    split = witness_from_operator(tiles_witness.op)
     assert abs(split.pos_part_trace - split.neg_part_trace - 1.0) < 1e-10
