@@ -28,7 +28,7 @@ for name in ("tiles", "pyramid", "shifts"):
     print(f"  projector trace : {upb.projector.trace:.12f}")
 
     omega = omega_state(upb)
-    vals = eig_hermitian(omega.op).eigenvalues
+    vals = eig_hermitian(omega).eigenvalues
     print(f"  complement state: rank {np.sum(vals > 1e-12)}, "
           f"nonzero eigenvalues all {vals[-1]:.6f}")
     cuts = len(all_bipartitions(upb.structure))

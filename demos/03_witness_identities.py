@@ -27,9 +27,9 @@ omega = omega_state(upb)
 n, d = upb.cardinality, upb.total_dim
 
 print("witness spectrum (ascending):")
-print(" ", np.round(eig_hermitian(w.op).eigenvalues, 10))
+print(" ", np.round(eig_hermitian(w).eigenvalues, 10))
 print(f"positive count p = {w.p_count}, negative count = {w.n_neg_count}")
-print(f"Tr W        = {w.op.trace:.15f}")
+print(f"Tr W        = {w.trace:.15f}")
 print(f"Tr W+       = {w.pos_part_trace:.15f} "
       f"(closed form n(1-lambda)/(n-lambda D) = {n*(1-lam.value)/(n-lam.value*d):.15f})")
 print(f"Tr W+ - Tr W- = {w.pos_part_trace - w.neg_part_trace:.15f}")

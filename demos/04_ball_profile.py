@@ -26,25 +26,25 @@ lam = minimum_overlap(upb)
 cert = certify(upb, lam)
 profile = robustness_profile(cert, grid_size=12)
 
-print(f"lambda          = {profile.lambda_value:.12f}")
-print(f"lambda_omega    = {profile.lambda_omega:.12f}")
-print(f"x*              = {profile.x_star:.12f}  (family entangled for x > x*)")
-print(f"x0 (root)       = {profile.x0_root:.12f}")
-print(f"x0 (printed)    = {profile.x0_printed:.12f}  <- tabulated closed form, "
+print(f"lambda          = {profile['lambda']:.12f}")
+print(f"lambda_omega    = {profile['lambda_omega']:.12f}")
+print(f"x*              = {profile['x_star']:.12f}  (family entangled for x > x*)")
+print(f"x0 (root)       = {profile['x0_root']:.12f}")
+print(f"x0 (printed)    = {profile['x0_printed_eq32']:.12f}  <- tabulated closed form, "
       f"disagrees with the root; comparison only")
 res = crossing_x0(upb.cardinality, upb.total_dim, lam.value)
 print(f"branch value at root = {res.branch_value:.12f}, branch gap {res.residual:.1e}")
-print(f"mixing threshold = {profile.mixing_threshold:.12f} (= lambda)")
+print(f"mixing threshold = {profile['mixing_threshold']:.12f} (= lambda)")
 
 print()
 print(f"{'x':>10}{'y0 tight':>14}{'y0 averaged':>14}")
-for x, tight, averaged in profile.radius_samples:
-    print(f"{x:>10.6f}{tight:>14.8f}{averaged:>14.8f}")
+for row in profile["radius_samples"]:
+    print(f"{row['x']:>10.6f}{row['y0_tight']:>14.8f}{row['y0_paper']:>14.8f}")
 print("the curve rises on the witness branch, peaks at x0, and falls on the "
       "purity branch")
 
 # Descriptive probe around the certified radius: nothing is asserted here.
-x = (profile.x_star + profile.x0_root) / 2
+x = (profile["x_star"] + profile["x0_root"]) / 2
 y0 = cert.radius(x)
 cfg = SamplerConfig(99)
 for factor in (0.99, 1.05, 1.5):

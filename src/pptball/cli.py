@@ -161,7 +161,7 @@ def _cmd_lambda(args) -> int:
     report = _header("lambda")
     report["config"] = _config(args)
     report["lambda"] = lam.value
-    report["restarts"] = lam.restarts_used
+    report["restarts"] = args.restarts
     report["converged"] = lam.converged
     report["minimizer_vectors"] = [
         [_pair(z) for z in vec] for vec in lam.minimizer.local_vectors
@@ -177,7 +177,7 @@ def _cmd_profile(args) -> int:
     profile = robustness_profile(_certificate(args), grid_size=args.grid)
     report = _header("profile")
     report["config"] = _config(args, grid=args.grid)
-    report.update(profile.to_json_dict())
+    report.update(profile)
     report["x0_note"] = X0_NOTE
     _emit(report, args.format, args.output)
     return EXIT_OK

@@ -15,7 +15,7 @@ from functools import reduce
 
 import numpy as np
 
-from .operators import DensityMatrix, HilbertStructure, PSD_TOL, min_pt_eigenvalue
+from .operators import DensityMatrix, HilbertStructure, PSD_TOL, _integer, min_pt_eigenvalue
 from .robustness import Certificate, _center_inv_sqrt, _membership
 from .witness import Witness, witness_value
 
@@ -35,6 +35,8 @@ class SamplerConfig:
     stream_id: int = 0
 
     def __post_init__(self):
+        for name in ("master_seed", "stream_id"):
+            object.__setattr__(self, name, _integer(getattr(self, name), name))
         if self.master_seed < 0 or self.stream_id < 0:
             raise ValueError("seeds and stream ids must be nonnegative")
 
@@ -78,7 +80,7 @@ def sample_hs_density(
     Full rank with probability 1.
     """
     m = _hs_matrix(structure.total_dim, _substream(cfg, _HS_TAG, trial))
-    return DensityMatrix.from_matrix(m, structure)
+    return DensityMatrix(m, structure)
 
 
 def sample_random_product_separable(
@@ -91,9 +93,7 @@ def sample_random_product_separable(
     if mixture_terms < 1:
         raise ValueError("mixture_terms must be at least 1")
     rng = _substream(cfg, _PRODUCT_TAG, trial)
-    return DensityMatrix.from_matrix(
-        _product_mixture(structure.local_dims, mixture_terms, rng), structure
-    )
+    return DensityMatrix(_product_mixture(structure.local_dims, mixture_terms, rng), structure)
 
 
 @dataclass(frozen=True, eq=False)
@@ -181,6 +181,7 @@ def verify_ball_robustness(
     """
     if not 0.0 < y_fraction < 1.0:
         raise ValueError(f"y_fraction must lie in (0, 1), got {y_fraction!r}")
+    trials = _integer(trials, "trials")
     if trials < 1:
         raise ValueError("at least one trial is required")
     x_grid = [float(x) for x in x_grid]
@@ -230,6 +231,7 @@ def verify_separable_mixing(
     """
     if not 0.0 < z_fraction < 1.0:
         raise ValueError(f"z_fraction must lie in (0, 1), got {z_fraction!r}")
+    trials = _integer(trials, "trials")
     if trials < 1:
         raise ValueError("at least one trial is required")
     structure = cert.upb.structure
@@ -297,8 +299,11 @@ def ball_fraction_estimate(
     Scores each trial as ``ball_membership`` does, with the center's inverse
     square root computed once.
     """
+    trials = _integer(trials, "trials")
     if trials < 1:
         raise ValueError("at least one trial is required")
+    if not 0.0 <= radius <= 1.0:
+        raise ValueError(f"radius must lie in [0, 1], got {radius!r}")
     inv_sqrt = _center_inv_sqrt(center)
     hits = 0
     for t in range(trials):

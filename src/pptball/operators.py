@@ -97,40 +97,28 @@ class HermitianOperator:
 
 
 @dataclass(frozen=True, eq=False)
-class DensityMatrix:
+class DensityMatrix(HermitianOperator):
     """Unit-trace positive-semidefinite Hermitian operator on a composite space."""
 
-    op: HermitianOperator
     structure: HilbertStructure
 
     def __post_init__(self):
-        if self.op.dim != self.structure.total_dim:
+        super().__post_init__()
+        if self.dim != self.structure.total_dim:
             raise ValueError(
-                f"operator dimension {self.op.dim} does not match "
+                f"operator dimension {self.dim} does not match "
                 f"structure total dimension {self.structure.total_dim}"
             )
-        if abs(self.op.trace - 1.0) > TRACE_ATOL:
-            raise ValueError(f"trace must be 1, got {self.op.trace!r}")
-        lo = float(np.linalg.eigvalsh(self.op.matrix)[0])
+        if abs(self.trace - 1.0) > TRACE_ATOL:
+            raise ValueError(f"trace must be 1, got {self.trace!r}")
+        lo = float(np.linalg.eigvalsh(self.matrix)[0])
         if lo < -PSD_TOL:
             raise ValueError(f"not positive semidefinite: min eigenvalue {lo:.3e}")
-
-    @property
-    def matrix(self) -> np.ndarray:
-        return self.op.matrix
-
-    @property
-    def dim(self) -> int:
-        return self.op.dim
-
-    @classmethod
-    def from_matrix(cls, matrix, structure: HilbertStructure) -> "DensityMatrix":
-        return cls(HermitianOperator(matrix), structure)
 
     @classmethod
     def maximally_mixed(cls, structure: HilbertStructure) -> "DensityMatrix":
         d = structure.total_dim
-        return cls.from_matrix(np.eye(d) / d, structure)
+        return cls(np.eye(d) / d, structure)
 
     @classmethod
     def from_pure(cls, vector, structure: HilbertStructure) -> "DensityMatrix":
@@ -141,7 +129,7 @@ class DensityMatrix:
         # underflows or overflows at extreme scales.
         v = v / np.abs(v).max()
         v = v / np.linalg.norm(v)
-        return cls.from_matrix(np.outer(v, v.conj()), structure)
+        return cls(np.outer(v, v.conj()), structure)
 
 
 @dataclass(frozen=True, eq=False)
@@ -186,7 +174,7 @@ def _partial_transpose_matrix(matrix, local_dims, transposed_side) -> np.ndarray
 
 
 def partial_transpose(
-    rho: DensityMatrix | HermitianOperator,
+    rho: HermitianOperator,
     side: tuple[int, ...],
     structure: HilbertStructure | None = None,
 ) -> HermitianOperator:

@@ -16,6 +16,7 @@ import numpy as np
 from .operators import (
     DensityMatrix,
     PSD_TOL,
+    _integer,
     eig_hermitian,
     is_ppt,
     min_pt_eigenvalue,
@@ -70,6 +71,12 @@ def _witness_branch(x: float, lambda_rho: float, dim_total: int, bound: float) -
     return c / (bound + c)
 
 
+def _radius(x: float, dim_total: int, lambda_rho: float, bound: float) -> float:
+    """The smaller of the purity branch and the witness branch with Tr(W sigma) <= bound."""
+    witness = _witness_branch(x, lambda_rho, dim_total, bound)
+    return float(min(_purity_branch(x, dim_total), witness))
+
+
 @dataclass(frozen=True, eq=False)
 class Certificate:
     """The chain from a product basis to its entanglement threshold.
@@ -89,7 +96,10 @@ class Certificate:
     x_star: float
 
     def x_grid(self, k: int) -> np.ndarray:
-        """k evenly spaced points strictly inside (x*, 1)."""
+        """k >= 1 evenly spaced points strictly inside (x*, 1)."""
+        k = _integer(k, "grid size")
+        if k < 1:
+            raise ValueError(f"grid size must be at least 1, got {k}")
         return np.linspace(self.x_star, 1.0, k + 2)[1:-1]
 
     def member(self, x: float) -> DensityMatrix:
@@ -98,7 +108,7 @@ class Certificate:
             raise ValueError(f"mixing parameter must lie in [0, 1], got {x!r}")
         d = self.upb.total_dim
         m = x * self.omega.matrix + (1.0 - x) * np.eye(d) / d
-        return DensityMatrix.from_matrix(m, self.upb.structure)
+        return DensityMatrix(m, self.upb.structure)
 
     def radius(self, x: float) -> float:
         """Certified ball radius y0(x) around the family member at x.
@@ -112,13 +122,7 @@ class Certificate:
             raise ValueError(
                 f"x must lie strictly between x* = {self.x_star!r} and 1, got {x!r}"
             )
-        d = self.upb.total_dim
-        return float(
-            min(
-                _purity_branch(x, d),
-                _witness_branch(x, self.lambda_omega, d, self.witness.max_pos_eigenvalue),
-            )
-        )
+        return _radius(x, self.upb.total_dim, self.lambda_omega, self.witness.max_pos_eigenvalue)
 
 
 def certify(upb: UPBSet, lam: LambdaResult) -> Certificate:
@@ -225,7 +229,7 @@ def mixture_tau(
     resid = float(np.abs(tau_m - recon).max())
     if resid > IDENTITY_ATOL:
         raise RuntimeError(f"mixture decomposition identity violated: residual {resid:.3e}")
-    return DensityMatrix.from_matrix(tau_m, structure), MixtureDecomposition(float(s), float(t))
+    return DensityMatrix(tau_m, structure), MixtureDecomposition(float(s), float(t))
 
 
 def in_gurvits_ball(rho: DensityMatrix) -> bool:
@@ -238,7 +242,7 @@ def in_gurvits_ball(rho: DensityMatrix) -> bool:
 
 def _center_inv_sqrt(center: DensityMatrix) -> np.ndarray:
     """center^{-1/2}; the center must have full rank."""
-    dec = eig_hermitian(center.op)
+    dec = eig_hermitian(center)
     if float(dec.eigenvalues[0]) < RANK_TOL:
         raise ValueError(
             "center must have full rank; line-family members with x < 1 qualify"
@@ -324,7 +328,7 @@ def minimizer_direction(cert: Certificate) -> DensityMatrix:
     """Uniform mixture of the collected minimizing product-state projectors."""
     structure = cert.upb.structure
     mats = [m.to_density(structure).matrix for m in cert.lam.minimizers]
-    return DensityMatrix.from_matrix(sum(mats) / len(mats), structure)
+    return DensityMatrix(sum(mats) / len(mats), structure)
 
 
 def verify_maximal_robustness(
@@ -351,61 +355,31 @@ def verify_maximal_robustness(
     return MaximalRobustnessReport(float(x), tuple(checks))
 
 
-@dataclass(frozen=True, eq=False)
-class RobustnessProfile:
-    """Full robustness summary of one product-basis complement state.
+def robustness_profile(cert: Certificate, grid_size: int) -> dict:
+    """Report data for one catalog set: thresholds, crossing point and sampled radii.
 
-    ``radius_samples`` rows are (x, certified radius, radius with Tr W+ / p in
-    place of the largest eigenvalue of W); the two columns agree for
-    flat-spectrum witnesses.
+    ``radius_samples`` rows hold x, the certified radius ``y0_tight`` and
+    ``y0_paper``, the radius with Tr W+ / p in place of the largest eigenvalue
+    of W; the two agree for flat-spectrum witnesses.
     """
-
-    upb_name: str
-    lambda_value: float
-    lambda_omega: float
-    x_star: float
-    x0_root: float
-    x0_printed: float
-    radius_samples: tuple[tuple[float, float, float], ...]
-    mixing_threshold: float
-
-    def to_json_dict(self) -> dict:
-        return {
-            "upb_name": self.upb_name,
-            "lambda": self.lambda_value,
-            "lambda_omega": self.lambda_omega,
-            "x_star": self.x_star,
-            "x0_root": self.x0_root,
-            "x0_printed_eq32": self.x0_printed,
-            "radius_samples": [
-                {"x": x, "y0_tight": tight, "y0_paper": averaged}
-                for x, tight, averaged in self.radius_samples
-            ],
-            "mixing_threshold": self.mixing_threshold,
-        }
-
-
-def robustness_profile(cert: Certificate, grid_size: int = 50) -> RobustnessProfile:
-    """Assemble thresholds, crossing point, and sampled radii for one catalog set."""
     lam = cert.lam.value
     d = cert.upb.total_dim
     crossing = crossing_x0(cert.upb.cardinality, d, lam)
     averaged = cert.witness.pos_part_trace / cert.witness.p_count
-    samples = tuple(
-        (
-            float(x),
-            cert.radius(x),
-            float(min(_purity_branch(x, d), _witness_branch(x, cert.lambda_omega, d, averaged))),
-        )
-        for x in cert.x_grid(grid_size)
-    )
-    return RobustnessProfile(
-        upb_name=cert.upb.name,
-        lambda_value=lam,
-        lambda_omega=cert.lambda_omega,
-        x_star=cert.x_star,
-        x0_root=crossing.x0_root,
-        x0_printed=crossing.x0_printed,
-        radius_samples=samples,
-        mixing_threshold=separable_mixing_threshold(cert),
-    )
+    return {
+        "upb_name": cert.upb.name,
+        "lambda": lam,
+        "lambda_omega": cert.lambda_omega,
+        "x_star": cert.x_star,
+        "x0_root": crossing.x0_root,
+        "x0_printed_eq32": crossing.x0_printed,
+        "radius_samples": [
+            {
+                "x": float(x),
+                "y0_tight": cert.radius(x),
+                "y0_paper": _radius(x, d, cert.lambda_omega, averaged),
+            }
+            for x in cert.x_grid(grid_size)
+        ],
+        "mixing_threshold": separable_mixing_threshold(cert),
+    }

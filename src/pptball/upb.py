@@ -202,7 +202,7 @@ def omega_state(upb: UPBSet) -> DensityMatrix:
             "the set spans the whole space (n = D); its complement state is undefined"
         )
     m = (np.eye(d) - upb.projector.matrix) / (d - n)
-    return DensityMatrix.from_matrix(m, upb.structure)
+    return DensityMatrix(m, upb.structure)
 
 
 CATALOG = {

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import DensityMatrix, HermitianOperator, TRACE_ATOL, eig_hermitian
+from .operators import DensityMatrix, HermitianOperator, TRACE_ATOL, _integer, eig_hermitian
 from .upb import ProductState, UPBSet
 
 ZERO_EIG_ATOL = 1e-12
@@ -38,8 +38,12 @@ class SeesawConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("restarts", "max_iters", "seed"):
+            object.__setattr__(self, name, _integer(getattr(self, name), name))
         if self.restarts < 1 or self.max_iters < 1:
             raise ValueError("restarts and max_iters must be at least 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -53,7 +57,6 @@ class LambdaResult:
 
     value: float
     minimizer: ProductState
-    restarts_used: int
     converged: bool
     minimizers: tuple[ProductState, ...]
 
@@ -75,7 +78,7 @@ def _party_operator(local_mats, phis, party) -> np.ndarray:
     return (v.T * w) @ v.conj()
 
 
-def _seesaw_once(local_mats, rng, max_iters, tol, init=None):
+def _seesaw_once(local_mats, rng, max_iters, init=None):
     """One descent run; returns (value, local vectors, converged, history)."""
     dims = [v.shape[1] for v in local_mats]
     if init is None:
@@ -96,7 +99,7 @@ def _seesaw_once(local_mats, rng, max_iters, tol, init=None):
             phis[k] = vecs[:, 0]
             value = float(vals[0])
             history.append(value)
-        if before - value < tol:
+        if before - value < SEESAW_TOL:
             converged = True
             break
     return value, phis, converged, history
@@ -112,7 +115,7 @@ def minimum_overlap(upb: UPBSet, cfg: SeesawConfig | None = None) -> LambdaResul
     finals = []
     for r in range(cfg.restarts):
         rng = np.random.default_rng([cfg.seed, r])
-        value, phis, conv, _ = _seesaw_once(local_mats, rng, cfg.max_iters, SEESAW_TOL)
+        value, phis, conv, _ = _seesaw_once(local_mats, rng, cfg.max_iters)
         finals.append((value, phis, conv))
     finals.sort(key=lambda item: item[0])
     best_value, best_phis, best_conv = finals[0]
@@ -126,14 +129,13 @@ def minimum_overlap(upb: UPBSet, cfg: SeesawConfig | None = None) -> LambdaResul
     return LambdaResult(
         value=best_value,
         minimizer=ProductState(tuple(best_phis)),
-        restarts_used=cfg.restarts,
         converged=best_conv,
         minimizers=tuple(distinct),
     )
 
 
 @dataclass(frozen=True, eq=False)
-class Witness:
+class Witness(HermitianOperator):
     """Unit-trace Hermitian witness with the counts and traces of its two parts.
 
     Eigenvalues within ZERO_EIG_ATOL of zero belong to neither part.  The part
@@ -143,12 +145,16 @@ class Witness:
     positive).  Build it with ``witness_from_operator``.
     """
 
-    op: HermitianOperator
     p_count: int
     n_neg_count: int
     pos_part_trace: float
     neg_part_trace: float
     max_pos_eigenvalue: float
+
+    def __post_init__(self):
+        super().__post_init__()
+        if abs(self.pos_part_trace - self.neg_part_trace - 1.0) > TRACE_ATOL:
+            raise RuntimeError("spectral split violates the part-trace identity")
 
 
 def witness_from_operator(op: HermitianOperator) -> Witness:
@@ -158,17 +164,14 @@ def witness_from_operator(op: HermitianOperator) -> Witness:
     vals = eig_hermitian(op).eigenvalues
     pos = vals > ZERO_EIG_ATOL
     neg = vals < -ZERO_EIG_ATOL
-    witness = Witness(
-        op=op,
+    return Witness(
+        op.matrix,
         p_count=int(pos.sum()),
         n_neg_count=int(neg.sum()),
         pos_part_trace=float(vals[pos].sum()),
         neg_part_trace=float(-vals[neg].sum()),
         max_pos_eigenvalue=float(vals[-1]) if pos.any() else 0.0,
     )
-    if abs(witness.pos_part_trace - witness.neg_part_trace - 1.0) > TRACE_ATOL:
-        raise RuntimeError("spectral split violates the part-trace identity")
-    return witness
 
 
 def build_witness(upb: UPBSet, lam: LambdaResult | float) -> Witness:
@@ -190,7 +193,7 @@ def build_witness(upb: UPBSet, lam: LambdaResult | float) -> Witness:
 
 def witness_value(w: Witness, rho: DensityMatrix | np.ndarray) -> float:
     """Tr(W rho), for a density matrix or a plain matrix."""
-    mat = w.op.matrix
+    mat = w.matrix
     rho = rho.matrix if isinstance(rho, DensityMatrix) else rho
     if mat.shape != rho.shape:
         raise ValueError(f"dimension mismatch: witness {mat.shape[0]}, state {rho.shape[0]}")

@@ -79,7 +79,7 @@ def test_a02_complement_state_contract(
     ):
         d, n = upb.total_dim, upb.cardinality
         omega = omega_state(upb)
-        vals = eig_hermitian(omega.op).eigenvalues
+        vals = eig_hermitian(omega).eigenvalues
         assert np.abs(vals[:n]).max() < 1e-10
         assert np.abs(vals[n:] - 1.0 / (d - n)).max() < 1e-10
         assert min_pt_eigenvalue(omega) >= -1e-9
@@ -92,7 +92,7 @@ def test_a02_complement_state_contract(
 def test_a03_witness_algebra(tiles, tiles_lambda, tiles_witness, shifts, shifts_witness):
     d, n, lam = 9, 5, tiles_lambda.value
     w = tiles_witness
-    assert abs(w.op.trace - 1.0) < 1e-12
+    assert abs(w.trace - 1.0) < 1e-12
     assert abs(w.pos_part_trace - n * (1 - lam) / (n - lam * d)) < 1e-12
     cfg = SamplerConfig(2024)
     for t in range(10_000):
@@ -206,7 +206,7 @@ def test_a08_decomposition_identity_and_inner_mixture(tiles, tiles_cert):
             y = float(rng.uniform(0.0, 0.95))
         tau, dec = mixture_tau(tiles_cert, sigma, x, y)
         if y < bound:
-            inner = DensityMatrix.from_matrix(
+            inner = DensityMatrix(
                 dec.t * sigma.matrix + (1 - dec.t) * np.eye(d) / d, tiles.structure
             )
             assert in_gurvits_ball(inner)
@@ -227,7 +227,7 @@ def test_a09_ball_membership(tiles, tiles_cert):
     for t in range(1000):
         sigma = sample_hs_density(tiles.structure, cfg, trial=t)
         y = float(rng.uniform(0.0, 1.0))
-        tau = DensityMatrix.from_matrix(
+        tau = DensityMatrix(
             y * sigma.matrix + (1 - y) * center.matrix, tiles.structure
         )
         assert ball_membership(tau, center) <= y + 1e-10

@@ -11,6 +11,7 @@ from pptball import (
     HilbertStructure,
     PSD_TOL,
     SamplerConfig,
+    SeesawConfig,
     all_bipartitions,
     ball_fraction_estimate,
     ball_membership,
@@ -18,6 +19,7 @@ from pptball import (
     min_pt_eigenvalue,
     mixture_tau,
     purity,
+    robustness_profile,
     sample_hs_density,
     sample_random_product_separable,
     verify_ball_robustness,
@@ -44,6 +46,49 @@ def test_sampler_config_validation():
         SamplerConfig(-1)
     with pytest.raises(ValueError):
         SamplerConfig(1, stream_id=-1)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda cert: SeesawConfig(seed=-1), "seed must be nonnegative"),
+        (lambda cert: SeesawConfig(restarts=2.5), "restarts must be an integer"),
+        (lambda cert: SeesawConfig(max_iters=2.5), "max_iters must be an integer"),
+        (lambda cert: SamplerConfig(1.5), "master_seed must be an integer"),
+        (lambda cert: SamplerConfig(float("nan")), "master_seed must be an integer"),
+        (lambda cert: SamplerConfig(0, stream_id=1.5), "stream_id must be an integer"),
+        (lambda cert: cert.x_grid(0), "grid size must be at least 1"),
+        (lambda cert: cert.x_grid(-1), "grid size must be at least 1"),
+        (lambda cert: robustness_profile(cert, 0), "grid size must be at least 1"),
+        (
+            lambda cert: verify_ball_robustness(cert, cert.x_grid(1), 0.5, 2.5, SamplerConfig(0)),
+            "trials must be an integer",
+        ),
+        (
+            lambda cert: verify_separable_mixing(cert, 0.5, 2.5, SamplerConfig(0)),
+            "trials must be an integer",
+        ),
+        (
+            lambda cert: ball_fraction_estimate(cert.member(0.9), 0.5, 2.5, SamplerConfig(0)),
+            "trials must be an integer",
+        ),
+        (
+            lambda cert: ball_fraction_estimate(cert.member(0.9), np.nan, 10, SamplerConfig(0)),
+            "radius must lie in",
+        ),
+        (
+            lambda cert: ball_fraction_estimate(cert.member(0.9), -1.0, 10, SamplerConfig(0)),
+            "radius must lie in",
+        ),
+        (
+            lambda cert: ball_fraction_estimate(cert.member(0.9), 2.0, 10, SamplerConfig(0)),
+            "radius must lie in",
+        ),
+    ],
+)
+def test_configs_and_counts_are_checked_on_entry(tiles_cert, call, message):
+    with pytest.raises(ValueError, match=message):
+        call(tiles_cert)
 
 
 def test_hs_samples_have_expected_purity_band():
@@ -177,7 +222,7 @@ def test_plain_matrix_suites_match_object_path(request, cert_name):
     for t in range(trials):
         sigma = sample_random_product_separable(structure, MIXTURE_TERMS, cfg, trial=t)
         m = z * sigma.matrix + (1.0 - z) * cert.omega.matrix
-        mixing_states.append(((5, 2, 2, t), DensityMatrix.from_matrix(m, structure)))
+        mixing_states.append(((5, 2, 2, t), DensityMatrix(m, structure)))
     mixing = verify_separable_mixing(cert, 0.99, trials, cfg)
     assert mixing.trials == trials
     assert _outcome_fields(mixing) == _score_states(cert.witness, mixing_states)
@@ -215,7 +260,7 @@ def test_mixing_respects_minimizer_direction(tiles, tiles_lambda, tiles_witness,
     sigma = tiles_lambda.minimizer.to_density(tiles.structure)
     for z in (0.1, 0.5, 0.9, 0.999):
         m = z * sigma.matrix + (1 - z) * tiles_omega.matrix
-        state = DensityMatrix.from_matrix(m, tiles.structure)
+        state = DensityMatrix(m, tiles.structure)
         assert witness_value(tiles_witness, state) < 0
         assert is_ppt(state)
 

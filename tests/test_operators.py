@@ -7,6 +7,7 @@ from pptball import (
     DensityMatrix,
     HermitianOperator,
     HilbertStructure,
+    Witness,
     all_bipartitions,
     build_complete_basis,
     eig_hermitian,
@@ -28,7 +29,7 @@ def rand_density(rng, structure):
     d = structure.total_dim
     g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     m = g @ g.conj().T
-    return DensityMatrix.from_matrix(m / np.trace(m).real, structure)
+    return DensityMatrix(m / np.trace(m).real, structure)
 
 
 def test_hermitian_rejects_non_hermitian():
@@ -232,7 +233,7 @@ def test_purity_of_noisy_pure_state():
     pure = DensityMatrix.from_pure(np.eye(d)[0], structure)
     for mu in (0.1, 0.35, 0.8):
         m = mu * pure.matrix + (1 - mu) * np.eye(d) / d
-        rho = DensityMatrix.from_matrix(m, structure)
+        rho = DensityMatrix(m, structure)
         expected = 1.0 / d + mu**2 * (1.0 - 1.0 / d)
         assert abs(purity(rho) - expected) < 1e-13
 
@@ -240,12 +241,33 @@ def test_purity_of_noisy_pure_state():
 def test_density_matrix_validation():
     structure = HilbertStructure((2, 2))
     with pytest.raises(ValueError, match="trace"):
-        DensityMatrix.from_matrix(np.eye(4) / 2.0, structure)
+        DensityMatrix(np.eye(4) / 2.0, structure)
     bad = np.diag([1.5, -0.5, 0.0, 0.0])
     with pytest.raises(ValueError, match="positive semidefinite"):
-        DensityMatrix.from_matrix(bad, structure)
+        DensityMatrix(bad, structure)
     with pytest.raises(ValueError, match="does not match"):
-        DensityMatrix.from_matrix(np.eye(4) / 4.0, HilbertStructure((2, 4)))
+        DensityMatrix(np.eye(4) / 4.0, HilbertStructure((2, 4)))
+
+
+def test_states_and_witnesses_are_read_only_hermitian_operators(tiles_witness):
+    structure = HilbertStructure((3, 3))
+    rho = DensityMatrix.maximally_mixed(structure)
+    dec = eig_hermitian(tiles_witness)
+    for arr in (rho.matrix, tiles_witness.matrix, dec.eigenvalues, dec.eigenvectors):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[(0,) * arr.ndim] = 0.0
+    assert isinstance(rho, HermitianOperator) and isinstance(tiles_witness, HermitianOperator)
+    recon = (dec.eigenvectors * dec.eigenvalues) @ dec.eigenvectors.conj().T
+    assert np.abs(recon - tiles_witness.matrix).max() < 1e-12
+    pt = partial_transpose(tiles_witness, (1,), structure)
+    assert abs(pt.trace - 1.0) < 1e-12
+    assert np.array_equal(partial_transpose(pt, (1,), structure).matrix, tiles_witness.matrix)
+    skew = np.eye(4) / 4
+    skew[0, 1] = 0.1
+    with pytest.raises(ValueError, match="not Hermitian"):
+        DensityMatrix(skew, HilbertStructure((2, 2)))
+    with pytest.raises(RuntimeError, match="part-trace identity"):
+        Witness(np.eye(2) / 2, 1, 0, 0.5, 0.0, 0.5)
 
 
 @pytest.mark.parametrize(

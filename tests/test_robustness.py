@@ -99,7 +99,7 @@ def test_certificate_matches_closed_forms(request, name):
     assert abs(cert.lambda_omega - lam / (n - lam * d)) < 1e-12
     assert np.array_equal(cert.omega.matrix, omega_state(upb).matrix)
     witness = request.getfixturevalue(f"{name}_witness")
-    assert np.array_equal(cert.witness.op.matrix, witness.op.matrix)
+    assert np.array_equal(cert.witness.matrix, witness.matrix)
     xs = cert.x_grid(7)
     assert len(xs) == 7
     assert np.all((cert.x_star < xs) & (xs < 1.0))
@@ -128,8 +128,8 @@ def test_radius_modes_agree_for_flat_spectrum(request):
     for name in ("tiles", "pyramid", "shifts"):
         upb, lam = request.getfixturevalue(name), request.getfixturevalue(f"{name}_lambda")
         profile = robustness_profile(certify(upb, lam), grid_size=21)
-        for _, tight, averaged in profile.radius_samples:
-            assert abs(tight - averaged) < 1e-12
+        for row in profile["radius_samples"]:
+            assert abs(row["y0_tight"] - row["y0_paper"]) < 1e-12
 
 
 def test_crossing_root_and_branch_equality(tiles_lambda):
@@ -220,7 +220,7 @@ def test_gurvits_ball_boundary_mixture_is_ppt():
     bell[[0, 4, 8]] = 1 / np.sqrt(3)
     pure = DensityMatrix.from_pure(bell, structure)
     mu = 1 / 8 - 1e-6
-    rho = DensityMatrix.from_matrix(
+    rho = DensityMatrix(
         mu * pure.matrix + (1 - mu) * np.eye(9) / 9, structure
     )
     assert in_gurvits_ball(rho)
@@ -242,7 +242,7 @@ def test_ball_membership_of_constructed_mixtures(tiles, tiles_cert):
     for t in range(100):
         sigma = sample_hs_density(tiles.structure, cfg, trial=t)
         y = float(rng.uniform(0.0, 1.0))
-        tau = DensityMatrix.from_matrix(
+        tau = DensityMatrix(
             y * sigma.matrix + (1 - y) * center.matrix, tiles.structure
         )
         assert ball_membership(tau, center) <= y + 1e-10
@@ -303,9 +303,8 @@ def test_maximal_robustness_direction(tiles_cert):
 
 
 def test_profile_contents_and_serialization(tiles_cert, tiles_lambda):
-    profile = robustness_profile(tiles_cert, grid_size=12)
-    assert profile.lambda_omega <= 1 - 2 / TILES_D
-    data = profile.to_json_dict()
+    data = robustness_profile(tiles_cert, grid_size=12)
+    assert data["lambda_omega"] <= 1 - 2 / TILES_D
     assert set(data) == {
         "upb_name",
         "lambda",

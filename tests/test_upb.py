@@ -84,7 +84,7 @@ def test_non_finite_input_is_rejected(build):
 
 def test_omega_flat_spectrum(tiles):
     omega = omega_state(tiles)
-    vals = eig_hermitian(omega.op).eigenvalues
+    vals = eig_hermitian(omega).eigenvalues
     assert np.abs(vals[:5]).max() < 1e-10
     assert np.abs(vals[5:] - 0.25).max() < 1e-10
 

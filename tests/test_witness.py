@@ -67,7 +67,7 @@ def test_distinct_minimizers_all_achieve_the_overlap(tiles, tiles_lambda):
 def test_descent_is_monotone_per_half_step(tiles):
     mats = [tiles.local_matrix(k) for k in range(2)]
     rng = np.random.default_rng(123)
-    _, _, _, history = _seesaw_once(mats, rng, 500, 1e-12)
+    _, _, _, history = _seesaw_once(mats, rng, 500)
     diffs = np.diff(np.asarray(history))
     assert np.all(diffs <= 1e-12)
 
@@ -76,7 +76,7 @@ def test_restart_from_minimizer_is_a_fixed_point(tiles, tiles_lambda):
     mats = [tiles.local_matrix(k) for k in range(2)]
     rng = np.random.default_rng(0)
     value, _, converged, _ = _seesaw_once(
-        mats, rng, 500, 1e-12, init=tiles_lambda.minimizer.local_vectors
+        mats, rng, 500, init=tiles_lambda.minimizer.local_vectors
     )
     assert converged
     assert abs(value - tiles_lambda.value) < 1e-12
@@ -113,11 +113,11 @@ def test_witness_flat_spectrum(tiles, tiles_lambda, tiles_witness):
     n, d = 5, 9
     lam = tiles_lambda.value
     w = tiles_witness
-    assert abs(w.op.trace - 1.0) < 1e-12
+    assert abs(w.trace - 1.0) < 1e-12
     assert w.p_count == n and w.n_neg_count == d - n
     pos = (1 - lam) / (n - lam * d)
     neg = -lam / (n - lam * d)
-    vals = eig_hermitian(w.op).eigenvalues
+    vals = eig_hermitian(w).eigenvalues
     assert np.abs(vals[: d - n] - neg).max() < 1e-10
     assert np.abs(vals[d - n :] - pos).max() < 1e-10
     assert abs(w.pos_part_trace - n * (1 - lam) / (n - lam * d)) < 1e-12
@@ -181,5 +181,5 @@ def test_spectral_split_diagonal_example(tiles_witness):
     assert abs(split.pos_part_trace - 1.5) < 1e-14
     assert abs(split.neg_part_trace - 0.5) < 1e-14
     assert abs(split.max_pos_eigenvalue - 0.75) < 1e-14
-    split = witness_from_operator(tiles_witness.op)
+    split = witness_from_operator(tiles_witness)
     assert abs(split.pos_part_trace - split.neg_part_trace - 1.0) < 1e-10
