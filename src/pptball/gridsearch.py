@@ -4,8 +4,10 @@ Deliberately a separate code path from the alternating minimizer: local pure
 states are swept over an explicit generalized-spherical-angle grid and the
 best cells are polished with a derivative-free simplex search.  Agreement
 between the two routes certifies the reported minimum.  For any party count
-the grid objective is streamed in fixed blocks of PAIR_BLOCK_DOUBLES doubles,
-so it is never held in full.
+the grid objective is never held in full: it is streamed through one reused
+block of PAIR_BLOCK_DOUBLES doubles, 1 MiB, which fits in a core's L2 cache.
+The polished cells are the rows with the smallest row minima, ties going to
+the lower row, whatever the block size.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from .upb import UPBSet
 THETA_POINTS = {2: 13, 3: 9}
 PHI_POINTS = {2: 16, 3: 12}
 REFINE_CANDIDATES = 8
-PAIR_BLOCK_DOUBLES = 2**22
+PAIR_BLOCK_DOUBLES = 2**17
 
 
 @dataclass(frozen=True)
@@ -104,22 +106,23 @@ def _refine(upb: UPBSet, angles0: np.ndarray) -> float:
 def _best_pairs(wa, wb, keep):
     """The ``keep`` rows a of wa with the smallest min_b sum_i wa[a, i] wb[b, i].
 
-    Returns (value, a, b) triples sorted by value, b being row a's best row of
-    wb.  Blocks of rows go through one reused buffer, so at most
-    PAIR_BLOCK_DOUBLES doubles of the objective exist at once.
+    Returns (value, a, b) triples ordered by (value, a), b being the first
+    best row of wb for row a.  Blocks of rows go through one reused buffer,
+    so at most PAIR_BLOCK_DOUBLES doubles (1 MiB) of the objective exist at
+    once; only each row's minimum and its place are kept, so the selection
+    does not depend on the block size.
     """
-    best = []
+    vals = np.empty(wa.shape[0])
+    b_idx = np.empty(wa.shape[0], dtype=np.intp)
     block = max(1, PAIR_BLOCK_DOUBLES // wb.shape[0])
     buf = np.empty((min(block, wa.shape[0]), wb.shape[0]))
     for start in range(0, wa.shape[0], block):
         chunk = wa[start : start + block]
         obj = np.matmul(chunk, wb.T, out=buf[: chunk.shape[0]])
-        b_idx = obj.argmin(axis=1)
-        vals = obj[np.arange(chunk.shape[0]), b_idx]
-        for off in np.argsort(vals)[:keep]:
-            best.append((float(vals[off]), start + int(off), int(b_idx[off])))
-    best.sort(key=lambda t: t[0])
-    return best[:keep]
+        obj.min(axis=1, out=vals[start : start + block])
+        obj.argmin(axis=1, out=b_idx[start : start + block])
+    order = np.argsort(vals, kind="stable")[:keep]
+    return [(float(vals[a]), int(a), int(b_idx[a])) for a in order]
 
 
 def grid_minimum_overlap(upb: UPBSet) -> GridMinimum:

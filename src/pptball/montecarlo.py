@@ -58,17 +58,28 @@ def _hs_matrix(d: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def _product_mixture(local_dims, terms: int, rng: np.random.Generator) -> np.ndarray:
-    """Dirichlet-weighted sum of ``terms`` random product projectors."""
+    """Dirichlet-weighted sum of ``terms`` random product projectors.
+
+    Row t of one Gaussian draw holds term t's local vectors, real then
+    imaginary part for each party in turn, the order in which one draw per
+    part consumes the stream.  Each squared norm is the dot product
+    ``np.linalg.norm`` computes, on the same strided views, so the state is
+    bit-identical to drawing and normalising every local vector on its own.
+    """
     weights = rng.dirichlet(np.ones(terms))
-    d = math.prod(local_dims)
-    m = np.zeros((d, d), dtype=complex)
-    for w in weights:
-        locals_ = []
-        for dim in local_dims:
-            v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-            locals_.append(v / np.linalg.norm(v))
-        full = reduce(np.kron, locals_)
-        m += w * np.outer(full, full.conj())
+    gauss = rng.standard_normal((terms, 2 * sum(local_dims)))
+    locals_ = []
+    start = 0
+    for dim in local_dims:
+        v = gauss[:, start : start + dim] + 1j * gauss[:, start + dim : start + 2 * dim]
+        start += 2 * dim
+        re, im = v.real[:, None, :], v.imag[:, None, :]
+        sq = re @ re.transpose(0, 2, 1) + im @ im.transpose(0, 2, 1)
+        locals_.append(v / np.sqrt(sq[:, 0]))
+    full = reduce(lambda a, b: (a[:, :, None] * b[:, None, :]).reshape(terms, -1), locals_)
+    m = np.zeros((full.shape[1],) * 2, dtype=complex)
+    for w, f in zip(weights, full):
+        m += w * np.outer(f, f.conj())
     return m
 
 

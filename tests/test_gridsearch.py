@@ -98,11 +98,34 @@ def test_streamed_kernel_matches_dense_einsum(monkeypatch, dims, n):
     assert res.value == res.grid_value
 
 
+def test_best_pairs_orders_ties_by_row_for_any_block(monkeypatch):
+    # Small integer tables make every objective entry exact, so rows tie
+    # exactly; 80 rows take numpy's unstable sort path.
+    rng = np.random.default_rng(11)
+    wa = np.repeat(rng.integers(0, 3, size=(8, 4)), 10, axis=0)[rng.permutation(80)]
+    wa = wa.astype(float)
+    wb = rng.integers(1, 4, size=(6, 4)).astype(float)
+    keep = 16
+    dense = wa @ wb.T
+    mins = dense.min(axis=1)
+    # The cut after `keep` rows falls inside a group of tied rows.
+    assert np.sort(mins)[keep - 1] == np.sort(mins)[keep]
+    expected = [
+        (float(mins[a]), int(a), int(dense[a].argmin()))
+        for a in np.argsort(mins, kind="stable")[:keep]
+    ]
+    for rows in (1, 3, wa.shape[0]):
+        monkeypatch.setattr(gridsearch, "PAIR_BLOCK_DOUBLES", rows * wb.shape[0])
+        assert gridsearch._best_pairs(wa, wb, keep) == expected, rows
+
+
 def test_grid_oracle_memory_is_one_block(monkeypatch, tiles, shifts):
     # The simplex polish allocates almost nothing; stubbing it keeps the
-    # traced run short and leaves the objective blocks as the peak.
+    # traced run short.  With a 1 MiB block the O(N n) weight tables set the
+    # peak (about 4.4 MiB on tiles, 2.4 MiB on shifts), so the bound is fixed.
+    assert gridsearch.PAIR_BLOCK_DOUBLES * 8 <= 2**20
     monkeypatch.setattr(gridsearch, "_refine", lambda upb, angles0: np.inf)
-    limit = 1.25 * gridsearch.PAIR_BLOCK_DOUBLES * 8
+    limit = 8 * 2**20
     for upb in (tiles, shifts):
         tracemalloc.start()
         try:

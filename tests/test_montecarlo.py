@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from functools import reduce
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +27,7 @@ from pptball import (
     verify_separable_mixing,
     witness_value,
 )
-from pptball.montecarlo import MIXTURE_TERMS, _wilson_interval
+from pptball.montecarlo import MIXTURE_TERMS, _product_mixture, _wilson_interval
 
 
 def test_sampler_determinism():
@@ -109,6 +110,30 @@ def test_product_sampler_is_separable():
     for t in range(50):
         rho = sample_random_product_separable(structure, 5, cfg, trial=t)
         assert is_ppt(rho)
+
+
+def _product_mixture_per_vector(local_dims, terms, rng):
+    """Reference draw: one Gaussian call per real or imaginary part, kron per term."""
+    weights = rng.dirichlet(np.ones(terms))
+    d = int(np.prod(local_dims))
+    m = np.zeros((d, d), dtype=complex)
+    for w in weights:
+        locals_ = []
+        for dim in local_dims:
+            v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+            locals_.append(v / np.linalg.norm(v))
+        full = reduce(np.kron, locals_)
+        m += w * np.outer(full, full.conj())
+    return m
+
+
+@pytest.mark.parametrize("dims", [(3,), (3, 3), (2, 4), (2, 2, 2)])
+def test_batched_product_draw_is_bitwise_the_per_vector_draw(dims):
+    for trial in range(200):
+        key = (0, 0, 2, trial)
+        batched = _product_mixture(dims, MIXTURE_TERMS, np.random.default_rng(key))
+        reference = _product_mixture_per_vector(dims, MIXTURE_TERMS, np.random.default_rng(key))
+        assert np.array_equal(batched, reference), (dims, trial)
 
 
 def test_product_sampler_rejects_zero_terms():
