@@ -7,7 +7,7 @@ repeated runs with identical seeds are byte-identical.
 
 Exit status: 0 success; 1 verification violations; 2 usage or validation
 error, or a report that cannot be written; 3 minimizer non-convergence; 4 a
-failed internal contract check.
+failed internal contract check, or a lambda proof that ran out of cells.
 
 Export schema (``export``):
     {"name": str,
@@ -29,7 +29,6 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .gridsearch import grid_minimum_overlap
 from .montecarlo import (
     SamplerConfig,
     ball_fraction_estimate,
@@ -38,7 +37,7 @@ from .montecarlo import (
 )
 from .robustness import Certificate, certify, robustness_profile
 from .upb import CATALOG, get_upb
-from .witness import SeesawConfig, minimum_overlap
+from .witness import SeesawConfig, minimum_overlap, prove_product_minimum
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -155,9 +154,14 @@ def _cmd_upb_list(args) -> int:
 
 
 def _cmd_lambda(args) -> int:
+    """The seesaw's lambda, an upper estimate, and the proven lower bound below it.
+
+    ``agreement`` is lambda - lambda_lower >= 0: the width of the interval
+    that holds the true minimum product overlap.
+    """
     upb = get_upb(args.upb)
     lam = minimum_overlap(upb, _seesaw_cfg(args))
-    grid = grid_minimum_overlap(upb)
+    proof = prove_product_minimum(upb.projector, upb.structure, lam.value)
     report = _header("lambda")
     report["config"] = _config(args)
     report["lambda"] = lam.value
@@ -167,8 +171,9 @@ def _cmd_lambda(args) -> int:
         [_pair(z) for z in vec] for vec in lam.minimizer.local_vectors
     ]
     report["distinct_minimizers"] = len(lam.minimizers)
-    report["grid_oracle_value"] = grid.value
-    report["agreement"] = abs(lam.value - grid.value)
+    report["lambda_lower"] = proof.lower
+    report["proof_cells"] = proof.cells
+    report["agreement"] = lam.value - proof.lower
     _emit(report, args.format, args.output)
     return EXIT_OK if lam.converged else EXIT_NO_CONVERGENCE
 
@@ -305,7 +310,9 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p_list, upb=False)
     p_list.set_defaults(handler=_cmd_upb_list)
 
-    p_lambda = sub.add_parser("lambda", help="minimum product overlap, dual-method")
+    p_lambda = sub.add_parser(
+        "lambda", help="minimum product overlap: seesaw estimate and proven lower bound"
+    )
     add_common(p_lambda)
     add_seesaw(p_lambda)
     p_lambda.set_defaults(handler=_cmd_lambda)

@@ -26,6 +26,7 @@ from pptball import (
     minimizer_direction,
     minimum_overlap,
     mixture_tau,
+    prove_product_minimum,
     omega_state,
     sample_hs_density,
     sample_random_product_separable,
@@ -54,15 +55,17 @@ def test_a01_catalog_validity_and_dual_method_overlap():
         assert gram_deviation(upb) < 1e-10
         lam = minimum_overlap(upb)
         grid = grid_minimum_overlap(upb)
+        proof = prove_product_minimum(upb.projector, upb.structure, lam.value)
         assert lam.value > 0.0
         assert lam.converged
         assert abs(lam.value - grid.value) < tol
-        results[upb.name] = (lam.value, abs(lam.value - grid.value))
+        assert 0.0 <= lam.value - proof.lower < tol
+        results[upb.name] = (lam.value, abs(lam.value - grid.value), lam.value - proof.lower)
     elapsed = time.monotonic() - start
     assert elapsed <= 120.0
     detail = ", ".join(
-        f"{name} lambda={val:.9f} (|seesaw-grid|={agree:.1e})"
-        for name, (val, agree) in results.items()
+        f"{name} lambda={val:.9f} (|seesaw-grid|={agree:.1e}, seesaw-proven={gap:.1e})"
+        for name, (val, agree, gap) in results.items()
     )
     print(f"[PASS] criterion 1: catalog validity + dual-method overlap "
           f"({detail}; {elapsed:.1f}s)")

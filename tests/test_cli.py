@@ -27,6 +27,9 @@ def test_lambda_complete_basis(tmp_path):
     assert abs(report["lambda"] - 1.0) < 1e-12
     assert report["converged"] is True
     assert report["agreement"] < 1e-10
+    assert report["lambda_lower"] <= report["lambda"]
+    assert report["proof_cells"] == 0
+    assert "grid_oracle_value" not in report
 
 
 def test_lambda_tiles_dual_method(tmp_path):
@@ -35,6 +38,9 @@ def test_lambda_tiles_dual_method(tmp_path):
     report = json.loads(path.read_text())
     assert report["agreement"] < 1e-6
     assert len(report["minimizer_vectors"]) == 2
+    assert report["lambda_lower"] <= report["lambda"]
+    assert report["agreement"] == report["lambda"] - report["lambda_lower"]
+    assert report["proof_cells"] > 0
 
 
 def test_lambda_shifts_multipartite(tmp_path):
@@ -44,6 +50,8 @@ def test_lambda_shifts_multipartite(tmp_path):
     assert report["lambda"] > 0
     assert len(report["minimizer_vectors"]) == 3
     assert report["agreement"] < 1e-5
+    assert report["lambda_lower"] <= report["lambda"]
+    assert report["proof_cells"] > 0
 
 
 def test_lambda_non_convergence_exit(tmp_path):
@@ -53,6 +61,19 @@ def test_lambda_non_convergence_exit(tmp_path):
     assert code == 3
     report = json.loads(path.read_text())
     assert report["converged"] is False
+    # The proof's cell centres find what the two short restarts missed.
+    assert report["lambda_lower"] <= report["lambda"]
+    assert report["proof_cells"] > 0
+
+
+def test_lambda_proof_out_of_cells_exits_4(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr("pptball.witness.PROOF_MAX_CELLS", 10)
+    code, path = run(tmp_path, "lambda", "--upb", "tiles", "--restarts", "5")
+    assert code == 4
+    err = capsys.readouterr().err
+    assert err.startswith("internal error: ") and err.count("\n") == 1
+    assert "PROOF_MAX_CELLS" in err
+    assert not path.exists()
 
 
 def test_unknown_upb_is_usage_error(tmp_path, capsys):

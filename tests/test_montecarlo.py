@@ -358,3 +358,14 @@ grid_minimum_overlap(build_complete_basis((2, 2)))
 print("scipy.optimize" in sys.modules)
 """
     assert _probe(probe) == ["False", "True"]
+
+
+def test_lambda_command_leaves_scipy_unloaded():
+    probe = """
+import os, sys, tempfile
+from pptball.cli import main
+out = os.path.join(tempfile.mkdtemp(), "lambda.json")
+code = main(["lambda", "--upb", "shifts", "--restarts", "20", "--output", out])
+print(code, [m for m in sys.modules if m == "scipy" or m.startswith("scipy.")])
+"""
+    assert _probe(probe) == ["0", "[]"]

@@ -1,5 +1,10 @@
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pptball import (
     DensityMatrix,
@@ -12,6 +17,7 @@ from pptball import (
     eig_hermitian,
     minimum_overlap,
     omega_state,
+    prove_product_minimum,
     witness_from_operator,
     witness_value,
 )
@@ -20,7 +26,8 @@ from pptball.montecarlo import (
     sample_hs_density,
     sample_random_product_separable,
 )
-from pptball.witness import _seesaw_once
+from pptball import witness
+from pptball.witness import PROOF_ROUND, _lowest_eigenvalues, _seesaw_once
 
 QUICK = SeesawConfig(restarts=40)
 
@@ -183,3 +190,240 @@ def test_spectral_split_diagonal_example(tiles_witness):
     assert abs(split.max_pos_eigenvalue - 0.75) < 1e-14
     split = witness_from_operator(tiles_witness)
     assert abs(split.pos_part_trace - split.neg_part_trace - 1.0) < 1e-10
+
+
+# Minimum product overlaps of two catalog sets, from the seesaw.
+LAMBDA_REF = {"tiles": 0.028416213335730, "shifts": 0.081441346456309}
+
+
+def _random_hermitian(dim, rng):
+    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    return HermitianOperator((g + g.conj().T) / 2)
+
+
+def _random_products(dims, count, rng):
+    """``count`` random unit product vectors, shape (count, prod(dims))."""
+    out = np.ones((count, 1), dtype=complex)
+    for d in dims:
+        v = rng.standard_normal((count, d)) + 1j * rng.standard_normal((count, d))
+        v /= np.linalg.norm(v, axis=1, keepdims=True)
+        out = (out[:, :, None] * v[:, None, :]).reshape(count, -1)
+    return out
+
+
+def _product_seesaw(w, dims, rng, restarts=4, sweeps=40):
+    """The smallest <W> an alternating descent over product states reaches."""
+    n = len(dims)
+    tensor = w.matrix.reshape(dims + dims)
+    best = np.inf
+    for _ in range(restarts):
+        vecs = [_random_products((d,), 1, rng)[0] for d in dims]
+        for _ in range(sweeps):
+            for k in range(n):
+                order = [j for j in range(n) if j != k] + [k]
+                rest = np.ones(1, dtype=complex)
+                for j in order[:-1]:
+                    rest = np.kron(rest, vecs[j])
+                t = tensor.transpose(order + [n + j for j in order])
+                t = t.reshape(rest.size, dims[k], rest.size, dims[k])
+                vals, evecs = np.linalg.eigh(np.einsum("i,iajb,j->ab", rest.conj(), t, rest))
+                vecs[k] = evecs[:, 0]
+        best = min(best, float(vals[0]))
+    return best
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), dims=st.sampled_from([(2, 2), (2, 3), (2, 2, 2)]))
+def test_proof_is_below_every_product_value(seed, dims):
+    rng = np.random.default_rng(seed)
+    w = _random_hermitian(int(np.prod(dims)), rng)
+    upper = _product_seesaw(w, dims, rng)
+    # A loose gap keeps the cell counts small.
+    gap = 1e-3
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(witness, "PROOF_GAP", gap)
+        proof = prove_product_minimum(w, HilbertStructure(dims), upper)
+    assert proof.lower <= upper
+    assert proof.upper - gap <= proof.lower <= proof.upper
+    vecs = _random_products(dims, 2000, rng)
+    values = np.einsum("ni,ij,nj->n", vecs.conj(), w.matrix, vecs).real
+    assert proof.lower <= values.min()
+
+
+def test_proof_lowers_a_target_above_the_minimum(monkeypatch, tiles, tiles_lambda):
+    # Starting 1e-3 too high, the target follows the cell centres down to
+    # within the gap of the minimum.
+    gap = 1e-6
+    monkeypatch.setattr(witness, "PROOF_GAP", gap)
+    proof = prove_product_minimum(tiles.projector, tiles.structure, tiles_lambda.value + 1e-3)
+    assert proof.upper < tiles_lambda.value + gap
+    assert proof.lower <= tiles_lambda.value
+    assert proof.lower >= proof.upper - gap
+
+
+def test_proof_cells_do_not_depend_on_the_block_size(monkeypatch, tiles, shifts):
+    monkeypatch.setattr(witness, "PROOF_GAP", 1e-3)
+    for upb in (tiles, shifts):
+        runs = []
+        for block in (2**15, 2**20):
+            monkeypatch.setattr(witness, "PROOF_BLOCK_BYTES", block)
+            lam = LAMBDA_REF[upb.name]
+            runs.append(prove_product_minimum(upb.projector, upb.structure, lam))
+        assert runs[0] == runs[1]
+        assert runs[0].cells > 0
+
+
+def test_proof_memory_is_a_few_vertex_blocks(monkeypatch, tiles, shifts):
+    # A block's vertex matrices, its vertex vectors and their differences
+    # each take about PROOF_BLOCK_BYTES; the level's cells take far less.
+    assert witness.PROOF_BLOCK_BYTES <= 2**19
+    limit = 8 * witness.PROOF_BLOCK_BYTES
+    monkeypatch.setattr(witness, "PROOF_GAP", 1e-4)
+    for upb in (tiles, shifts):
+        tracemalloc.start()
+        try:
+            prove_product_minimum(upb.projector, upb.structure, LAMBDA_REF[upb.name])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < limit, f"{upb.name}: peak {peak / 2**20:.1f} MiB"
+
+
+@pytest.mark.parametrize("dims", [(3,), (4,)])
+def test_single_party_proof_is_the_lowest_eigenvalue(dims):
+    w = _random_hermitian(dims[0], np.random.default_rng(dims[0]))
+    lowest = float(np.linalg.eigvalsh(w.matrix)[0])
+    proof = prove_product_minimum(w, HilbertStructure(dims), lowest + 1.0)
+    assert abs(proof.lower - lowest) < 1e-10
+    assert proof.lower <= lowest
+    assert proof.upper == lowest and proof.cells == 0
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3), (2, 2, 2)])
+def test_complete_basis_proof_is_one(dims):
+    upb = build_complete_basis(dims)
+    proof = prove_product_minimum(upb.projector, upb.structure, 1.0)
+    assert 1.0 - 1e-10 < proof.lower <= 1.0
+    assert proof.cells == 0
+
+
+def test_proof_rejects_bad_input(tiles):
+    with pytest.raises(ValueError, match="mismatch"):
+        prove_product_minimum(tiles.projector, HilbertStructure((2, 2)), 0.1)
+    for upper in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            prove_product_minimum(tiles.projector, tiles.structure, upper)
+
+
+def _leaf_cells(monkeypatch, upb, lam):
+    """Cells of the last block the proof examined, with their vertex offsets and matrices."""
+    seen = []
+    stack_of = witness._vertex_stack
+
+    def record(dims, charts, centres, offsets, centre, y, n_c):
+        out = stack_of(dims, charts, centres, offsets, centre, y, n_c)
+        seen.append((charts, centres, offsets, out[0]))
+        return out
+
+    monkeypatch.setattr(witness, "_vertex_stack", record)
+    prove_product_minimum(upb.projector, upb.structure, lam)
+    return seen[-1]
+
+
+def _interval_cholesky_succeeds(matrix):
+    """True if every real symmetric matrix in the interval matrix is positive definite."""
+    from mpmath import iv
+
+    n = len(matrix)
+    low = [[None] * n for _ in range(n)]
+    for k in range(n):
+        pivot = matrix[k][k] - sum((low[k][m] ** 2 for m in range(k)), iv.mpf(0))
+        if not pivot.a > 0:
+            return False
+        low[k][k] = iv.sqrt(pivot)
+        for i in range(k + 1, n):
+            acc = matrix[i][k] - sum((low[i][m] * low[k][m] for m in range(k)), iv.mpf(0))
+            low[i][k] = acc / low[k][k]
+    return True
+
+
+def _interval_vertex_matrix(h4, dims, chart, centre, offset):
+    """L_v = X(Phi_c, Phi_v) + X(Phi_v, Phi_c) - N(Phi_c) in interval arithmetic.
+
+    Complex numbers are (re, im) pairs of intervals; ``h4`` is W as
+    (D', d, D', d) and every float input is taken as exact.
+    """
+    from mpmath import iv
+
+    def vectors(coords):
+        out = [(iv.mpf(1), iv.mpf(0))]
+        start = 0
+        for j, d in enumerate(dims):
+            z = [(iv.mpf(coords[start + 2 * m]), iv.mpf(coords[start + 2 * m + 1]))
+                 for m in range(d - 1)]
+            vec = z[: chart[j]] + [(iv.mpf(1), iv.mpf(0))] + z[chart[j] :]
+            out = [(a * c - b * e, a * e + b * c) for a, b in out for c, e in vec]
+            start += 2 * (d - 1)
+        return out
+
+    c, v = vectors(centre), vectors(centre + offset)
+    # coef[i][j] = conj(c_i) v_j + conj(v_i) c_j - conj(c_i) c_j
+    coef = [
+        [
+            (
+                c[i][0] * v[j][0] + c[i][1] * v[j][1] + v[i][0] * c[j][0] + v[i][1] * c[j][1]
+                - c[i][0] * c[j][0] - c[i][1] * c[j][1],
+                c[i][0] * v[j][1] - c[i][1] * v[j][0] + v[i][0] * c[j][1] - v[i][1] * c[j][0]
+                - c[i][0] * c[j][1] + c[i][1] * c[j][0],
+            )
+            for j in range(len(c))
+        ]
+        for i in range(len(c))
+    ]
+    rest, last = h4.shape[0], h4.shape[1]
+    out = []
+    for a in range(last):
+        row = []
+        for b in range(last):
+            re, im = iv.mpf(0), iv.mpf(0)
+            for i in range(rest):
+                for j in range(rest):
+                    h = h4[i, a, j, b]
+                    re += coef[i][j][0] * h.real - coef[i][j][1] * h.imag
+                    im += coef[i][j][0] * h.imag + coef[i][j][1] * h.real
+            row.append((re, im))
+        out.append(row)
+    return out
+
+
+@pytest.mark.parametrize("name", ["tiles", "shifts"])
+def test_rounding_margin_covers_leaf_vertex_eigenvalues(monkeypatch, name, tiles, shifts):
+    from mpmath import iv
+
+    upb = {"tiles": tiles, "shifts": shifts}[name]
+    charts, centres, offsets, stack = _leaf_cells(monkeypatch, upb, LAMBDA_REF[name])
+    dims, last = upb.structure.local_dims[:-1], upb.structure.local_dims[-1]
+    rest = upb.total_dim // last
+    h4 = ((upb.projector.matrix + upb.projector.matrix.conj().T) / 2).reshape(rest, last, rest, last)
+    floats = _lowest_eigenvalues(stack)
+    vertex_offsets = [np.concatenate(combo) for combo in itertools.product(*offsets)]
+    monkeypatch.setattr(iv, "prec", 200)
+    checked = 0
+    for cell in np.linspace(0, charts.shape[0] - 1, 2).astype(int):
+        for v, offset in enumerate(vertex_offsets):
+            m = _interval_vertex_matrix(h4, dims, charts[cell], centres[cell], offset)
+            for shift, proven in ((floats[cell, v] - PROOF_ROUND, True),
+                                  (floats[cell, v] + 1e-9, False)):
+                # Real embedding [[Re, -Im], [Im, Re]] of M - shift I: same
+                # eigenvalues, each twice.
+                real = [[None] * (2 * last) for _ in range(2 * last)]
+                for a in range(last):
+                    for b in range(last):
+                        re, im = m[a][b]
+                        if a == b:
+                            re = re - iv.mpf(shift)
+                        real[a][b] = real[a + last][b + last] = re
+                        real[a + last][b], real[a][b + last] = im, -im
+                assert _interval_cholesky_succeeds(real) is proven, (cell, v, shift)
+            checked += 1
+    assert checked == 2 * len(vertex_offsets)
