@@ -154,17 +154,20 @@ def _cmd_upb_list(args) -> int:
 
 
 def _cmd_lambda(args) -> int:
-    """The seesaw's lambda, an upper estimate, and the proven lower bound below it.
+    """The least product overlap found, an upper estimate, and the proven lower bound below it.
 
-    ``agreement`` is lambda - lambda_lower >= 0: the width of the interval
-    that holds the true minimum product overlap.
+    ``lambda`` is the proof's ``upper``: the seesaw's value, or a proof cell
+    centre's when that is lower.  ``minimizer_vectors`` and
+    ``distinct_minimizers`` stay the seesaw's.  ``agreement`` is
+    lambda - lambda_lower >= 0: the width of the interval that holds the
+    true minimum product overlap.
     """
     upb = get_upb(args.upb)
     lam = minimum_overlap(upb, _seesaw_cfg(args))
     proof = prove_product_minimum(upb.projector, upb.structure, lam.value)
     report = _header("lambda")
     report["config"] = _config(args)
-    report["lambda"] = lam.value
+    report["lambda"] = proof.upper
     report["restarts"] = args.restarts
     report["converged"] = lam.converged
     report["minimizer_vectors"] = [
@@ -173,7 +176,7 @@ def _cmd_lambda(args) -> int:
     report["distinct_minimizers"] = len(lam.minimizers)
     report["lambda_lower"] = proof.lower
     report["proof_cells"] = proof.cells
-    report["agreement"] = lam.value - proof.lower
+    report["agreement"] = proof.upper - proof.lower
     _emit(report, args.format, args.output)
     return EXIT_OK if lam.converged else EXIT_NO_CONVERGENCE
 
@@ -311,7 +314,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_list.set_defaults(handler=_cmd_upb_list)
 
     p_lambda = sub.add_parser(
-        "lambda", help="minimum product overlap: seesaw estimate and proven lower bound"
+        "lambda",
+        help="minimum product overlap: least value found (seesaw or proof) and proven lower bound",
     )
     add_common(p_lambda)
     add_seesaw(p_lambda)

@@ -47,9 +47,22 @@ PROOF_GAP = 1e-8
 # |delta lambda| <= (c1 + c2) u ||M||.  PROOF_ROUND = 1e-12 allows c1 + c2 up
 # to about 9000; for the catalog sets (at most 9 terms per entry, order 3)
 # they are a few tens.  The same margin, scaled by ||W||, covers lambda_min(W).
+# Before the vertex eigensolve (last party of dimension d > 2), a cell is
+# tested by the Rayleigh quotients u^dag L_v u of its centre's lowest
+# eigenvector u, each at least lambda_min(L_v) (Courant-Fischer).  The
+# computed quotient and the computed eigenvalue each lie within one margin of
+# their exact values, so a cell whose quotients miss the eigensolve's test by
+# two margins fails that test too: refuting it skips the cell's vertex
+# eigensolves and changes no result.
 PROOF_ROUND = 1e-12
-# Bytes of vertex matrices one block of cells holds (512 KiB).
-PROOF_BLOCK_BYTES = 2**19
+# Bytes of vertex matrices one block of cells holds (128 KiB).  A block's
+# vertex matrices are built in one array, only for the cells the Rayleigh
+# quotients leave, and its arrays are freed before the next block's, so a
+# proof's traced peak is a few blocks: 0.34 MiB on tiles and 0.57 MiB on
+# shifts, against 0.9 and 1.65 MiB at 2**19.  Smaller blocks add per-block
+# overhead: one tiles proof took 1.06 s at 2**17, 1.35 s at 2**16 and 1.67 s
+# at 2**15 (2-vCPU VM, one BLAS thread).
+PROOF_BLOCK_BYTES = 2**17
 # Cells a proof may examine before it gives up with RuntimeError.
 PROOF_MAX_CELLS = 2_000_000
 
@@ -192,21 +205,29 @@ def _chart_vectors(d: int, charts: np.ndarray, coords: np.ndarray) -> np.ndarray
     return np.take_along_axis(base, pos[charts][:, None, :], axis=2)
 
 
-def _product_vectors(dims, charts: np.ndarray, centres: np.ndarray, offsets) -> np.ndarray:
-    """Kronecker products of the chart vectors at centre + offset, shape (C, V, prod(dims)).
+def _product_vectors(dims, charts: np.ndarray, centres: np.ndarray, offsets):
+    """Kronecker products of the chart vectors at the cell centres and at centre + offset.
 
-    ``offsets[j]`` (V_j, 2(d_j - 1)) lists party j's offsets; the V = prod V_j
-    products run over every combination, party 0 slowest.
+    ``offsets[j]`` (V_j, 2(d_j - 1)) lists party j's offsets.  Returns the
+    centre products Phi_c, shape (C, 1, D'), and the V = prod V_j vertex
+    products Phi_v, shape (C, V, D'), which run over every combination,
+    party 0 slowest.
     """
-    out = np.ones((charts.shape[0], 1, 1), dtype=complex)
+    centre = vertex = np.ones((charts.shape[0], 1, 1), dtype=complex)
     start = 0
     for j, (d, off) in enumerate(zip(dims, offsets)):
-        coords = centres[:, None, start : start + 2 * (d - 1)] + off
-        vec = _chart_vectors(d, charts[:, j], coords)
-        out = out[:, :, None, :, None] * vec[:, None, :, None, :]
-        out = out.reshape(out.shape[0], out.shape[1] * out.shape[2], -1)
+        # Row 0 is the centre, the rows after it the vertices.
+        off = np.vstack([np.zeros_like(off[:1]), off])
+        vec = _chart_vectors(d, charts[:, j], centres[:, None, start : start + 2 * (d - 1)] + off)
+        centre, vertex = _kron_rows(centre, vec[:, :1]), _kron_rows(vertex, vec[:, 1:])
         start += 2 * (d - 1)
-    return out
+    return centre, vertex
+
+
+def _kron_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Kronecker products of each row of a (C, A, m) with each row of b (C, B, k): (C, AB, mk)."""
+    out = a[:, :, None, :, None] * b[:, None, :, None, :]
+    return out.reshape(out.shape[0], out.shape[1] * out.shape[2], -1)
 
 
 def _signs(n: int) -> np.ndarray:
@@ -222,31 +243,86 @@ def _lowest_eigenvalues(m: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(m)[..., 0]
 
 
-def _centre_matrices(h4, dims, charts, centres):
-    """Centre product vectors Phi_c (C, 1, D'), Y = (<Phi_c| x I) W as (C, D', d, d), N(Phi_c)."""
-    centre = _product_vectors(dims, charts, centres, [np.zeros((1, 2 * (d - 1))) for d in dims])
+def _centre_matrices(h4, centre):
+    """Y = (<Phi_c| x I) W as (C, D', d, d) and N(Phi_c) = Y contracted with Phi_c, (C, d, d)."""
     y = np.einsum("ci,ijab->cjab", centre[:, 0].conj(), h4)
     flat = y.reshape(y.shape[0], y.shape[1], -1)
-    return centre, y, np.matmul(centre, flat).reshape(y.shape[0], *y.shape[2:])
+    return y, np.matmul(centre, flat).reshape(y.shape[0], *y.shape[2:])
 
 
-def _vertex_stack(dims, charts, centres, offsets, centre, y, n_c):
-    """Vertex matrices of a block of cells and the vertex scale factors.
+def _vertex_offsets(vertex, centre):
+    """Turn the vertex products Phi_v into the offsets Delta = Phi_v - Phi_c, in place.
 
-    With Delta = Phi_v - Phi_c at vertex v, returns
-    L_v = N(Phi_c) + X(Phi_c, Delta) + X(Delta, Phi_c), shape (C, V, d, d),
-    where X(A, B) = (<A| x I) W (|B> x I), and the linear part
+    Returns Delta, shape (C, V, D'), and the linear part
     s_v = |Phi_c|^2 + 2 Re <Phi_c|Delta> of |Phi_v|^2, shape (C, V).
     """
-    delta = _product_vectors(dims, charts, centres, offsets) - centre
-    x = np.matmul(delta, y.reshape(y.shape[0], y.shape[1], -1))
-    x = x.reshape(delta.shape[:2] + y.shape[2:])
-    stack = x.conj().swapaxes(-1, -2)
-    stack += x
-    stack += n_c[:, None]
+    delta = vertex
+    delta -= centre
     cross = np.matmul(delta, centre.conj().swapaxes(1, 2))[..., 0].real
     s = np.matmul(centre.conj(), centre.swapaxes(1, 2))[..., 0].real + 2 * cross
-    return stack, s
+    return delta, s
+
+
+def _rayleigh_bounds(n_c, y, centre, delta):
+    """u^dag L_v u >= lambda_min(L_v) for every vertex of a block, shape (C, V).
+
+    u is the lowest eigenvector of N(Phi_c).  With z_j = u^dag y_j u,
+    u^dag L_v u = u^dag N(Phi_c) u + 2 Re(Delta_v . z), so no vertex matrix
+    is formed.
+    """
+    u = np.linalg.eigh(n_c)[1][..., 0]
+    z = np.einsum("ca,cjab,cb->cj", u.conj(), y, u)
+    centre_value = np.einsum("cj,cj->c", centre[:, 0], z).real
+    return centre_value[:, None] + 2 * np.matmul(delta, z[..., None])[..., 0].real
+
+
+def _vertex_stack(delta, y, n_c):
+    """Vertex matrices L_v = N(Phi_c) + X(Phi_c, Delta) + X(Delta, Phi_c), shape (C, V, d, d).
+
+    X(A, B) = (<A| x I) W (|B> x I).  The stack is built in place in the
+    array of X(Phi_c, Delta), and only the triangle ``_lowest_eigenvalues``
+    reads holds L_v: the lower one (eigvalsh), or the upper one for d = 2.
+    Each of its entries is x_ab + conj(x_ba) + N_ab, bit for bit the full
+    Hermitian sum; the other triangle holds x_ab + N_ab.
+    """
+    d = y.shape[-1]
+    x = np.matmul(delta, y.reshape(y.shape[:2] + (d * d,))).reshape(delta.shape[:2] + (d, d))
+    # m[a, b] for a >= b is the entry the solver reads.
+    m = x.swapaxes(-1, -2) if d == 2 else x
+    for a in range(d):
+        m[..., a, : a + 1] += m[..., : a + 1, a].conj()
+    x += n_c[:, None]
+    return x
+
+
+def _examine_block(h4, dims, charts, centres, offsets, radii, t, scale, curvature):
+    """Cells of one block whose vertex bound fails at t, and their least centre value.
+
+    ``scale`` is PROOF_ROUND (||W|| + |t|) and ``curvature`` is
+    min(lambda_min(W) - t, 0).  The block's arrays live in this frame, so
+    they are freed before the next block allocates its own.
+    """
+    starts = np.cumsum([0] + [2 * (d - 1) for d in dims[:-1]])
+    norms = np.sqrt(1.0 + np.add.reduceat(centres**2, starts, axis=1))
+    centre, delta = _product_vectors(dims, charts, centres, offsets)
+    delta, s = _vertex_offsets(delta, centre)
+    y, n_c = _centre_matrices(h4, centre)
+    lowest = float((_lowest_eigenvalues(n_c) / np.prod(norms**2, axis=1)).min())
+    outer = np.prod(norms + radii, axis=1)
+    rho = outer - np.prod(norms, axis=1)
+    margin = scale * outer**2
+    need = margin - curvature * rho**2
+    failed = np.zeros(charts.shape[0], dtype=bool)
+    todo = slice(None)
+    if y.shape[-1] > 2:
+        # A refuted cell fails the vertex eigensolve too (see PROOF_ROUND);
+        # only the others have their vertex matrices built.
+        failed = (_rayleigh_bounds(n_c, y, centre, delta) - t * s).min(axis=1) < need - 2 * margin
+        todo = np.flatnonzero(~failed)
+        delta, y, n_c = delta[todo], y[todo], n_c[todo]
+    lowest_v = _lowest_eigenvalues(_vertex_stack(delta, y, n_c))
+    failed[todo] = (lowest_v - t * s[todo]).min(axis=1) < need[todo]
+    return failed, lowest
 
 
 def prove_product_minimum(
@@ -266,7 +342,10 @@ def prove_product_minimum(
     plus N(Delta) >= min(lambda_min(W) - t, 0) rho^2 I, with
     rho = prod(|c_j| + r_j) - prod |c_j| >= |Delta|.  A cell whose vertex
     minimum clears that remainder and the rounding margin is proven; the
-    others are halved.  The cells of one level share their size and t, so
+    others are halved.  When d > 2 for the last party, the Rayleigh quotients
+    of the centre's lowest eigenvector refute most failing cells first, so
+    only the others have their vertex matrices built and solved; the margin
+    makes the result the same.  The cells of one level share their size and t, so
     the cell count does not depend on PROOF_BLOCK_BYTES.  ``lower`` is the
     last t, or lambda_min(W) less the margin when that is larger: it bounds
     every state.  Raises RuntimeError after PROOF_MAX_CELLS cells.
@@ -307,19 +386,14 @@ def prove_product_minimum(
             )
         offsets = [_signs(b - a) * half[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
         radii = np.array([np.linalg.norm(half[a:b]) for a, b in zip(bounds[:-1], bounds[1:])])
+        scale, curvature = PROOF_ROUND * (norm_w + abs(t)), min(lam_w - t, 0.0)
         failed = np.empty(charts.shape[0], dtype=bool)
         for start in range(0, charts.shape[0], block):
-            ch, ce = charts[start : start + block], centres[start : start + block]
-            norms = np.sqrt(1.0 + np.add.reduceat(ce**2, bounds[:-1], axis=1))
-            centre, y, n_c = _centre_matrices(h4, dims, ch, ce)
-            centre_sq = np.prod(norms**2, axis=1)
-            lam_c = _lowest_eigenvalues(n_c)
-            best = min(best, float((lam_c / centre_sq).min()))
-            outer = np.prod(norms + radii, axis=1)
-            rho = outer - np.prod(norms, axis=1)
-            need = PROOF_ROUND * (norm_w + abs(t)) * outer**2 - min(lam_w - t, 0.0) * rho**2
-            stack, s = _vertex_stack(dims, ch, ce, offsets, centre, y, n_c)
-            failed[start : start + block] = (_lowest_eigenvalues(stack) - t * s).min(axis=1) < need
+            part = slice(start, start + block)
+            failed[part], lowest = _examine_block(
+                h4, dims, charts[part], centres[part], offsets, radii, t, scale, curvature
+            )
+            best = min(best, lowest)
         # Every cell of a level has the same size, so the widest axis (the
         # first, on ties) cycles through the coordinates.
         axis = level % n_coords

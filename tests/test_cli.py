@@ -4,6 +4,7 @@ import json
 import pytest
 
 from pptball.cli import _flatten, main
+from pptball.witness import PROOF_GAP
 
 
 def run(tmp_path, *argv, name="out.json"):
@@ -64,6 +65,19 @@ def test_lambda_non_convergence_exit(tmp_path):
     # The proof's cell centres find what the two short restarts missed.
     assert report["lambda_lower"] <= report["lambda"]
     assert report["proof_cells"] > 0
+
+
+def test_lambda_reports_the_proofs_incumbent(tmp_path, tiles_lambda):
+    # Two one-sweep restarts stop well above the minimum; the proof's cell
+    # centres find it, and lambda and agreement are read from that value.
+    code, path = run(
+        tmp_path, "lambda", "--upb", "tiles", "--restarts", "2", "--max-iters", "1"
+    )
+    assert code == 3
+    report = json.loads(path.read_text())
+    assert abs(report["lambda"] - tiles_lambda.value) < 1e-8
+    assert report["agreement"] == report["lambda"] - report["lambda_lower"]
+    assert report["agreement"] <= 2 * PROOF_GAP
 
 
 def test_lambda_proof_out_of_cells_exits_4(tmp_path, capsys, monkeypatch):

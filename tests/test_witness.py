@@ -274,10 +274,11 @@ def test_proof_cells_do_not_depend_on_the_block_size(monkeypatch, tiles, shifts)
 
 
 def test_proof_memory_is_a_few_vertex_blocks(monkeypatch, tiles, shifts):
-    # A block's vertex matrices, its vertex vectors and their differences
-    # each take about PROOF_BLOCK_BYTES; the level's cells take far less.
-    assert witness.PROOF_BLOCK_BYTES <= 2**19
-    limit = 8 * witness.PROOF_BLOCK_BYTES
+    # A block's vertex matrices and its vertex offsets each take at most about
+    # PROOF_BLOCK_BYTES; the level's cells take far less.  The default block
+    # keeps a proof's traced peak below 1 MiB.
+    assert witness.PROOF_BLOCK_BYTES <= 2**17
+    limit = min(8 * witness.PROOF_BLOCK_BYTES, 2**20)
     monkeypatch.setattr(witness, "PROOF_GAP", 1e-4)
     for upb in (tiles, shifts):
         tracemalloc.start()
@@ -286,7 +287,90 @@ def test_proof_memory_is_a_few_vertex_blocks(monkeypatch, tiles, shifts):
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < limit, f"{upb.name}: peak {peak / 2**20:.1f} MiB"
+        assert peak < limit, f"{upb.name}: peak {peak / 2**20:.2f} MiB"
+
+
+def _no_refutation(n_c, y, centre, delta):
+    """A Rayleigh bound that refutes nothing: every cell goes to the vertex eigensolve."""
+    return np.full(delta.shape[:2], np.inf)
+
+
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), dims=st.sampled_from([(3, 3), (2, 3), (3, 2, 3)]))
+def test_rayleigh_refutation_changes_no_cell(seed, dims):
+    # Every cell the Rayleigh quotient refutes also fails the full vertex
+    # eigensolve: each block's failed cells, and so the whole proof, are the
+    # same with the refutation on and off.  Three-party proofs on a random W
+    # need hundreds of thousands of cells, so they stop after a few thousand.
+    rng = np.random.default_rng(seed)
+    w = _random_hermitian(int(np.prod(dims)), rng)
+    upper = _product_seesaw(w, dims, rng, restarts=2)
+    norm_w = float(np.abs(np.linalg.eigvalsh(w.matrix)).max())
+    examine = witness._examine_block
+
+    def both(h4, dims, charts, centres, offsets, *rest):
+        failed, lowest = examine(h4, dims, charts, centres, offsets, *rest)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(witness, "_rayleigh_bounds", _no_refutation)
+            plain = examine(h4, dims, charts, centres, offsets, *rest)
+        np.testing.assert_array_equal(failed, plain[0])
+        assert lowest == plain[1]
+        # What the refutation rests on, vertex by vertex: the computed lowest
+        # eigenvalue is at most the Rayleigh quotient, up to rounding.
+        centre, vertex = witness._product_vectors(dims, charts, centres, offsets)
+        y, n_c = witness._centre_matrices(h4, centre)
+        delta, _ = witness._vertex_offsets(vertex, centre)
+        quotient = witness._rayleigh_bounds(n_c, y, centre, delta)
+        lowest_v = _lowest_eigenvalues(witness._vertex_stack(delta, y, n_c))
+        size = np.linalg.norm(centre, axis=2) + np.linalg.norm(delta, axis=2).max(axis=1)[:, None]
+        assert np.all(lowest_v <= quotient + PROOF_ROUND * norm_w * size**2)
+        return failed, lowest
+
+    def prove(name, replacement):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(witness, "PROOF_GAP", 1e-3)
+            mp.setattr(witness, "PROOF_MAX_CELLS", 50_000 if len(dims) == 2 else 3_000)
+            mp.setattr(witness, name, replacement)
+            try:
+                return prove_product_minimum(w, HilbertStructure(dims), upper)
+            except RuntimeError:
+                return None
+
+    proof = prove("_examine_block", both)
+    assert proof == prove("_rayleigh_bounds", _no_refutation)
+    assert proof is not None or len(dims) == 3
+
+
+@pytest.mark.parametrize(
+    "name, cells", [("tiles", 26637), ("pyramid", 32973), ("shifts", 83840)]
+)
+def test_catalog_proof_cells_are_pinned(name, cells, request, monkeypatch):
+    # At the seed-0 seesaw lambda.  On tiles and pyramid the Rayleigh
+    # quotient refutes most failing cells before their vertex eigensolve;
+    # on shifts (d = 2) every cell goes to the closed form.
+    upb, lam = request.getfixturevalue(name), request.getfixturevalue(f"{name}_lambda")
+    examine, stack_of = witness._examine_block, witness._vertex_stack
+    failed, solved = [], []
+
+    def count_failed(*args):
+        out = examine(*args)
+        failed.append(int(out[0].sum()))
+        return out
+
+    def count_solved(delta, y, n_c):
+        solved.append(delta.shape[0])
+        return stack_of(delta, y, n_c)
+
+    monkeypatch.setattr(witness, "_examine_block", count_failed)
+    monkeypatch.setattr(witness, "_vertex_stack", count_solved)
+    proof = prove_product_minimum(upb.projector, upb.structure, lam.value)
+    assert proof.cells == cells
+    assert proof.upper == lam.value
+    refuted = cells - sum(solved)
+    if name == "shifts":
+        assert refuted == 0
+    else:
+        assert refuted > 0.8 * sum(failed)
 
 
 @pytest.mark.parametrize("dims", [(3,), (4,)])
@@ -316,18 +400,25 @@ def test_proof_rejects_bad_input(tiles):
 
 
 def _leaf_cells(monkeypatch, upb, lam):
-    """Cells of the last block the proof examined, with their vertex offsets and matrices."""
+    """Cells of the last block the proof examined, with their vertex offsets and matrices.
+
+    The matrices are rebuilt by the helpers the proof uses, for every cell
+    of the block, whether or not the Rayleigh quotient refuted it.
+    """
     seen = []
-    stack_of = witness._vertex_stack
+    examine = witness._examine_block
 
-    def record(dims, charts, centres, offsets, centre, y, n_c):
-        out = stack_of(dims, charts, centres, offsets, centre, y, n_c)
-        seen.append((charts, centres, offsets, out[0]))
-        return out
+    def record(h4, dims, charts, centres, offsets, *rest):
+        seen.append((h4, dims, charts, centres, offsets))
+        return examine(h4, dims, charts, centres, offsets, *rest)
 
-    monkeypatch.setattr(witness, "_vertex_stack", record)
+    monkeypatch.setattr(witness, "_examine_block", record)
     prove_product_minimum(upb.projector, upb.structure, lam)
-    return seen[-1]
+    h4, dims, charts, centres, offsets = seen[-1]
+    centre, vertex = witness._product_vectors(dims, charts, centres, offsets)
+    y, n_c = witness._centre_matrices(h4, centre)
+    delta, _ = witness._vertex_offsets(vertex, centre)
+    return charts, centres, offsets, witness._vertex_stack(delta, y, n_c)
 
 
 def _interval_cholesky_succeeds(matrix):
