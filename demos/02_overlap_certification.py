@@ -11,7 +11,8 @@ projector is the identity, so the overlap is exactly 1.
 
 import time
 
-from pptball import get_upb, grid_minimum_overlap, minimum_overlap, prove_product_minimum
+from pptball import get_upb, minimum_overlap, prove_product_minimum
+from pptball.gridsearch import grid_minimum_overlap
 
 print(f"{'set':<14}{'proven':>16}{'descent':>16}{'width':>10}{'cells':>8}"
       f"{'grid':>16}{'minimizers':>12}")

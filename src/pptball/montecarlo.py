@@ -46,6 +46,14 @@ def _key(cfg: SamplerConfig, tag: int, trial: int) -> tuple[int, int, int, int]:
     return (cfg.master_seed, cfg.stream_id, tag, trial)
 
 
+def _trial(trial) -> int:
+    """A validated trial index: an integer >= 0."""
+    trial = _integer(trial, "trial")
+    if trial < 0:
+        raise ValueError(f"trial must be nonnegative, got {trial}")
+    return trial
+
+
 def _substream(cfg: SamplerConfig, tag: int, trial: int) -> np.random.Generator:
     return np.random.default_rng(_key(cfg, tag, trial))
 
@@ -90,7 +98,7 @@ def sample_hs_density(
 
     Full rank with probability 1.
     """
-    m = _hs_matrix(structure.total_dim, _substream(cfg, _HS_TAG, trial))
+    m = _hs_matrix(structure.total_dim, _substream(cfg, _HS_TAG, _trial(trial)))
     return DensityMatrix(m, structure)
 
 
@@ -101,9 +109,10 @@ def sample_random_product_separable(
     trial: int = 0,
 ) -> DensityMatrix:
     """Dirichlet-weighted mixture of random product projectors; separable by construction."""
+    mixture_terms = _integer(mixture_terms, "mixture_terms")
     if mixture_terms < 1:
-        raise ValueError("mixture_terms must be at least 1")
-    rng = _substream(cfg, _PRODUCT_TAG, trial)
+        raise ValueError(f"mixture_terms must be at least 1, got {mixture_terms}")
+    rng = _substream(cfg, _PRODUCT_TAG, _trial(trial))
     return DensityMatrix(_product_mixture(structure.local_dims, mixture_terms, rng), structure)
 
 

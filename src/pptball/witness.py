@@ -14,6 +14,7 @@ establishes.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,9 +72,11 @@ PROOF_MAX_CELLS = 2_000_000
 class SeesawConfig:
     """Multistart settings for the alternating minimizer.
 
-    Each restart draws its starting vectors from a generator seeded by
-    (seed, restart index), so results are deterministic for a fixed seed
-    regardless of scheduling.
+    Restart r starts from ``_restart_start(dims, seed, r)``: Haar-uniform
+    vectors drawn from the standard library's ``random.Random`` seeded by
+    the string ``f"{seed}:{r}"``.  Python keeps the ``random()`` sequence of
+    a seed across versions, so results are deterministic for a fixed seed
+    regardless of scheduling, and the descent never loads ``numpy.random``.
     """
 
     restarts: int = 200
@@ -121,22 +124,34 @@ def _party_operator(local_mats, phis, party) -> np.ndarray:
     return (v.T * w) @ v.conj()
 
 
-def _seesaw_once(local_mats, rng, max_iters, init=None):
-    """One descent run; returns (value, local vectors, converged, history)."""
-    dims = [v.shape[1] for v in local_mats]
-    if init is None:
-        phis = []
-        for d in dims:
-            v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-            phis.append(v / np.linalg.norm(v))
-    else:
-        phis = [np.array(v, dtype=complex) for v in init]
+def _restart_start(dims, seed: int, restart: int) -> list[np.ndarray]:
+    """Haar-uniform unit vectors, one per party, that start restart ``restart``.
+
+    Each entry is a standard complex Gaussian by Box-Muller on two uniforms
+    of ``random.Random(f"{seed}:{restart}")``:
+    z = sqrt(-2 ln(1 - u1)) e^(2 pi i u2).  Only (seed, restart) decides them.
+    """
+    gen = random.Random(f"{seed}:{restart}")
+    phis = []
+    for d in dims:
+        u = np.array([gen.random() for _ in range(2 * d)]).reshape(2, d)
+        v = np.sqrt(-2.0 * np.log1p(-u[0])) * np.exp(2j * np.pi * u[1])
+        phis.append(v / np.linalg.norm(v))
+    return phis
+
+
+def _seesaw_once(local_mats, start, max_iters):
+    """One descent run from the local vectors ``start``.
+
+    Returns (value, local vectors, converged, history).
+    """
+    phis = [np.array(v, dtype=complex) for v in start]
     value = _objective(local_mats, phis)
     history = [value]
     converged = False
     for _ in range(max_iters):
         before = value
-        for k in range(len(dims)):
+        for k in range(len(phis)):
             m = _party_operator(local_mats, phis, k)
             vals, vecs = np.linalg.eigh(m)
             phis[k] = vecs[:, 0]
@@ -155,10 +170,11 @@ def minimum_overlap(upb: UPBSet, cfg: SeesawConfig | None = None) -> LambdaResul
     """
     cfg = cfg or SeesawConfig()
     local_mats = [upb.local_matrix(k) for k in range(upb.n_parties)]
+    dims = upb.structure.local_dims
     finals = []
     for r in range(cfg.restarts):
-        rng = np.random.default_rng([cfg.seed, r])
-        value, phis, conv, _ = _seesaw_once(local_mats, rng, cfg.max_iters)
+        start = _restart_start(dims, cfg.seed, r)
+        value, phis, conv, _ = _seesaw_once(local_mats, start, cfg.max_iters)
         finals.append((value, phis, conv))
     finals.sort(key=lambda item: item[0])
     best_value, best_phis, best_conv = finals[0]

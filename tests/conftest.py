@@ -7,10 +7,10 @@ from pptball import (
     build_tiles,
     build_witness,
     certify,
-    grid_minimum_overlap,
     minimum_overlap,
     omega_state,
 )
+from pptball.gridsearch import grid_minimum_overlap
 
 
 @pytest.fixture(scope="session")

@@ -19,7 +19,6 @@ from pptball import (
     crossing_x0,
     eig_hermitian,
     entanglement_threshold,
-    grid_minimum_overlap,
     in_gurvits_ball,
     is_ppt,
     min_pt_eigenvalue,
@@ -36,6 +35,7 @@ from pptball import (
     witness_value,
 )
 from pptball.cli import main
+from pptball.gridsearch import grid_minimum_overlap
 
 
 def gram_deviation(upb):

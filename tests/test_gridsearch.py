@@ -3,8 +3,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from pptball import UPBSet, build_complete_basis, grid_minimum_overlap, gridsearch
-from pptball.gridsearch import _angles_to_state, _grid_states
+from pptball import UPBSet, build_complete_basis, gridsearch
+from pptball.gridsearch import _angles_to_state, _grid_states, grid_minimum_overlap
 
 
 def test_angle_parameterization_is_normalized():

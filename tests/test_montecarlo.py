@@ -85,6 +85,38 @@ def test_sampler_config_validation():
             lambda cert: ball_fraction_estimate(cert.member(0.9), 2.0, 10, SamplerConfig(0)),
             "radius must lie in",
         ),
+        (
+            lambda cert: sample_hs_density(cert.omega.structure, SamplerConfig(0), trial=1.5),
+            "trial must be an integer",
+        ),
+        (
+            lambda cert: sample_hs_density(cert.omega.structure, SamplerConfig(0), trial=-1),
+            "trial must be nonnegative",
+        ),
+        (
+            lambda cert: sample_random_product_separable(
+                cert.omega.structure, 2, SamplerConfig(0), trial=1.5
+            ),
+            "trial must be an integer",
+        ),
+        (
+            lambda cert: sample_random_product_separable(
+                cert.omega.structure, 2, SamplerConfig(0), trial=-1
+            ),
+            "trial must be nonnegative",
+        ),
+        (
+            lambda cert: sample_random_product_separable(
+                cert.omega.structure, 2.5, SamplerConfig(0)
+            ),
+            "mixture_terms must be an integer",
+        ),
+        (
+            lambda cert: sample_random_product_separable(
+                cert.omega.structure, -3, SamplerConfig(0)
+            ),
+            "mixture_terms must be at least 1",
+        ),
     ],
 )
 def test_configs_and_counts_are_checked_on_entry(tiles_cert, call, message):
@@ -339,18 +371,19 @@ def _probe(code: str) -> list[str]:
 def test_cli_import_leaves_scipy_stats_unloaded():
     probe = (
         "import sys, pptball.cli; "
-        "print([m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')])"
+        "print([m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')], "
+        "'pptball.gridsearch' in sys.modules)"
     )
-    assert _probe(probe) == ["[]"]
+    assert _probe(probe) == ["[]", "False"]
 
 
 def test_only_the_grid_oracle_loads_scipy_optimize():
     probe = """
 import sys
 from pptball import (
-    SeesawConfig, build_complete_basis, build_shifts, certify, grid_minimum_overlap,
-    minimum_overlap, robustness_profile,
+    SeesawConfig, build_complete_basis, build_shifts, certify, minimum_overlap, robustness_profile,
 )
+from pptball.gridsearch import grid_minimum_overlap
 shifts = build_shifts()
 robustness_profile(certify(shifts, minimum_overlap(shifts, SeesawConfig(restarts=20))), grid_size=3)
 print("scipy.optimize" in sys.modules)
@@ -360,12 +393,14 @@ print("scipy.optimize" in sys.modules)
     assert _probe(probe) == ["False", "True"]
 
 
-def test_lambda_command_leaves_scipy_unloaded():
-    probe = """
+@pytest.mark.parametrize("command", ["lambda", "profile"])
+def test_lambda_command_leaves_scipy_unloaded(command):
+    probe = f"""
 import os, sys, tempfile
 from pptball.cli import main
-out = os.path.join(tempfile.mkdtemp(), "lambda.json")
-code = main(["lambda", "--upb", "shifts", "--restarts", "20", "--output", out])
-print(code, [m for m in sys.modules if m == "scipy" or m.startswith("scipy.")])
+out = os.path.join(tempfile.mkdtemp(), "report.json")
+code = main(["{command}", "--upb", "shifts", "--restarts", "20", "--output", out])
+unwanted = ("scipy", "numpy.random", "pptball.gridsearch")
+print(code, [m for m in sys.modules if m in unwanted or m.startswith("scipy.")])
 """
     assert _probe(probe) == ["0", "[]"]

@@ -27,7 +27,7 @@ from pptball.montecarlo import (
     sample_random_product_separable,
 )
 from pptball import witness
-from pptball.witness import PROOF_ROUND, _lowest_eigenvalues, _seesaw_once
+from pptball.witness import PROOF_ROUND, _lowest_eigenvalues, _restart_start, _seesaw_once
 
 QUICK = SeesawConfig(restarts=40)
 
@@ -73,20 +73,30 @@ def test_distinct_minimizers_all_achieve_the_overlap(tiles, tiles_lambda):
 
 def test_descent_is_monotone_per_half_step(tiles):
     mats = [tiles.local_matrix(k) for k in range(2)]
-    rng = np.random.default_rng(123)
-    _, _, _, history = _seesaw_once(mats, rng, 500)
+    _, _, _, history = _seesaw_once(mats, _restart_start((3, 3), 123, 0), 500)
     diffs = np.diff(np.asarray(history))
     assert np.all(diffs <= 1e-12)
 
 
 def test_restart_from_minimizer_is_a_fixed_point(tiles, tiles_lambda):
     mats = [tiles.local_matrix(k) for k in range(2)]
-    rng = np.random.default_rng(0)
-    value, _, converged, _ = _seesaw_once(
-        mats, rng, 500, init=tiles_lambda.minimizer.local_vectors
-    )
+    value, _, converged, _ = _seesaw_once(mats, tiles_lambda.minimizer.local_vectors, 500)
     assert converged
     assert abs(value - tiles_lambda.value) < 1e-12
+
+
+def test_restart_start_depends_only_on_seed_and_restart():
+    dims = (3, 2, 4)
+    forward = {r: _restart_start(dims, 0, r) for r in range(6)}
+    backward = {r: _restart_start(dims, 0, r) for r in reversed(range(6))}
+    for r in range(6):
+        assert [v.shape for v in forward[r]] == [(d,) for d in dims]
+        for a, b in zip(forward[r], backward[r]):
+            assert np.array_equal(a, b)
+            assert abs(np.linalg.norm(a) - 1.0) < 1e-14
+        assert not np.allclose(forward[r][0], forward[(r + 1) % 6][0])
+        for a, b in zip(forward[r], _restart_start(dims, 1, r)):
+            assert not np.allclose(a, b)
 
 
 def test_overlap_invariant_under_joint_local_rotations(tiles, tiles_lambda):
