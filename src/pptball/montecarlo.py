@@ -1,8 +1,12 @@
 """Seeded randomized verification of the ball and mixing guarantees.
 
-Sampling is counter-based: every draw comes from a generator seeded by
-(master_seed, stream_id, tag, trial index), so outcomes are bit-identical for
-a fixed configuration no matter how trials are scheduled or parallelized.
+Sampling is counter-based: every draw comes from the standard library's
+``random.Random`` seeded by the string "master_seed:stream_id:tag:trial", so
+outcomes are bit-identical for a fixed configuration no matter how trials are
+scheduled or parallelized.  Gaussians come from ``witness._complex_gaussians``,
+the Box-Muller draw that also starts the seesaw, and only ``random()`` is
+called, whose sequence for a seed Python keeps across versions; no sampler
+loads ``numpy.random``.
 Violation margins are recorded even on success so tolerance regressions show
 up as trends, not just flips.
 """
@@ -10,6 +14,7 @@ up as trends, not just flips.
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import asdict, dataclass
 from functools import reduce
 
@@ -17,7 +22,7 @@ import numpy as np
 
 from .operators import DensityMatrix, HilbertStructure, PSD_TOL, _integer, min_pt_eigenvalue
 from .robustness import Certificate, _center_inv_sqrt, _membership
-from .witness import Witness, witness_value
+from .witness import Witness, _complex_gaussians, witness_value
 
 _HS_TAG = 1
 _PRODUCT_TAG = 2
@@ -54,33 +59,39 @@ def _trial(trial) -> int:
     return trial
 
 
-def _substream(cfg: SamplerConfig, tag: int, trial: int) -> np.random.Generator:
-    return np.random.default_rng(_key(cfg, tag, trial))
+def _substream(cfg: SamplerConfig, tag: int, trial: int) -> random.Random:
+    return random.Random("{}:{}:{}:{}".format(*_key(cfg, tag, trial)))
 
 
-def _hs_matrix(d: int, rng: np.random.Generator) -> np.ndarray:
+def _hs_matrix(d: int, gen: random.Random) -> np.ndarray:
     """G G^dag / Tr(G G^dag) for a d x d complex Gaussian G."""
-    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    g = _complex_gaussians(gen, d * d).reshape(d, d)
     m = g @ g.conj().T
     return m / np.trace(m).real
 
 
-def _product_mixture(local_dims, terms: int, rng: np.random.Generator) -> np.ndarray:
+def _dirichlet(gen: random.Random, terms: int) -> np.ndarray:
+    """Dirichlet(1, ..., 1) weights: E / sum(E) with E = -ln(1 - u) per uniform."""
+    e = -np.log1p(-np.array([gen.random() for _ in range(terms)]))
+    return e / e.sum()
+
+
+def _product_mixture(local_dims, terms: int, gen: random.Random) -> np.ndarray:
     """Dirichlet-weighted sum of ``terms`` random product projectors.
 
-    Row t of one Gaussian draw holds term t's local vectors, real then
-    imaginary part for each party in turn, the order in which one draw per
-    part consumes the stream.  Each squared norm is the dot product
-    ``np.linalg.norm`` computes, on the same strided views, so the state is
-    bit-identical to drawing and normalising every local vector on its own.
+    The weights come first from ``gen``.  Row t of one Gaussian draw then
+    holds term t's local vectors, party after party.  Each squared norm is
+    the dot product ``np.linalg.norm`` computes, on the same strided views,
+    so the state is bit-identical to normalising every local vector on its
+    own.
     """
-    weights = rng.dirichlet(np.ones(terms))
-    gauss = rng.standard_normal((terms, 2 * sum(local_dims)))
+    weights = _dirichlet(gen, terms)
+    gauss = _complex_gaussians(gen, terms * sum(local_dims)).reshape(terms, -1)
     locals_ = []
     start = 0
     for dim in local_dims:
-        v = gauss[:, start : start + dim] + 1j * gauss[:, start + dim : start + 2 * dim]
-        start += 2 * dim
+        v = gauss[:, start : start + dim]
+        start += dim
         re, im = v.real[:, None, :], v.imag[:, None, :]
         sq = re @ re.transpose(0, 2, 1) + im @ im.transpose(0, 2, 1)
         locals_.append(v / np.sqrt(sq[:, 0]))
@@ -112,8 +123,8 @@ def sample_random_product_separable(
     mixture_terms = _integer(mixture_terms, "mixture_terms")
     if mixture_terms < 1:
         raise ValueError(f"mixture_terms must be at least 1, got {mixture_terms}")
-    rng = _substream(cfg, _PRODUCT_TAG, _trial(trial))
-    return DensityMatrix(_product_mixture(structure.local_dims, mixture_terms, rng), structure)
+    gen = _substream(cfg, _PRODUCT_TAG, _trial(trial))
+    return DensityMatrix(_product_mixture(structure.local_dims, mixture_terms, gen), structure)
 
 
 @dataclass(frozen=True, eq=False)
@@ -248,6 +259,14 @@ def verify_separable_mixing(
     z = z_fraction * lambda; each separable state mixes MIXTURE_TERMS random
     product projectors.  Every mixture is PPT by construction (both components
     are) and must stay strictly witness-negative.
+
+    On each cut omega^Gamma has an n-dimensional kernel and sigma^Gamma one of
+    dimension at least D - MIXTURE_TERMS.  When n > MIXTURE_TERMS (tiles and
+    pyramid: n = 5, D = 9) the two kernels meet, so every mixture's smallest
+    PT eigenvalue is exactly 0: ``ppt_margin`` is PSD_TOL up to rounding and
+    ``ppt_margin_key`` names the trial that rounding happened to favour.  On
+    shifts (n = 4, D = 8) the kernels need not meet and the margin exceeds
+    PSD_TOL.
     """
     if not 0.0 < z_fraction < 1.0:
         raise ValueError(f"z_fraction must lie in (0, 1), got {z_fraction!r}")
@@ -259,8 +278,8 @@ def verify_separable_mixing(
 
     def keyed_matrices():
         for t in range(trials):
-            rng = _substream(cfg, _PRODUCT_TAG, t)
-            sigma = _product_mixture(structure.local_dims, MIXTURE_TERMS, rng)
+            gen = _substream(cfg, _PRODUCT_TAG, t)
+            sigma = _product_mixture(structure.local_dims, MIXTURE_TERMS, gen)
             yield _key(cfg, _PRODUCT_TAG, t), z * sigma + (1.0 - z) * cert.omega.matrix
 
     return _score(

@@ -14,6 +14,7 @@ establishes.
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
 
@@ -73,10 +74,11 @@ class SeesawConfig:
     """Multistart settings for the alternating minimizer.
 
     Restart r starts from ``_restart_start(dims, seed, r)``: Haar-uniform
-    vectors drawn from the standard library's ``random.Random`` seeded by
-    the string ``f"{seed}:{r}"``.  Python keeps the ``random()`` sequence of
-    a seed across versions, so results are deterministic for a fixed seed
-    regardless of scheduling, and the descent never loads ``numpy.random``.
+    vectors, normalised ``_complex_gaussians`` of the standard library's
+    ``random.Random`` seeded by the string ``f"{seed}:{r}"``.  Python keeps
+    the ``random()`` sequence of a seed across versions, so results are
+    deterministic for a fixed seed regardless of scheduling, and the descent
+    never loads ``numpy.random``.
     """
 
     restarts: int = 200
@@ -124,18 +126,32 @@ def _party_operator(local_mats, phis, party) -> np.ndarray:
     return (v.T * w) @ v.conj()
 
 
+def _complex_gaussians(gen: random.Random, n: int) -> np.ndarray:
+    """``n`` complex Gaussians by Box-Muller on ``2 n`` draws of ``gen.random()``.
+
+    z = sqrt(-2 ln(1 - u1)) e^(2 pi i u2), so the real and imaginary parts are
+    independent standard normals.  The first ``n`` uniforms feed the radii and
+    the next ``n`` the angles.  Only ``random()`` is used: Python keeps its
+    sequence for a seed across versions, which it does not promise for
+    ``gauss``, ``getrandbits`` or ``randbytes``.
+    """
+    # map over the unbound method keeps the loop in C: 162 draws take about
+    # 12 us this way, against 22 us for a list comprehension of gen.random().
+    u = np.fromiter(map(random.Random.random, itertools.repeat(gen, 2 * n)), float, 2 * n)
+    return np.sqrt(-2.0 * np.log1p(-u[:n])) * np.exp(2j * np.pi * u[n:])
+
+
 def _restart_start(dims, seed: int, restart: int) -> list[np.ndarray]:
     """Haar-uniform unit vectors, one per party, that start restart ``restart``.
 
-    Each entry is a standard complex Gaussian by Box-Muller on two uniforms
-    of ``random.Random(f"{seed}:{restart}")``:
-    z = sqrt(-2 ln(1 - u1)) e^(2 pi i u2).  Only (seed, restart) decides them.
+    Each party's vector is ``_complex_gaussians`` of
+    ``random.Random(f"{seed}:{restart}")``, normalised.  Only (seed, restart)
+    decides them.
     """
     gen = random.Random(f"{seed}:{restart}")
     phis = []
     for d in dims:
-        u = np.array([gen.random() for _ in range(2 * d)]).reshape(2, d)
-        v = np.sqrt(-2.0 * np.log1p(-u[0])) * np.exp(2j * np.pi * u[1])
+        v = _complex_gaussians(gen, d)
         phis.append(v / np.linalg.norm(v))
     return phis
 

@@ -1,4 +1,5 @@
 import os
+import random
 import subprocess
 import sys
 from functools import reduce
@@ -27,7 +28,13 @@ from pptball import (
     verify_separable_mixing,
     witness_value,
 )
-from pptball.montecarlo import MIXTURE_TERMS, _product_mixture, _wilson_interval
+from pptball.montecarlo import (
+    MIXTURE_TERMS,
+    _dirichlet,
+    _hs_matrix,
+    _product_mixture,
+    _wilson_interval,
+)
 
 
 def test_sampler_determinism():
@@ -40,6 +47,8 @@ def test_sampler_determinism():
     assert not np.array_equal(a.matrix, c.matrix)
     d = sample_hs_density(structure, SamplerConfig(12345, stream_id=5), trial=3)
     assert not np.array_equal(a.matrix, d.matrix)
+    # The documented key: tag 1 draws Hilbert-Schmidt states.
+    assert np.array_equal(a.matrix, _hs_matrix(4, random.Random("12345:4:1:3")))
 
 
 def test_sampler_config_validation():
@@ -144,15 +153,26 @@ def test_product_sampler_is_separable():
         assert is_ppt(rho)
 
 
-def _product_mixture_per_vector(local_dims, terms, rng):
-    """Reference draw: one Gaussian call per real or imaginary part, kron per term."""
-    weights = rng.dirichlet(np.ones(terms))
+def _product_mixture_per_vector(local_dims, terms, gen):
+    """Reference draw: each local vector from its own uniforms of ``gen``, kron per term.
+
+    The stream holds ``terms`` weight uniforms, then the radius uniforms of
+    every local vector, term after term and party after party, then their
+    angle uniforms in the same order.
+    """
+    e = -np.log1p(-np.array([gen.random() for _ in range(terms)]))
+    weights = e / e.sum()
+    n = terms * sum(local_dims)
+    u = np.array([gen.random() for _ in range(2 * n)])
     d = int(np.prod(local_dims))
     m = np.zeros((d, d), dtype=complex)
+    start = 0
     for w in weights:
         locals_ = []
         for dim in local_dims:
-            v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+            radius = np.sqrt(-2.0 * np.log1p(-u[start : start + dim]))
+            v = radius * np.exp(2j * np.pi * u[n + start : n + start + dim])
+            start += dim
             locals_.append(v / np.linalg.norm(v))
         full = reduce(np.kron, locals_)
         m += w * np.outer(full, full.conj())
@@ -162,10 +182,33 @@ def _product_mixture_per_vector(local_dims, terms, rng):
 @pytest.mark.parametrize("dims", [(3,), (3, 3), (2, 4), (2, 2, 2)])
 def test_batched_product_draw_is_bitwise_the_per_vector_draw(dims):
     for trial in range(200):
-        key = (0, 0, 2, trial)
-        batched = _product_mixture(dims, MIXTURE_TERMS, np.random.default_rng(key))
-        reference = _product_mixture_per_vector(dims, MIXTURE_TERMS, np.random.default_rng(key))
+        key = f"0:0:2:{trial}"
+        batched = _product_mixture(dims, MIXTURE_TERMS, random.Random(key))
+        reference = _product_mixture_per_vector(dims, MIXTURE_TERMS, random.Random(key))
         assert np.array_equal(batched, reference), (dims, trial)
+
+
+@pytest.mark.parametrize("d", [3, 4])
+def test_hs_purity_has_the_hilbert_schmidt_mean(d):
+    # Under the Hilbert-Schmidt measure E[Tr rho^2] = 2d / (d^2 + 1)
+    # (Zyczkowski-Sommers, quant-ph/0012101).
+    cfg = SamplerConfig(2024, stream_id=d)
+    values = [
+        purity(sample_hs_density(HilbertStructure((d,)), cfg, trial=t)) for t in range(4000)
+    ]
+    sigma = np.std(values, ddof=1) / np.sqrt(len(values))
+    assert abs(np.mean(values) - 2 * d / (d * d + 1)) < 4 * sigma
+
+
+@pytest.mark.parametrize("terms", [1, 2, MIXTURE_TERMS, 7])
+def test_dirichlet_weights_sum_to_one_with_mean_one_over_terms(terms):
+    n = 4000
+    weights = np.array([_dirichlet(random.Random(f"5:0:2:{t}"), terms) for t in range(n)])
+    assert np.all(weights > 0)
+    assert np.allclose(weights.sum(axis=1), 1.0, rtol=0, atol=1e-15)
+    # Each weight is Beta(1, terms - 1): variance (terms - 1) / (terms^2 (terms + 1)).
+    sigma = np.sqrt((terms - 1) / (terms**2 * (terms + 1)) / n)
+    assert np.all(np.abs(weights.mean(axis=0) - 1 / terms) <= 4 * sigma)
 
 
 def test_product_sampler_rejects_zero_terms():
@@ -217,6 +260,18 @@ def test_separable_mixing_reports_witness_margin(tiles_cert):
     assert "worst_margin" not in data
     assert data["witness_margin"] == out.witness_margin
     assert data["witness_margin_key"] == out.witness_margin_key
+
+
+@pytest.mark.parametrize("cert_name", ["tiles_cert", "pyramid_cert", "shifts_cert"])
+def test_mixing_ppt_margin_is_zero_where_the_kernels_meet(request, cert_name):
+    # The PT kernels of omega (dimension n) and sigma (at least
+    # D - MIXTURE_TERMS) meet when n > MIXTURE_TERMS: see the docstring.
+    cert = request.getfixturevalue(cert_name)
+    out = verify_separable_mixing(cert, 0.99, 200, SamplerConfig(0, stream_id=2))
+    if cert.upb.cardinality > MIXTURE_TERMS:
+        assert abs(out.ppt_margin - PSD_TOL) <= 1e-14
+    else:
+        assert out.ppt_margin - PSD_TOL > 0
 
 
 def test_separable_mixing_validates_inputs(tiles_cert):
@@ -393,13 +448,22 @@ print("scipy.optimize" in sys.modules)
     assert _probe(probe) == ["False", "True"]
 
 
-@pytest.mark.parametrize("command", ["lambda", "profile"])
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["lambda"],
+        ["profile"],
+        ["verify", "--trials", "5", "--grid", "2"],
+        ["membership", "--trials", "5"],
+    ],
+    ids=lambda command: command[0],
+)
 def test_lambda_command_leaves_scipy_unloaded(command):
     probe = f"""
 import os, sys, tempfile
 from pptball.cli import main
 out = os.path.join(tempfile.mkdtemp(), "report.json")
-code = main(["{command}", "--upb", "shifts", "--restarts", "20", "--output", out])
+code = main({command!r} + ["--upb", "shifts", "--restarts", "20", "--output", out])
 unwanted = ("scipy", "numpy.random", "pptball.gridsearch")
 print(code, [m for m in sys.modules if m in unwanted or m.startswith("scipy.")])
 """

@@ -1,4 +1,5 @@
 import itertools
+import random
 import tracemalloc
 
 import numpy as np
@@ -97,6 +98,22 @@ def test_restart_start_depends_only_on_seed_and_restart():
         assert not np.allclose(forward[r][0], forward[(r + 1) % 6][0])
         for a, b in zip(forward[r], _restart_start(dims, 1, r)):
             assert not np.allclose(a, b)
+
+
+@pytest.mark.parametrize("dims", [(3, 3), (2, 2, 2), (2, 4)])
+def test_restart_start_is_the_inline_box_muller(dims):
+    # The seesaw's starts, and so lambda and the proof cells, must not move
+    # when the shared Gaussian draw changes: this is the formula they were
+    # pinned with, written out.
+    for r in range(21):
+        gen = random.Random(f"0:{r}")
+        expected = []
+        for d in dims:
+            u = np.array([gen.random() for _ in range(2 * d)]).reshape(2, d)
+            v = np.sqrt(-2.0 * np.log1p(-u[0])) * np.exp(2j * np.pi * u[1])
+            expected.append(v / np.linalg.norm(v))
+        for a, b in zip(_restart_start(dims, 0, r), expected, strict=True):
+            assert np.array_equal(a, b), (dims, r)
 
 
 def test_overlap_invariant_under_joint_local_rotations(tiles, tiles_lambda):
