@@ -20,7 +20,6 @@ list of [re, im] pairs.
 from __future__ import annotations
 
 import argparse
-import csv
 import errno
 import io
 import json
@@ -29,15 +28,11 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .montecarlo import (
-    SamplerConfig,
-    ball_fraction_estimate,
-    verify_ball_robustness,
-    verify_separable_mixing,
-)
-from .robustness import Certificate, certify, robustness_profile
 from .upb import CATALOG, get_upb
-from .witness import SeesawConfig, minimum_overlap, prove_product_minimum
+
+# Each handler imports the modules it runs, and ``_emit`` imports csv only for
+# a csv report, so a command loads only its own code; the annotations naming
+# those modules' types stay strings.
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -74,6 +69,8 @@ def _emit(report: dict, fmt: str, path: str | None) -> None:
     if fmt == "json":
         text = json.dumps(report, indent=2, allow_nan=False) + "\n"
     else:
+        import csv
+
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["key", "value"])
@@ -120,10 +117,15 @@ def _config(args, **extra) -> dict:
 
 
 def _seesaw_cfg(args) -> SeesawConfig:
+    from .witness import SeesawConfig
+
     return SeesawConfig(restarts=args.restarts, max_iters=args.max_iters, seed=args.seed)
 
 
 def _certificate(args) -> Certificate:
+    from .robustness import certify
+    from .witness import minimum_overlap
+
     upb = get_upb(args.upb)
     lam = minimum_overlap(upb, _seesaw_cfg(args))
     if not lam.converged:
@@ -162,6 +164,9 @@ def _cmd_lambda(args) -> int:
     lambda - lambda_lower >= 0: the width of the interval that holds the
     true minimum product overlap.
     """
+    from .proof import prove_product_minimum
+    from .witness import minimum_overlap
+
     upb = get_upb(args.upb)
     lam = minimum_overlap(upb, _seesaw_cfg(args))
     proof = prove_product_minimum(upb.projector, upb.structure, lam.value)
@@ -182,6 +187,8 @@ def _cmd_lambda(args) -> int:
 
 
 def _cmd_profile(args) -> int:
+    from .robustness import robustness_profile
+
     profile = robustness_profile(_certificate(args), grid_size=args.grid)
     report = _header("profile")
     report["config"] = _config(args, grid=args.grid)
@@ -192,6 +199,8 @@ def _cmd_profile(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .montecarlo import SamplerConfig, verify_ball_robustness, verify_separable_mixing
+
     cert = _certificate(args)
     ball = verify_ball_robustness(
         cert,
@@ -228,6 +237,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_membership(args) -> int:
+    from .montecarlo import SamplerConfig, ball_fraction_estimate
+
     cert = _certificate(args)
     x_star = cert.x_star
     x = args.x if args.x is not None else 0.5 * (x_star + 1.0)

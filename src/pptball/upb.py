@@ -55,6 +55,11 @@ class ProductState:
         return reduce(np.kron, self.local_vectors)
 
     def fidelity(self, other: "ProductState") -> float:
+        """|<self|other>|^2; both states must have the same local dimensions."""
+        if self.local_dims != other.local_dims:
+            raise ValueError(
+                f"structure mismatch: local dims {self.local_dims} and {other.local_dims}"
+            )
         out = 1.0
         for a, b in zip(self.local_vectors, other.local_vectors):
             out *= float(abs(np.vdot(a, b)) ** 2)

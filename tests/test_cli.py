@@ -4,7 +4,7 @@ import json
 import pytest
 
 from pptball.cli import _flatten, main
-from pptball.witness import PROOF_GAP
+from pptball.proof import PROOF_GAP
 
 
 def run(tmp_path, *argv, name="out.json"):
@@ -81,7 +81,7 @@ def test_lambda_reports_the_proofs_incumbent(tmp_path, tiles_lambda):
 
 
 def test_lambda_proof_out_of_cells_exits_4(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr("pptball.witness.PROOF_MAX_CELLS", 10)
+    monkeypatch.setattr("pptball.proof.PROOF_MAX_CELLS", 10)
     code, path = run(tmp_path, "lambda", "--upb", "tiles", "--restarts", "5")
     assert code == 4
     err = capsys.readouterr().err
@@ -133,7 +133,7 @@ def test_fractions_outside_open_unit_interval_fail_before_any_work(
     def must_not_run(*args, **kwargs):
         raise AssertionError("the seesaw ran before the flag was checked")
 
-    monkeypatch.setattr("pptball.cli.minimum_overlap", must_not_run)
+    monkeypatch.setattr("pptball.witness.minimum_overlap", must_not_run)
     with pytest.raises(SystemExit) as exc:
         main([command, "--upb", "tiles", flag, value])
     assert exc.value.code == 2
@@ -154,7 +154,7 @@ def test_unwritable_output_fails_before_any_work(tmp_path, capsys, monkeypatch):
     def must_not_run(*args, **kwargs):
         raise AssertionError("the report was computed before the output path was checked")
 
-    monkeypatch.setattr("pptball.cli.minimum_overlap", must_not_run)
+    monkeypatch.setattr("pptball.witness.minimum_overlap", must_not_run)
     path = tmp_path / "missing" / "x.json"
     code = main(["verify", "--upb", "tiles", "--output", str(path)])
     assert code == 2
@@ -227,7 +227,7 @@ def test_contract_failure_exits_4(tmp_path, capsys, monkeypatch):
     def broken(upb, lam):
         raise RuntimeError("threshold identity violated")
 
-    monkeypatch.setattr("pptball.cli.certify", broken)
+    monkeypatch.setattr("pptball.robustness.certify", broken)
     code, path = run(tmp_path, "profile", "--upb", "tiles", "--restarts", "20")
     assert code == 4
     err = capsys.readouterr().err

@@ -423,13 +423,25 @@ def _probe(code: str) -> list[str]:
     return out.stdout.split()
 
 
+_PPTBALL_MODULES = (
+    "print(','.join(sorted(m for m in sys.modules if m.partition('.')[0] == 'pptball')))"
+)
+
+
+def test_package_import_loads_no_submodule():
+    assert _probe(f"import sys, pptball; {_PPTBALL_MODULES}") == ["pptball"]
+
+
 def test_cli_import_leaves_scipy_stats_unloaded():
     probe = (
         "import sys, pptball.cli; "
         "print([m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')], "
-        "'pptball.gridsearch' in sys.modules)"
+        f"'pptball.gridsearch' in sys.modules); {_PPTBALL_MODULES}"
     )
-    assert _probe(probe) == ["[]", "False"]
+    words = _probe(probe)
+    assert words[:2] == ["[]", "False"]
+    # The parser and the catalog only: each command imports what it runs.
+    assert words[2:] == ["pptball,pptball.cli,pptball.operators,pptball.upb"]
 
 
 def test_only_the_grid_oracle_loads_scipy_optimize():
@@ -448,23 +460,40 @@ print("scipy.optimize" in sys.modules)
     assert _probe(probe) == ["False", "True"]
 
 
+# The pptball modules each command leaves unloaded: lambda certifies without
+# the robustness and sampling code, the other certificate commands never run
+# the proof, and upb-list and export read only the catalog.
+UNUSED_MODULES = {
+    "upb-list": ("witness", "proof", "robustness", "montecarlo"),
+    "lambda": ("robustness", "montecarlo"),
+    "profile": ("proof",),
+    "verify": ("proof",),
+    "membership": ("proof",),
+    "export": ("witness", "proof", "robustness", "montecarlo"),
+}
+SEESAW_FLAGS = ["--upb", "shifts", "--restarts", "20"]
+
+
 @pytest.mark.parametrize(
     "command",
     [
-        ["lambda"],
-        ["profile"],
-        ["verify", "--trials", "5", "--grid", "2"],
-        ["membership", "--trials", "5"],
+        ["lambda", *SEESAW_FLAGS],
+        ["profile", *SEESAW_FLAGS],
+        ["verify", "--trials", "5", "--grid", "2", *SEESAW_FLAGS],
+        ["membership", "--trials", "5", *SEESAW_FLAGS],
+        ["upb-list"],
+        ["export", "--upb", "shifts"],
     ],
     ids=lambda command: command[0],
 )
 def test_lambda_command_leaves_scipy_unloaded(command):
+    unused = tuple(f"pptball.{m}" for m in UNUSED_MODULES[command[0]])
     probe = f"""
 import os, sys, tempfile
 from pptball.cli import main
 out = os.path.join(tempfile.mkdtemp(), "report.json")
-code = main({command!r} + ["--upb", "shifts", "--restarts", "20", "--output", out])
-unwanted = ("scipy", "numpy.random", "pptball.gridsearch")
+code = main({command!r} + ["--output", out])
+unwanted = ("scipy", "numpy.random", "csv", "pptball.gridsearch") + {unused!r}
 print(code, [m for m in sys.modules if m in unwanted or m.startswith("scipy.")])
 """
     assert _probe(probe) == ["0", "[]"]

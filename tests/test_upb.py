@@ -58,6 +58,19 @@ def test_product_state_requires_unit_norm():
         ProductState((np.array([1.0, 1.0]),))
 
 
+@pytest.mark.parametrize(
+    "dims_a, dims_b", [((2, 2), (2, 2, 2)), ((2, 2, 2), (2, 2)), ((2, 3), (3, 2))]
+)
+def test_fidelity_rejects_another_structure(dims_a, dims_b):
+    # zip over the parties would compare only the shared prefix: |00> against
+    # |001> would read 1.0.
+    a = ProductState(tuple(np.eye(d)[0] for d in dims_a))
+    b = ProductState(tuple(np.eye(d)[-1 if k == 2 else 0] for k, d in enumerate(dims_b)))
+    with pytest.raises(ValueError, match="structure mismatch"):
+        a.fidelity(b)
+    assert a.fidelity(a) == 1.0
+
+
 def test_from_vectors_rejects_non_orthonormal():
     e = np.eye(3)
     with pytest.raises(ValueError, match="orthonormal"):

@@ -27,8 +27,9 @@ from pptball.montecarlo import (
     sample_hs_density,
     sample_random_product_separable,
 )
-from pptball import witness
-from pptball.witness import PROOF_ROUND, _lowest_eigenvalues, _restart_start, _seesaw_once
+from pptball import proof as proof_module
+from pptball.proof import PROOF_ROUND, _lowest_eigenvalues
+from pptball.witness import _restart_start, _seesaw_once
 
 QUICK = SeesawConfig(restarts=40)
 
@@ -268,7 +269,7 @@ def test_proof_is_below_every_product_value(seed, dims):
     # A loose gap keeps the cell counts small.
     gap = 1e-3
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(witness, "PROOF_GAP", gap)
+        mp.setattr(proof_module, "PROOF_GAP", gap)
         proof = prove_product_minimum(w, HilbertStructure(dims), upper)
     assert proof.lower <= upper
     assert proof.upper - gap <= proof.lower <= proof.upper
@@ -281,7 +282,7 @@ def test_proof_lowers_a_target_above_the_minimum(monkeypatch, tiles, tiles_lambd
     # Starting 1e-3 too high, the target follows the cell centres down to
     # within the gap of the minimum.
     gap = 1e-6
-    monkeypatch.setattr(witness, "PROOF_GAP", gap)
+    monkeypatch.setattr(proof_module, "PROOF_GAP", gap)
     proof = prove_product_minimum(tiles.projector, tiles.structure, tiles_lambda.value + 1e-3)
     assert proof.upper < tiles_lambda.value + gap
     assert proof.lower <= tiles_lambda.value
@@ -289,11 +290,11 @@ def test_proof_lowers_a_target_above_the_minimum(monkeypatch, tiles, tiles_lambd
 
 
 def test_proof_cells_do_not_depend_on_the_block_size(monkeypatch, tiles, shifts):
-    monkeypatch.setattr(witness, "PROOF_GAP", 1e-3)
+    monkeypatch.setattr(proof_module, "PROOF_GAP", 1e-3)
     for upb in (tiles, shifts):
         runs = []
         for block in (2**15, 2**20):
-            monkeypatch.setattr(witness, "PROOF_BLOCK_BYTES", block)
+            monkeypatch.setattr(proof_module, "PROOF_BLOCK_BYTES", block)
             lam = LAMBDA_REF[upb.name]
             runs.append(prove_product_minimum(upb.projector, upb.structure, lam))
         assert runs[0] == runs[1]
@@ -304,9 +305,9 @@ def test_proof_memory_is_a_few_vertex_blocks(monkeypatch, tiles, shifts):
     # A block's vertex matrices and its vertex offsets each take at most about
     # PROOF_BLOCK_BYTES; the level's cells take far less.  The default block
     # keeps a proof's traced peak below 1 MiB.
-    assert witness.PROOF_BLOCK_BYTES <= 2**17
-    limit = min(8 * witness.PROOF_BLOCK_BYTES, 2**20)
-    monkeypatch.setattr(witness, "PROOF_GAP", 1e-4)
+    assert proof_module.PROOF_BLOCK_BYTES <= 2**17
+    limit = min(8 * proof_module.PROOF_BLOCK_BYTES, 2**20)
+    monkeypatch.setattr(proof_module, "PROOF_GAP", 1e-4)
     for upb in (tiles, shifts):
         tracemalloc.start()
         try:
@@ -333,31 +334,31 @@ def test_rayleigh_refutation_changes_no_cell(seed, dims):
     w = _random_hermitian(int(np.prod(dims)), rng)
     upper = _product_seesaw(w, dims, rng, restarts=2)
     norm_w = float(np.abs(np.linalg.eigvalsh(w.matrix)).max())
-    examine = witness._examine_block
+    examine = proof_module._examine_block
 
     def both(h4, dims, charts, centres, offsets, *rest):
         failed, lowest = examine(h4, dims, charts, centres, offsets, *rest)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(witness, "_rayleigh_bounds", _no_refutation)
+            mp.setattr(proof_module, "_rayleigh_bounds", _no_refutation)
             plain = examine(h4, dims, charts, centres, offsets, *rest)
         np.testing.assert_array_equal(failed, plain[0])
         assert lowest == plain[1]
         # What the refutation rests on, vertex by vertex: the computed lowest
         # eigenvalue is at most the Rayleigh quotient, up to rounding.
-        centre, vertex = witness._product_vectors(dims, charts, centres, offsets)
-        y, n_c = witness._centre_matrices(h4, centre)
-        delta, _ = witness._vertex_offsets(vertex, centre)
-        quotient = witness._rayleigh_bounds(n_c, y, centre, delta)
-        lowest_v = _lowest_eigenvalues(witness._vertex_stack(delta, y, n_c))
+        centre, vertex = proof_module._product_vectors(dims, charts, centres, offsets)
+        y, n_c = proof_module._centre_matrices(h4, centre)
+        delta, _ = proof_module._vertex_offsets(vertex, centre)
+        quotient = proof_module._rayleigh_bounds(n_c, y, centre, delta)
+        lowest_v = _lowest_eigenvalues(proof_module._vertex_stack(delta, y, n_c))
         size = np.linalg.norm(centre, axis=2) + np.linalg.norm(delta, axis=2).max(axis=1)[:, None]
         assert np.all(lowest_v <= quotient + PROOF_ROUND * norm_w * size**2)
         return failed, lowest
 
     def prove(name, replacement):
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(witness, "PROOF_GAP", 1e-3)
-            mp.setattr(witness, "PROOF_MAX_CELLS", 50_000 if len(dims) == 2 else 3_000)
-            mp.setattr(witness, name, replacement)
+            mp.setattr(proof_module, "PROOF_GAP", 1e-3)
+            mp.setattr(proof_module, "PROOF_MAX_CELLS", 50_000 if len(dims) == 2 else 3_000)
+            mp.setattr(proof_module, name, replacement)
             try:
                 return prove_product_minimum(w, HilbertStructure(dims), upper)
             except RuntimeError:
@@ -376,7 +377,7 @@ def test_catalog_proof_cells_are_pinned(name, cells, request, monkeypatch):
     # quotient refutes most failing cells before their vertex eigensolve;
     # on shifts (d = 2) every cell goes to the closed form.
     upb, lam = request.getfixturevalue(name), request.getfixturevalue(f"{name}_lambda")
-    examine, stack_of = witness._examine_block, witness._vertex_stack
+    examine, stack_of = proof_module._examine_block, proof_module._vertex_stack
     failed, solved = [], []
 
     def count_failed(*args):
@@ -388,8 +389,8 @@ def test_catalog_proof_cells_are_pinned(name, cells, request, monkeypatch):
         solved.append(delta.shape[0])
         return stack_of(delta, y, n_c)
 
-    monkeypatch.setattr(witness, "_examine_block", count_failed)
-    monkeypatch.setattr(witness, "_vertex_stack", count_solved)
+    monkeypatch.setattr(proof_module, "_examine_block", count_failed)
+    monkeypatch.setattr(proof_module, "_vertex_stack", count_solved)
     proof = prove_product_minimum(upb.projector, upb.structure, lam.value)
     assert proof.cells == cells
     assert proof.upper == lam.value
@@ -433,19 +434,19 @@ def _leaf_cells(monkeypatch, upb, lam):
     of the block, whether or not the Rayleigh quotient refuted it.
     """
     seen = []
-    examine = witness._examine_block
+    examine = proof_module._examine_block
 
     def record(h4, dims, charts, centres, offsets, *rest):
         seen.append((h4, dims, charts, centres, offsets))
         return examine(h4, dims, charts, centres, offsets, *rest)
 
-    monkeypatch.setattr(witness, "_examine_block", record)
+    monkeypatch.setattr(proof_module, "_examine_block", record)
     prove_product_minimum(upb.projector, upb.structure, lam)
     h4, dims, charts, centres, offsets = seen[-1]
-    centre, vertex = witness._product_vectors(dims, charts, centres, offsets)
-    y, n_c = witness._centre_matrices(h4, centre)
-    delta, _ = witness._vertex_offsets(vertex, centre)
-    return charts, centres, offsets, witness._vertex_stack(delta, y, n_c)
+    centre, vertex = proof_module._product_vectors(dims, charts, centres, offsets)
+    y, n_c = proof_module._centre_matrices(h4, centre)
+    delta, _ = proof_module._vertex_offsets(vertex, centre)
+    return charts, centres, offsets, proof_module._vertex_stack(delta, y, n_c)
 
 
 def _interval_cholesky_succeeds(matrix):
