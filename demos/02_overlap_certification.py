@@ -1,12 +1,13 @@
-"""Minimum product-state overlap: an estimate, a proof, and an independent grid.
+"""Minimum product-state overlap: an estimate, a proof, and grid starts.
 
 The alternating eigenvector descent (multistart) gives an upper estimate of
 the overlap.  The vertex branch-and-bound proves a lower bound just below it,
 so the true minimum lies in the printed interval [proven, descent]; that is
-what makes W = (P - lambda I)/(n - lambda D) a witness.  The dense angle-grid
-search with simplex refinement shares no code with either and lands in the
-same place.  A complete product basis is included as the trivial control: its
-projector is the identity, so the overlap is exactly 1.
+what makes W = (P - lambda I)/(n - lambda D) a witness.  The grid column runs
+the same descent from the best cells of a dense angle grid instead of random
+starts and lands in the same place; it is an upper estimate too, so only the
+proof certifies.  A complete product basis is included as the trivial control:
+its projector is the identity, so the overlap is exactly 1.
 """
 
 import time
@@ -32,7 +33,7 @@ upb = get_upb("tiles")
 lam = minimum_overlap(upb)
 print()
 print("tiles minimizer (one product state achieving the overlap):")
-for k, vec in enumerate(lam.minimizer.local_vectors):
+for k, vec in enumerate(lam.minimizers[0].local_vectors):
     print(f"  party {k}: {vec}")
 print(f"upper bound n/D = {upb.cardinality}/{upb.total_dim} "
       f"= {upb.cardinality / upb.total_dim:.6f}; overlap must stay below it "

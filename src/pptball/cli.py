@@ -176,7 +176,7 @@ def _cmd_lambda(args) -> int:
     report["restarts"] = args.restarts
     report["converged"] = lam.converged
     report["minimizer_vectors"] = [
-        [_pair(z) for z in vec] for vec in lam.minimizer.local_vectors
+        [_pair(z) for z in vec] for vec in lam.minimizers[0].local_vectors
     ]
     report["distinct_minimizers"] = len(lam.minimizers)
     report["lambda_lower"] = proof.lower

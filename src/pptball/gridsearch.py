@@ -1,13 +1,15 @@
-"""Dense-grid certification of the minimum product-state overlap.
+"""Dense-grid starts for the minimum product-state overlap.
 
-Deliberately a separate code path from the alternating minimizer: local pure
-states are swept over an explicit generalized-spherical-angle grid and the
-best cells are polished with a derivative-free simplex search.  Agreement
-between the two routes certifies the reported minimum.  For any party count
-the grid objective is never held in full: it is streamed through one reused
-block of PAIR_BLOCK_DOUBLES doubles, 1 MiB, which fits in a core's L2 cache.
-The polished cells are the rows with the smallest row minima, ties going to
-the lower row, whatever the block size.
+Local pure states are swept over an explicit generalized-spherical-angle grid,
+and the best cells are polished by the alternating descent of the witness
+module, ``witness._seesaw_once``, with its own sweep cap.  The grid only
+supplies systematic starts in place of random ones: its value is an upper
+estimate like the descent's, and only ``proof.prove_product_minimum`` bounds
+the minimum from below.  For any party count the grid objective is never held
+in full: it is streamed through one reused block of PAIR_BLOCK_DOUBLES
+doubles, 1 MiB, which fits in a core's L2 cache.  The polished cells are the
+rows with the smallest row minima, ties going to the lower row, whatever the
+block size.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import witness
 from .upb import UPBSet
 
 # Per-party grid density; qutrits get a denser sweep because two of the four
@@ -28,31 +31,17 @@ PAIR_BLOCK_DOUBLES = 2**17
 
 @dataclass(frozen=True)
 class GridMinimum:
-    """Refined minimum plus the best raw grid cell it started from."""
+    """Polished minimum plus the best raw grid cell it started from."""
 
     value: float
     grid_value: float
 
 
-def _angles_to_state(angles, d) -> np.ndarray:
-    thetas = angles[: d - 1]
-    phis = angles[d - 1 :]
-    state = np.empty(d, dtype=complex)
-    s = 1.0
-    for k in range(d - 1):
-        state[k] = s * np.cos(thetas[k])
-        s = s * np.sin(thetas[k])
-    state[d - 1] = s
-    state[1:] = state[1:] * np.exp(1j * np.asarray(phis))
-    return state
-
-
-def _grid_states(d, theta_points, phi_points):
-    """All grid states (N, d) together with their angle rows (N, 2(d-1))."""
+def _grid_states(d, theta_points, phi_points) -> np.ndarray:
+    """All grid states, shape (N, d), in C order over the angle axes."""
     axes = [np.linspace(0.0, np.pi / 2, theta_points)] * (d - 1)
     axes += [np.linspace(0.0, 2 * np.pi, phi_points, endpoint=False)] * (d - 1)
-    grids = np.meshgrid(*axes, indexing="ij")
-    flat = [g.reshape(-1) for g in grids]
+    flat = [g.reshape(-1) for g in np.meshgrid(*axes, indexing="ij")]
     n = flat[0].size
     states = np.empty((n, d), dtype=complex)
     s = np.ones(n)
@@ -62,45 +51,13 @@ def _grid_states(d, theta_points, phi_points):
     states[:, d - 1] = s
     for k in range(1, d):
         states[:, k] = states[:, k] * np.exp(1j * flat[d - 2 + k])
-    return states, np.column_stack(flat)
+    return states
 
 
 def _member_weights(upb, party, states) -> np.ndarray:
     """|<grid state | member vector>|^2 table, shape (N, cardinality)."""
     v = upb.local_matrix(party)
     return np.abs(states @ v.conj().T) ** 2
-
-
-def _refine(upb: UPBSet, angles0: np.ndarray) -> float:
-    # Imported here, its only use, so that importing pptball loads numpy alone.
-    from scipy import optimize
-
-    dims = upb.structure.local_dims
-    mats = [upb.local_matrix(k) for k in range(upb.n_parties)]
-    sizes = [2 * (d - 1) for d in dims]
-    splits = np.cumsum(sizes)[:-1]
-
-    def objective(x):
-        parts = np.split(x, splits)
-        w = np.ones(mats[0].shape[0])
-        for v, angles, d in zip(mats, parts, dims):
-            state = _angles_to_state(angles, d)
-            w = w * np.abs(v @ state.conj()) ** 2
-        return float(w.sum())
-
-    res = optimize.minimize(
-        objective,
-        angles0,
-        method="Nelder-Mead",
-        options={
-            "xatol": 1e-12,
-            "fatol": 1e-14,
-            "maxiter": 20000,
-            "maxfev": 40000,
-            "adaptive": True,
-        },
-    )
-    return float(res.fun)
 
 
 def _best_pairs(wa, wb, keep):
@@ -126,9 +83,9 @@ def _best_pairs(wa, wb, keep):
 
 
 def grid_minimum_overlap(upb: UPBSet) -> GridMinimum:
-    """Independent estimate of the minimum product-state overlap of the projector."""
+    """Descent from the best grid cells; an upper estimate of the minimum overlap."""
     dims = upb.structure.local_dims
-    states, angles = zip(*(_grid_states(d, THETA_POINTS[d], PHI_POINTS[d]) for d in dims))
+    states = [_grid_states(d, THETA_POINTS[d], PHI_POINTS[d]) for d in dims]
     weights = [_member_weights(upb, party, s) for party, s in enumerate(states)]
     # Parties 1.. fold into one table whose rows run over their grid cells in
     # C order; starting from a row of ones keeps single-party sets working.
@@ -136,11 +93,15 @@ def grid_minimum_overlap(upb: UPBSet) -> GridMinimum:
     for w in weights[1:]:
         trailing = (trailing[:, None, :] * w).reshape(-1, upb.cardinality)
     pairs = _best_pairs(weights[0], trailing, REFINE_CANDIDATES)
-    shape = [len(a) for a in angles[1:]]
-    candidates = [
-        np.concatenate([g[i] for g, i in zip(angles, (a, *np.unravel_index(b, shape)))])
+    shape = [len(s) for s in states[1:]]
+    local_mats = [upb.local_matrix(k) for k in range(upb.n_parties)]
+    polished = min(
+        witness._seesaw_once(
+            local_mats,
+            [s[i] for s, i in zip(states, (a, *np.unravel_index(b, shape)))],
+            witness.SeesawConfig.max_iters,
+        )[0]
         for _, a, b in pairs
-    ]
+    )
     grid_value = pairs[0][0]
-    refined = min(_refine(upb, cand) for cand in candidates)
-    return GridMinimum(value=min(refined, grid_value), grid_value=grid_value)
+    return GridMinimum(value=min(polished, grid_value), grid_value=grid_value)

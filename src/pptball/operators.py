@@ -28,8 +28,11 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
 
 
 def _integer(value, what: str) -> int:
-    """``value`` as an int; Python and numpy integers pass, anything else raises."""
-    if not isinstance(value, (int, np.integer)):
+    """``value`` as an int; Python and numpy integers pass, anything else raises.
+
+    bool subclasses int in Python but is rejected, as numpy's bool already is.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{what} must be an integer, got {value!r}")
     return int(value)
 

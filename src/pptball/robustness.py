@@ -81,11 +81,12 @@ def _radius(x: float, dim_total: int, lambda_rho: float, bound: float) -> float:
 class Certificate:
     """The chain from a product basis to its entanglement threshold.
 
-    ``lam`` is the minimum product overlap, ``witness`` the normalized
-    W = (P - lambda I)/(n - lambda D), ``omega`` the complement state,
-    ``lambda_omega`` = -Tr(W omega) its violation and ``x_star`` the threshold
-    above which the white-noise family through omega stays witness-negative.
-    Build it with ``certify``.
+    ``lam`` is the minimum product overlap as the seesaw finds it: an upper
+    estimate, not the proof's lower bound ``proof.prove_product_minimum``
+    gives.  ``witness`` is the normalized W = (P - lambda I)/(n - lambda D),
+    ``omega`` the complement state, ``lambda_omega`` = -Tr(W omega) its
+    violation and ``x_star`` the threshold above which the white-noise family
+    through omega stays witness-negative.  Build it with ``certify``.
     """
 
     upb: UPBSet

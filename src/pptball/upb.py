@@ -3,11 +3,13 @@
 Catalog entries are defined directly in code and re-validated when built
 (orthonormality of members, projector consistency), so nothing is trusted to
 transcription.  New sets can be registered through ``UPBSet.from_vectors``,
-which runs the same checks.  Unextendibility itself is certified numerically:
-the minimum product-state overlap of the span projector (witness module) must
-be strictly positive.  That certificate needs the full multistart
-minimization, so it is computed on demand rather than at construction; the
-test suite certifies every catalog set.
+which runs the same checks.  Unextendibility means that the minimum
+product-state overlap of the span projector is strictly positive.  The
+multistart descent of the witness module only estimates that minimum from
+above, so it cannot prove it; ``proof.prove_product_minimum`` bounds it from
+below, and lambda_lower > 0 is the certificate.  The proof is computed on
+demand rather than at construction; the test suite proves tiles, pyramid and
+shifts.
 """
 
 from __future__ import annotations

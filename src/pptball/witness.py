@@ -68,7 +68,6 @@ class LambdaResult:
     """
 
     value: float
-    minimizer: ProductState
     converged: bool
     minimizers: tuple[ProductState, ...]
 
@@ -157,7 +156,7 @@ def minimum_overlap(upb: UPBSet, cfg: SeesawConfig | None = None) -> LambdaResul
         value, phis, conv, _ = _seesaw_once(local_mats, start, cfg.max_iters)
         finals.append((value, phis, conv))
     finals.sort(key=lambda item: item[0])
-    best_value, best_phis, best_conv = finals[0]
+    best_value, _, best_conv = finals[0]
     distinct: list[ProductState] = []
     for value, phis, _ in finals:
         if value > best_value + MINIMIZER_VALUE_ATOL:
@@ -167,7 +166,6 @@ def minimum_overlap(upb: UPBSet, cfg: SeesawConfig | None = None) -> LambdaResul
             distinct.append(cand)
     return LambdaResult(
         value=best_value,
-        minimizer=ProductState(tuple(best_phis)),
         converged=best_conv,
         minimizers=tuple(distinct),
     )

@@ -140,6 +140,16 @@ def test_fractions_outside_open_unit_interval_fail_before_any_work(
     assert f"argument {flag}:" in capsys.readouterr().err
 
 
+def test_membership_x_below_threshold_is_usage_error(tmp_path, capsys):
+    # 0.05 passes the (0, 1) flag check but lies below x* ~ 0.9489 on tiles.
+    code, path = run(tmp_path, "membership", "--upb", "tiles", "--x", "0.05")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --x must lie in (x* = 0.9488") and err.count("\n") == 1
+    assert err.endswith(", 1), got 0.05\n")
+    assert not path.exists()
+
+
 @pytest.mark.parametrize("target", ["missing-dir", "directory"])
 def test_unwritable_output_is_usage_error(tmp_path, capsys, target):
     path = tmp_path / "missing" / "x.json" if target == "missing-dir" else tmp_path

@@ -3,25 +3,39 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from pptball import UPBSet, build_complete_basis, gridsearch
-from pptball.gridsearch import _angles_to_state, _grid_states, grid_minimum_overlap
+from pptball import UPBSet, build_complete_basis, gridsearch, witness
+from pptball.gridsearch import _grid_states, grid_minimum_overlap
+
+
+def _angles_to_state(angles, d) -> np.ndarray:
+    """Reference for one grid row: d - 1 polar angles, then d - 1 phases."""
+    thetas = angles[: d - 1]
+    phis = angles[d - 1 :]
+    state = np.empty(d, dtype=complex)
+    s = 1.0
+    for k in range(d - 1):
+        state[k] = s * np.cos(thetas[k])
+        s = s * np.sin(thetas[k])
+    state[d - 1] = s
+    state[1:] = state[1:] * np.exp(1j * np.asarray(phis))
+    return state
 
 
 def test_angle_parameterization_is_normalized():
-    rng = np.random.default_rng(3)
-    for d in (2, 3):
-        for _ in range(50):
-            thetas = rng.uniform(0, np.pi / 2, d - 1)
-            phis = rng.uniform(0, 2 * np.pi, d - 1)
-            state = _angles_to_state(np.concatenate([thetas, phis]), d)
-            assert abs(np.linalg.norm(state) - 1.0) < 1e-12
+    for d, theta_points, phi_points in ((2, 13, 16), (3, 9, 12), (3, 4, 5)):
+        states = _grid_states(d, theta_points, phi_points)
+        assert states.shape == ((theta_points * phi_points) ** (d - 1), d)
+        assert np.abs(np.linalg.norm(states, axis=1) - 1.0).max() < 1e-12
 
 
 def test_grid_states_match_single_evaluations():
-    states, angles = _grid_states(3, 4, 5)
+    states = _grid_states(3, 4, 5)
     assert states.shape == (4 * 4 * 5 * 5, 3)
+    thetas = np.linspace(0.0, np.pi / 2, 4)
+    phis = np.linspace(0.0, 2 * np.pi, 5, endpoint=False)
     for row in (0, 17, states.shape[0] - 1):
-        single = _angles_to_state(angles[row], 3)
+        t1, t2, p1, p2 = np.unravel_index(row, (4, 4, 5, 5))
+        single = _angles_to_state([thetas[t1], thetas[t2], phis[p1], phis[p2]], 3)
         assert np.abs(states[row] - single).max() < 1e-12
 
 
@@ -74,15 +88,18 @@ def _random_orthogonal_product_set(seed, dims, n):
 def test_streamed_kernel_matches_dense_einsum(monkeypatch, dims, n):
     monkeypatch.setattr(gridsearch, "THETA_POINTS", {2: 4, 3: 3})
     monkeypatch.setattr(gridsearch, "PHI_POINTS", {2: 5, 3: 4})
-    candidates = []
-    monkeypatch.setattr(
-        gridsearch, "_refine", lambda upb, angles0: candidates.append(angles0) or np.inf
-    )
+    starts = []
+
+    def no_descent(local_mats, start, max_iters):
+        starts.append(np.concatenate(start))
+        return np.inf, start, False, []
+
+    monkeypatch.setattr(witness, "_seesaw_once", no_descent)
     upb = _random_orthogonal_product_set(len(dims), dims, n)
     res = grid_minimum_overlap(upb)
 
     grids = [_grid_states(d, gridsearch.THETA_POINTS[d], gridsearch.PHI_POINTS[d]) for d in dims]
-    weights = [gridsearch._member_weights(upb, k, states) for k, (states, _) in enumerate(grids)]
+    weights = [gridsearch._member_weights(upb, k, states) for k, states in enumerate(grids)]
     letters = "abcd"[: len(dims)]
     obj = np.einsum(",".join(c + "i" for c in letters) + "->" + letters, *weights)
     rows = obj.reshape(obj.shape[0], -1)
@@ -91,9 +108,9 @@ def test_streamed_kernel_matches_dense_einsum(monkeypatch, dims, n):
     expected = []
     for a in lead:
         cell = (a, *np.unravel_index(best[a], obj.shape[1:]))
-        expected.append(np.concatenate([g[1][i] for g, i in zip(grids, cell)]))
+        expected.append(np.concatenate([g[i] for g, i in zip(grids, cell)]))
 
-    assert sorted(map(tuple, candidates)) == sorted(map(tuple, expected))
+    assert sorted(map(tuple, starts)) == sorted(map(tuple, expected))
     assert abs(res.grid_value - obj.min()) < 1e-14
     assert res.value == res.grid_value
 
@@ -119,12 +136,11 @@ def test_best_pairs_orders_ties_by_row_for_any_block(monkeypatch):
         assert gridsearch._best_pairs(wa, wb, keep) == expected, rows
 
 
-def test_grid_oracle_memory_is_one_block(monkeypatch, tiles, shifts):
-    # The simplex polish allocates almost nothing; stubbing it keeps the
-    # traced run short.  With a 1 MiB block the O(N n) weight tables set the
-    # peak (about 4.4 MiB on tiles, 2.4 MiB on shifts), so the bound is fixed.
+def test_grid_oracle_memory_is_one_block(tiles, shifts):
+    # The descent's polish allocates only a few small matrices per sweep.
+    # With a 1 MiB block the O(N n) weight tables set the peak (about 4.4 MiB
+    # on tiles, 2.4 MiB on shifts), so the bound is fixed.
     assert gridsearch.PAIR_BLOCK_DOUBLES * 8 <= 2**20
-    monkeypatch.setattr(gridsearch, "_refine", lambda upb, angles0: np.inf)
     limit = 8 * 2**20
     for upb in (tiles, shifts):
         tracemalloc.start()

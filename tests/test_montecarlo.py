@@ -67,6 +67,15 @@ def test_sampler_config_validation():
         (lambda cert: SamplerConfig(1.5), "master_seed must be an integer"),
         (lambda cert: SamplerConfig(float("nan")), "master_seed must be an integer"),
         (lambda cert: SamplerConfig(0, stream_id=1.5), "stream_id must be an integer"),
+        (lambda cert: SeesawConfig(restarts=True), "restarts must be an integer, got True"),
+        (lambda cert: SeesawConfig(max_iters=True), "max_iters must be an integer, got True"),
+        (lambda cert: SamplerConfig(True), "master_seed must be an integer, got True"),
+        (lambda cert: SamplerConfig(0, stream_id=True), "stream_id must be an integer, got True"),
+        (lambda cert: cert.x_grid(True), "grid size must be an integer, got True"),
+        (
+            lambda cert: ball_fraction_estimate(cert.member(0.9), 0.5, True, SamplerConfig(0)),
+            "trials must be an integer, got True",
+        ),
         (lambda cert: cert.x_grid(0), "grid size must be at least 1"),
         (lambda cert: cert.x_grid(-1), "grid size must be at least 1"),
         (lambda cert: robustness_profile(cert, 0), "grid size must be at least 1"),
@@ -369,7 +378,7 @@ def test_suites_diagonalize_each_trial_once_per_cut(request, monkeypatch, cert_n
 
 
 def test_mixing_respects_minimizer_direction(tiles, tiles_lambda, tiles_witness, tiles_omega):
-    sigma = tiles_lambda.minimizer.to_density(tiles.structure)
+    sigma = tiles_lambda.minimizers[0].to_density(tiles.structure)
     for z in (0.1, 0.5, 0.9, 0.999):
         m = z * sigma.matrix + (1 - z) * tiles_omega.matrix
         state = DensityMatrix(m, tiles.structure)
@@ -444,7 +453,7 @@ def test_cli_import_leaves_scipy_stats_unloaded():
     assert words[2:] == ["pptball,pptball.cli,pptball.operators,pptball.upb"]
 
 
-def test_only_the_grid_oracle_loads_scipy_optimize():
+def test_no_pptball_code_loads_scipy():
     probe = """
 import sys
 from pptball import (
@@ -453,11 +462,11 @@ from pptball import (
 from pptball.gridsearch import grid_minimum_overlap
 shifts = build_shifts()
 robustness_profile(certify(shifts, minimum_overlap(shifts, SeesawConfig(restarts=20))), grid_size=3)
-print("scipy.optimize" in sys.modules)
+print("scipy" in sys.modules)
 grid_minimum_overlap(build_complete_basis((2, 2)))
-print("scipy.optimize" in sys.modules)
+print("scipy" in sys.modules)
 """
-    assert _probe(probe) == ["False", "True"]
+    assert _probe(probe) == ["False", "False"]
 
 
 # The pptball modules each command leaves unloaded: lambda certifies without
@@ -486,7 +495,7 @@ SEESAW_FLAGS = ["--upb", "shifts", "--restarts", "20"]
     ],
     ids=lambda command: command[0],
 )
-def test_lambda_command_leaves_scipy_unloaded(command):
+def test_command_loads_only_its_modules(command):
     unused = tuple(f"pptball.{m}" for m in UNUSED_MODULES[command[0]])
     probe = f"""
 import os, sys, tempfile

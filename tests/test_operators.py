@@ -62,9 +62,23 @@ def test_structure_requires_physical_dims():
             ),
             "subsystem index must be an integer, got 1.5",
         ),
+        (
+            lambda: partial_transpose(
+                DensityMatrix.maximally_mixed(HilbertStructure((2, 2))), (True,)
+            ),
+            "subsystem index must be an integer, got True",
+        ),
+        (lambda: HilbertStructure((True, 3)), "local dimension must be an integer, got True"),
         (lambda: entanglement_threshold(float("nan"), 9), "strictly positive"),
     ],
-    ids=["structure", "complete-basis", "partial-transpose", "nan-violation"],
+    ids=[
+        "structure",
+        "complete-basis",
+        "partial-transpose",
+        "partial-transpose-bool",
+        "structure-bool",
+        "nan-violation",
+    ],
 )
 def test_non_integral_and_nan_inputs_are_rejected(call, message):
     with pytest.raises(ValueError, match=message):

@@ -273,7 +273,7 @@ def test_separable_mixing_threshold_identity(tiles_cert):
 
 def test_ppt_mixing_threshold_directions(tiles, tiles_cert):
     lambda_omega = tiles_cert.lambda_omega
-    sigma_min = tiles_cert.lam.minimizer.to_density(tiles.structure)
+    sigma_min = tiles_cert.lam.minimizers[0].to_density(tiles.structure)
     assert abs(ppt_mixing_threshold(tiles_cert, sigma_min) - 1.0) < 1e-6
     mixed = DensityMatrix.maximally_mixed(tiles.structure)
     expected = lambda_omega / (lambda_omega + 1.0 / TILES_D)

@@ -57,7 +57,7 @@ def test_overlaps_are_positive_and_below_ratio(tiles_lambda, pyramid_lambda, shi
 
 
 def test_minimizer_achieves_the_overlap(tiles, tiles_lambda):
-    v = tiles_lambda.minimizer.full_vector
+    v = tiles_lambda.minimizers[0].full_vector
     overlap = float(np.vdot(v, tiles.projector.matrix @ v).real)
     assert abs(overlap - tiles_lambda.value) < 1e-8
 
@@ -82,7 +82,7 @@ def test_descent_is_monotone_per_half_step(tiles):
 
 def test_restart_from_minimizer_is_a_fixed_point(tiles, tiles_lambda):
     mats = [tiles.local_matrix(k) for k in range(2)]
-    value, _, converged, _ = _seesaw_once(mats, tiles_lambda.minimizer.local_vectors, 500)
+    value, _, converged, _ = _seesaw_once(mats, tiles_lambda.minimizers[0].local_vectors, 500)
     assert converged
     assert abs(value - tiles_lambda.value) < 1e-12
 
@@ -167,7 +167,7 @@ def test_witness_detects_complement_state(tiles, tiles_lambda, tiles_witness):
 
 
 def test_witness_vanishes_on_minimizer(tiles, tiles_lambda, tiles_witness):
-    sigma = tiles_lambda.minimizer.to_density(tiles.structure)
+    sigma = tiles_lambda.minimizers[0].to_density(tiles.structure)
     assert abs(witness_value(tiles_witness, sigma)) < 1e-8
 
 
@@ -394,6 +394,8 @@ def test_catalog_proof_cells_are_pinned(name, cells, request, monkeypatch):
     proof = prove_product_minimum(upb.projector, upb.structure, lam.value)
     assert proof.cells == cells
     assert proof.upper == lam.value
+    # lambda_lo > 0 is what proves the set unextendible.
+    assert proof.lower > 0
     refuted = cells - sum(solved)
     if name == "shifts":
         assert refuted == 0
