@@ -14,7 +14,6 @@ these dimensions.
 """
 
 from pptball import (
-    SamplerConfig,
     ball_fraction_estimate,
     certify,
     get_upb,
@@ -27,10 +26,8 @@ certs = {}
 for name in ("tiles", "shifts"):
     upb = get_upb(name)
     cert = certs[name] = certify(upb, minimum_overlap(upb))
-    ball = verify_ball_robustness(
-        cert, cert.x_grid(10), 0.99, 300, SamplerConfig(42, stream_id=1)
-    )
-    mixing = verify_separable_mixing(cert, 0.99, 300, SamplerConfig(42, stream_id=2))
+    ball = verify_ball_robustness(cert, 10, 0.99, 300, 42)
+    mixing = verify_separable_mixing(cert, 0.99, 300, 42)
     print(f"== {name} ==")
     print(f"  ball suite    : {ball.trials} trials, "
           f"{ball.ppt_violations} PPT violations, "
@@ -47,7 +44,7 @@ cert = certs["tiles"]
 x = (cert.x_star + 1.0) / 2
 center = cert.member(x)
 radius = cert.radius(x)
-est = ball_fraction_estimate(center, radius, 2000, SamplerConfig(7))
+est = ball_fraction_estimate(center, radius, 2000, 7)
 print()
 print(f"ball-fraction estimate at x = {x:.4f}, radius = {radius:.2e}: "
       f"{est.hits}/{est.trials} hits, "

@@ -199,25 +199,12 @@ def _cmd_profile(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    from .montecarlo import SamplerConfig, verify_ball_robustness, verify_separable_mixing
+    from .montecarlo import verify_ball_robustness, verify_separable_mixing
 
     cert = _certificate(args)
-    ball = verify_ball_robustness(
-        cert,
-        cert.x_grid(args.grid),
-        args.y_fraction,
-        args.trials,
-        SamplerConfig(args.seed, stream_id=1),
-    )
-    mixing = verify_separable_mixing(
-        cert, args.z_fraction, args.trials, SamplerConfig(args.seed, stream_id=2)
-    )
-    violations = (
-        ball.ppt_violations
-        + ball.witness_violations
-        + mixing.ppt_violations
-        + mixing.witness_violations
-    )
+    ball = verify_ball_robustness(cert, args.grid, args.y_fraction, args.trials, args.seed)
+    mixing = verify_separable_mixing(cert, args.z_fraction, args.trials, args.seed)
+    violations = sum(s.ppt_violations + s.witness_violations for s in (ball, mixing))
     report = _header("verify")
     report["config"] = _config(
         args,
@@ -237,7 +224,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_membership(args) -> int:
-    from .montecarlo import SamplerConfig, ball_fraction_estimate
+    from .montecarlo import ball_fraction_estimate
 
     cert = _certificate(args)
     x_star = cert.x_star
@@ -246,9 +233,7 @@ def _cmd_membership(args) -> int:
         raise ValueError(f"--x must lie in (x* = {x_star!r}, 1), got {x!r}")
     radius = cert.radius(x)
     center = cert.member(x)
-    estimate = ball_fraction_estimate(
-        center, radius, args.trials, SamplerConfig(args.seed, stream_id=3)
-    )
+    estimate = ball_fraction_estimate(center, radius, args.trials, args.seed)
     report = _header("membership")
     report["config"] = _config(args, trials=args.trials, x=x)
     report["x_star"] = x_star

@@ -3,10 +3,12 @@
 Sampling is counter-based: every draw comes from the standard library's
 ``random.Random`` seeded by the string "master_seed:stream_id:tag:trial", so
 outcomes are bit-identical for a fixed configuration no matter how trials are
-scheduled or parallelized.  Gaussians come from ``witness._complex_gaussians``,
-the Box-Muller draw that also starts the seesaw, and only ``random()`` is
-called, whose sequence for a seed Python keeps across versions; no sampler
-loads ``numpy.random``.
+scheduled or parallelized.  Each suite takes a plain seed and owns a stream:
+ball 1, separable mixing 2, ball fraction 3; the public samplers take seed and
+stream as a ``SamplerConfig``.  Gaussians come from
+``witness._complex_gaussians``, the Box-Muller draw that also starts the
+seesaw, and only ``random()`` is called, whose sequence for a seed Python
+keeps across versions; no sampler loads ``numpy.random``.
 Violation margins are recorded even on success so tolerance regressions show
 up as trends, not just flips.
 """
@@ -22,10 +24,13 @@ import numpy as np
 
 from .operators import DensityMatrix, HilbertStructure, PSD_TOL, _integer, min_pt_eigenvalue
 from .robustness import Certificate, _center_inv_sqrt, _membership
-from .witness import Witness, _complex_gaussians, witness_value
+from .witness import _complex_gaussians, witness_value
 
 _HS_TAG = 1
 _PRODUCT_TAG = 2
+_BALL_STREAM = 1
+_MIXING_STREAM = 2
+_MEMBERSHIP_STREAM = 3
 # Product projectors per random separable state in the mixing suite.
 MIXTURE_TERMS = 4
 # Two-sided 95 % normal quantile; equals scipy.special.ndtri(0.975) to the last bit.
@@ -41,22 +46,12 @@ class SamplerConfig:
 
     def __post_init__(self):
         for name in ("master_seed", "stream_id"):
-            object.__setattr__(self, name, _integer(getattr(self, name), name))
-        if self.master_seed < 0 or self.stream_id < 0:
-            raise ValueError("seeds and stream ids must be nonnegative")
+            object.__setattr__(self, name, _integer(getattr(self, name), name, 0))
 
 
 def _key(cfg: SamplerConfig, tag: int, trial: int) -> tuple[int, int, int, int]:
     """The substream key of one draw; it seeds the draw and replays it."""
     return (cfg.master_seed, cfg.stream_id, tag, trial)
-
-
-def _trial(trial) -> int:
-    """A validated trial index: an integer >= 0."""
-    trial = _integer(trial, "trial")
-    if trial < 0:
-        raise ValueError(f"trial must be nonnegative, got {trial}")
-    return trial
 
 
 def _substream(cfg: SamplerConfig, tag: int, trial: int) -> random.Random:
@@ -109,7 +104,7 @@ def sample_hs_density(
 
     Full rank with probability 1.
     """
-    m = _hs_matrix(structure.total_dim, _substream(cfg, _HS_TAG, _trial(trial)))
+    m = _hs_matrix(structure.total_dim, _substream(cfg, _HS_TAG, _integer(trial, "trial", 0)))
     return DensityMatrix(m, structure)
 
 
@@ -120,10 +115,8 @@ def sample_random_product_separable(
     trial: int = 0,
 ) -> DensityMatrix:
     """Dirichlet-weighted mixture of random product projectors; separable by construction."""
-    mixture_terms = _integer(mixture_terms, "mixture_terms")
-    if mixture_terms < 1:
-        raise ValueError(f"mixture_terms must be at least 1, got {mixture_terms}")
-    gen = _substream(cfg, _PRODUCT_TAG, _trial(trial))
+    mixture_terms = _integer(mixture_terms, "mixture_terms", 1)
+    gen = _substream(cfg, _PRODUCT_TAG, _integer(trial, "trial", 0))
     return DensityMatrix(_product_mixture(structure.local_dims, mixture_terms, gen), structure)
 
 
@@ -162,17 +155,20 @@ class VerificationOutcome:
 
 
 def _score(
-    suite: str, witness: Witness, structure: HilbertStructure, keyed_matrices, config: dict
+    suite: str, cert: Certificate, cfg: SamplerConfig, keyed_matrices, **config
 ) -> VerificationOutcome:
-    """Check every (substream key, matrix) pair: PPT on every cut, witness-negative."""
+    """Check every (substream key, matrix) pair: PPT on every cut, witness-negative.
+
+    The echoed config is the set, ``cfg``, the suite's own ``config``, then PSD_TOL.
+    """
     trials = ppt_bad = wit_bad = 0
     ppt_margin = witness_margin = np.inf
     ppt_key = witness_key = ()
     failures = []
     for key, m in keyed_matrices:
         trials += 1
-        lo = min_pt_eigenvalue(m, structure)
-        wv = witness_value(witness, m)
+        lo = min_pt_eigenvalue(m, cert.upb.structure)
+        wv = witness_value(cert.witness, m)
         if lo + PSD_TOL < ppt_margin:
             ppt_margin, ppt_key = lo + PSD_TOL, key
         if -wv < witness_margin:
@@ -192,67 +188,53 @@ def _score(
         witness_margin=float(witness_margin),
         witness_margin_key=witness_key,
         seeds_of_failures=tuple(failures),
-        config=config,
+        config={
+            "upb": cert.upb.name,
+            "master_seed": cfg.master_seed,
+            "stream_id": cfg.stream_id,
+            **config,
+            "psd_tol": PSD_TOL,
+        },
     )
 
 
 def verify_ball_robustness(
-    cert: Certificate,
-    x_grid,
-    y_fraction: float,
-    trials: int,
-    cfg: SamplerConfig,
+    cert: Certificate, grid: int, y_fraction: float, trials: int, seed: int
 ) -> VerificationOutcome:
     """Perturb each family member by arbitrary random states inside its ball.
 
-    For every x in the grid and every trial, a Hilbert-Schmidt random sigma is
-    mixed in at y = y_fraction * y0(x); the mixture must stay PPT on every
-    bipartition and strictly witness-negative.  Zero violations expected for
-    y_fraction < 1; violations are data, not exceptions.
+    For every x in ``cert.x_grid(grid)`` and every trial, a Hilbert-Schmidt
+    random sigma is mixed in at y = y_fraction * y0(x); the mixture must stay
+    PPT on every bipartition and strictly witness-negative.  Zero violations
+    expected for y_fraction < 1; violations are data, not exceptions.
     """
     if not 0.0 < y_fraction < 1.0:
         raise ValueError(f"y_fraction must lie in (0, 1), got {y_fraction!r}")
-    trials = _integer(trials, "trials")
-    if trials < 1:
-        raise ValueError("at least one trial is required")
-    x_grid = [float(x) for x in x_grid]
-    if not x_grid:
-        raise ValueError("x_grid must hold at least one point")
-    for x in x_grid:
-        if not cert.x_star < x < 1.0:
-            raise ValueError(f"grid point {x!r} outside (x* = {cert.x_star!r}, 1)")
-    structure = cert.upb.structure
+    trials = _integer(trials, "trials", 1)
+    cfg = SamplerConfig(seed, _BALL_STREAM)
+    x_grid = [float(x) for x in cert.x_grid(grid)]
 
     def keyed_matrices():
         for xi, x in enumerate(x_grid):
             y = y_fraction * cert.radius(x)
             rho_x = cert.member(x).matrix
             for t in range(xi * trials, (xi + 1) * trials):
-                sigma = _hs_matrix(structure.total_dim, _substream(cfg, _HS_TAG, t))
+                sigma = _hs_matrix(cert.upb.total_dim, _substream(cfg, _HS_TAG, t))
                 yield _key(cfg, _HS_TAG, t), y * sigma + (1.0 - y) * rho_x
 
     return _score(
         "ball",
-        cert.witness,
-        structure,
+        cert,
+        cfg,
         keyed_matrices(),
-        {
-            "upb": cert.upb.name,
-            "master_seed": cfg.master_seed,
-            "stream_id": cfg.stream_id,
-            "trials_per_point": trials,
-            "x_grid": x_grid,
-            "y_fraction": y_fraction,
-            "psd_tol": PSD_TOL,
-        },
+        trials_per_point=trials,
+        x_grid=x_grid,
+        y_fraction=y_fraction,
     )
 
 
 def verify_separable_mixing(
-    cert: Certificate,
-    z_fraction: float,
-    trials: int,
-    cfg: SamplerConfig,
+    cert: Certificate, z_fraction: float, trials: int, seed: int
 ) -> VerificationOutcome:
     """Mix the complement state with random separable states below the threshold.
 
@@ -270,32 +252,24 @@ def verify_separable_mixing(
     """
     if not 0.0 < z_fraction < 1.0:
         raise ValueError(f"z_fraction must lie in (0, 1), got {z_fraction!r}")
-    trials = _integer(trials, "trials")
-    if trials < 1:
-        raise ValueError("at least one trial is required")
-    structure = cert.upb.structure
+    trials = _integer(trials, "trials", 1)
+    cfg = SamplerConfig(seed, _MIXING_STREAM)
     z = z_fraction * cert.lam.value
 
     def keyed_matrices():
         for t in range(trials):
             gen = _substream(cfg, _PRODUCT_TAG, t)
-            sigma = _product_mixture(structure.local_dims, MIXTURE_TERMS, gen)
+            sigma = _product_mixture(cert.upb.structure.local_dims, MIXTURE_TERMS, gen)
             yield _key(cfg, _PRODUCT_TAG, t), z * sigma + (1.0 - z) * cert.omega.matrix
 
     return _score(
         "separable-mixing",
-        cert.witness,
-        structure,
+        cert,
+        cfg,
         keyed_matrices(),
-        {
-            "upb": cert.upb.name,
-            "master_seed": cfg.master_seed,
-            "stream_id": cfg.stream_id,
-            "trials": trials,
-            "z_fraction": z_fraction,
-            "mixture_terms": MIXTURE_TERMS,
-            "psd_tol": PSD_TOL,
-        },
+        trials=trials,
+        z_fraction=z_fraction,
+        mixture_terms=MIXTURE_TERMS,
     )
 
 
@@ -331,16 +305,15 @@ def _wilson_interval(k: int, n: int) -> tuple[float, float]:
 
 
 def ball_fraction_estimate(
-    center: DensityMatrix, radius: float, trials: int, cfg: SamplerConfig
+    center: DensityMatrix, radius: float, trials: int, seed: int
 ) -> BallFractionEstimate:
     """Estimate the Hilbert-Schmidt probability of landing inside the ball.
 
     Scores each trial as ``ball_membership`` does, with the center's inverse
     square root computed once.
     """
-    trials = _integer(trials, "trials")
-    if trials < 1:
-        raise ValueError("at least one trial is required")
+    trials = _integer(trials, "trials", 1)
+    cfg = SamplerConfig(seed, _MEMBERSHIP_STREAM)
     if not 0.0 <= radius <= 1.0:
         raise ValueError(f"radius must lie in [0, 1], got {radius!r}")
     inv_sqrt = _center_inv_sqrt(center)

@@ -27,14 +27,18 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _integer(value, what: str) -> int:
-    """``value`` as an int; Python and numpy integers pass, anything else raises.
+def _integer(value, what: str, floor: int | None = None) -> int:
+    """``value`` as an int of at least ``floor``; Python and numpy integers pass.
 
+    This is the one entry check for counts, seeds, indices and dimensions.
     bool subclasses int in Python but is rejected, as numpy's bool already is.
     """
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{what} must be an integer, got {value!r}")
-    return int(value)
+    value = int(value)
+    if floor is not None and value < floor:
+        raise ValueError(f"{what} must be at least {floor}, got {value}")
+    return value
 
 
 @dataclass(frozen=True, eq=False)
@@ -44,11 +48,8 @@ class HilbertStructure:
     local_dims: tuple[int, ...]
 
     def __post_init__(self):
-        dims = tuple(_integer(d, "local dimension") for d in self.local_dims)
-        if not dims:
-            raise ValueError("at least one subsystem is required")
-        if any(d < 2 for d in dims):
-            raise ValueError(f"local dimensions must all be >= 2, got {dims}")
+        dims = tuple(_integer(d, "local dimension", 2) for d in self.local_dims)
+        _integer(len(dims), "number of subsystems", 1)
         object.__setattr__(self, "local_dims", dims)
 
     @property
@@ -65,9 +66,7 @@ class HilbertStructure:
 
 def all_bipartitions(structure: HilbertStructure) -> tuple[tuple[int, ...], ...]:
     """Transposed sides of the 2**(n-1) - 1 distinct splits; subsystem 0 is never transposed."""
-    n = structure.n_parties
-    if n < 2:
-        raise ValueError("bipartitions require at least two subsystems")
+    n = _integer(structure.n_parties, "number of subsystems", 2)
     return tuple(side for r in range(1, n) for side in combinations(range(1, n), r))
 
 
@@ -81,8 +80,7 @@ class HermitianOperator:
         m = np.array(self.matrix, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"expected a square matrix, got shape {m.shape}")
-        if m.shape[0] < 1:
-            raise ValueError("dimension must be at least 1")
+        _integer(m.shape[0], "dimension", 1)
         if not np.isfinite(m).all():
             raise ValueError("matrix entries are not finite")
         dev = float(np.abs(m - m.conj().T).max())

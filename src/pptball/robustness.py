@@ -23,7 +23,7 @@ from .operators import (
     purity,
 )
 from .upb import UPBSet, omega_state
-from .witness import LambdaResult, Witness, build_witness, witness_value
+from .witness import LambdaResult, Witness, _normalizer, build_witness, witness_value
 
 IDENTITY_ATOL = 1e-12
 CROSSING_RESIDUAL = 1e-12
@@ -98,9 +98,7 @@ class Certificate:
 
     def x_grid(self, k: int) -> np.ndarray:
         """k >= 1 evenly spaced points strictly inside (x*, 1)."""
-        k = _integer(k, "grid size")
-        if k < 1:
-            raise ValueError(f"grid size must be at least 1, got {k}")
+        k = _integer(k, "grid size", 1)
         return np.linspace(self.x_star, 1.0, k + 2)[1:-1]
 
     def member(self, x: float) -> DensityMatrix:
@@ -169,10 +167,13 @@ def crossing_x0(n: int, dim_total: int, lam_value: float) -> CrossingResult:
     which is linear in x; its root is
     (n(D - 2) + D(1 - lambda(D - 1))) / (n(D - 2) + D(1 - lambda)).
     The tabulated form has the same numerator but multiplies n(D - 2) by
-    D(1 - lambda) in its denominator where the root adds them.  The root must
-    lie in (x*, 1) and close the branch gap to CROSSING_RESIDUAL.
+    D(1 - lambda) in its denominator where the root adds them.  Input must
+    satisfy n < D and 0 < lambda < n/D; the root must lie in (x*, 1) and close
+    the branch gap to CROSSING_RESIDUAL.
     """
-    norm = n - lam_value * dim_total
+    n = _integer(n, "cardinality", 1)
+    dim_total = _integer(dim_total, "total dimension", n + 1)
+    norm = _normalizer(n, dim_total, lam_value)
     lambda_omega = lam_value / norm
     bound = (1.0 - lam_value) / norm
     x_star = _closed_threshold(n, dim_total, lam_value)
@@ -244,9 +245,10 @@ def in_gurvits_ball(rho: DensityMatrix) -> bool:
 def _center_inv_sqrt(center: DensityMatrix) -> np.ndarray:
     """center^{-1/2}; the center must have full rank."""
     dec = eig_hermitian(center)
-    if float(dec.eigenvalues[0]) < RANK_TOL:
+    lo = float(dec.eigenvalues[0])
+    if lo < RANK_TOL:
         raise ValueError(
-            "center must have full rank; line-family members with x < 1 qualify"
+            f"center must have full rank: smallest eigenvalue {lo:.3e} < RANK_TOL = {RANK_TOL:g}"
         )
     return (dec.eigenvectors / np.sqrt(dec.eigenvalues)) @ dec.eigenvectors.conj().T
 

@@ -50,12 +50,8 @@ class SeesawConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("restarts", "max_iters", "seed"):
-            object.__setattr__(self, name, _integer(getattr(self, name), name))
-        if self.restarts < 1 or self.max_iters < 1:
-            raise ValueError("restarts and max_iters must be at least 1")
-        if self.seed < 0:
-            raise ValueError(f"seed must be nonnegative, got {self.seed}")
+        for name, floor in (("restarts", 1), ("max_iters", 1), ("seed", 0)):
+            object.__setattr__(self, name, _integer(getattr(self, name), name, floor))
 
 
 @dataclass(frozen=True, eq=False)
@@ -211,6 +207,16 @@ def witness_from_operator(op: HermitianOperator) -> Witness:
     )
 
 
+def _normalizer(n: int, d: int, lam_value: float) -> float:
+    """n - lambda D, the witness normalizer; lambda must lie in (0, n/D)."""
+    if not 0.0 < lam_value < n / d:
+        raise ValueError(
+            f"minimum overlap {lam_value!r} outside (0, n/D = {n / d}); "
+            "the normalizer n - lambda D must be positive"
+        )
+    return n - lam_value * d
+
+
 def build_witness(upb: UPBSet, lam: LambdaResult | float) -> Witness:
     """Normalized witness (P - lambda I) / (n - lambda D) for a product-basis set.
 
@@ -219,12 +225,7 @@ def build_witness(upb: UPBSet, lam: LambdaResult | float) -> Witness:
     """
     lam_value = lam.value if isinstance(lam, LambdaResult) else float(lam)
     d, n = upb.total_dim, upb.cardinality
-    if not 0.0 < lam_value < n / d:
-        raise ValueError(
-            f"minimum overlap {lam_value!r} outside (0, n/D = {n / d}); "
-            "the normalizer n - lambda D must be positive"
-        )
-    w = (upb.projector.matrix - lam_value * np.eye(d)) / (n - lam_value * d)
+    w = (upb.projector.matrix - lam_value * np.eye(d)) / _normalizer(n, d, lam_value)
     return witness_from_operator(HermitianOperator(w))
 
 

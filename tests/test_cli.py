@@ -150,6 +150,17 @@ def test_membership_x_below_threshold_is_usage_error(tmp_path, capsys):
     assert not path.exists()
 
 
+def test_membership_center_below_rank_tolerance_is_usage_error(tmp_path, capsys):
+    # x = 0.999999999999 lies in (x*, 1), but the center's smallest
+    # eigenvalue (1 - x)/D ~ 1.25e-13 is below RANK_TOL.
+    code, path = run(tmp_path, "membership", "--upb", "shifts", "--x", "0.999999999999")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: center must have full rank") and err.count("\n") == 1
+    assert err.endswith("smallest eigenvalue 1.250e-13 < RANK_TOL = 1e-12\n")
+    assert not path.exists()
+
+
 @pytest.mark.parametrize("target", ["missing-dir", "directory"])
 def test_unwritable_output_is_usage_error(tmp_path, capsys, target):
     path = tmp_path / "missing" / "x.json" if target == "missing-dir" else tmp_path
@@ -203,6 +214,9 @@ def test_verify_reports_zero_violations(tmp_path):
     for suite in report["suites"].values():
         assert suite["ppt_margin"] > 0 and suite["witness_margin"] > 0
         assert suite["witness_margin_key"][:2] == [42, suite["config"]["stream_id"]]
+    # Each suite draws from its own stream under the one --seed.
+    assert report["suites"]["ball"]["config"]["stream_id"] == 1
+    assert report["suites"]["separable-mixing"]["config"]["stream_id"] == 2
 
 
 def test_verify_shifts_covers_all_cuts(tmp_path):

@@ -61,7 +61,7 @@ def test_sampler_config_validation():
 @pytest.mark.parametrize(
     "call, message",
     [
-        (lambda cert: SeesawConfig(seed=-1), "seed must be nonnegative"),
+        (lambda cert: SeesawConfig(seed=-1), "seed must be at least 0, got -1"),
         (lambda cert: SeesawConfig(restarts=2.5), "restarts must be an integer"),
         (lambda cert: SeesawConfig(max_iters=2.5), "max_iters must be an integer"),
         (lambda cert: SamplerConfig(1.5), "master_seed must be an integer"),
@@ -73,34 +73,42 @@ def test_sampler_config_validation():
         (lambda cert: SamplerConfig(0, stream_id=True), "stream_id must be an integer, got True"),
         (lambda cert: cert.x_grid(True), "grid size must be an integer, got True"),
         (
-            lambda cert: ball_fraction_estimate(cert.member(0.9), 0.5, True, SamplerConfig(0)),
+            lambda cert: ball_fraction_estimate(cert.member(0.9), 0.5, True, 0),
             "trials must be an integer, got True",
+        ),
+        (
+            lambda cert: verify_ball_robustness(cert, True, 0.5, 5, 0),
+            "grid size must be an integer, got True",
+        ),
+        (
+            lambda cert: verify_ball_robustness(cert, 0, 0.5, 5, 0),
+            "grid size must be at least 1, got 0",
         ),
         (lambda cert: cert.x_grid(0), "grid size must be at least 1"),
         (lambda cert: cert.x_grid(-1), "grid size must be at least 1"),
         (lambda cert: robustness_profile(cert, 0), "grid size must be at least 1"),
         (
-            lambda cert: verify_ball_robustness(cert, cert.x_grid(1), 0.5, 2.5, SamplerConfig(0)),
+            lambda cert: verify_ball_robustness(cert, 1, 0.5, 2.5, 0),
             "trials must be an integer",
         ),
         (
-            lambda cert: verify_separable_mixing(cert, 0.5, 2.5, SamplerConfig(0)),
+            lambda cert: verify_separable_mixing(cert, 0.5, 2.5, 0),
             "trials must be an integer",
         ),
         (
-            lambda cert: ball_fraction_estimate(cert.member(0.9), 0.5, 2.5, SamplerConfig(0)),
+            lambda cert: ball_fraction_estimate(cert.member(0.9), 0.5, 2.5, 0),
             "trials must be an integer",
         ),
         (
-            lambda cert: ball_fraction_estimate(cert.member(0.9), np.nan, 10, SamplerConfig(0)),
+            lambda cert: ball_fraction_estimate(cert.member(0.9), np.nan, 10, 0),
             "radius must lie in",
         ),
         (
-            lambda cert: ball_fraction_estimate(cert.member(0.9), -1.0, 10, SamplerConfig(0)),
+            lambda cert: ball_fraction_estimate(cert.member(0.9), -1.0, 10, 0),
             "radius must lie in",
         ),
         (
-            lambda cert: ball_fraction_estimate(cert.member(0.9), 2.0, 10, SamplerConfig(0)),
+            lambda cert: ball_fraction_estimate(cert.member(0.9), 2.0, 10, 0),
             "radius must lie in",
         ),
         (
@@ -109,7 +117,7 @@ def test_sampler_config_validation():
         ),
         (
             lambda cert: sample_hs_density(cert.omega.structure, SamplerConfig(0), trial=-1),
-            "trial must be nonnegative",
+            "trial must be at least 0, got -1",
         ),
         (
             lambda cert: sample_random_product_separable(
@@ -121,7 +129,7 @@ def test_sampler_config_validation():
             lambda cert: sample_random_product_separable(
                 cert.omega.structure, 2, SamplerConfig(0), trial=-1
             ),
-            "trial must be nonnegative",
+            "trial must be at least 0, got -1",
         ),
         (
             lambda cert: sample_random_product_separable(
@@ -228,9 +236,7 @@ def test_product_sampler_rejects_zero_terms():
 
 
 def test_ball_verification_clean_run(tiles_cert):
-    out = verify_ball_robustness(
-        tiles_cert, tiles_cert.x_grid(3), 0.99, 60, SamplerConfig(42, stream_id=1)
-    )
+    out = verify_ball_robustness(tiles_cert, 3, 0.99, 60, 42)
     assert out.ok
     assert out.trials == 3 * 60
     assert out.worst_margin > 0
@@ -242,17 +248,15 @@ def test_ball_verification_clean_run(tiles_cert):
 
 def test_ball_verification_validates_inputs(tiles_cert):
     with pytest.raises(ValueError, match="y_fraction"):
-        verify_ball_robustness(tiles_cert, [0.99], 1.0, 5, SamplerConfig(1))
-    with pytest.raises(ValueError, match="outside"):
-        verify_ball_robustness(tiles_cert, [0.5], 0.9, 5, SamplerConfig(1))
+        verify_ball_robustness(tiles_cert, 1, 1.0, 5, 1)
     with pytest.raises(ValueError, match="trial"):
-        verify_ball_robustness(tiles_cert, [0.99], 0.9, 0, SamplerConfig(1))
-    with pytest.raises(ValueError, match="at least one point"):
-        verify_ball_robustness(tiles_cert, [], 0.9, 5, SamplerConfig(1))
+        verify_ball_robustness(tiles_cert, 1, 0.9, 0, 1)
+    with pytest.raises(ValueError, match="grid size must be at least 1"):
+        verify_ball_robustness(tiles_cert, -1, 0.9, 5, 1)
 
 
 def test_separable_mixing_clean_run(tiles_cert):
-    out = verify_separable_mixing(tiles_cert, 0.99, 200, SamplerConfig(42, stream_id=2))
+    out = verify_separable_mixing(tiles_cert, 0.99, 200, 42)
     assert out.ok
     assert out.worst_margin > 0
 
@@ -260,7 +264,7 @@ def test_separable_mixing_clean_run(tiles_cert):
 def test_separable_mixing_reports_witness_margin(tiles_cert):
     # The PPT margin is PSD_TOL plus a PT eigenvalue of rounding size; the
     # witness margin is the one that says how far the suite is from failing.
-    out = verify_separable_mixing(tiles_cert, 0.99, 50, SamplerConfig(1, stream_id=2))
+    out = verify_separable_mixing(tiles_cert, 0.99, 50, 1)
     assert out.ppt_margin < 2e-9
     assert out.witness_margin > 1e-4
     assert out.worst_margin == out.ppt_margin
@@ -276,7 +280,7 @@ def test_mixing_ppt_margin_is_zero_where_the_kernels_meet(request, cert_name):
     # The PT kernels of omega (dimension n) and sigma (at least
     # D - MIXTURE_TERMS) meet when n > MIXTURE_TERMS: see the docstring.
     cert = request.getfixturevalue(cert_name)
-    out = verify_separable_mixing(cert, 0.99, 200, SamplerConfig(0, stream_id=2))
+    out = verify_separable_mixing(cert, 0.99, 200, 0)
     if cert.upb.cardinality > MIXTURE_TERMS:
         assert abs(out.ppt_margin - PSD_TOL) <= 1e-14
     else:
@@ -285,9 +289,9 @@ def test_mixing_ppt_margin_is_zero_where_the_kernels_meet(request, cert_name):
 
 def test_separable_mixing_validates_inputs(tiles_cert):
     with pytest.raises(ValueError, match="z_fraction"):
-        verify_separable_mixing(tiles_cert, 1.0, 5, SamplerConfig(1))
+        verify_separable_mixing(tiles_cert, 1.0, 5, 1)
     with pytest.raises(ValueError, match="trial"):
-        verify_separable_mixing(tiles_cert, 0.5, 0, SamplerConfig(1))
+        verify_separable_mixing(tiles_cert, 0.5, 0, 1)
 
 
 def _score_states(witness, keyed_states):
@@ -323,17 +327,18 @@ def _outcome_fields(out):
 def test_plain_matrix_suites_match_object_path(request, cert_name):
     cert = request.getfixturevalue(cert_name)
     structure = cert.upb.structure
-    grid, trials = cert.x_grid(2), 20
+    trials = 20
     # Substream keys are (master seed, stream, tag, trial); tag 1 draws
-    # Hilbert-Schmidt states, tag 2 product mixtures.
+    # Hilbert-Schmidt states, tag 2 product mixtures.  The ball suite owns
+    # stream 1 and the mixing suite stream 2.
     cfg = SamplerConfig(5, stream_id=1)
     ball_states = []
-    for xi, x in enumerate(grid):
+    for xi, x in enumerate(cert.x_grid(2)):
         y = 0.99 * cert.radius(x)
         for t in range(xi * trials, (xi + 1) * trials):
             sigma = sample_hs_density(structure, cfg, trial=t)
             ball_states.append(((5, 1, 1, t), mixture_tau(cert, sigma, x, y)[0]))
-    ball = verify_ball_robustness(cert, grid, 0.99, trials, cfg)
+    ball = verify_ball_robustness(cert, 2, 0.99, trials, 5)
     assert ball.trials == len(ball_states)
     assert _outcome_fields(ball) == _score_states(cert.witness, ball_states)
 
@@ -344,7 +349,7 @@ def test_plain_matrix_suites_match_object_path(request, cert_name):
         sigma = sample_random_product_separable(structure, MIXTURE_TERMS, cfg, trial=t)
         m = z * sigma.matrix + (1.0 - z) * cert.omega.matrix
         mixing_states.append(((5, 2, 2, t), DensityMatrix(m, structure)))
-    mixing = verify_separable_mixing(cert, 0.99, trials, cfg)
+    mixing = verify_separable_mixing(cert, 0.99, trials, 5)
     assert mixing.trials == trials
     assert _outcome_fields(mixing) == _score_states(cert.witness, mixing_states)
 
@@ -367,13 +372,13 @@ def test_suites_diagonalize_each_trial_once_per_cut(request, monkeypatch, cert_n
         return eigvalsh(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigvalsh", counting)
-    verify_ball_robustness(cert, cert.x_grid(k), 0.99, trials, SamplerConfig(3, stream_id=1))
+    verify_ball_robustness(cert, k, 0.99, trials, 3)
     assert calls == k * trials * cuts + k
     calls = 0
-    verify_separable_mixing(cert, 0.99, trials, SamplerConfig(3, stream_id=2))
+    verify_separable_mixing(cert, 0.99, trials, 3)
     assert calls == trials * cuts
     calls = 0
-    ball_fraction_estimate(center, cert.radius(x), trials, SamplerConfig(3, stream_id=3))
+    ball_fraction_estimate(center, cert.radius(x), trials, 3)
     assert calls == trials
 
 
@@ -388,19 +393,20 @@ def test_mixing_respects_minimizer_direction(tiles, tiles_lambda, tiles_witness,
 
 def test_ball_fraction_extremes(tiles_cert):
     center = tiles_cert.member(0.9)
-    cfg = SamplerConfig(3)
-    assert ball_fraction_estimate(center, 1.0, 40, cfg).fraction == 1.0
-    assert ball_fraction_estimate(center, 0.0, 40, cfg).fraction == 0.0
+    assert ball_fraction_estimate(center, 1.0, 40, 3).fraction == 1.0
+    assert ball_fraction_estimate(center, 0.0, 40, 3).fraction == 0.0
 
 
 def test_ball_fraction_reports_interval(tiles_cert):
     x = (tiles_cert.x_star + 1) / 2
     center = tiles_cert.member(x)
     radius = tiles_cert.radius(x)
-    est = ball_fraction_estimate(center, radius, 200, SamplerConfig(9))
+    est = ball_fraction_estimate(center, radius, 200, 9)
     assert 0.0 <= est.ci_low <= est.fraction <= est.ci_high <= 1.0
+    # The membership estimate owns stream 3.
+    cfg = SamplerConfig(9, stream_id=3)
     hits = sum(
-        ball_membership(sample_hs_density(center.structure, SamplerConfig(9), trial=t), center)
+        ball_membership(sample_hs_density(center.structure, cfg, trial=t), center)
         < radius
         for t in range(200)
     )

@@ -85,6 +85,24 @@ def test_non_integral_and_nan_inputs_are_rejected(call, message):
         call()
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: HilbertStructure((1, 3)), "local dimension must be at least 2, got 1"),
+        (lambda: HilbertStructure(()), "number of subsystems must be at least 1, got 0"),
+        (
+            lambda: all_bipartitions(HilbertStructure((3,))),
+            "number of subsystems must be at least 2, got 1",
+        ),
+        (lambda: HermitianOperator(np.zeros((0, 0))), "dimension must be at least 1, got 0"),
+    ],
+    ids=["local-dimension", "no-subsystems", "one-party-cut", "empty-operator"],
+)
+def test_counts_below_their_floor_are_rejected(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 def test_bipartition_validation():
     rho = DensityMatrix.maximally_mixed(HilbertStructure((2, 2)))
     with pytest.raises(ValueError, match="nonempty"):

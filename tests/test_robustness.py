@@ -148,6 +148,16 @@ def test_crossing_root_and_branch_equality(tiles_lambda):
     )
     assert abs(res.x0_root - closed) < 1e-10
     assert res.x0_printed != pytest.approx(res.x0_root, abs=1e-3)
+    # Bad input is a ValueError, as for build_witness, not a failed contract.
+    for n, d, bad, message in (
+        (TILES_N, TILES_D, 0.6, r"outside \(0, n/D"),
+        (TILES_N, TILES_D, 0.0, r"outside \(0, n/D"),
+        (TILES_N, TILES_D, np.nan, r"outside \(0, n/D"),
+        (TILES_D, TILES_D, 0.5, "total dimension must be at least 10, got 9"),
+        (5.5, TILES_D, 0.02, "cardinality must be an integer"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            crossing_x0(n, d, bad)
 
 
 def test_crossing_sweep_is_monotone():
