@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import errno
+import functools
 import io
 import json
 import os
@@ -229,8 +230,6 @@ def _cmd_membership(args) -> int:
     cert = _certificate(args)
     x_star = cert.x_star
     x = args.x if args.x is not None else 0.5 * (x_star + 1.0)
-    if not x_star < x < 1.0:
-        raise ValueError(f"--x must lie in (x* = {x_star!r}, 1), got {x!r}")
     radius = cert.radius(x)
     center = cert.member(x)
     estimate = ball_fraction_estimate(center, radius, args.trials, args.seed)
@@ -284,6 +283,7 @@ def _open_unit(text: str) -> float:
     return value
 
 
+@functools.cache  # one parser per process, built on first use, not on import
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pptball",

@@ -34,10 +34,11 @@ WITNESS_SIGN_ATOL = 1e-10
 
 def entanglement_threshold(lambda_rho: float, dim_total: int) -> float:
     """x* = 1/(1 + D lambda); family members with x > x* stay witness-negative."""
-    if not lambda_rho > 0.0:
+    dim_total = _integer(dim_total, "total dimension", 2)
+    if not 0.0 < lambda_rho < np.inf:
         raise ValueError(
-            "witness violation must be strictly positive; a separable base state "
-            "has no entanglement threshold"
+            "witness violation must be strictly positive and finite; a separable "
+            f"base state has no entanglement threshold, got {lambda_rho!r}"
         )
     return 1.0 / (1.0 + dim_total * lambda_rho)
 
@@ -109,6 +110,11 @@ class Certificate:
         m = x * self.omega.matrix + (1.0 - x) * np.eye(d) / d
         return DensityMatrix(m, self.upb.structure)
 
+    def _check_entangled(self, x: float) -> None:
+        """Raise unless x lies strictly in (x*, 1), where the family is certified entangled."""
+        if not self.x_star < x < 1.0:
+            raise ValueError(f"x must lie strictly between x* = {self.x_star!r} and 1, got {x!r}")
+
     def radius(self, x: float) -> float:
         """Certified ball radius y0(x) around the family member at x.
 
@@ -117,10 +123,7 @@ class Certificate:
         purity ball, and the witness branch, under which the mixture stays
         witness-negative even when Tr(W sigma) takes the largest eigenvalue of W.
         """
-        if not self.x_star < x < 1.0:
-            raise ValueError(
-                f"x must lie strictly between x* = {self.x_star!r} and 1, got {x!r}"
-            )
+        self._check_entangled(x)
         return _radius(x, self.upb.total_dim, self.lambda_omega, self.witness.max_pos_eigenvalue)
 
 
@@ -341,8 +344,7 @@ def verify_maximal_robustness(
 
     x must lie in (x*, 1) and the grid must hold at least one z in [0, 1).
     """
-    if not cert.x_star < x < 1.0:
-        raise ValueError(f"x must lie strictly between x* = {cert.x_star!r} and 1, got {x!r}")
+    cert._check_entangled(x)
     z_grid = [float(z) for z in z_grid]
     if not z_grid:
         raise ValueError("z_grid must hold at least one point")

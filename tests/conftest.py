@@ -10,7 +10,6 @@ from pptball import (
     minimum_overlap,
     omega_state,
 )
-from pptball.gridsearch import grid_minimum_overlap
 
 
 @pytest.fixture(scope="session")
@@ -86,18 +85,3 @@ def tiles_omega(tiles):
 @pytest.fixture(scope="session")
 def shifts_omega(shifts):
     return omega_state(shifts)
-
-
-@pytest.fixture(scope="session")
-def tiles_grid(tiles):
-    return grid_minimum_overlap(tiles)
-
-
-@pytest.fixture(scope="session")
-def pyramid_grid(pyramid):
-    return grid_minimum_overlap(pyramid)
-
-
-@pytest.fixture(scope="session")
-def shifts_grid(shifts):
-    return grid_minimum_overlap(shifts)

@@ -75,6 +75,14 @@ def test_entanglement_threshold_forms():
     with pytest.raises(ValueError):
         entanglement_threshold(-0.5, 9)
     assert entanglement_threshold(1e-9, 9) > 0.99999
+    for lam, dim, match in (
+        (0.1, -20, "total dimension must be at least 2, got -20"),
+        (0.1, 2.5, "total dimension must be an integer, got 2.5"),
+        (0.1, True, "total dimension must be an integer, got True"),
+        (float("inf"), 9, "strictly positive and finite"),
+    ):
+        with pytest.raises(ValueError, match=match):
+            entanglement_threshold(lam, dim)
 
 
 def test_threshold_identity_cross_check(tiles_cert):
