@@ -1,9 +1,14 @@
 import csv
 import gc
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from pptball import cli
 from pptball.cli import _flatten, main
 from pptball.proof import PROOF_GAP
 
@@ -34,6 +39,26 @@ def test_warm_main_leaves_little_cyclic_garbage(tmp_path):
         assert gc.collect() < 100
     finally:
         gc.enable()
+
+
+def test_parser_is_built_on_first_use_only(tmp_path):
+    # Importing the CLI builds no parser; every later main call reuses the first.
+    probe = f"""
+import pptball.cli as cli
+print(cli.build_parser.cache_info().currsize)
+for _ in range(3):
+    cli.main(["upb-list", "--output", {str(tmp_path / "out.json")!r}])
+print(cli.build_parser.cache_info().misses, cli.build_parser() is cli.build_parser())
+"""
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.split() == ["0", "1", "True"]
 
 
 def test_lambda_complete_basis(tmp_path):

@@ -41,6 +41,16 @@ def test_submodules_import_by_name():
     assert proof.prove_product_minimum is pptball.prove_product_minimum
 
 
+def test_gridsearch_holds_only_the_benchmark_grid_constants():
+    from pptball import gridsearch
+
+    names = {name for name in vars(gridsearch) if not name.startswith("__")}
+    assert names == {"THETA_POINTS", "PHI_POINTS", "PAIR_BLOCK_DOUBLES"}
+    assert gridsearch.THETA_POINTS == {2: 13, 3: 9}
+    assert gridsearch.PHI_POINTS == {2: 16, 3: 12}
+    assert gridsearch.PAIR_BLOCK_DOUBLES == 2**17
+
+
 def test_names_are_not_cached_in_the_package(monkeypatch):
     from pptball import witness
 

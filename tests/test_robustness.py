@@ -320,6 +320,23 @@ def test_maximal_robustness_direction(tiles_cert):
             verify_maximal_robustness(tiles_cert, sigma_dir, outside, zs)
 
 
+@pytest.mark.parametrize(
+    "where", ["below", "x-star", "one", "above-one", "nan"]
+)
+def test_entangled_range_is_one_check(tiles_cert, where):
+    # radius and verify_maximal_robustness refuse x outside (x*, 1) with the
+    # same words, NaN included.
+    x_star = tiles_cert.x_star
+    x = {"below": x_star / 2, "x-star": x_star, "one": 1.0, "above-one": 1.5,
+         "nan": float("nan")}[where]
+    message = f"x must lie strictly between x* = {x_star!r} and 1, got {x!r}"
+    with pytest.raises(ValueError) as radius_error:
+        tiles_cert.radius(x)
+    with pytest.raises(ValueError) as verify_error:
+        verify_maximal_robustness(tiles_cert, tiles_cert.omega, x, [0.0])
+    assert str(radius_error.value) == str(verify_error.value) == message
+
+
 def test_profile_contents_and_serialization(tiles_cert, tiles_lambda):
     data = robustness_profile(tiles_cert, grid_size=12)
     assert data["lambda_omega"] <= 1 - 2 / TILES_D

@@ -46,6 +46,41 @@ def test_complete_basis_multipartite_overlap_is_one():
     assert abs(lam.value - 1.0) < 1e-12
 
 
+def _random_orthogonal_product_set(seed, dims, n):
+    """n generic product vectors; member j is orthogonal to member i < j on party i % k."""
+    rng = np.random.default_rng(seed)
+    members = []
+    for j in range(n):
+        member = []
+        for p, d in enumerate(dims):
+            v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+            fixed = [members[i][p] for i in range(p, j, len(dims))]
+            if fixed:
+                q, _ = np.linalg.qr(np.column_stack(fixed))
+                v = v - q @ (q.conj().T @ v)
+            member.append(v / np.linalg.norm(v))
+        members.append(member)
+    return UPBSet.from_vectors("random", dims, members)
+
+
+@pytest.mark.parametrize(
+    "dims, n",
+    [((3,), 2), ((3, 3), 3), ((2, 2, 2), 4), ((2, 2, 2, 2), 3)],
+    ids=["1-party", "2-party", "3-party", "4-party"],
+)
+def test_extendible_orthogonal_sets_have_zero_overlap(dims, n):
+    # Each set leaves a product vector orthogonal to all its members, so the
+    # descent must reach 0 for any number of parties; P >= 0 lets the proof
+    # stop at lambda_min(P) = 0 without a cell.
+    upb = _random_orthogonal_product_set(len(dims), dims, n)
+    lam = minimum_overlap(upb, QUICK)
+    assert abs(lam.value) < 1e-12
+    assert lam.converged
+    proof = prove_product_minimum(upb.projector, upb.structure, lam.value)
+    assert -1e-11 < proof.lower <= lam.value
+    assert proof.cells == 0
+
+
 def test_overlaps_are_positive_and_below_ratio(tiles_lambda, pyramid_lambda, shifts_lambda):
     for lam, n, d in (
         (tiles_lambda, 5, 9),
