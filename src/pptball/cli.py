@@ -29,11 +29,12 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .upb import CATALOG, get_upb
+from .upb import CATALOG, _pairs, get_upb
 
-# Each handler imports the modules it runs, and ``_emit`` imports csv only for
-# a csv report, so a command loads only its own code; the annotations naming
-# those modules' types stay strings.
+# Each handler imports the modules it runs and returns its report fields and
+# exit status; ``main`` stamps the header and writes the report.  ``_emit``
+# imports csv only for a csv report, so a command loads only its own code; the
+# annotations naming those modules' types stay strings.
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -99,13 +100,6 @@ def _check_output(path: str) -> None:
     raise OSError(code, os.strerror(code), path)
 
 
-def _header(command: str) -> dict:
-    return {
-        "tool": {"name": "pptball", "version": __version__},
-        "command": command,
-    }
-
-
 def _config(args, **extra) -> dict:
     """The echoed configuration: set, seed, the command's own flags, then seesaw counts."""
     return {
@@ -117,28 +111,25 @@ def _config(args, **extra) -> dict:
     }
 
 
-def _seesaw_cfg(args) -> SeesawConfig:
-    from .witness import SeesawConfig
+def _overlap(args) -> tuple[UPBSet, LambdaResult]:
+    """The chosen set and the seesaw's least product overlap under the echoed counts."""
+    from .witness import SeesawConfig, minimum_overlap
 
-    return SeesawConfig(restarts=args.restarts, max_iters=args.max_iters, seed=args.seed)
+    upb = get_upb(args.upb)
+    cfg = SeesawConfig(restarts=args.restarts, max_iters=args.max_iters, seed=args.seed)
+    return upb, minimum_overlap(upb, cfg)
 
 
 def _certificate(args) -> Certificate:
     from .robustness import certify
-    from .witness import minimum_overlap
 
-    upb = get_upb(args.upb)
-    lam = minimum_overlap(upb, _seesaw_cfg(args))
+    upb, lam = _overlap(args)
     if not lam.converged:
         raise _NoConvergence("overlap minimizer did not converge")
     return certify(upb, lam)
 
 
-def _pair(z: complex) -> list[float]:
-    return [float(z.real), float(z.imag)]
-
-
-def _cmd_upb_list(args) -> int:
+def _cmd_upb_list(args) -> tuple[dict, int]:
     entries = []
     for name in sorted(CATALOG):
         upb = get_upb(name)
@@ -150,13 +141,10 @@ def _cmd_upb_list(args) -> int:
                 "complement_rank": upb.total_dim - upb.cardinality,
             }
         )
-    report = _header("upb-list")
-    report["sets"] = entries
-    _emit(report, args.format, args.output)
-    return EXIT_OK
+    return {"sets": entries}, EXIT_OK
 
 
-def _cmd_lambda(args) -> int:
+def _cmd_lambda(args) -> tuple[dict, int]:
     """The least product overlap found, an upper estimate, and the proven lower bound below it.
 
     ``lambda`` is the proof's ``upper``: the seesaw's value, or a proof cell
@@ -166,94 +154,78 @@ def _cmd_lambda(args) -> int:
     true minimum product overlap.
     """
     from .proof import prove_product_minimum
-    from .witness import minimum_overlap
 
-    upb = get_upb(args.upb)
-    lam = minimum_overlap(upb, _seesaw_cfg(args))
+    upb, lam = _overlap(args)
     proof = prove_product_minimum(upb.projector, upb.structure, lam.value)
-    report = _header("lambda")
-    report["config"] = _config(args)
-    report["lambda"] = proof.upper
-    report["restarts"] = args.restarts
-    report["converged"] = lam.converged
-    report["minimizer_vectors"] = [
-        [_pair(z) for z in vec] for vec in lam.minimizers[0].local_vectors
-    ]
-    report["distinct_minimizers"] = len(lam.minimizers)
-    report["lambda_lower"] = proof.lower
-    report["proof_cells"] = proof.cells
-    report["agreement"] = proof.upper - proof.lower
-    _emit(report, args.format, args.output)
-    return EXIT_OK if lam.converged else EXIT_NO_CONVERGENCE
+    fields = {
+        "config": _config(args),
+        "lambda": proof.upper,
+        "restarts": args.restarts,
+        "converged": lam.converged,
+        "minimizer_vectors": [_pairs(vec) for vec in lam.minimizers[0].local_vectors],
+        "distinct_minimizers": len(lam.minimizers),
+        "lambda_lower": proof.lower,
+        "proof_cells": proof.cells,
+        "agreement": proof.upper - proof.lower,
+    }
+    return fields, EXIT_OK if lam.converged else EXIT_NO_CONVERGENCE
 
 
-def _cmd_profile(args) -> int:
+def _cmd_profile(args) -> tuple[dict, int]:
     from .robustness import robustness_profile
 
     profile = robustness_profile(_certificate(args), grid_size=args.grid)
-    report = _header("profile")
-    report["config"] = _config(args, grid=args.grid)
-    report.update(profile)
-    report["x0_note"] = X0_NOTE
-    _emit(report, args.format, args.output)
-    return EXIT_OK
+    return {"config": _config(args, grid=args.grid), **profile, "x0_note": X0_NOTE}, EXIT_OK
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> tuple[dict, int]:
     from .montecarlo import verify_ball_robustness, verify_separable_mixing
 
     cert = _certificate(args)
     ball = verify_ball_robustness(cert, args.grid, args.y_fraction, args.trials, args.seed)
     mixing = verify_separable_mixing(cert, args.z_fraction, args.trials, args.seed)
     violations = sum(s.ppt_violations + s.witness_violations for s in (ball, mixing))
-    report = _header("verify")
-    report["config"] = _config(
-        args,
-        trials=args.trials,
-        grid=args.grid,
-        y_fraction=args.y_fraction,
-        z_fraction=args.z_fraction,
-    )
-    report["lambda"] = cert.lam.value
-    report["suites"] = {
-        "ball": ball.to_json_dict(),
-        "separable-mixing": mixing.to_json_dict(),
+    fields = {
+        "config": _config(
+            args,
+            trials=args.trials,
+            grid=args.grid,
+            y_fraction=args.y_fraction,
+            z_fraction=args.z_fraction,
+        ),
+        "lambda": cert.lam.value,
+        "suites": {"ball": ball.to_json_dict(), "separable-mixing": mixing.to_json_dict()},
+        "violations_total": violations,
     }
-    report["violations_total"] = violations
-    _emit(report, args.format, args.output)
-    return EXIT_OK if violations == 0 else EXIT_VIOLATION
+    return fields, EXIT_OK if violations == 0 else EXIT_VIOLATION
 
 
-def _cmd_membership(args) -> int:
+def _cmd_membership(args) -> tuple[dict, int]:
     from .montecarlo import ball_fraction_estimate
 
     cert = _certificate(args)
     x_star = cert.x_star
     x = args.x if args.x is not None else 0.5 * (x_star + 1.0)
     radius = cert.radius(x)
-    center = cert.member(x)
-    estimate = ball_fraction_estimate(center, radius, args.trials, args.seed)
-    report = _header("membership")
-    report["config"] = _config(args, trials=args.trials, x=x)
-    report["x_star"] = x_star
-    report["radius"] = radius
-    report["fraction"] = estimate.fraction
-    report["ci_low"] = estimate.ci_low
-    report["ci_high"] = estimate.ci_high
-    report["hits"] = estimate.hits
-    report["note"] = (
-        "certified balls are tiny in Hilbert-Schmidt measure at these "
-        "dimensions; a ~0 fraction is the expected outcome"
-    )
-    _emit(report, args.format, args.output)
-    return EXIT_OK
+    estimate = ball_fraction_estimate(cert.member(x), radius, args.trials, args.seed)
+    fields = {
+        "config": _config(args, trials=args.trials, x=x),
+        "x_star": x_star,
+        "radius": radius,
+        "fraction": estimate.fraction,
+        "ci_low": estimate.ci_low,
+        "ci_high": estimate.ci_high,
+        "hits": estimate.hits,
+        "note": (
+            "certified balls are tiny in Hilbert-Schmidt measure at these "
+            "dimensions; a ~0 fraction is the expected outcome"
+        ),
+    }
+    return fields, EXIT_OK
 
 
-def _cmd_export(args) -> int:
-    upb = get_upb(args.upb)
-    report = upb.to_json_dict()
-    _emit(report, args.format, args.output)
-    return EXIT_OK
+def _cmd_export(args) -> tuple[dict, int]:
+    return get_upb(args.upb).to_json_dict(), EXIT_OK
 
 
 def _at_least(floor: int):
@@ -352,7 +324,12 @@ def main(argv=None) -> int:
     try:
         if args.output:
             _check_output(args.output)
-        return args.handler(args)
+        report, status = args.handler(args)
+        if args.command != "export":  # the export schema has no header
+            tool = {"name": "pptball", "version": __version__}
+            report = {"tool": tool, "command": args.command, **report}
+        _emit(report, args.format, args.output)
+        return status
     except _NoConvergence as exc:
         print(exc, file=sys.stderr)
         return EXIT_NO_CONVERGENCE

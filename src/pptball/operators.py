@@ -218,6 +218,8 @@ def min_pt_eigenvalue(
         rho, structure = rho.matrix, rho.structure
     elif structure is None:
         raise ValueError("a plain matrix needs an explicit structure")
+    if rho.shape != (structure.total_dim,) * 2:
+        raise ValueError("operator dimension does not match the structure")
     return min(
         float(np.linalg.eigvalsh(_partial_transpose_matrix(rho, structure.local_dims, side))[0])
         for side in all_bipartitions(structure)

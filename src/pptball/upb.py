@@ -131,11 +131,13 @@ class UPBSet:
         return {
             "name": self.name,
             "local_dims": list(self.structure.local_dims),
-            "members": [
-                [[[float(z.real), float(z.imag)] for z in vec] for vec in m.local_vectors]
-                for m in self.members
-            ],
+            "members": [[_pairs(vec) for vec in m.local_vectors] for m in self.members],
         }
+
+
+def _pairs(vec) -> list[list[float]]:
+    """A complex vector as a list of [re, im] pairs of floats, the export encoding."""
+    return [[float(z.real), float(z.imag)] for z in vec]
 
 
 def build_tiles() -> UPBSet:

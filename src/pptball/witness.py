@@ -68,21 +68,18 @@ class LambdaResult:
     minimizers: tuple[ProductState, ...]
 
 
-def _objective(local_mats, phis) -> float:
+def _weights(local_mats, phis, skip=None) -> np.ndarray:
+    """Per member, the product over parties but ``skip`` of |<v_k|phi_k>|^2."""
     w = np.ones(local_mats[0].shape[0])
-    for v_k, phi in zip(local_mats, phis):
-        w = w * np.abs(v_k @ phi.conj()) ** 2
-    return float(w.sum())
+    for j, (v_k, phi) in enumerate(zip(local_mats, phis)):
+        if j != skip:
+            w = w * np.abs(v_k @ phi.conj()) ** 2
+    return w
 
 
 def _party_operator(local_mats, phis, party) -> np.ndarray:
-    w = np.ones(local_mats[0].shape[0])
-    for j, (v_k, phi) in enumerate(zip(local_mats, phis)):
-        if j == party:
-            continue
-        w = w * np.abs(v_k @ phi.conj()) ** 2
     v = local_mats[party]
-    return (v.T * w) @ v.conj()
+    return (v.T * _weights(local_mats, phis, party)) @ v.conj()
 
 
 def _complex_gaussians(gen: random.Random, n: int) -> np.ndarray:
@@ -121,7 +118,7 @@ def _seesaw_once(local_mats, start, max_iters):
     Returns (value, local vectors, converged, history).
     """
     phis = [np.array(v, dtype=complex) for v in start]
-    value = _objective(local_mats, phis)
+    value = float(_weights(local_mats, phis).sum())
     history = [value]
     converged = False
     for _ in range(max_iters):
@@ -208,11 +205,20 @@ def witness_from_operator(op: HermitianOperator) -> Witness:
 
 
 def _normalizer(n: int, d: int, lam_value: float) -> float:
-    """n - lambda D, the witness normalizer; lambda must lie in (0, n/D)."""
+    """n - lambda D, the witness normalizer; lambda must lie in (ZERO_EIG_ATOL, n/D).
+
+    The seesaw's lambda is an eigenvalue, so one within ZERO_EIG_ATOL of 0 is
+    a zero product overlap: the set is extendible and has no witness.
+    """
     if not 0.0 < lam_value < n / d:
         raise ValueError(
             f"minimum overlap {lam_value!r} outside (0, n/D = {n / d}); "
             "the normalizer n - lambda D must be positive"
+        )
+    if lam_value <= ZERO_EIG_ATOL:
+        raise ValueError(
+            f"minimum overlap {lam_value!r} is at most ZERO_EIG_ATOL = {ZERO_EIG_ATOL}: "
+            "a product state is orthogonal to every member, so the set is extendible"
         )
     return n - lam_value * d
 

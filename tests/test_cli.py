@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+import pptball
 from pptball import cli
 from pptball.cli import _flatten, main
 from pptball.proof import PROOF_GAP
@@ -299,10 +300,51 @@ def test_contract_failure_exits_4(tmp_path, capsys, monkeypatch):
     assert not path.exists()
 
 
+@pytest.mark.parametrize(
+    "argv, status, keys",
+    [
+        (["upb-list"], 0, ["sets"]),
+        (
+            ["lambda", "--upb", "shifts", "--restarts", "2", "--max-iters", "1"],
+            3,
+            ["config", "lambda", "restarts", "converged", "minimizer_vectors",
+             "distinct_minimizers", "lambda_lower", "proof_cells", "agreement"],
+        ),
+        (
+            ["profile", "--upb", "shifts", "--restarts", "20", "--grid", "3"],
+            0,
+            ["config", "upb_name", "lambda", "lambda_omega", "x_star", "x0_root",
+             "x0_printed_eq32", "radius_samples", "mixing_threshold", "x0_note"],
+        ),
+        (
+            ["verify", "--upb", "shifts", "--restarts", "20", "--trials", "10", "--grid", "2"],
+            0,
+            ["config", "lambda", "suites", "violations_total"],
+        ),
+        (
+            ["membership", "--upb", "shifts", "--restarts", "20", "--trials", "10"],
+            0,
+            ["config", "x_star", "radius", "fraction", "ci_low", "ci_high", "hits", "note"],
+        ),
+    ],
+    ids=["upb-list", "lambda-not-converged", "profile", "verify", "membership"],
+)
+def test_reports_start_with_the_header(tmp_path, argv, status, keys):
+    # main stamps the tool and command on every report but export's, and
+    # writes the report whatever the exit status (here 3 for lambda).
+    code, path = run(tmp_path, *argv)
+    assert code == status
+    report = json.loads(path.read_text())
+    assert list(report) == ["tool", "command", *keys]
+    assert report["tool"] == {"name": "pptball", "version": pptball.__version__}
+    assert report["command"] == argv[0]
+
+
 def test_export_schema(tmp_path):
     code, path = run(tmp_path, "export", "--upb", "pyramid")
     assert code == 0
     report = json.loads(path.read_text())
+    assert list(report) == ["name", "local_dims", "members"]
     assert report["local_dims"] == [3, 3]
     assert len(report["members"]) == 5
     assert all(len(member) == 2 for member in report["members"])

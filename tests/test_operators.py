@@ -219,6 +219,13 @@ def test_is_ppt_maximally_mixed():
         min_pt_eigenvalue(rho.matrix)
 
 
+@pytest.mark.parametrize("shape", [(4, 4), (9, 8)])
+def test_min_pt_eigenvalue_rejects_a_plain_matrix_of_the_wrong_shape(shape):
+    # numpy's reshape error would name neither the structure nor the operator.
+    with pytest.raises(ValueError, match="^operator dimension does not match the structure$"):
+        min_pt_eigenvalue(np.eye(*shape), HilbertStructure((3, 3)))
+
+
 def test_all_bipartitions_count():
     assert len(all_bipartitions(HilbertStructure((2, 2)))) == 1
     assert len(all_bipartitions(HilbertStructure((2, 2, 2)))) == 3

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 import tracemalloc
 
 import numpy as np
@@ -29,6 +30,7 @@ from pptball.montecarlo import (
 )
 from pptball import proof as proof_module
 from pptball.proof import PROOF_ROUND, _lowest_eigenvalues
+from pptball.robustness import certify
 from pptball.witness import _restart_start, _seesaw_once
 
 QUICK = SeesawConfig(restarts=40)
@@ -79,6 +81,22 @@ def test_extendible_orthogonal_sets_have_zero_overlap(dims, n):
     proof = prove_product_minimum(upb.projector, upb.structure, lam.value)
     assert -1e-11 < proof.lower <= lam.value
     assert proof.cells == 0
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 4])
+@pytest.mark.parametrize(
+    "dims, n",
+    [((3,), 2), ((3, 3), 3), ((2, 2, 2), 4), ((2, 2, 2, 2), 3)],
+    ids=["1-party", "2-party", "3-party", "4-party"],
+)
+def test_extendible_sets_are_not_certified(seed, dims, n):
+    # The seesaw lands within rounding of 0, on either side; a lambda a few
+    # ulps above 0 would give x* = 1 and an empty entangled range (x*, 1).
+    upb = _random_orthogonal_product_set(seed, dims, n)
+    lam = minimum_overlap(upb, QUICK)
+    message = "extendible" if lam.value > 0 else r"outside \(0, n/D"
+    with pytest.raises(ValueError, match=f"minimum overlap {re.escape(repr(lam.value))}.*{message}"):
+        certify(upb, lam)
 
 
 def test_overlaps_are_positive_and_below_ratio(tiles_lambda, pyramid_lambda, shifts_lambda):
@@ -232,6 +250,8 @@ def test_witness_normalizer_guard(complete22):
         build_witness(complete22, 1.0)
     with pytest.raises(ValueError, match="normalizer"):
         build_witness(complete22, 0.0)
+    with pytest.raises(ValueError, match=r"1e-13 is at most ZERO_EIG_ATOL = 1e-12: .* extendible"):
+        build_witness(complete22, 1e-13)
 
 
 def test_witness_requires_unit_trace():
