@@ -160,7 +160,6 @@ def _cmd_lambda(args) -> tuple[dict, int]:
     fields = {
         "config": _config(args),
         "lambda": proof.upper,
-        "restarts": args.restarts,
         "converged": lam.converged,
         "minimizer_vectors": [_pairs(vec) for vec in lam.minimizers[0].local_vectors],
         "distinct_minimizers": len(lam.minimizers),

@@ -199,7 +199,7 @@ def _examine_block(h4, dims, charts, centres, offsets, radii, t, scale, curvatur
 
 
 def prove_product_minimum(
-    w: HermitianOperator, structure: HilbertStructure, upper: float
+    w: HermitianOperator | np.ndarray, structure: HilbertStructure, upper: float
 ) -> ProductMinimumBound:
     """Prove min over product states of <W> >= t by a vertex branch-and-bound.
 
@@ -221,8 +221,11 @@ def prove_product_minimum(
     makes the result the same.  The cells of one level share their size and t, so
     the cell count does not depend on PROOF_BLOCK_BYTES.  ``lower`` is the
     last t, or lambda_min(W) less the margin when that is larger: it bounds
-    every state.  Raises RuntimeError after PROOF_MAX_CELLS cells.
+    every state.  Raises RuntimeError after PROOF_MAX_CELLS cells.  A plain
+    array W is checked by ``HermitianOperator`` first.
     """
+    if not isinstance(w, HermitianOperator):
+        w = HermitianOperator(w)
     if w.dim != structure.total_dim:
         raise ValueError(f"dimension mismatch: operator {w.dim}, structure {structure.total_dim}")
     if not np.isfinite(upper):

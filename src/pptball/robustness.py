@@ -372,7 +372,6 @@ def robustness_profile(cert: Certificate, grid_size: int) -> dict:
     crossing = crossing_x0(cert.upb.cardinality, d, lam)
     averaged = cert.witness.pos_part_trace / cert.witness.p_count
     return {
-        "upb_name": cert.upb.name,
         "lambda": lam,
         "lambda_omega": cert.lambda_omega,
         "x_star": cert.x_star,

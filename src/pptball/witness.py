@@ -58,9 +58,10 @@ class SeesawConfig:
 class LambdaResult:
     """Outcome of the overlap minimization.
 
-    ``minimizers`` collects the distinct minimizing product states found
-    across restarts (pairwise fidelity below 1 - 1e-6), global minimizer
-    first; downstream mixing directions are built from them.
+    ``value`` is the least over all restarts.  ``minimizers`` collects the
+    distinct states (pairwise fidelity below 1 - 1e-6) of the restarts within
+    MINIMIZER_VALUE_ATOL of it, in the order the restarts reached them, and
+    the first of those supplies ``converged``; mixing directions use them.
     """
 
     value: float
@@ -148,20 +149,14 @@ def minimum_overlap(upb: UPBSet, cfg: SeesawConfig | None = None) -> LambdaResul
         start = _restart_start(dims, cfg.seed, r)
         value, phis, conv, _ = _seesaw_once(local_mats, start, cfg.max_iters)
         finals.append((value, phis, conv))
-    finals.sort(key=lambda item: item[0])
-    best_value, _, best_conv = finals[0]
+    best_value = min(value for value, _, _ in finals)
+    near = [item for item in finals if item[0] <= best_value + MINIMIZER_VALUE_ATOL]
     distinct: list[ProductState] = []
-    for value, phis, _ in finals:
-        if value > best_value + MINIMIZER_VALUE_ATOL:
-            break
+    for _, phis, _ in near:
         cand = ProductState(tuple(phis))
         if all(cand.fidelity(kept) < DISTINCT_FIDELITY for kept in distinct):
             distinct.append(cand)
-    return LambdaResult(
-        value=best_value,
-        converged=best_conv,
-        minimizers=tuple(distinct),
-    )
+    return LambdaResult(value=best_value, converged=near[0][2], minimizers=tuple(distinct))
 
 
 @dataclass(frozen=True, eq=False)

@@ -307,13 +307,13 @@ def test_contract_failure_exits_4(tmp_path, capsys, monkeypatch):
         (
             ["lambda", "--upb", "shifts", "--restarts", "2", "--max-iters", "1"],
             3,
-            ["config", "lambda", "restarts", "converged", "minimizer_vectors",
+            ["config", "lambda", "converged", "minimizer_vectors",
              "distinct_minimizers", "lambda_lower", "proof_cells", "agreement"],
         ),
         (
             ["profile", "--upb", "shifts", "--restarts", "20", "--grid", "3"],
             0,
-            ["config", "upb_name", "lambda", "lambda_omega", "x_star", "x0_root",
+            ["config", "lambda", "lambda_omega", "x_star", "x0_root",
              "x0_printed_eq32", "radius_samples", "mixing_threshold", "x0_note"],
         ),
         (

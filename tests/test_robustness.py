@@ -341,7 +341,6 @@ def test_profile_contents_and_serialization(tiles_cert, tiles_lambda):
     data = robustness_profile(tiles_cert, grid_size=12)
     assert data["lambda_omega"] <= 1 - 2 / TILES_D
     assert set(data) == {
-        "upb_name",
         "lambda",
         "lambda_omega",
         "x_star",

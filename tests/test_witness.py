@@ -100,13 +100,41 @@ def test_extendible_sets_are_not_certified(seed, dims, n):
 
 
 def test_overlaps_are_positive_and_below_ratio(tiles_lambda, pyramid_lambda, shifts_lambda):
-    for lam, n, d in (
-        (tiles_lambda, 5, 9),
-        (pyramid_lambda, 5, 9),
-        (shifts_lambda, 4, 8),
+    for lam, n, d, distinct in (
+        (tiles_lambda, 5, 9, 4),
+        (pyramid_lambda, 5, 9, 5),
+        (shifts_lambda, 4, 8, 8),
     ):
         assert 0.0 < lam.value < n / d
         assert lam.converged
+        assert len(lam.minimizers) == distinct
+
+
+@pytest.mark.parametrize("name", ["tiles", "pyramid", "shifts"])
+def test_reported_minimizer_does_not_follow_rounding(name, request, monkeypatch):
+    # Most of the 200 restarts end within 2e-13 of lambda, far inside
+    # MINIMIZER_VALUE_ATOL.  Lifting the lowest of them by 1e-14 must not
+    # change which minimizer comes first, nor the converged flag it carries.
+    upb = request.getfixturevalue(name)
+    values = []
+
+    def record(*args):
+        out = _seesaw_once(*args)
+        values.append(out[0])
+        return out
+
+    monkeypatch.setattr("pptball.witness._seesaw_once", record)
+    first = minimum_overlap(upb)
+    lowest, calls = int(np.argmin(values)), itertools.count()
+
+    def lift(*args):
+        value, *rest = _seesaw_once(*args)
+        return (value + 1e-14 if next(calls) == lowest else value, *rest)
+
+    monkeypatch.setattr("pptball.witness._seesaw_once", lift)
+    second = minimum_overlap(upb)
+    assert second.minimizers[0].fidelity(first.minimizers[0]) >= 1 - 1e-12
+    assert second.converged == first.converged
 
 
 def test_minimizer_achieves_the_overlap(tiles, tiles_lambda):
@@ -482,6 +510,18 @@ def test_proof_rejects_bad_input(tiles):
     for upper in (np.nan, np.inf, -np.inf):
         with pytest.raises(ValueError, match="finite"):
             prove_product_minimum(tiles.projector, tiles.structure, upper)
+    triangle = np.triu(np.ones((9, 9)), 1)
+    with pytest.raises(ValueError, match="matrix is not Hermitian"):
+        prove_product_minimum(triangle, tiles.structure, 0.1)
+
+
+def test_proof_takes_a_plain_hermitian_array(tiles, tiles_lambda):
+    proofs = [
+        prove_product_minimum(w, tiles.structure, tiles_lambda.value)
+        for w in (tiles.projector, tiles.projector.matrix)
+    ]
+    a, b = ((p.lower, p.upper, p.cells) for p in proofs)
+    assert a == b
 
 
 def _leaf_cells(monkeypatch, upb, lam):
