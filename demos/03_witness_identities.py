@@ -9,7 +9,6 @@ import numpy as np
 
 from pptball import (
     DensityMatrix,
-    SamplerConfig,
     build_witness,
     eig_hermitian,
     get_upb,
@@ -44,16 +43,14 @@ print(f"Tr(W sigma_min) = {witness_value(w, sigma_min):.2e} (zero-crossing direc
 mixed = DensityMatrix.maximally_mixed(upb.structure)
 print(f"Tr(W I/D)   = {witness_value(w, mixed):.15f} (= 1/D)")
 
-cfg = SamplerConfig(11)
-vals = [witness_value(w, sample_hs_density(upb.structure, cfg, trial=t))
+vals = [witness_value(w, sample_hs_density(upb.structure, 11, trial=t))
         for t in range(2000)]
 print()
 print(f"2000 random states: expectations in "
       f"[{min(vals):.6f}, {max(vals):.6f}] vs bounds "
       f"[-{w.neg_part_trace:.6f}, {w.pos_part_trace:.6f}]")
-sep_cfg = SamplerConfig(12)
 sep_vals = [
-    witness_value(w, sample_random_product_separable(upb.structure, 3, sep_cfg, trial=t))
+    witness_value(w, sample_random_product_separable(upb.structure, 3, 12, trial=t))
     for t in range(2000)
 ]
 print(f"2000 separable states: minimum expectation {min(sep_vals):.3e} (must be >= 0)")

@@ -9,7 +9,6 @@ and are simply recorded.
 """
 
 from pptball import (
-    SamplerConfig,
     certify,
     crossing_x0,
     get_upb,
@@ -46,12 +45,11 @@ print("the curve rises on the witness branch, peaks at x0, and falls on the "
 # Descriptive probe around the certified radius: nothing is asserted here.
 x = (profile["x_star"] + profile["x0_root"]) / 2
 y0 = cert.radius(x)
-cfg = SamplerConfig(99)
 for factor in (0.99, 1.05, 1.5):
     y = min(factor * y0, 0.999)
     bad = 0
     for t in range(200):
-        sigma = sample_hs_density(upb.structure, cfg, trial=t)
+        sigma = sample_hs_density(upb.structure, 99, trial=t)
         tau, _ = mixture_tau(cert, sigma, x, y)
         if not is_ppt(tau) or witness_value(cert.witness, tau) >= 0:
             bad += 1

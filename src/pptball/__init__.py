@@ -21,8 +21,8 @@ _MODULES = {
         "build_shifts", "build_tiles", "get_upb", "omega_state",
     ),
     "witness": (
-        "LambdaResult", "SeesawConfig", "Witness", "build_witness", "minimum_overlap",
-        "witness_from_operator", "witness_value",
+        "LambdaResult", "Witness", "build_witness", "minimum_overlap", "witness_from_operator",
+        "witness_value",
     ),
     "proof": ("ProductMinimumBound", "prove_product_minimum"),
     "robustness": (
@@ -33,7 +33,7 @@ _MODULES = {
         "verify_maximal_robustness",
     ),
     "montecarlo": (
-        "BallFractionEstimate", "SamplerConfig", "VerificationOutcome", "ball_fraction_estimate",
+        "BallFractionEstimate", "VerificationOutcome", "ball_fraction_estimate",
         "sample_hs_density", "sample_random_product_separable", "verify_ball_robustness",
         "verify_separable_mixing",
     ),

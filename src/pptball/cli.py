@@ -6,8 +6,9 @@ configuration and stamp the tool version, and contain no timestamps, so
 repeated runs with identical seeds are byte-identical.
 
 Exit status: 0 success; 1 verification violations; 2 usage or validation
-error, or a report that cannot be written; 3 minimizer non-convergence; 4 a
-failed internal contract check, or a lambda proof that ran out of cells.
+error, or a report that cannot be written; 3 minimizer non-convergence within
+the seesaw's fixed counts; 4 a failed internal contract check, or a lambda
+proof that ran out of cells.
 
 Export schema (``export``):
     {"name": str,
@@ -101,23 +102,16 @@ def _check_output(path: str) -> None:
 
 
 def _config(args, **extra) -> dict:
-    """The echoed configuration: set, seed, the command's own flags, then seesaw counts."""
-    return {
-        "upb": args.upb,
-        "seed": args.seed,
-        **extra,
-        "restarts": args.restarts,
-        "max_iters": args.max_iters,
-    }
+    """The echoed configuration: set, seed, then the command's own flags."""
+    return {"upb": args.upb, "seed": args.seed, **extra}
 
 
 def _overlap(args) -> tuple[UPBSet, LambdaResult]:
-    """The chosen set and the seesaw's least product overlap under the echoed counts."""
-    from .witness import SeesawConfig, minimum_overlap
+    """The chosen set and the seesaw's least product overlap from the echoed seed."""
+    from .witness import minimum_overlap
 
     upb = get_upb(args.upb)
-    cfg = SeesawConfig(restarts=args.restarts, max_iters=args.max_iters, seed=args.seed)
-    return upb, minimum_overlap(upb, cfg)
+    return upb, minimum_overlap(upb, args.seed)
 
 
 def _certificate(args) -> Certificate:
@@ -273,8 +267,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_seesaw(p):
         p.add_argument("--seed", type=_at_least(0), default=0)
-        p.add_argument("--restarts", type=_at_least(1), default=200)
-        p.add_argument("--max-iters", type=_at_least(1), default=500)
 
     p_list = sub.add_parser("upb-list", help="list the catalog")
     add_common(p_list, upb=False)

@@ -1,11 +1,11 @@
 """Seeded randomized verification of the ball and mixing guarantees.
 
 Sampling is counter-based: every draw comes from the standard library's
-``random.Random`` seeded by the string "master_seed:stream_id:tag:trial", so
+``random.Random`` seeded by the string "seed:stream_id:tag:trial", so
 outcomes are bit-identical for a fixed configuration no matter how trials are
 scheduled or parallelized.  Each suite takes a plain seed and owns a stream:
-ball 1, separable mixing 2, ball fraction 3; the public samplers take seed and
-stream as a ``SamplerConfig``.  Gaussians come from
+ball 1, separable mixing 2, ball fraction 3; the public samplers take seed,
+trial and stream as plain integers.  Gaussians come from
 ``witness._complex_gaussians``, the Box-Muller draw that also starts the
 seesaw, and only ``random()`` is called, whose sequence for a seed Python
 keeps across versions; no sampler loads ``numpy.random``.
@@ -37,25 +37,15 @@ MIXTURE_TERMS = 4
 WILSON_Z = 1.959963984540054
 
 
-@dataclass(frozen=True)
-class SamplerConfig:
-    """Reproducible sampling plan: master seed and stream label."""
-
-    master_seed: int
-    stream_id: int = 0
-
-    def __post_init__(self):
-        for name in ("master_seed", "stream_id"):
-            object.__setattr__(self, name, _integer(getattr(self, name), name, 0))
+def _substream(key: tuple[int, int, int, int]) -> random.Random:
+    """The generator of the draw that reports name by ``key``: (seed, stream, tag, trial)."""
+    return random.Random("{}:{}:{}:{}".format(*key))
 
 
-def _key(cfg: SamplerConfig, tag: int, trial: int) -> tuple[int, int, int, int]:
-    """The substream key of one draw; it seeds the draw and replays it."""
-    return (cfg.master_seed, cfg.stream_id, tag, trial)
-
-
-def _substream(cfg: SamplerConfig, tag: int, trial: int) -> random.Random:
-    return random.Random("{}:{}:{}:{}".format(*_key(cfg, tag, trial)))
+def _sampler_key(seed, stream_id, tag: int, trial) -> tuple[int, int, int, int]:
+    """A public sampler's key, with its seed, stream and trial checked on entry."""
+    seed, stream_id = _integer(seed, "seed", 0), _integer(stream_id, "stream_id", 0)
+    return seed, stream_id, tag, _integer(trial, "trial", 0)
 
 
 def _hs_matrix(d: int, gen: random.Random) -> np.ndarray:
@@ -98,25 +88,26 @@ def _product_mixture(local_dims, terms: int, gen: random.Random) -> np.ndarray:
 
 
 def sample_hs_density(
-    structure: HilbertStructure, cfg: SamplerConfig, trial: int = 0
+    structure: HilbertStructure, seed: int, trial: int = 0, stream_id: int = 0
 ) -> DensityMatrix:
     """One Hilbert-Schmidt random state: G G^dag / Tr(G G^dag) for Gaussian G.
 
     Full rank with probability 1.
     """
-    m = _hs_matrix(structure.total_dim, _substream(cfg, _HS_TAG, _integer(trial, "trial", 0)))
-    return DensityMatrix(m, structure)
+    gen = _substream(_sampler_key(seed, stream_id, _HS_TAG, trial))
+    return DensityMatrix(_hs_matrix(structure.total_dim, gen), structure)
 
 
 def sample_random_product_separable(
     structure: HilbertStructure,
     mixture_terms: int,
-    cfg: SamplerConfig,
+    seed: int,
     trial: int = 0,
+    stream_id: int = 0,
 ) -> DensityMatrix:
     """Dirichlet-weighted mixture of random product projectors; separable by construction."""
     mixture_terms = _integer(mixture_terms, "mixture_terms", 1)
-    gen = _substream(cfg, _PRODUCT_TAG, _integer(trial, "trial", 0))
+    gen = _substream(_sampler_key(seed, stream_id, _PRODUCT_TAG, trial))
     return DensityMatrix(_product_mixture(structure.local_dims, mixture_terms, gen), structure)
 
 
@@ -155,11 +146,12 @@ class VerificationOutcome:
 
 
 def _score(
-    suite: str, cert: Certificate, cfg: SamplerConfig, keyed_matrices, **config
+    suite: str, cert: Certificate, seed: int, stream_id: int, keyed_matrices, **config
 ) -> VerificationOutcome:
     """Check every (substream key, matrix) pair: PPT on every cut, witness-negative.
 
-    The echoed config is the set, ``cfg``, the suite's own ``config``, then PSD_TOL.
+    The echoed config is the set, the seed and stream, the suite's own
+    ``config``, then PSD_TOL.
     """
     trials = ppt_bad = wit_bad = 0
     ppt_margin = witness_margin = np.inf
@@ -190,8 +182,8 @@ def _score(
         seeds_of_failures=tuple(failures),
         config={
             "upb": cert.upb.name,
-            "master_seed": cfg.master_seed,
-            "stream_id": cfg.stream_id,
+            "master_seed": seed,
+            "stream_id": stream_id,
             **config,
             "psd_tol": PSD_TOL,
         },
@@ -211,7 +203,7 @@ def verify_ball_robustness(
     if not 0.0 < y_fraction < 1.0:
         raise ValueError(f"y_fraction must lie in (0, 1), got {y_fraction!r}")
     trials = _integer(trials, "trials", 1)
-    cfg = SamplerConfig(seed, _BALL_STREAM)
+    seed = _integer(seed, "seed", 0)
     x_grid = [float(x) for x in cert.x_grid(grid)]
 
     def keyed_matrices():
@@ -219,13 +211,15 @@ def verify_ball_robustness(
             y = y_fraction * cert.radius(x)
             rho_x = cert.member(x).matrix
             for t in range(xi * trials, (xi + 1) * trials):
-                sigma = _hs_matrix(cert.upb.total_dim, _substream(cfg, _HS_TAG, t))
-                yield _key(cfg, _HS_TAG, t), y * sigma + (1.0 - y) * rho_x
+                key = (seed, _BALL_STREAM, _HS_TAG, t)
+                sigma = _hs_matrix(cert.upb.total_dim, _substream(key))
+                yield key, y * sigma + (1.0 - y) * rho_x
 
     return _score(
         "ball",
         cert,
-        cfg,
+        seed,
+        _BALL_STREAM,
         keyed_matrices(),
         trials_per_point=trials,
         x_grid=x_grid,
@@ -253,19 +247,20 @@ def verify_separable_mixing(
     if not 0.0 < z_fraction < 1.0:
         raise ValueError(f"z_fraction must lie in (0, 1), got {z_fraction!r}")
     trials = _integer(trials, "trials", 1)
-    cfg = SamplerConfig(seed, _MIXING_STREAM)
+    seed = _integer(seed, "seed", 0)
     z = z_fraction * cert.lam.value
 
     def keyed_matrices():
         for t in range(trials):
-            gen = _substream(cfg, _PRODUCT_TAG, t)
-            sigma = _product_mixture(cert.upb.structure.local_dims, MIXTURE_TERMS, gen)
-            yield _key(cfg, _PRODUCT_TAG, t), z * sigma + (1.0 - z) * cert.omega.matrix
+            key = (seed, _MIXING_STREAM, _PRODUCT_TAG, t)
+            sigma = _product_mixture(cert.upb.structure.local_dims, MIXTURE_TERMS, _substream(key))
+            yield key, z * sigma + (1.0 - z) * cert.omega.matrix
 
     return _score(
         "separable-mixing",
         cert,
-        cfg,
+        seed,
+        _MIXING_STREAM,
         keyed_matrices(),
         trials=trials,
         z_fraction=z_fraction,
@@ -313,13 +308,13 @@ def ball_fraction_estimate(
     square root computed once.
     """
     trials = _integer(trials, "trials", 1)
-    cfg = SamplerConfig(seed, _MEMBERSHIP_STREAM)
+    seed = _integer(seed, "seed", 0)
     if not 0.0 <= radius <= 1.0:
         raise ValueError(f"radius must lie in [0, 1], got {radius!r}")
     inv_sqrt = _center_inv_sqrt(center)
     hits = 0
     for t in range(trials):
-        tau = _hs_matrix(center.dim, _substream(cfg, _HS_TAG, t))
+        tau = _hs_matrix(center.dim, _substream((seed, _MEMBERSHIP_STREAM, _HS_TAG, t)))
         if _membership(tau, inv_sqrt) < radius:
             hits += 1
     low, high = _wilson_interval(hits, trials)

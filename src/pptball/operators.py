@@ -207,17 +207,20 @@ def partial_transpose(
 
 
 def min_pt_eigenvalue(
-    rho: DensityMatrix | np.ndarray, structure: HilbertStructure | None = None
+    rho: HermitianOperator | np.ndarray, structure: HilbertStructure | None = None
 ) -> float:
     """Smallest partial-transpose eigenvalue over every bipartition.
 
-    Takes a density matrix, or a plain matrix together with its structure
-    (hot loops pass matrices that are valid states by construction).
+    Takes a density matrix, or a bare Hermitian operator or plain matrix
+    together with its structure (hot loops pass matrices that are valid states
+    by construction).
     """
     if isinstance(rho, DensityMatrix):
-        rho, structure = rho.matrix, rho.structure
-    elif structure is None:
-        raise ValueError("a plain matrix needs an explicit structure")
+        structure = rho.structure
+    if isinstance(rho, HermitianOperator):
+        rho = rho.matrix
+    if structure is None:
+        raise ValueError("a bare operator or plain matrix needs an explicit structure")
     if rho.shape != (structure.total_dim,) * 2:
         raise ValueError("operator dimension does not match the structure")
     return min(

@@ -10,7 +10,6 @@ import numpy as np
 
 from pptball import (
     DensityMatrix,
-    SamplerConfig,
     ball_membership,
     build_pyramid,
     build_shifts,
@@ -94,15 +93,13 @@ def test_a03_witness_algebra(tiles, tiles_lambda, tiles_witness, shifts, shifts_
     w = tiles_witness
     assert abs(w.trace - 1.0) < 1e-12
     assert abs(w.pos_part_trace - n * (1 - lam) / (n - lam * d)) < 1e-12
-    cfg = SamplerConfig(2024)
     for t in range(10_000):
-        pi = sample_hs_density(tiles.structure, cfg, trial=t)
+        pi = sample_hs_density(tiles.structure, 2024, trial=t)
         val = witness_value(w, pi)
         assert -w.neg_part_trace - 1e-12 <= val <= w.pos_part_trace + 1e-12
     for upb, witness in ((tiles, w), (shifts, shifts_witness)):
-        sep_cfg = SamplerConfig(2025)
         for t in range(10_000):
-            sigma = sample_random_product_separable(upb.structure, 3, sep_cfg, trial=t)
+            sigma = sample_random_product_separable(upb.structure, 3, 2025, trial=t)
             assert witness_value(witness, sigma) >= -1e-10
     print("[PASS] criterion 3: witness algebra "
           "(trace, positive-part trace, expectation sandwich x1e4, "
@@ -190,11 +187,10 @@ def test_a07_branch_crossing(tiles_lambda, pyramid_lambda, shifts_lambda, tiles,
 
 def test_a08_decomposition_identity_and_inner_mixture(tiles, tiles_cert):
     d = 9
-    cfg = SamplerConfig(777)
     rng = np.random.default_rng(777)
     checked_inner = 0
     for t in range(1000):
-        sigma = sample_hs_density(tiles.structure, cfg, trial=t)
+        sigma = sample_hs_density(tiles.structure, 777, trial=t)
         x = float(rng.uniform(0.05, 0.95))
         bound = (1 - x) / (d - 1 - x)
         if t % 2 == 0:
@@ -219,10 +215,9 @@ def test_a09_ball_membership(tiles, tiles_cert):
     assert ball_membership(center, center) <= 1e-10
     pure = DensityMatrix.from_pure(np.eye(9)[4], tiles.structure)
     assert abs(ball_membership(pure, center) - 1.0) <= 1e-10
-    cfg = SamplerConfig(31337)
     rng = np.random.default_rng(31337)
     for t in range(1000):
-        sigma = sample_hs_density(tiles.structure, cfg, trial=t)
+        sigma = sample_hs_density(tiles.structure, 31337, trial=t)
         y = float(rng.uniform(0.0, 1.0))
         tau = DensityMatrix(
             y * sigma.matrix + (1 - y) * center.matrix, tiles.structure

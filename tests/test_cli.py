@@ -9,15 +9,23 @@ from pathlib import Path
 import pytest
 
 import pptball
-from pptball import cli
-from pptball.cli import _flatten, main
+from pptball import cli, witness
+from pptball.cli import _config, _flatten, build_parser, main
 from pptball.proof import PROOF_GAP
+
+CERTIFICATE_COMMANDS = ["lambda", "profile", "verify", "membership"]
 
 
 def run(tmp_path, *argv, name="out.json"):
     path = tmp_path / name
     code = main([*argv, "--output", str(path)])
     return code, path
+
+
+def short_seesaw(monkeypatch, restarts, max_iters=witness.SEESAW_MAX_ITERS):
+    """Run the CLI's seesaw with fewer restarts or sweeps than its fixed counts."""
+    monkeypatch.setattr("pptball.witness.SEESAW_RESTARTS", restarts)
+    monkeypatch.setattr("pptball.witness.SEESAW_MAX_ITERS", max_iters)
 
 
 def test_upb_list(tmp_path):
@@ -96,10 +104,9 @@ def test_lambda_shifts_multipartite(tmp_path):
     assert report["proof_cells"] > 0
 
 
-def test_lambda_non_convergence_exit(tmp_path):
-    code, path = run(
-        tmp_path, "lambda", "--upb", "tiles", "--restarts", "2", "--max-iters", "1"
-    )
+def test_lambda_non_convergence_exit(tmp_path, monkeypatch):
+    short_seesaw(monkeypatch, 2, 1)
+    code, path = run(tmp_path, "lambda", "--upb", "tiles")
     assert code == 3
     report = json.loads(path.read_text())
     assert report["converged"] is False
@@ -108,12 +115,11 @@ def test_lambda_non_convergence_exit(tmp_path):
     assert report["proof_cells"] > 0
 
 
-def test_lambda_reports_the_proofs_incumbent(tmp_path, tiles_lambda):
+def test_lambda_reports_the_proofs_incumbent(tmp_path, monkeypatch, tiles_lambda):
     # Two one-sweep restarts stop well above the minimum; the proof's cell
     # centres find it, and lambda and agreement are read from that value.
-    code, path = run(
-        tmp_path, "lambda", "--upb", "tiles", "--restarts", "2", "--max-iters", "1"
-    )
+    short_seesaw(monkeypatch, 2, 1)
+    code, path = run(tmp_path, "lambda", "--upb", "tiles")
     assert code == 3
     report = json.loads(path.read_text())
     assert abs(report["lambda"] - tiles_lambda.value) < 1e-8
@@ -123,7 +129,8 @@ def test_lambda_reports_the_proofs_incumbent(tmp_path, tiles_lambda):
 
 def test_lambda_proof_out_of_cells_exits_4(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr("pptball.proof.PROOF_MAX_CELLS", 10)
-    code, path = run(tmp_path, "lambda", "--upb", "tiles", "--restarts", "5")
+    short_seesaw(monkeypatch, 5)
+    code, path = run(tmp_path, "lambda", "--upb", "tiles")
     assert code == 4
     err = capsys.readouterr().err
     assert err.startswith("internal error: ") and err.count("\n") == 1
@@ -146,8 +153,6 @@ def test_unknown_command_is_usage_error():
 @pytest.mark.parametrize(
     "command, flag",
     [
-        ("lambda", "--restarts"),
-        ("lambda", "--max-iters"),
         ("verify", "--trials"),
         ("verify", "--grid"),
         ("lambda", "--seed"),
@@ -161,6 +166,35 @@ def test_counts_below_one_are_usage_errors(tmp_path, capsys, command, flag):
     assert exc.value.code == 2
     assert f"argument {flag}: must be at least {floor}" in capsys.readouterr().err
     assert not path.exists()
+
+
+@pytest.mark.parametrize("flag", ["--restarts", "--max-iters"])
+@pytest.mark.parametrize("command", CERTIFICATE_COMMANDS)
+def test_seesaw_counts_are_not_flags(tmp_path, capsys, monkeypatch, command, flag):
+    # The seesaw's counts are constants; a count given on the command line is
+    # an unknown argument, whatever its value, and nothing runs.
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("the seesaw ran despite an unknown flag")
+
+    monkeypatch.setattr("pptball.witness.minimum_overlap", must_not_run)
+    path = tmp_path / "out.json"
+    for value in ("0", "20"):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--upb", "tiles", flag, value, "--output", str(path)])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("command", CERTIFICATE_COMMANDS)
+def test_benchmark_flags_parse(tmp_path, command):
+    # The benchmark passes --upb, --seed and --output to every certificate
+    # command and reads config.seed back; parsing alone runs no seesaw.
+    path = str(tmp_path / "out.json")
+    argv = [command, "--upb", "tiles", "--seed", "3", "--output", path]
+    args = build_parser().parse_args(argv)
+    assert args.output == path
+    assert list(_config(args).items())[:2] == [("upb", "tiles"), ("seed", 3)]
 
 
 @pytest.mark.parametrize("value", ["0", "1", "1.5", "nan"])
@@ -284,8 +318,7 @@ def test_membership_report(tmp_path):
     report = json.loads(path.read_text())
     assert 0.0 <= report["ci_low"] <= report["fraction"] <= report["ci_high"] <= 1.0
     assert report["radius"] > 0
-    assert report["config"]["restarts"] == 200
-    assert report["config"]["max_iters"] == 500
+    assert list(report["config"]) == ["upb", "seed", "trials", "x"]
 
 
 def test_contract_failure_exits_4(tmp_path, capsys, monkeypatch):
@@ -293,7 +326,8 @@ def test_contract_failure_exits_4(tmp_path, capsys, monkeypatch):
         raise RuntimeError("threshold identity violated")
 
     monkeypatch.setattr("pptball.robustness.certify", broken)
-    code, path = run(tmp_path, "profile", "--upb", "tiles", "--restarts", "20")
+    short_seesaw(monkeypatch, 20)
+    code, path = run(tmp_path, "profile", "--upb", "tiles")
     assert code == 4
     err = capsys.readouterr().err
     assert err == "internal error: threshold identity violated\n"
@@ -301,37 +335,42 @@ def test_contract_failure_exits_4(tmp_path, capsys, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "argv, status, keys",
+    "argv, counts, status, keys",
     [
-        (["upb-list"], 0, ["sets"]),
+        (["upb-list"], (20,), 0, ["sets"]),
         (
-            ["lambda", "--upb", "shifts", "--restarts", "2", "--max-iters", "1"],
+            ["lambda", "--upb", "shifts"],
+            (2, 1),
             3,
             ["config", "lambda", "converged", "minimizer_vectors",
              "distinct_minimizers", "lambda_lower", "proof_cells", "agreement"],
         ),
         (
-            ["profile", "--upb", "shifts", "--restarts", "20", "--grid", "3"],
+            ["profile", "--upb", "shifts", "--grid", "3"],
+            (20,),
             0,
             ["config", "lambda", "lambda_omega", "x_star", "x0_root",
              "x0_printed_eq32", "radius_samples", "mixing_threshold", "x0_note"],
         ),
         (
-            ["verify", "--upb", "shifts", "--restarts", "20", "--trials", "10", "--grid", "2"],
+            ["verify", "--upb", "shifts", "--trials", "10", "--grid", "2"],
+            (20,),
             0,
             ["config", "lambda", "suites", "violations_total"],
         ),
         (
-            ["membership", "--upb", "shifts", "--restarts", "20", "--trials", "10"],
+            ["membership", "--upb", "shifts", "--trials", "10"],
+            (20,),
             0,
             ["config", "x_star", "radius", "fraction", "ci_low", "ci_high", "hits", "note"],
         ),
     ],
     ids=["upb-list", "lambda-not-converged", "profile", "verify", "membership"],
 )
-def test_reports_start_with_the_header(tmp_path, argv, status, keys):
+def test_reports_start_with_the_header(tmp_path, monkeypatch, argv, counts, status, keys):
     # main stamps the tool and command on every report but export's, and
     # writes the report whatever the exit status (here 3 for lambda).
+    short_seesaw(monkeypatch, *counts)
     code, path = run(tmp_path, *argv)
     assert code == status
     report = json.loads(path.read_text())

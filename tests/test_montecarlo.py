@@ -12,13 +12,12 @@ from pptball import (
     DensityMatrix,
     HilbertStructure,
     PSD_TOL,
-    SamplerConfig,
-    SeesawConfig,
     all_bipartitions,
     ball_fraction_estimate,
     ball_membership,
     is_ppt,
     min_pt_eigenvalue,
+    minimum_overlap,
     mixture_tau,
     purity,
     robustness_profile,
@@ -39,38 +38,82 @@ from pptball.montecarlo import (
 
 def test_sampler_determinism():
     structure = HilbertStructure((2, 2))
-    cfg = SamplerConfig(12345, stream_id=4)
-    a = sample_hs_density(structure, cfg, trial=3)
-    b = sample_hs_density(structure, cfg, trial=3)
+    a = sample_hs_density(structure, 12345, trial=3, stream_id=4)
+    b = sample_hs_density(structure, 12345, trial=3, stream_id=4)
     assert np.array_equal(a.matrix, b.matrix)
-    c = sample_hs_density(structure, cfg, trial=4)
+    c = sample_hs_density(structure, 12345, trial=4, stream_id=4)
     assert not np.array_equal(a.matrix, c.matrix)
-    d = sample_hs_density(structure, SamplerConfig(12345, stream_id=5), trial=3)
+    d = sample_hs_density(structure, 12345, trial=3, stream_id=5)
     assert not np.array_equal(a.matrix, d.matrix)
     # The documented key: tag 1 draws Hilbert-Schmidt states.
     assert np.array_equal(a.matrix, _hs_matrix(4, random.Random("12345:4:1:3")))
 
 
-def test_sampler_config_validation():
-    with pytest.raises(ValueError):
-        SamplerConfig(-1)
-    with pytest.raises(ValueError):
-        SamplerConfig(1, stream_id=-1)
+def test_sampler_seed_and_stream_validation():
+    structure = HilbertStructure((2, 2))
+    for sample in (
+        lambda **kw: sample_hs_density(structure, **kw),
+        lambda **kw: sample_random_product_separable(structure, 2, **kw),
+    ):
+        with pytest.raises(ValueError, match="seed must be at least 0, got -1"):
+            sample(seed=-1)
+        with pytest.raises(ValueError, match="stream_id must be at least 0, got -1"):
+            sample(seed=1, stream_id=-1)
 
 
 @pytest.mark.parametrize(
     "call, message",
     [
-        (lambda cert: SeesawConfig(seed=-1), "seed must be at least 0, got -1"),
-        (lambda cert: SeesawConfig(restarts=2.5), "restarts must be an integer"),
-        (lambda cert: SeesawConfig(max_iters=2.5), "max_iters must be an integer"),
-        (lambda cert: SamplerConfig(1.5), "master_seed must be an integer"),
-        (lambda cert: SamplerConfig(float("nan")), "master_seed must be an integer"),
-        (lambda cert: SamplerConfig(0, stream_id=1.5), "stream_id must be an integer"),
-        (lambda cert: SeesawConfig(restarts=True), "restarts must be an integer, got True"),
-        (lambda cert: SeesawConfig(max_iters=True), "max_iters must be an integer, got True"),
-        (lambda cert: SamplerConfig(True), "master_seed must be an integer, got True"),
-        (lambda cert: SamplerConfig(0, stream_id=True), "stream_id must be an integer, got True"),
+        (lambda cert: minimum_overlap(cert.upb, seed=-1), "seed must be at least 0, got -1"),
+        (lambda cert: minimum_overlap(cert.upb, seed=2.5), "seed must be an integer"),
+        (lambda cert: minimum_overlap(cert.upb, seed=True), "seed must be an integer, got True"),
+        (lambda cert: sample_hs_density(cert.omega.structure, 1.5), "seed must be an integer"),
+        (
+            lambda cert: sample_hs_density(cert.omega.structure, float("nan")),
+            "seed must be an integer",
+        ),
+        (
+            lambda cert: sample_hs_density(cert.omega.structure, 0, stream_id=1.5),
+            "stream_id must be an integer",
+        ),
+        (
+            lambda cert: sample_hs_density(cert.omega.structure, True),
+            "seed must be an integer, got True",
+        ),
+        (
+            lambda cert: sample_hs_density(cert.omega.structure, 0, stream_id=True),
+            "stream_id must be an integer, got True",
+        ),
+        (
+            lambda cert: sample_random_product_separable(cert.omega.structure, 2, 2.5),
+            "seed must be an integer",
+        ),
+        (
+            lambda cert: sample_random_product_separable(cert.omega.structure, 2, True),
+            "seed must be an integer, got True",
+        ),
+        (
+            lambda cert: sample_random_product_separable(
+                cert.omega.structure, 2, 0, stream_id=True
+            ),
+            "stream_id must be an integer, got True",
+        ),
+        (
+            lambda cert: sample_random_product_separable(cert.omega.structure, 2, 0, trial=True),
+            "trial must be an integer, got True",
+        ),
+        (
+            lambda cert: verify_ball_robustness(cert, 1, 0.5, 5, -1),
+            "seed must be at least 0, got -1",
+        ),
+        (
+            lambda cert: verify_separable_mixing(cert, 0.5, 5, 1.5),
+            "seed must be an integer",
+        ),
+        (
+            lambda cert: ball_fraction_estimate(cert.member(0.9), 0.5, 5, True),
+            "seed must be an integer, got True",
+        ),
         (lambda cert: cert.x_grid(True), "grid size must be an integer, got True"),
         (
             lambda cert: ball_fraction_estimate(cert.member(0.9), 0.5, True, 0),
@@ -112,35 +155,27 @@ def test_sampler_config_validation():
             "radius must lie in",
         ),
         (
-            lambda cert: sample_hs_density(cert.omega.structure, SamplerConfig(0), trial=1.5),
+            lambda cert: sample_hs_density(cert.omega.structure, 0, trial=1.5),
             "trial must be an integer",
         ),
         (
-            lambda cert: sample_hs_density(cert.omega.structure, SamplerConfig(0), trial=-1),
+            lambda cert: sample_hs_density(cert.omega.structure, 0, trial=-1),
             "trial must be at least 0, got -1",
         ),
         (
-            lambda cert: sample_random_product_separable(
-                cert.omega.structure, 2, SamplerConfig(0), trial=1.5
-            ),
+            lambda cert: sample_random_product_separable(cert.omega.structure, 2, 0, trial=1.5),
             "trial must be an integer",
         ),
         (
-            lambda cert: sample_random_product_separable(
-                cert.omega.structure, 2, SamplerConfig(0), trial=-1
-            ),
+            lambda cert: sample_random_product_separable(cert.omega.structure, 2, 0, trial=-1),
             "trial must be at least 0, got -1",
         ),
         (
-            lambda cert: sample_random_product_separable(
-                cert.omega.structure, 2.5, SamplerConfig(0)
-            ),
+            lambda cert: sample_random_product_separable(cert.omega.structure, 2.5, 0),
             "mixture_terms must be an integer",
         ),
         (
-            lambda cert: sample_random_product_separable(
-                cert.omega.structure, -3, SamplerConfig(0)
-            ),
+            lambda cert: sample_random_product_separable(cert.omega.structure, -3, 0),
             "mixture_terms must be at least 1",
         ),
     ],
@@ -152,21 +187,17 @@ def test_configs_and_counts_are_checked_on_entry(tiles_cert, call, message):
 
 def test_hs_samples_have_expected_purity_band():
     structure = HilbertStructure((2, 2))
-    cfg = SamplerConfig(321)
-    values = [
-        purity(sample_hs_density(structure, cfg, trial=t)) for t in range(10_000)
-    ]
+    values = [purity(sample_hs_density(structure, 321, trial=t)) for t in range(10_000)]
     mean = float(np.mean(values))
     assert 0.3 < mean < 0.6
 
 
 def test_product_sampler_is_separable():
     structure = HilbertStructure((3, 3))
-    cfg = SamplerConfig(77)
-    single = sample_random_product_separable(structure, 1, cfg, trial=0)
+    single = sample_random_product_separable(structure, 1, 77, trial=0)
     assert abs(purity(single) - 1.0) < 1e-12
     for t in range(50):
-        rho = sample_random_product_separable(structure, 5, cfg, trial=t)
+        rho = sample_random_product_separable(structure, 5, 77, trial=t)
         assert is_ppt(rho)
 
 
@@ -209,9 +240,9 @@ def test_batched_product_draw_is_bitwise_the_per_vector_draw(dims):
 def test_hs_purity_has_the_hilbert_schmidt_mean(d):
     # Under the Hilbert-Schmidt measure E[Tr rho^2] = 2d / (d^2 + 1)
     # (Zyczkowski-Sommers, quant-ph/0012101).
-    cfg = SamplerConfig(2024, stream_id=d)
     values = [
-        purity(sample_hs_density(HilbertStructure((d,)), cfg, trial=t)) for t in range(4000)
+        purity(sample_hs_density(HilbertStructure((d,)), 2024, trial=t, stream_id=d))
+        for t in range(4000)
     ]
     sigma = np.std(values, ddof=1) / np.sqrt(len(values))
     assert abs(np.mean(values) - 2 * d / (d * d + 1)) < 4 * sigma
@@ -230,9 +261,7 @@ def test_dirichlet_weights_sum_to_one_with_mean_one_over_terms(terms):
 
 def test_product_sampler_rejects_zero_terms():
     with pytest.raises(ValueError):
-        sample_random_product_separable(
-            HilbertStructure((2, 2)), 0, SamplerConfig(1)
-        )
+        sample_random_product_separable(HilbertStructure((2, 2)), 0, 1)
 
 
 def test_ball_verification_clean_run(tiles_cert):
@@ -331,22 +360,20 @@ def test_plain_matrix_suites_match_object_path(request, cert_name):
     # Substream keys are (master seed, stream, tag, trial); tag 1 draws
     # Hilbert-Schmidt states, tag 2 product mixtures.  The ball suite owns
     # stream 1 and the mixing suite stream 2.
-    cfg = SamplerConfig(5, stream_id=1)
     ball_states = []
     for xi, x in enumerate(cert.x_grid(2)):
         y = 0.99 * cert.radius(x)
         for t in range(xi * trials, (xi + 1) * trials):
-            sigma = sample_hs_density(structure, cfg, trial=t)
+            sigma = sample_hs_density(structure, 5, trial=t, stream_id=1)
             ball_states.append(((5, 1, 1, t), mixture_tau(cert, sigma, x, y)[0]))
     ball = verify_ball_robustness(cert, 2, 0.99, trials, 5)
     assert ball.trials == len(ball_states)
     assert _outcome_fields(ball) == _score_states(cert.witness, ball_states)
 
-    cfg = SamplerConfig(5, stream_id=2)
     z = 0.99 * cert.lam.value
     mixing_states = []
     for t in range(trials):
-        sigma = sample_random_product_separable(structure, MIXTURE_TERMS, cfg, trial=t)
+        sigma = sample_random_product_separable(structure, MIXTURE_TERMS, 5, trial=t, stream_id=2)
         m = z * sigma.matrix + (1.0 - z) * cert.omega.matrix
         mixing_states.append(((5, 2, 2, t), DensityMatrix(m, structure)))
     mixing = verify_separable_mixing(cert, 0.99, trials, 5)
@@ -404,9 +431,8 @@ def test_ball_fraction_reports_interval(tiles_cert):
     est = ball_fraction_estimate(center, radius, 200, 9)
     assert 0.0 <= est.ci_low <= est.fraction <= est.ci_high <= 1.0
     # The membership estimate owns stream 3.
-    cfg = SamplerConfig(9, stream_id=3)
     hits = sum(
-        ball_membership(sample_hs_density(center.structure, cfg, trial=t), center)
+        ball_membership(sample_hs_density(center.structure, 9, trial=t, stream_id=3), center)
         < radius
         for t in range(200)
     )
@@ -462,9 +488,11 @@ def test_cli_import_leaves_scipy_stats_unloaded():
 def test_no_pptball_code_loads_scipy():
     probe = """
 import sys
-from pptball import SeesawConfig, build_shifts, certify, minimum_overlap, robustness_profile
+import pptball.witness
+from pptball import build_shifts, certify, minimum_overlap, robustness_profile
+pptball.witness.SEESAW_RESTARTS = 20
 shifts = build_shifts()
-robustness_profile(certify(shifts, minimum_overlap(shifts, SeesawConfig(restarts=20))), grid_size=3)
+robustness_profile(certify(shifts, minimum_overlap(shifts)), grid_size=3)
 print("scipy" in sys.modules)
 """
     assert _probe(probe) == ["False"]
@@ -481,7 +509,7 @@ UNUSED_MODULES = {
     "membership": ("proof",),
     "export": ("witness", "proof", "robustness", "montecarlo"),
 }
-SEESAW_FLAGS = ["--upb", "shifts", "--restarts", "20"]
+SEESAW_FLAGS = ["--upb", "shifts"]
 
 
 @pytest.mark.parametrize(
@@ -498,8 +526,14 @@ SEESAW_FLAGS = ["--upb", "shifts", "--restarts", "20"]
 )
 def test_command_loads_only_its_modules(command):
     unused = tuple(f"pptball.{m}" for m in UNUSED_MODULES[command[0]])
+    # A certificate command runs 20 seesaw restarts; upb-list and export must
+    # not import the witness module at all, so they leave the counts alone.
+    shorten = "" if "pptball.witness" in unused else (
+        "import pptball.witness; pptball.witness.SEESAW_RESTARTS = 20"
+    )
     probe = f"""
 import os, sys, tempfile
+{shorten}
 from pptball.cli import main
 out = os.path.join(tempfile.mkdtemp(), "report.json")
 code = main({command!r} + ["--output", out])

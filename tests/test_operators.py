@@ -14,10 +14,11 @@ from pptball import (
     entanglement_threshold,
     is_ppt,
     min_pt_eigenvalue,
+    omega_state,
     partial_transpose,
     purity,
 )
-from pptball.montecarlo import SamplerConfig, sample_random_product_separable
+from pptball.montecarlo import sample_random_product_separable
 
 
 def rand_hermitian(rng, d):
@@ -219,6 +220,19 @@ def test_is_ppt_maximally_mixed():
         min_pt_eigenvalue(rho.matrix)
 
 
+def test_min_pt_eigenvalue_of_a_bare_operator_is_that_of_its_matrix(tiles, tiles_witness):
+    # A partial transpose and a witness are Hermitian operators without a
+    # structure: they need one passed, and give what their matrices give.
+    pt = partial_transpose(omega_state(tiles), (1,))
+    for op in (pt, tiles_witness):
+        assert type(op) is not DensityMatrix
+        assert min_pt_eigenvalue(op, tiles.structure) == min_pt_eigenvalue(
+            op.matrix, tiles.structure
+        )
+        with pytest.raises(ValueError, match="explicit structure"):
+            min_pt_eigenvalue(op)
+
+
 @pytest.mark.parametrize("shape", [(4, 4), (9, 8)])
 def test_min_pt_eigenvalue_rejects_a_plain_matrix_of_the_wrong_shape(shape):
     # numpy's reshape error would name neither the structure nor the operator.
@@ -251,11 +265,10 @@ def test_ghz_fails_every_cut():
 
 
 def test_separable_states_are_ppt_on_every_cut():
-    cfg = SamplerConfig(99)
     for dims in ((3, 3), (2, 2, 2)):
         structure = HilbertStructure(dims)
         for t in range(25):
-            rho = sample_random_product_separable(structure, 3, cfg, trial=t)
+            rho = sample_random_product_separable(structure, 3, 99, trial=t)
             assert is_ppt(rho)
 
 

@@ -26,7 +26,7 @@ from pptball import (
     verify_maximal_robustness,
     witness_value,
 )
-from pptball.montecarlo import SamplerConfig, sample_hs_density
+from pptball.montecarlo import sample_hs_density
 
 TILES_N, TILES_D = 5, 9
 
@@ -192,7 +192,7 @@ def test_mixture_tau_zero_noise(tiles, tiles_cert):
     y=st.floats(0.0, 0.97),
 )
 def test_mixture_decomposition_identity(tiles, tiles_cert, seed, x, y):
-    sigma = sample_hs_density(tiles.structure, SamplerConfig(seed), trial=0)
+    sigma = sample_hs_density(tiles.structure, seed, trial=0)
     tau, dec = mixture_tau(tiles_cert, sigma, x, y)
     assert 0.0 < dec.s <= 1.0
     assert 0.0 <= dec.t < 1.0
@@ -202,10 +202,9 @@ def test_mixture_decomposition_identity(tiles, tiles_cert, seed, x, y):
 
 def test_mixture_witness_value_identity(tiles, tiles_cert):
     witness, lambda_omega = tiles_cert.witness, tiles_cert.lambda_omega
-    cfg = SamplerConfig(5)
     rng = np.random.default_rng(8)
     for t in range(50):
-        sigma = sample_hs_density(tiles.structure, cfg, trial=t)
+        sigma = sample_hs_density(tiles.structure, 5, trial=t)
         x = float(rng.uniform(0.05, 0.95))
         y = float(rng.uniform(0.0, 0.95))
         tau, _ = mixture_tau(tiles_cert, sigma, x, y)
@@ -255,10 +254,9 @@ def test_ball_membership_basics(tiles, tiles_cert):
 
 def test_ball_membership_of_constructed_mixtures(tiles, tiles_cert):
     center = tiles_cert.member(0.9)
-    cfg = SamplerConfig(13)
     rng = np.random.default_rng(13)
     for t in range(100):
-        sigma = sample_hs_density(tiles.structure, cfg, trial=t)
+        sigma = sample_hs_density(tiles.structure, 13, trial=t)
         y = float(rng.uniform(0.0, 1.0))
         tau = DensityMatrix(
             y * sigma.matrix + (1 - y) * center.matrix, tiles.structure

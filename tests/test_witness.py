@@ -12,39 +12,40 @@ from pptball import (
     DensityMatrix,
     HermitianOperator,
     HilbertStructure,
-    SeesawConfig,
     UPBSet,
     build_complete_basis,
     build_witness,
     eig_hermitian,
     minimum_overlap,
     omega_state,
+    partial_transpose,
     prove_product_minimum,
     witness_from_operator,
     witness_value,
 )
-from pptball.montecarlo import (
-    SamplerConfig,
-    sample_hs_density,
-    sample_random_product_separable,
-)
+from pptball.montecarlo import sample_hs_density, sample_random_product_separable
 from pptball import proof as proof_module
+from pptball import witness as witness_module
 from pptball.proof import PROOF_ROUND, _lowest_eigenvalues
 from pptball.robustness import certify
 from pptball.witness import _restart_start, _seesaw_once
 
-QUICK = SeesawConfig(restarts=40)
+
+@pytest.fixture
+def quick(monkeypatch):
+    """40 seesaw restarts instead of SEESAW_RESTARTS, for sets far from the catalog."""
+    monkeypatch.setattr(witness_module, "SEESAW_RESTARTS", 40)
 
 
-def test_complete_basis_overlap_is_one(complete22):
-    lam = minimum_overlap(complete22, QUICK)
+def test_complete_basis_overlap_is_one(complete22, quick):
+    lam = minimum_overlap(complete22)
     assert abs(lam.value - 1.0) < 1e-12
     assert lam.converged
 
 
-def test_complete_basis_multipartite_overlap_is_one():
+def test_complete_basis_multipartite_overlap_is_one(quick):
     upb = build_complete_basis((2, 2, 2))
-    lam = minimum_overlap(upb, QUICK)
+    lam = minimum_overlap(upb)
     assert abs(lam.value - 1.0) < 1e-12
 
 
@@ -70,12 +71,12 @@ def _random_orthogonal_product_set(seed, dims, n):
     [((3,), 2), ((3, 3), 3), ((2, 2, 2), 4), ((2, 2, 2, 2), 3)],
     ids=["1-party", "2-party", "3-party", "4-party"],
 )
-def test_extendible_orthogonal_sets_have_zero_overlap(dims, n):
+def test_extendible_orthogonal_sets_have_zero_overlap(dims, n, quick):
     # Each set leaves a product vector orthogonal to all its members, so the
     # descent must reach 0 for any number of parties; P >= 0 lets the proof
     # stop at lambda_min(P) = 0 without a cell.
     upb = _random_orthogonal_product_set(len(dims), dims, n)
-    lam = minimum_overlap(upb, QUICK)
+    lam = minimum_overlap(upb)
     assert abs(lam.value) < 1e-12
     assert lam.converged
     proof = prove_product_minimum(upb.projector, upb.structure, lam.value)
@@ -89,11 +90,11 @@ def test_extendible_orthogonal_sets_have_zero_overlap(dims, n):
     [((3,), 2), ((3, 3), 3), ((2, 2, 2), 4), ((2, 2, 2, 2), 3)],
     ids=["1-party", "2-party", "3-party", "4-party"],
 )
-def test_extendible_sets_are_not_certified(seed, dims, n):
+def test_extendible_sets_are_not_certified(seed, dims, n, quick):
     # The seesaw lands within rounding of 0, on either side; a lambda a few
     # ulps above 0 would give x* = 1 and an empty entangled range (x*, 1).
     upb = _random_orthogonal_product_set(seed, dims, n)
-    lam = minimum_overlap(upb, QUICK)
+    lam = minimum_overlap(upb)
     message = "extendible" if lam.value > 0 else r"outside \(0, n/D"
     with pytest.raises(ValueError, match=f"minimum overlap {re.escape(repr(lam.value))}.*{message}"):
         certify(upb, lam)
@@ -213,16 +214,31 @@ def test_overlap_invariant_under_joint_local_rotations(tiles, tiles_lambda):
     assert abs(lam_rot.value - tiles_lambda.value) < 1e-10
 
 
-def test_non_convergence_is_flagged(tiles):
-    lam = minimum_overlap(tiles, SeesawConfig(restarts=3, max_iters=1))
+def test_non_convergence_is_flagged(tiles, monkeypatch):
+    monkeypatch.setattr(witness_module, "SEESAW_RESTARTS", 3)
+    monkeypatch.setattr(witness_module, "SEESAW_MAX_ITERS", 1)
+    lam = minimum_overlap(tiles)
     assert not lam.converged
 
 
-@pytest.mark.parametrize("field", ["restarts", "max_iters"])
-@pytest.mark.parametrize("value", [0, -1])
-def test_seesaw_config_rejects_counts_below_one(field, value):
-    with pytest.raises(ValueError, match="at least 1"):
-        SeesawConfig(**{field: value})
+@pytest.mark.parametrize("restarts, max_iters", [(1, 1), (3, 7)])
+def test_minimum_overlap_reads_its_counts_at_call_time(tiles, monkeypatch, restarts, max_iters):
+    # The counts are module constants, read on every call: one descent per
+    # restart, in restart order from the seed's starts, each with the sweep cap.
+    calls = []
+
+    def record(local_mats, start, cap):
+        calls.append((start, cap))
+        return _seesaw_once(local_mats, start, cap)
+
+    monkeypatch.setattr(witness_module, "SEESAW_RESTARTS", restarts)
+    monkeypatch.setattr(witness_module, "SEESAW_MAX_ITERS", max_iters)
+    monkeypatch.setattr(witness_module, "_seesaw_once", record)
+    minimum_overlap(tiles, seed=5)
+    assert [cap for _, cap in calls] == [max_iters] * restarts
+    for r, (start, _) in enumerate(calls):
+        expected = _restart_start(tiles.structure.local_dims, 5, r)
+        assert all(np.array_equal(a, b) for a, b in zip(start, expected))
 
 
 def test_witness_flat_spectrum(tiles, tiles_lambda, tiles_witness):
@@ -252,23 +268,31 @@ def test_witness_vanishes_on_minimizer(tiles, tiles_lambda, tiles_witness):
     assert abs(witness_value(tiles_witness, sigma)) < 1e-8
 
 
+def test_witness_value_of_any_hermitian_operator_is_that_of_its_matrix(tiles, tiles_cert):
+    # A partial transpose and a witness are Hermitian operators that are not
+    # states; Tr(W A) reads their matrices as it reads a density matrix's.
+    w = tiles_cert.witness
+    pt = partial_transpose(tiles_cert.omega, (1,))
+    for op in (pt, w, tiles_cert.omega):
+        assert witness_value(w, op) == witness_value(w, op.matrix)
+    assert witness_value(w, w) == float(np.vdot(w.matrix, w.matrix).real)
+
+
 def test_witness_value_on_maximally_mixed(tiles, tiles_witness):
     rho = DensityMatrix.maximally_mixed(tiles.structure)
     assert abs(witness_value(tiles_witness, rho) - 1.0 / 9.0) < 1e-12
 
 
 def test_witness_nonnegative_on_product_states(tiles, tiles_witness):
-    cfg = SamplerConfig(31)
     for t in range(1000):
-        sigma = sample_random_product_separable(tiles.structure, 1, cfg, trial=t)
+        sigma = sample_random_product_separable(tiles.structure, 1, 31, trial=t)
         assert witness_value(tiles_witness, sigma) >= -1e-10
 
 
 def test_expectation_sandwich(tiles, tiles_witness):
-    cfg = SamplerConfig(17)
     w = tiles_witness
     for t in range(1000):
-        pi = sample_hs_density(tiles.structure, cfg, trial=t)
+        pi = sample_hs_density(tiles.structure, 17, trial=t)
         val = witness_value(w, pi)
         assert -w.neg_part_trace - 1e-12 <= val <= w.pos_part_trace + 1e-12
 
