@@ -6,10 +6,16 @@ affine charts of the product states; it uses numpy alone.  The seesaw of
 ``witness.minimum_overlap`` only ever gives an upper estimate of the minimum
 product overlap lambda; W = (P - lambda I)/(n - lambda D) is a witness only if
 lambda is at most the true minimum, which this bound establishes.
+
+The search runs level by level in the private generator ``_levels``, one
+``_Level`` record per examined level.  Exit rule: ``lower`` is t of a level
+whose every cell passed, or lambda_min(W) less the rounding margin when t falls
+to that root first; a level with a failing cell proves nothing at its t.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,6 +68,12 @@ class ProductMinimumBound:
     lower: float
     upper: float
     cells: int
+
+
+# One examined level: cell i lies in chart charts[i] around centres[i] with half-widths
+# ``half``; ``refuted`` counts the failed cells the Rayleigh quotients refuted (0 when the
+# last party has d = 2), and ``upper`` is the least product value found so far.
+_Level = namedtuple("_Level", "level t charts centres half failed refuted upper")
 
 
 def _chart_vectors(d: int, charts: np.ndarray, coords: np.ndarray) -> np.ndarray:
@@ -169,7 +181,7 @@ def _vertex_stack(delta, y, n_c):
 
 
 def _examine_block(h4, dims, charts, centres, offsets, radii, t, scale, curvature):
-    """Cells of one block whose vertex bound fails at t, and their least centre value.
+    """Cells of one block failing at t, their least centre value, and how many were refuted.
 
     ``scale`` is PROOF_ROUND (||W|| + |t|) and ``curvature`` is
     min(lambda_min(W) - t, 0).  The block's arrays live in this frame, so
@@ -193,9 +205,58 @@ def _examine_block(h4, dims, charts, centres, offsets, radii, t, scale, curvatur
         failed = (_rayleigh_bounds(n_c, y, centre, delta) - t * s).min(axis=1) < need - 2 * margin
         todo = np.flatnonzero(~failed)
         delta, y, n_c = delta[todo], y[todo], n_c[todo]
+    refuted = int(np.count_nonzero(failed))
     lowest_v = _lowest_eigenvalues(_vertex_stack(delta, y, n_c))
     failed[todo] = (lowest_v - t * s[todo]).min(axis=1) < need[todo]
-    return failed, lowest
+    return failed, lowest, refuted
+
+
+def _levels(h, structure, upper, lam_w, norm_w):
+    """Yield a ``_Level`` per examined level; lambda_min(h) = lam_w, ||h|| = norm_w."""
+    root = lam_w - PROOF_ROUND * norm_w
+    best = float(upper)
+    dims = structure.local_dims[:-1]
+    last = structure.local_dims[-1]
+    rest = structure.total_dim // last
+    h4 = h.reshape(rest, last, rest, last).transpose(0, 2, 1, 3)
+    n_coords = sum(2 * (d - 1) for d in dims)
+    bounds = np.cumsum([0] + [2 * (d - 1) for d in dims])
+    block = max(1, PROOF_BLOCK_BYTES // (2**n_coords * last * last * 16))
+    grid = np.meshgrid(*(range(d) for d in dims), indexing="ij")
+    charts = np.stack([g.reshape(-1) for g in grid], axis=1)
+    centres = np.zeros((charts.shape[0], n_coords))
+    half = np.ones(n_coords)
+    cells = level = 0
+    while charts.shape[0]:
+        t = best - PROOF_GAP
+        if root >= t:
+            return
+        cells += charts.shape[0]
+        if cells > PROOF_MAX_CELLS:
+            raise RuntimeError(
+                f"product-minimum proof exceeded PROOF_MAX_CELLS = {PROOF_MAX_CELLS} cells "
+                f"at target {t!r}"
+            )
+        offsets = [_signs(b - a) * half[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
+        radii = np.array([np.linalg.norm(half[a:b]) for a, b in zip(bounds[:-1], bounds[1:])])
+        scale, curvature = PROOF_ROUND * (norm_w + abs(t)), min(lam_w - t, 0.0)
+        failed, refuted = np.empty(charts.shape[0], dtype=bool), 0
+        for start in range(0, charts.shape[0], block):
+            part = slice(start, start + block)
+            failed[part], lowest, count = _examine_block(
+                h4, dims, charts[part], centres[part], offsets, radii, t, scale, curvature
+            )
+            best, refuted = min(best, lowest), refuted + count
+        yield _Level(level, t, charts, centres, half.copy(), failed, refuted, best)
+        # Every cell of a level has the same size, so the widest axis (the
+        # first, on ties) cycles through the coordinates.
+        axis = level % n_coords
+        half[axis] *= 0.5
+        charts = np.repeat(charts[failed], 2, axis=0)
+        centres = np.repeat(centres[failed], 2, axis=0)
+        centres[0::2, axis] -= half[axis]
+        centres[1::2, axis] += half[axis]
+        level += 1
 
 
 def prove_product_minimum(
@@ -219,10 +280,9 @@ def prove_product_minimum(
     of the centre's lowest eigenvector refute most failing cells first, so
     only the others have their vertex matrices built and solved; the margin
     makes the result the same.  The cells of one level share their size and t, so
-    the cell count does not depend on PROOF_BLOCK_BYTES.  ``lower`` is the
-    last t, or lambda_min(W) less the margin when that is larger: it bounds
-    every state.  Raises RuntimeError after PROOF_MAX_CELLS cells.  A plain
-    array W is checked by ``HermitianOperator`` first.
+    the cell count does not depend on PROOF_BLOCK_BYTES.  Raises ValueError
+    for an ``upper`` below the root and RuntimeError after PROOF_MAX_CELLS
+    cells.  A plain array W is checked by ``HermitianOperator`` first.
     """
     if not isinstance(w, HermitianOperator):
         w = HermitianOperator(w)
@@ -235,48 +295,13 @@ def prove_product_minimum(
     spec = np.linalg.eigvalsh(h)
     lam_w, norm_w = float(spec[0]), float(np.abs(spec).max())
     root = lam_w - PROOF_ROUND * norm_w
-    best = float(upper)
-    dims = structure.local_dims[:-1]
-    if not dims:
-        return ProductMinimumBound(lower=root, upper=min(best, lam_w), cells=0)
-    last = structure.local_dims[-1]
-    rest = structure.total_dim // last
-    h4 = h.reshape(rest, last, rest, last).transpose(0, 2, 1, 3)
-    n_coords = sum(2 * (d - 1) for d in dims)
-    bounds = np.cumsum([0] + [2 * (d - 1) for d in dims])
-    block = max(1, PROOF_BLOCK_BYTES // (2**n_coords * last * last * 16))
-    grid = np.meshgrid(*(range(d) for d in dims), indexing="ij")
-    charts = np.stack([g.reshape(-1) for g in grid], axis=1)
-    centres = np.zeros((charts.shape[0], n_coords))
-    half = np.ones(n_coords)
-    cells = level = 0
-    while charts.shape[0]:
-        t = best - PROOF_GAP
-        if root >= t:
-            break
-        cells += charts.shape[0]
-        if cells > PROOF_MAX_CELLS:
-            raise RuntimeError(
-                f"product-minimum proof exceeded PROOF_MAX_CELLS = {PROOF_MAX_CELLS} cells "
-                f"at target {t!r}"
-            )
-        offsets = [_signs(b - a) * half[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
-        radii = np.array([np.linalg.norm(half[a:b]) for a, b in zip(bounds[:-1], bounds[1:])])
-        scale, curvature = PROOF_ROUND * (norm_w + abs(t)), min(lam_w - t, 0.0)
-        failed = np.empty(charts.shape[0], dtype=bool)
-        for start in range(0, charts.shape[0], block):
-            part = slice(start, start + block)
-            failed[part], lowest = _examine_block(
-                h4, dims, charts[part], centres[part], offsets, radii, t, scale, curvature
-            )
-            best = min(best, lowest)
-        # Every cell of a level has the same size, so the widest axis (the
-        # first, on ties) cycles through the coordinates.
-        axis = level % n_coords
-        half[axis] *= 0.5
-        charts = np.repeat(charts[failed], 2, axis=0)
-        centres = np.repeat(centres[failed], 2, axis=0)
-        centres[0::2, axis] -= half[axis]
-        centres[1::2, axis] += half[axis]
-        level += 1
-    return ProductMinimumBound(lower=max(root, t), upper=best, cells=cells)
+    if upper < root:
+        raise ValueError(f"upper must be at least lambda_min(W) - margin = {root!r}, got {upper!r}")
+    if len(structure.local_dims) == 1:
+        return ProductMinimumBound(lower=root, upper=min(float(upper), lam_w), cells=0)
+    lower, best, cells = root, float(upper), 0
+    for level in _levels(h, structure, upper, lam_w, norm_w):
+        lower = root if level.failed.any() else level.t
+        best, cells = level.upper, cells + level.failed.size
+        del level  # frees the level's cells before the next level is built
+    return ProductMinimumBound(lower=lower, upper=best, cells=cells)

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 import re
 import tracemalloc
@@ -26,7 +27,7 @@ from pptball import (
 from pptball.montecarlo import sample_hs_density, sample_random_product_separable
 from pptball import proof as proof_module
 from pptball import witness as witness_module
-from pptball.proof import PROOF_ROUND, _lowest_eigenvalues
+from pptball.proof import PROOF_GAP, PROOF_ROUND, _lowest_eigenvalues, _signs
 from pptball.robustness import certify
 from pptball.witness import _restart_start, _seesaw_once
 
@@ -430,84 +431,124 @@ def _no_refutation(n_c, y, centre, delta):
     return np.full(delta.shape[:2], np.inf)
 
 
+def _proof_levels(w, structure, upper):
+    """W's Hermitian part h, its root lambda_min(h) - PROOF_ROUND ||h|| and the proof's levels.
+
+    h, the root and the level records are those ``prove_product_minimum``
+    computes for W; the records come from a generator.
+    """
+    h = (w.matrix + w.matrix.conj().T) / 2
+    spec = np.linalg.eigvalsh(h)
+    lam_w, norm_w = float(spec[0]), float(np.abs(spec).max())
+    return h, lam_w - PROOF_ROUND * norm_w, proof_module._levels(h, structure, upper, lam_w, norm_w)
+
+
+def _party_offsets(dims, half):
+    """Each branched party's vertex offsets at half-widths ``half``, as the proof builds them."""
+    bounds = np.cumsum([0] + [2 * (d - 1) for d in dims])
+    return [_signs(b - a) * half[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
+
+
 @settings(max_examples=10, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), dims=st.sampled_from([(3, 3), (2, 3), (3, 2, 3)]))
 def test_rayleigh_refutation_changes_no_cell(seed, dims):
     # Every cell the Rayleigh quotient refutes also fails the full vertex
-    # eigensolve: each block's failed cells, and so the whole proof, are the
+    # eigensolve: each level's failed cells, and so the whole proof, are the
     # same with the refutation on and off.  Three-party proofs on a random W
     # need hundreds of thousands of cells, so they stop after a few thousand.
     rng = np.random.default_rng(seed)
     w = _random_hermitian(int(np.prod(dims)), rng)
     upper = _product_seesaw(w, dims, rng, restarts=2)
     norm_w = float(np.abs(np.linalg.eigvalsh(w.matrix)).max())
-    examine = proof_module._examine_block
+    structure = HilbertStructure(dims)
 
-    def both(h4, dims, charts, centres, offsets, *rest):
-        failed, lowest = examine(h4, dims, charts, centres, offsets, *rest)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(proof_module, "_rayleigh_bounds", _no_refutation)
-            plain = examine(h4, dims, charts, centres, offsets, *rest)
-        np.testing.assert_array_equal(failed, plain[0])
-        assert lowest == plain[1]
-        # What the refutation rests on, vertex by vertex: the computed lowest
-        # eigenvalue is at most the Rayleigh quotient, up to rounding.
-        centre, vertex = proof_module._product_vectors(dims, charts, centres, offsets)
-        y, n_c = proof_module._centre_matrices(h4, centre)
-        delta, _ = proof_module._vertex_offsets(vertex, centre)
-        quotient = proof_module._rayleigh_bounds(n_c, y, centre, delta)
-        lowest_v = _lowest_eigenvalues(proof_module._vertex_stack(delta, y, n_c))
-        size = np.linalg.norm(centre, axis=2) + np.linalg.norm(delta, axis=2).max(axis=1)[:, None]
-        assert np.all(lowest_v <= quotient + PROOF_ROUND * norm_w * size**2)
-        return failed, lowest
-
-    def prove(name, replacement):
+    def levels(refute):
+        """The proof's level records, ending in None if it ran out of cells."""
+        out = []
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(proof_module, "PROOF_GAP", 1e-3)
             mp.setattr(proof_module, "PROOF_MAX_CELLS", 50_000 if len(dims) == 2 else 3_000)
-            mp.setattr(proof_module, name, replacement)
+            if not refute:
+                mp.setattr(proof_module, "_rayleigh_bounds", _no_refutation)
             try:
-                return prove_product_minimum(w, HilbertStructure(dims), upper)
+                out.extend(_proof_levels(w, structure, upper)[2])
             except RuntimeError:
-                return None
+                out.append(None)
+        return out
 
-    proof = prove("_examine_block", both)
-    assert proof == prove("_rayleigh_bounds", _no_refutation)
-    assert proof is not None or len(dims) == 3
+    proof, reference = levels(refute=True), levels(refute=False)
+    assert len(proof) == len(reference)
+    for level, plain in zip(proof, reference):
+        if level is None or plain is None:
+            assert level is plain
+            continue
+        assert (level.t, level.upper) == (plain.t, plain.upper)
+        np.testing.assert_array_equal(level.failed, plain.failed)
+        assert plain.refuted == 0
+    assert proof[-1] is not None or len(dims) == 3
+    # What the refutation rests on, vertex by vertex: the computed lowest
+    # eigenvalue is at most the Rayleigh quotient, up to rounding.
+    h = (w.matrix + w.matrix.conj().T) / 2
+    last = dims[-1]
+    rest = h.shape[0] // last
+    h4 = h.reshape(rest, last, rest, last).transpose(0, 2, 1, 3)
+    for level in proof[:-1] if proof[-1] is None else proof:
+        offsets = _party_offsets(dims[:-1], level.half)
+        for start in range(0, level.failed.size, 1024):
+            part = slice(start, start + 1024)
+            centre, vertex = proof_module._product_vectors(
+                dims[:-1], level.charts[part], level.centres[part], offsets
+            )
+            y, n_c = proof_module._centre_matrices(h4, centre)
+            delta, _ = proof_module._vertex_offsets(vertex, centre)
+            quotient = proof_module._rayleigh_bounds(n_c, y, centre, delta)
+            lowest_v = _lowest_eigenvalues(proof_module._vertex_stack(delta, y, n_c))
+            reach = np.linalg.norm(delta, axis=2).max(axis=1)[:, None]
+            size = np.linalg.norm(centre, axis=2) + reach
+            assert np.all(lowest_v <= quotient + PROOF_ROUND * norm_w * size**2)
+
+
+@pytest.fixture(scope="module")
+def catalog_proof(tiles, pyramid, shifts, tiles_lambda, pyramid_lambda, shifts_lambda):
+    """One proof per catalog set at its seed-0 lambda, run on first use and kept for the module.
+
+    ``catalog_proof(name)`` returns the set, its h and root, and the list of
+    the proof's level records.
+    """
+    sets = {"tiles": (tiles, tiles_lambda), "pyramid": (pyramid, pyramid_lambda),
+            "shifts": (shifts, shifts_lambda)}
+    proofs = {}
+
+    def proof(name):
+        if name not in proofs:
+            upb, lam = sets[name]
+            h, root, levels = _proof_levels(upb.projector, upb.structure, lam.value)
+            proofs[name] = upb, lam, h, root, list(levels)
+        return proofs[name]
+
+    return proof
 
 
 @pytest.mark.parametrize(
     "name, cells", [("tiles", 26637), ("pyramid", 32973), ("shifts", 83840)]
 )
-def test_catalog_proof_cells_are_pinned(name, cells, request, monkeypatch):
+def test_catalog_proof_cells_are_pinned(name, cells, catalog_proof):
     # At the seed-0 seesaw lambda.  On tiles and pyramid the Rayleigh
     # quotient refutes most failing cells before their vertex eigensolve;
     # on shifts (d = 2) every cell goes to the closed form.
-    upb, lam = request.getfixturevalue(name), request.getfixturevalue(f"{name}_lambda")
-    examine, stack_of = proof_module._examine_block, proof_module._vertex_stack
-    failed, solved = [], []
-
-    def count_failed(*args):
-        out = examine(*args)
-        failed.append(int(out[0].sum()))
-        return out
-
-    def count_solved(delta, y, n_c):
-        solved.append(delta.shape[0])
-        return stack_of(delta, y, n_c)
-
-    monkeypatch.setattr(proof_module, "_examine_block", count_failed)
-    monkeypatch.setattr(proof_module, "_vertex_stack", count_solved)
-    proof = prove_product_minimum(upb.projector, upb.structure, lam.value)
-    assert proof.cells == cells
-    assert proof.upper == lam.value
-    # lambda_lo > 0 is what proves the set unextendible.
-    assert proof.lower > 0
-    refuted = cells - sum(solved)
+    _, lam, _, _, levels = catalog_proof(name)
+    assert sum(level.failed.size for level in levels) == cells
+    assert levels[-1].upper == lam.value
+    # Every cell of the last level passed, so lambda_lo is its t; lambda_lo
+    # > 0 is what proves the set unextendible.
+    assert not levels[-1].failed.any()
+    assert levels[-1].t > 0
+    failed = sum(int(level.failed.sum()) for level in levels)
+    refuted = sum(level.refuted for level in levels)
     if name == "shifts":
         assert refuted == 0
     else:
-        assert refuted > 0.8 * sum(failed)
+        assert refuted > 0.8 * failed
 
 
 @pytest.mark.parametrize("dims", [(3,), (4,)])
@@ -537,6 +578,27 @@ def test_proof_rejects_bad_input(tiles):
     triangle = np.triu(np.ones((9, 9)), 1)
     with pytest.raises(ValueError, match="matrix is not Hermitian"):
         prove_product_minimum(triangle, tiles.structure, 0.1)
+    # No product state has a value below lambda_min(W) less the margin.
+    with pytest.raises(ValueError, match="upper must be at least"):
+        prove_product_minimum(tiles.projector, tiles.structure, -10.0)
+    with pytest.raises(ValueError, match="upper must be at least"):
+        prove_product_minimum(np.diag([0.5, 1.0, 2.0]), HilbertStructure((3,)), -3.0)
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3)])
+def test_proof_stopped_at_the_root_returns_the_root(dims):
+    # The first level's centres include the minimizer (value 0.1), so t falls
+    # below lambda_min(W) less the margin while a cell still fails at the
+    # first level's t = 0.10099999, which is above the minimum.
+    w = HermitianOperator(np.diag(np.linspace(0.1, 1.0, int(np.prod(dims)))))
+    structure = HilbertStructure(dims)
+    _, root, levels = _proof_levels(w, structure, 0.101)
+    levels = list(levels)
+    assert len(levels) == 1 and levels[0].failed.any()
+    assert levels[0].t == 0.101 - PROOF_GAP
+    proof = prove_product_minimum(w, structure, 0.101)
+    assert proof.lower == root
+    assert proof.lower <= 0.1
 
 
 def test_proof_takes_a_plain_hermitian_array(tiles, tiles_lambda):
@@ -548,22 +610,18 @@ def test_proof_takes_a_plain_hermitian_array(tiles, tiles_lambda):
     assert a == b
 
 
-def _leaf_cells(monkeypatch, upb, lam):
-    """Cells of the last block the proof examined, with their vertex offsets and matrices.
+def _leaf_cells(upb, h, levels, picks):
+    """Cells ``picks`` of the proof's last level, their vertex offsets and vertex matrices.
 
-    The matrices are rebuilt by the helpers the proof uses, for every cell
-    of the block, whether or not the Rayleigh quotient refuted it.
+    The matrices are rebuilt by the helpers the proof uses, whether or not
+    the Rayleigh quotient refuted the cell.
     """
-    seen = []
-    examine = proof_module._examine_block
-
-    def record(h4, dims, charts, centres, offsets, *rest):
-        seen.append((h4, dims, charts, centres, offsets))
-        return examine(h4, dims, charts, centres, offsets, *rest)
-
-    monkeypatch.setattr(proof_module, "_examine_block", record)
-    prove_product_minimum(upb.projector, upb.structure, lam)
-    h4, dims, charts, centres, offsets = seen[-1]
+    dims, last = upb.structure.local_dims[:-1], upb.structure.local_dims[-1]
+    rest = upb.total_dim // last
+    h4 = h.reshape(rest, last, rest, last).transpose(0, 2, 1, 3)
+    level = levels[-1]
+    charts, centres = level.charts[picks], level.centres[picks]
+    offsets = _party_offsets(dims, level.half)
     centre, vertex = proof_module._product_vectors(dims, charts, centres, offsets)
     y, n_c = proof_module._centre_matrices(h4, centre)
     delta, _ = proof_module._vertex_offsets(vertex, centre)
@@ -587,11 +645,37 @@ def _interval_cholesky_succeeds(matrix):
     return True
 
 
-def _interval_vertex_matrix(h4, dims, chart, centre, offset):
-    """L_v = X(Phi_c, Phi_v) + X(Phi_v, Phi_c) - N(Phi_c) in interval arithmetic.
+def _shifted_real_embedding(m, shift):
+    """[[Re, -Im], [Im, Re]] of M - shift I for an interval matrix M of (re, im) pairs.
 
-    Complex numbers are (re, im) pairs of intervals; ``h4`` is W as
-    (D', d, D', d) and every float input is taken as exact.
+    It has the eigenvalues of M - shift I, each twice.
+    """
+    last = len(m)
+    real = [[None] * (2 * last) for _ in range(2 * last)]
+    for a in range(last):
+        for b in range(last):
+            re, im = m[a][b]
+            if a == b:
+                re = re - shift
+            real[a][b] = real[a + last][b + last] = re
+            real[a + last][b], real[a][b + last] = im, -im
+    return real
+
+
+def _interval_pairs(array):
+    """A complex array as an object array of (re, im) interval pairs, each float taken as exact."""
+    from mpmath import iv
+
+    return np.frompyfunc(lambda x: (iv.mpf(x.real), iv.mpf(x.imag)), 1, 1)(array)
+
+
+def _interval_vertex_matrix(h4, dims, chart, centre, offset):
+    """L_v = X(Phi_c, Phi_v) + X(Phi_v, Phi_c) - N(Phi_c) and s_v in interval arithmetic.
+
+    s_v = 2 Re <Phi_c|Phi_v> - |Phi_c|^2 is the same form with W = I.
+    Complex numbers are (re, im) pairs of intervals, ``h4`` is W as a
+    (D', d, D', d) array of them (``_interval_pairs``), and every float
+    input is taken as exact.
     """
     from mpmath import iv
 
@@ -628,42 +712,82 @@ def _interval_vertex_matrix(h4, dims, chart, centre, offset):
             re, im = iv.mpf(0), iv.mpf(0)
             for i in range(rest):
                 for j in range(rest):
-                    h = h4[i, a, j, b]
-                    re += coef[i][j][0] * h.real - coef[i][j][1] * h.imag
-                    im += coef[i][j][0] * h.imag + coef[i][j][1] * h.real
+                    h_re, h_im = h4[i, a, j, b]
+                    re += coef[i][j][0] * h_re - coef[i][j][1] * h_im
+                    im += coef[i][j][0] * h_im + coef[i][j][1] * h_re
             row.append((re, im))
         out.append(row)
-    return out
+    return out, sum((coef[i][i][0] for i in range(rest)), iv.mpf(0))
 
 
 @pytest.mark.parametrize("name", ["tiles", "shifts"])
-def test_rounding_margin_covers_leaf_vertex_eigenvalues(monkeypatch, name, tiles, shifts):
+def test_rounding_margin_covers_leaf_vertex_eigenvalues(monkeypatch, name, catalog_proof):
     from mpmath import iv
 
-    upb = {"tiles": tiles, "shifts": shifts}[name]
-    charts, centres, offsets, stack = _leaf_cells(monkeypatch, upb, LAMBDA_REF[name])
+    upb, _, h, _, levels = catalog_proof(name)
+    picks = np.linspace(0, levels[-1].failed.size - 1, 2).astype(int)
+    charts, centres, offsets, stack = _leaf_cells(upb, h, levels, picks)
     dims, last = upb.structure.local_dims[:-1], upb.structure.local_dims[-1]
     rest = upb.total_dim // last
-    h4 = ((upb.projector.matrix + upb.projector.matrix.conj().T) / 2).reshape(rest, last, rest, last)
+    monkeypatch.setattr(iv, "prec", 200)
+    h4 = _interval_pairs(h.reshape(rest, last, rest, last))
     floats = _lowest_eigenvalues(stack)
     vertex_offsets = [np.concatenate(combo) for combo in itertools.product(*offsets)]
-    monkeypatch.setattr(iv, "prec", 200)
     checked = 0
-    for cell in np.linspace(0, charts.shape[0] - 1, 2).astype(int):
+    for cell in range(len(picks)):
         for v, offset in enumerate(vertex_offsets):
-            m = _interval_vertex_matrix(h4, dims, charts[cell], centres[cell], offset)
+            m, _ = _interval_vertex_matrix(h4, dims, charts[cell], centres[cell], offset)
             for shift, proven in ((floats[cell, v] - PROOF_ROUND, True),
                                   (floats[cell, v] + 1e-9, False)):
-                # Real embedding [[Re, -Im], [Im, Re]] of M - shift I: same
-                # eigenvalues, each twice.
-                real = [[None] * (2 * last) for _ in range(2 * last)]
-                for a in range(last):
-                    for b in range(last):
-                        re, im = m[a][b]
-                        if a == b:
-                            re = re - iv.mpf(shift)
-                        real[a][b] = real[a + last][b + last] = re
-                        real[a + last][b], real[a][b + last] = im, -im
+                real = _shifted_real_embedding(m, iv.mpf(shift))
                 assert _interval_cholesky_succeeds(real) is proven, (cell, v, shift)
             checked += 1
     assert checked == 2 * len(vertex_offsets)
+
+
+def _audit_accepted_cells(monkeypatch, proof, count):
+    """Re-check ``count`` accepted cells of a proof, and its root, in interval arithmetic.
+
+    The cells are spaced evenly over all accepted cells of all levels, with
+    no random choice.  At each of a cell's vertices v, L_v - (t s_v +
+    |c| rho^2) I must be positive definite, with c = min(root - t, 0): this
+    is the acceptance test without the PROOF_ROUND margin, which the margin
+    must guarantee.  W - root I must be positive definite too.  Every float
+    input is taken as exact.
+    """
+    from mpmath import iv
+
+    monkeypatch.setattr(iv, "prec", 200)
+    upb, _, h, root, levels = proof
+    dims, last = upb.structure.local_dims[:-1], upb.structure.local_dims[-1]
+    rest = upb.total_dim // last
+    h4 = _interval_pairs(h.reshape(rest, last, rest, last))
+    bounds = np.cumsum([0] + [2 * (d - 1) for d in dims])
+    parties = list(zip(bounds[:-1], bounds[1:]))
+    assert _interval_cholesky_succeeds(_shifted_real_embedding(_interval_pairs(h), iv.mpf(root)))
+    accepted = [(level, cell) for level in levels for cell in np.flatnonzero(~level.failed)]
+    for index in np.linspace(0, len(accepted) - 1, count).astype(int):
+        level, cell = accepted[index]
+        chart, centre = level.charts[cell], level.centres[cell]
+        # Every examined level has t > root, so |c| = t - root.
+        assert level.t > root
+        curvature = iv.mpf(level.t) - iv.mpf(root)
+        norms = [iv.sqrt(1 + sum(iv.mpf(x) ** 2 for x in centre[a:b])) for a, b in parties]
+        radii = [iv.sqrt(sum(iv.mpf(x) ** 2 for x in level.half[a:b])) for a, b in parties]
+        rho = math.prod(n + r for n, r in zip(norms, radii)) - math.prod(norms)
+        for offset in _signs(len(centre)) * level.half:
+            m, s_v = _interval_vertex_matrix(h4, dims, chart, centre, offset)
+            shift = iv.mpf(level.t) * s_v + curvature * rho**2
+            real = _shifted_real_embedding(m, shift)
+            assert _interval_cholesky_succeeds(real), (level.level, cell)
+
+
+@pytest.mark.parametrize("name", ["tiles", "pyramid", "shifts"])
+def test_accepted_cells_pass_an_interval_audit(monkeypatch, name, catalog_proof):
+    _audit_accepted_cells(monkeypatch, catalog_proof(name), 8)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("name", ["tiles", "pyramid", "shifts"])
+def test_a_thousand_accepted_cells_pass_an_interval_audit(monkeypatch, name, catalog_proof):
+    _audit_accepted_cells(monkeypatch, catalog_proof(name), 1000)
