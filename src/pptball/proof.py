@@ -115,9 +115,14 @@ def _kron_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out.reshape(out.shape[0], out.shape[1] * out.shape[2], -1)
 
 
-def _signs(n: int) -> np.ndarray:
-    """The 2**n sign vectors of the vertices of an n-box, shape (2**n, n)."""
-    return 1.0 - 2.0 * ((np.arange(2**n)[:, None] >> np.arange(n)) & 1)
+def _party_offsets(dims, half):
+    """Each branched party's 2**n vertex offsets (2**n, n), n of its half-widths in ``half``.
+
+    Row k of a party's offsets negates the half-widths at the set bits of k; row 0 is +half.
+    """
+    bounds = np.cumsum([0] + [2 * (d - 1) for d in dims])
+    return [(1.0 - 2.0 * ((np.arange(2 ** (b - a))[:, None] >> np.arange(b - a)) & 1)) * half[a:b]
+            for a, b in zip(bounds[:-1], bounds[1:])]
 
 
 def _lowest_eigenvalues(m: np.ndarray) -> np.ndarray:
@@ -211,16 +216,22 @@ def _examine_block(h4, dims, charts, centres, offsets, radii, t, scale, curvatur
     return failed, lowest, refuted
 
 
-def _levels(h, structure, upper, lam_w, norm_w):
-    """Yield a ``_Level`` per examined level; lambda_min(h) = lam_w, ||h|| = norm_w."""
-    root = lam_w - PROOF_ROUND * norm_w
-    best = float(upper)
-    dims = structure.local_dims[:-1]
+def _prelude(w, structure):
+    """h4[i, j] = (<i| x I) h (|j> x I) for W's Hermitian part h, lambda_min(h), ||h||, root."""
+    # <phi|W|phi> is real only for the Hermitian part, which the proof bounds.
+    h = (w.matrix + w.matrix.conj().T) / 2
+    spec = np.linalg.eigvalsh(h)
+    lam_w, norm_w = float(spec[0]), float(np.abs(spec).max())
     last = structure.local_dims[-1]
-    rest = structure.total_dim // last
-    h4 = h.reshape(rest, last, rest, last).transpose(0, 2, 1, 3)
+    h4 = h.reshape(-1, last, h.shape[0] // last, last).transpose(0, 2, 1, 3)
+    return h4, lam_w, norm_w, lam_w - PROOF_ROUND * norm_w
+
+
+def _levels(structure, upper, h4, lam_w, norm_w, root):
+    """Yield a ``_Level`` per examined level; the last four arguments come from ``_prelude``."""
+    best = float(upper)
+    dims, last = structure.local_dims[:-1], structure.local_dims[-1]
     n_coords = sum(2 * (d - 1) for d in dims)
-    bounds = np.cumsum([0] + [2 * (d - 1) for d in dims])
     block = max(1, PROOF_BLOCK_BYTES // (2**n_coords * last * last * 16))
     grid = np.meshgrid(*(range(d) for d in dims), indexing="ij")
     charts = np.stack([g.reshape(-1) for g in grid], axis=1)
@@ -237,8 +248,8 @@ def _levels(h, structure, upper, lam_w, norm_w):
                 f"product-minimum proof exceeded PROOF_MAX_CELLS = {PROOF_MAX_CELLS} cells "
                 f"at target {t!r}"
             )
-        offsets = [_signs(b - a) * half[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
-        radii = np.array([np.linalg.norm(half[a:b]) for a, b in zip(bounds[:-1], bounds[1:])])
+        offsets = _party_offsets(dims, half)
+        radii = np.array([np.linalg.norm(off[0]) for off in offsets])
         scale, curvature = PROOF_ROUND * (norm_w + abs(t)), min(lam_w - t, 0.0)
         failed, refuted = np.empty(charts.shape[0], dtype=bool), 0
         for start in range(0, charts.shape[0], block):
@@ -290,17 +301,13 @@ def prove_product_minimum(
         raise ValueError(f"dimension mismatch: operator {w.dim}, structure {structure.total_dim}")
     if not np.isfinite(upper):
         raise ValueError(f"upper must be finite, got {upper!r}")
-    # <phi|W|phi> is real only for the Hermitian part, which the proof bounds.
-    h = (w.matrix + w.matrix.conj().T) / 2
-    spec = np.linalg.eigvalsh(h)
-    lam_w, norm_w = float(spec[0]), float(np.abs(spec).max())
-    root = lam_w - PROOF_ROUND * norm_w
+    h4, lam_w, norm_w, root = _prelude(w, structure)
     if upper < root:
         raise ValueError(f"upper must be at least lambda_min(W) - margin = {root!r}, got {upper!r}")
     if len(structure.local_dims) == 1:
         return ProductMinimumBound(lower=root, upper=min(float(upper), lam_w), cells=0)
     lower, best, cells = root, float(upper), 0
-    for level in _levels(h, structure, upper, lam_w, norm_w):
+    for level in _levels(structure, upper, h4, lam_w, norm_w, root):
         lower = root if level.failed.any() else level.t
         best, cells = level.upper, cells + level.failed.size
         del level  # frees the level's cells before the next level is built

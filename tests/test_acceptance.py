@@ -34,6 +34,7 @@ from pptball import (
     witness_value,
 )
 from pptball.cli import main
+from pptball.proof import PROOF_GAP, ProductMinimumBound
 
 
 def gram_deviation(upb):
@@ -48,7 +49,8 @@ def lambda_omega_of(witness, omega):
 def test_a01_catalog_validity_and_dual_method_overlap():
     start = time.monotonic()
     results = {}
-    for build, tol in ((build_tiles, 1e-6), (build_pyramid, 1e-6), (build_shifts, 1e-5)):
+    for build, tol, cells in ((build_tiles, 1e-6, 26637), (build_pyramid, 1e-6, 32973),
+                              (build_shifts, 1e-5, 83840)):
         upb = build()
         assert gram_deviation(upb) < 1e-10
         lam = minimum_overlap(upb)
@@ -56,6 +58,11 @@ def test_a01_catalog_validity_and_dual_method_overlap():
         assert lam.value > 0.0
         assert lam.converged
         assert 0.0 <= lam.value - proof.lower < tol
+        # The proof at the seed-0 lambda, pinned: no centre beats lambda, and
+        # every cell of the last level passed at t = lambda - PROOF_GAP.  The
+        # cell counts are those test_witness pins from the proof's levels.
+        assert proof == ProductMinimumBound(lower=lam.value - PROOF_GAP, upper=lam.value,
+                                            cells=cells)
         results[upb.name] = (lam.value, lam.value - proof.lower)
     elapsed = time.monotonic() - start
     assert elapsed <= 120.0

@@ -27,7 +27,12 @@ from pptball import (
 from pptball.montecarlo import sample_hs_density, sample_random_product_separable
 from pptball import proof as proof_module
 from pptball import witness as witness_module
-from pptball.proof import PROOF_GAP, PROOF_ROUND, _lowest_eigenvalues, _signs
+from pptball.proof import (
+    PROOF_GAP,
+    PROOF_ROUND,
+    ProductMinimumBound,
+    _lowest_eigenvalues,
+)
 from pptball.robustness import certify
 from pptball.witness import _restart_start, _seesaw_once
 
@@ -432,21 +437,9 @@ def _no_refutation(n_c, y, centre, delta):
 
 
 def _proof_levels(w, structure, upper):
-    """W's Hermitian part h, its root lambda_min(h) - PROOF_ROUND ||h|| and the proof's levels.
-
-    h, the root and the level records are those ``prove_product_minimum``
-    computes for W; the records come from a generator.
-    """
-    h = (w.matrix + w.matrix.conj().T) / 2
-    spec = np.linalg.eigvalsh(h)
-    lam_w, norm_w = float(spec[0]), float(np.abs(spec).max())
-    return h, lam_w - PROOF_ROUND * norm_w, proof_module._levels(h, structure, upper, lam_w, norm_w)
-
-
-def _party_offsets(dims, half):
-    """Each branched party's vertex offsets at half-widths ``half``, as the proof builds them."""
-    bounds = np.cumsum([0] + [2 * (d - 1) for d in dims])
-    return [_signs(b - a) * half[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
+    """The proof's prelude (h4, lambda_min, norm, root) for W and a generator of its levels."""
+    prelude = proof_module._prelude(w, structure)
+    return prelude, proof_module._levels(structure, upper, *prelude)
 
 
 @settings(max_examples=10, deadline=None)
@@ -459,24 +452,28 @@ def test_rayleigh_refutation_changes_no_cell(seed, dims):
     rng = np.random.default_rng(seed)
     w = _random_hermitian(int(np.prod(dims)), rng)
     upper = _product_seesaw(w, dims, rng, restarts=2)
-    norm_w = float(np.abs(np.linalg.eigvalsh(w.matrix)).max())
     structure = HilbertStructure(dims)
 
-    def levels(refute):
-        """The proof's level records, ending in None if it ran out of cells."""
-        out = []
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(proof_module, "PROOF_GAP", 1e-3)
-            mp.setattr(proof_module, "PROOF_MAX_CELLS", 50_000 if len(dims) == 2 else 3_000)
-            if not refute:
-                mp.setattr(proof_module, "_rayleigh_bounds", _no_refutation)
-            try:
-                out.extend(_proof_levels(w, structure, upper)[2])
-            except RuntimeError:
-                out.append(None)
-        return out
+    def patch(mp, refute):
+        mp.setattr(proof_module, "PROOF_GAP", 1e-3)
+        mp.setattr(proof_module, "PROOF_MAX_CELLS", 50_000 if len(dims) == 2 else 3_000)
+        if not refute:
+            mp.setattr(proof_module, "_rayleigh_bounds", _no_refutation)
 
-    proof, reference = levels(refute=True), levels(refute=False)
+    def levels(refute):
+        """The proof's prelude and level records, ending in None if it ran out of cells."""
+        records = []
+        with pytest.MonkeyPatch.context() as mp:
+            patch(mp, refute)
+            prelude, levels = _proof_levels(w, structure, upper)
+            try:
+                records.extend(levels)
+            except RuntimeError:
+                records.append(None)
+        return prelude, records
+
+    (h4, _, norm_w, root), proof = levels(refute=True)
+    _, reference = levels(refute=False)
     assert len(proof) == len(reference)
     for level, plain in zip(proof, reference):
         if level is None or plain is None:
@@ -485,15 +482,27 @@ def test_rayleigh_refutation_changes_no_cell(seed, dims):
         assert (level.t, level.upper) == (plain.t, plain.upper)
         np.testing.assert_array_equal(level.failed, plain.failed)
         assert plain.refuted == 0
-    assert proof[-1] is not None or len(dims) == 3
+    # The public result with the refutation on is the bound the reference's
+    # records give: t of a last level whose every cell passed, else the root.
+    with pytest.MonkeyPatch.context() as mp:
+        patch(mp, refute=True)
+        try:
+            result = prove_product_minimum(w, structure, upper)
+        except RuntimeError:
+            result = None
+    if reference and reference[-1] is None:
+        assert result is None and len(dims) == 3
+    else:
+        passed = bool(reference) and not reference[-1].failed.any()
+        assert result == ProductMinimumBound(
+            lower=reference[-1].t if passed else root,
+            upper=reference[-1].upper if reference else upper,
+            cells=sum(level.failed.size for level in reference),
+        )
     # What the refutation rests on, vertex by vertex: the computed lowest
     # eigenvalue is at most the Rayleigh quotient, up to rounding.
-    h = (w.matrix + w.matrix.conj().T) / 2
-    last = dims[-1]
-    rest = h.shape[0] // last
-    h4 = h.reshape(rest, last, rest, last).transpose(0, 2, 1, 3)
     for level in proof[:-1] if proof[-1] is None else proof:
-        offsets = _party_offsets(dims[:-1], level.half)
+        offsets = proof_module._party_offsets(dims[:-1], level.half)
         for start in range(0, level.failed.size, 1024):
             part = slice(start, start + 1024)
             centre, vertex = proof_module._product_vectors(
@@ -512,8 +521,10 @@ def test_rayleigh_refutation_changes_no_cell(seed, dims):
 def catalog_proof(tiles, pyramid, shifts, tiles_lambda, pyramid_lambda, shifts_lambda):
     """One proof per catalog set at its seed-0 lambda, run on first use and kept for the module.
 
-    ``catalog_proof(name)`` returns the set, its h and root, and the list of
-    the proof's level records.
+    ``catalog_proof(name)`` returns the set, its lambda, the proof's prelude
+    (``proof._prelude``) and the list of its level records.  Only the records
+    are kept; the public result of the same proof is pinned by the acceptance
+    suite's criterion 1, which runs it anyway.
     """
     sets = {"tiles": (tiles, tiles_lambda), "pyramid": (pyramid, pyramid_lambda),
             "shifts": (shifts, shifts_lambda)}
@@ -522,8 +533,8 @@ def catalog_proof(tiles, pyramid, shifts, tiles_lambda, pyramid_lambda, shifts_l
     def proof(name):
         if name not in proofs:
             upb, lam = sets[name]
-            h, root, levels = _proof_levels(upb.projector, upb.structure, lam.value)
-            proofs[name] = upb, lam, h, root, list(levels)
+            prelude, levels = _proof_levels(upb.projector, upb.structure, lam.value)
+            proofs[name] = upb, lam, prelude, list(levels)
         return proofs[name]
 
     return proof
@@ -536,7 +547,7 @@ def test_catalog_proof_cells_are_pinned(name, cells, catalog_proof):
     # At the seed-0 seesaw lambda.  On tiles and pyramid the Rayleigh
     # quotient refutes most failing cells before their vertex eigensolve;
     # on shifts (d = 2) every cell goes to the closed form.
-    _, lam, _, _, levels = catalog_proof(name)
+    _, lam, _, levels = catalog_proof(name)
     assert sum(level.failed.size for level in levels) == cells
     assert levels[-1].upper == lam.value
     # Every cell of the last level passed, so lambda_lo is its t; lambda_lo
@@ -592,7 +603,7 @@ def test_proof_stopped_at_the_root_returns_the_root(dims):
     # first level's t = 0.10099999, which is above the minimum.
     w = HermitianOperator(np.diag(np.linspace(0.1, 1.0, int(np.prod(dims)))))
     structure = HilbertStructure(dims)
-    _, root, levels = _proof_levels(w, structure, 0.101)
+    (*_, root), levels = _proof_levels(w, structure, 0.101)
     levels = list(levels)
     assert len(levels) == 1 and levels[0].failed.any()
     assert levels[0].t == 0.101 - PROOF_GAP
@@ -610,18 +621,16 @@ def test_proof_takes_a_plain_hermitian_array(tiles, tiles_lambda):
     assert a == b
 
 
-def _leaf_cells(upb, h, levels, picks):
+def _leaf_cells(upb, h4, levels, picks):
     """Cells ``picks`` of the proof's last level, their vertex offsets and vertex matrices.
 
     The matrices are rebuilt by the helpers the proof uses, whether or not
     the Rayleigh quotient refuted the cell.
     """
-    dims, last = upb.structure.local_dims[:-1], upb.structure.local_dims[-1]
-    rest = upb.total_dim // last
-    h4 = h.reshape(rest, last, rest, last).transpose(0, 2, 1, 3)
+    dims = upb.structure.local_dims[:-1]
     level = levels[-1]
     charts, centres = level.charts[picks], level.centres[picks]
-    offsets = _party_offsets(dims, level.half)
+    offsets = proof_module._party_offsets(dims, level.half)
     centre, vertex = proof_module._product_vectors(dims, charts, centres, offsets)
     y, n_c = proof_module._centre_matrices(h4, centre)
     delta, _ = proof_module._vertex_offsets(vertex, centre)
@@ -673,9 +682,9 @@ def _interval_vertex_matrix(h4, dims, chart, centre, offset):
     """L_v = X(Phi_c, Phi_v) + X(Phi_v, Phi_c) - N(Phi_c) and s_v in interval arithmetic.
 
     s_v = 2 Re <Phi_c|Phi_v> - |Phi_c|^2 is the same form with W = I.
-    Complex numbers are (re, im) pairs of intervals, ``h4`` is W as a
-    (D', d, D', d) array of them (``_interval_pairs``), and every float
-    input is taken as exact.
+    Complex numbers are (re, im) pairs of intervals, ``h4`` is W's (D', D', d, d)
+    blocks (``proof._prelude``) as an array of them (``_interval_pairs``), and
+    every float input is taken as exact.
     """
     from mpmath import iv
 
@@ -704,7 +713,7 @@ def _interval_vertex_matrix(h4, dims, chart, centre, offset):
         ]
         for i in range(len(c))
     ]
-    rest, last = h4.shape[0], h4.shape[1]
+    rest, last = h4.shape[0], h4.shape[2]
     out = []
     for a in range(last):
         row = []
@@ -712,7 +721,7 @@ def _interval_vertex_matrix(h4, dims, chart, centre, offset):
             re, im = iv.mpf(0), iv.mpf(0)
             for i in range(rest):
                 for j in range(rest):
-                    h_re, h_im = h4[i, a, j, b]
+                    h_re, h_im = h4[i, j, a, b]
                     re += coef[i][j][0] * h_re - coef[i][j][1] * h_im
                     im += coef[i][j][0] * h_im + coef[i][j][1] * h_re
             row.append((re, im))
@@ -724,13 +733,12 @@ def _interval_vertex_matrix(h4, dims, chart, centre, offset):
 def test_rounding_margin_covers_leaf_vertex_eigenvalues(monkeypatch, name, catalog_proof):
     from mpmath import iv
 
-    upb, _, h, _, levels = catalog_proof(name)
+    upb, _, (h4, *_), levels = catalog_proof(name)
     picks = np.linspace(0, levels[-1].failed.size - 1, 2).astype(int)
-    charts, centres, offsets, stack = _leaf_cells(upb, h, levels, picks)
-    dims, last = upb.structure.local_dims[:-1], upb.structure.local_dims[-1]
-    rest = upb.total_dim // last
+    charts, centres, offsets, stack = _leaf_cells(upb, h4, levels, picks)
+    dims = upb.structure.local_dims[:-1]
     monkeypatch.setattr(iv, "prec", 200)
-    h4 = _interval_pairs(h.reshape(rest, last, rest, last))
+    h4 = _interval_pairs(h4)
     floats = _lowest_eigenvalues(stack)
     vertex_offsets = [np.concatenate(combo) for combo in itertools.product(*offsets)]
     checked = 0
@@ -758,13 +766,14 @@ def _audit_accepted_cells(monkeypatch, proof, count):
     from mpmath import iv
 
     monkeypatch.setattr(iv, "prec", 200)
-    upb, _, h, root, levels = proof
-    dims, last = upb.structure.local_dims[:-1], upb.structure.local_dims[-1]
-    rest = upb.total_dim // last
-    h4 = _interval_pairs(h.reshape(rest, last, rest, last))
+    upb, _, (h4, _, _, root), levels = proof
+    dims = upb.structure.local_dims[:-1]
     bounds = np.cumsum([0] + [2 * (d - 1) for d in dims])
     parties = list(zip(bounds[:-1], bounds[1:]))
+    # h4 back to the (D, D) matrix whose lambda_min gave the root.
+    h = h4.transpose(0, 2, 1, 3).reshape(upb.total_dim, upb.total_dim)
     assert _interval_cholesky_succeeds(_shifted_real_embedding(_interval_pairs(h), iv.mpf(root)))
+    h4 = _interval_pairs(h4)
     accepted = [(level, cell) for level in levels for cell in np.flatnonzero(~level.failed)]
     for index in np.linspace(0, len(accepted) - 1, count).astype(int):
         level, cell = accepted[index]
@@ -775,7 +784,8 @@ def _audit_accepted_cells(monkeypatch, proof, count):
         norms = [iv.sqrt(1 + sum(iv.mpf(x) ** 2 for x in centre[a:b])) for a, b in parties]
         radii = [iv.sqrt(sum(iv.mpf(x) ** 2 for x in level.half[a:b])) for a, b in parties]
         rho = math.prod(n + r for n, r in zip(norms, radii)) - math.prod(norms)
-        for offset in _signs(len(centre)) * level.half:
+        offsets = proof_module._party_offsets(dims, level.half)
+        for offset in map(np.concatenate, itertools.product(*offsets)):
             m, s_v = _interval_vertex_matrix(h4, dims, chart, centre, offset)
             shift = iv.mpf(level.t) * s_v + curvature * rho**2
             real = _shifted_real_embedding(m, shift)
