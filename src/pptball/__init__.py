@@ -26,16 +26,15 @@ _MODULES = {
     ),
     "proof": ("ProductMinimumBound", "prove_product_minimum"),
     "robustness": (
-        "Certificate", "CrossingResult", "MaximalRobustnessReport", "MixtureDecomposition",
-        "ball_membership", "certify", "crossing_x0", "entanglement_threshold",
-        "entanglement_threshold_upb", "in_gurvits_ball", "minimizer_direction", "mixture_tau",
-        "ppt_mixing_threshold", "robustness_profile", "separable_mixing_threshold",
-        "verify_maximal_robustness",
+        "Certificate", "CrossingResult", "MixtureDecomposition", "ball_membership", "certify",
+        "crossing_x0", "entanglement_threshold", "entanglement_threshold_upb", "in_gurvits_ball",
+        "minimizer_direction", "mixture_tau", "ppt_mixing_threshold", "robustness_profile",
+        "separable_mixing_threshold",
     ),
     "montecarlo": (
         "BallFractionEstimate", "VerificationOutcome", "ball_fraction_estimate",
         "sample_hs_density", "sample_random_product_separable", "verify_ball_robustness",
-        "verify_separable_mixing",
+        "verify_maximal_robustness", "verify_separable_mixing",
     ),
 }
 _MODULE_OF = {name: module for module, names in _MODULES.items() for name in names}

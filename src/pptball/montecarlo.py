@@ -1,9 +1,13 @@
-"""Seeded randomized verification of the ball and mixing guarantees.
+"""Verification of the ball, mixing and maximal-robustness guarantees.
 
-Sampling is counter-based: every draw comes from the standard library's
-``random.Random`` seeded by the string "seed:stream_id:tag:trial", so
-outcomes are bit-identical for a fixed configuration no matter how trials are
-scheduled or parallelized.  Each suite takes a plain seed and owns a stream:
+Three suites score mixtures in one loop, ``_score``, for PPT on every cut and
+a negative witness value: random states in each certified ball, random
+separable states below the mixing threshold, and a z grid toward a
+zero-witness direction.  Sampling is counter-based: every draw comes from the
+standard library's ``random.Random`` seeded by the string
+"seed:stream_id:tag:trial", so outcomes are bit-identical for a fixed
+configuration no matter how trials are scheduled or parallelized.  Each
+randomized suite takes a plain seed and owns a stream:
 ball 1, separable mixing 2, ball fraction 3; the public samplers take seed,
 trial and stream as plain integers.  Gaussians come from
 ``witness._complex_gaussians``, the Box-Muller draw that also starts the
@@ -113,13 +117,14 @@ def sample_random_product_separable(
 
 @dataclass(frozen=True, eq=False)
 class VerificationOutcome:
-    """Counts and margins from one randomized suite, with its config echoed.
+    """Counts and margins from one verification suite, with its config echoed.
 
     ``ppt_margin`` is the minimum over trials of PT min-eigenvalue + PSD_TOL
-    and ``witness_margin`` the minimum of -Tr(W tau); each comes with the
-    substream key of the trial where it occurred, and both stay positive for
-    a clean run.  PPT and witness violations are counted independently, and
-    the substream keys of failing trials are recorded for replay.
+    and ``witness_margin`` the minimum of -Tr(W tau); each comes with the key
+    of the trial where it occurred (the substream key of a random draw, or
+    the z index of a grid point), and both stay positive for a clean run.
+    PPT and witness violations are counted independently, and the keys of
+    failing trials are recorded for replay.
     """
 
     suite: str
@@ -145,13 +150,10 @@ class VerificationOutcome:
         return asdict(self)
 
 
-def _score(
-    suite: str, cert: Certificate, seed: int, stream_id: int, keyed_matrices, **config
-) -> VerificationOutcome:
-    """Check every (substream key, matrix) pair: PPT on every cut, witness-negative.
+def _score(suite: str, cert: Certificate, keyed_matrices, **config) -> VerificationOutcome:
+    """Check every (key, matrix) pair: PPT on every cut, witness-negative.
 
-    The echoed config is the set, the seed and stream, the suite's own
-    ``config``, then PSD_TOL.
+    The echoed config is the set, the suite's own ``config``, then PSD_TOL.
     """
     trials = ppt_bad = wit_bad = 0
     ppt_margin = witness_margin = np.inf
@@ -180,13 +182,7 @@ def _score(
         witness_margin=float(witness_margin),
         witness_margin_key=witness_key,
         seeds_of_failures=tuple(failures),
-        config={
-            "upb": cert.upb.name,
-            "master_seed": seed,
-            "stream_id": stream_id,
-            **config,
-            "psd_tol": PSD_TOL,
-        },
+        config={"upb": cert.upb.name, **config, "psd_tol": PSD_TOL},
     )
 
 
@@ -218,9 +214,9 @@ def verify_ball_robustness(
     return _score(
         "ball",
         cert,
-        seed,
-        _BALL_STREAM,
         keyed_matrices(),
+        master_seed=seed,
+        stream_id=_BALL_STREAM,
         trials_per_point=trials,
         x_grid=x_grid,
         y_fraction=y_fraction,
@@ -259,13 +255,40 @@ def verify_separable_mixing(
     return _score(
         "separable-mixing",
         cert,
-        seed,
-        _MIXING_STREAM,
         keyed_matrices(),
+        master_seed=seed,
+        stream_id=_MIXING_STREAM,
         trials=trials,
         z_fraction=z_fraction,
         mixture_terms=MIXTURE_TERMS,
     )
+
+
+def verify_maximal_robustness(
+    cert: Certificate, sigma_dir: DensityMatrix, x: float, z_grid
+) -> VerificationOutcome:
+    """Check z sigma_dir + (1 - z) rho_x stays PPT and witness-negative on a z grid.
+
+    x must lie in (x*, 1), sigma_dir must act on the family's space and the
+    grid must hold at least one z in [0, 1); all are checked before any
+    mixture is scored.  The mixture at z_grid[i] is keyed (i,).  Failures are
+    data, not exceptions: the grid checks a proven guarantee, so a failure
+    points to a bug or to a tolerance that is too tight.
+    """
+    cert._check_entangled(x)
+    if sigma_dir.dim != cert.upb.total_dim:
+        raise ValueError("sigma dimension does not match the family")
+    z_grid = [float(z) for z in z_grid]
+    if not z_grid:
+        raise ValueError("z_grid must hold at least one point")
+    for z in z_grid:
+        if not 0.0 <= z < 1.0:
+            raise ValueError(f"grid entries must lie in [0, 1), got {z!r}")
+    rho_x = cert.member(x).matrix
+    keyed_matrices = (
+        ((i,), z * sigma_dir.matrix + (1.0 - z) * rho_x) for i, z in enumerate(z_grid)
+    )
+    return _score("maximal-direction", cert, keyed_matrices, x=float(x), z_grid=z_grid)
 
 
 @dataclass(frozen=True)

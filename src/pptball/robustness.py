@@ -3,8 +3,9 @@
 Covers the white-noise family through a complement state, its entanglement
 threshold, the certified ball radius around each family member, the
 branch-crossing point of the radius formula, mixture decompositions through
-the separable purity ball, ball membership, and the separable-mixing
-thresholds with their maximal-robustness directions.
+the separable purity ball, ball membership, the separable-mixing thresholds,
+and the minimizer direction, a separable state with zero witness value;
+``montecarlo.verify_maximal_robustness`` checks mixtures toward it.
 """
 
 from __future__ import annotations
@@ -13,15 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import (
-    DensityMatrix,
-    PSD_TOL,
-    _integer,
-    eig_hermitian,
-    is_ppt,
-    min_pt_eigenvalue,
-    purity,
-)
+from .operators import DensityMatrix, _integer, eig_hermitian, is_ppt, purity
 from .upb import UPBSet, omega_state
 from .witness import LambdaResult, Witness, _normalizer, build_witness, witness_value
 
@@ -304,60 +297,11 @@ def ppt_mixing_threshold(cert: Certificate, sigma: DensityMatrix) -> float:
     return float(cert.lambda_omega / (cert.lambda_omega + max(val, 0.0)))
 
 
-@dataclass(frozen=True)
-class DirectionCheck:
-    z: float
-    min_pt_eigenvalue: float
-    witness_value: float
-    ppt_ok: bool
-    witness_ok: bool
-
-
-@dataclass(frozen=True, eq=False)
-class MaximalRobustnessReport:
-    """Per-z PPT and witness records for mixing toward a zero-witness direction.
-
-    Failures are reported, not raised: these checks validate a proven
-    guarantee, so a failure indicates a bug or a tolerance issue, and the
-    full record is the useful artifact.
-    """
-
-    x: float
-    checks: tuple[DirectionCheck, ...]
-
-    @property
-    def all_ok(self) -> bool:
-        return all(c.ppt_ok and c.witness_ok for c in self.checks)
-
-
 def minimizer_direction(cert: Certificate) -> DensityMatrix:
     """Uniform mixture of the collected minimizing product-state projectors."""
     structure = cert.upb.structure
     mats = [m.to_density(structure).matrix for m in cert.lam.minimizers]
     return DensityMatrix(sum(mats) / len(mats), structure)
-
-
-def verify_maximal_robustness(
-    cert: Certificate, sigma_dir: DensityMatrix, x: float, z_grid
-) -> MaximalRobustnessReport:
-    """Check z sigma_dir + (1 - z) rho_x stays PPT and witness-negative on a z grid.
-
-    x must lie in (x*, 1) and the grid must hold at least one z in [0, 1).
-    """
-    cert._check_entangled(x)
-    z_grid = [float(z) for z in z_grid]
-    if not z_grid:
-        raise ValueError("z_grid must hold at least one point")
-    rho_x = cert.member(x).matrix
-    checks = []
-    for z in z_grid:
-        if not 0.0 <= z < 1.0:
-            raise ValueError(f"grid entries must lie in [0, 1), got {z!r}")
-        m = z * sigma_dir.matrix + (1.0 - z) * rho_x
-        lo = min_pt_eigenvalue(m, cert.upb.structure)
-        wv = witness_value(cert.witness, m)
-        checks.append(DirectionCheck(z, lo, wv, lo >= -PSD_TOL, wv < 0.0))
-    return MaximalRobustnessReport(float(x), tuple(checks))
 
 
 def robustness_profile(cert: Certificate, grid_size: int) -> dict:

@@ -169,7 +169,7 @@ def test_a06_separable_mixing_verification(tiles, shifts, tiles_lambda, shifts_l
         zs = list(np.linspace(0.0, 0.9, 10)) + [0.99, 0.999]
         for x in ((cert.x_star + 1.0) / 2, 0.99):
             report = verify_maximal_robustness(cert, sigma_dir, x, zs)
-            assert report.all_ok
+            assert report.ok
     print("[PASS] criterion 6: separable mixing below threshold + "
           "maximal-direction grid up to z = 0.999")
 

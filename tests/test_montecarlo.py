@@ -17,6 +17,7 @@ from pptball import (
     ball_membership,
     is_ppt,
     min_pt_eigenvalue,
+    minimizer_direction,
     minimum_overlap,
     mixture_tau,
     purity,
@@ -24,6 +25,7 @@ from pptball import (
     sample_hs_density,
     sample_random_product_separable,
     verify_ball_robustness,
+    verify_maximal_robustness,
     verify_separable_mixing,
     witness_value,
 )
@@ -272,6 +274,9 @@ def test_ball_verification_clean_run(tiles_cert):
     assert out.seeds_of_failures == ()
     data = out.to_json_dict()
     assert data["config"]["master_seed"] == 42
+    assert list(data["config"]) == [
+        "upb", "master_seed", "stream_id", "trials_per_point", "x_grid", "y_fraction", "psd_tol"
+    ]
     assert data["suite"] == "ball"
 
 
@@ -379,6 +384,19 @@ def test_plain_matrix_suites_match_object_path(request, cert_name):
     mixing = verify_separable_mixing(cert, 0.99, trials, 5)
     assert mixing.trials == trials
     assert _outcome_fields(mixing) == _score_states(cert.witness, mixing_states)
+
+    # The maximal-direction grid keys the mixture at z_grid[i] by (i,).
+    x = (cert.x_star + 1.0) / 2
+    zs = list(np.linspace(0.0, 0.9, 10)) + [0.99, 0.999]
+    sigma_dir = minimizer_direction(cert)
+    rho_x = cert.member(x).matrix
+    direction_states = [
+        ((i,), DensityMatrix(z * sigma_dir.matrix + (1.0 - z) * rho_x, structure))
+        for i, z in enumerate(zs)
+    ]
+    direction = verify_maximal_robustness(cert, sigma_dir, x, zs)
+    assert direction.trials == len(zs)
+    assert _outcome_fields(direction) == _score_states(cert.witness, direction_states)
 
 
 @pytest.mark.parametrize("cert_name", ["tiles_cert", "shifts_cert"])

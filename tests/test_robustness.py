@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from pptball import (
     DensityMatrix,
     HilbertStructure,
+    PSD_TOL,
     ball_membership,
     certify,
     crossing_x0,
@@ -303,12 +304,29 @@ def test_maximal_robustness_direction(tiles_cert):
     x_star = tiles_cert.x_star
     x = (x_star + 1.0) / 2
     zs = [0.0, 0.3, 0.6, 0.9, 0.99, 0.999]
-    report = verify_maximal_robustness(tiles_cert, sigma_dir, x, zs)
-    assert report.all_ok
-    assert len(report.checks) == len(zs)
+    out = verify_maximal_robustness(tiles_cert, sigma_dir, x, zs)
+    assert out.ok
+    assert out.trials == len(zs)
+    assert out.suite == "maximal-direction"
+    assert list(out.config.items()) == [
+        ("upb", "tiles"), ("x", x), ("z_grid", zs), ("psd_tol", PSD_TOL)
+    ]
+    # The direction has zero witness value, so the mixture at z has (1 - z)
+    # times the family member's, and the last z holds the smallest margin.
+    assert abs(witness_value(tiles_cert.witness, sigma_dir)) < 1e-7
     v_x = witness_value(tiles_cert.witness, tiles_cert.member(x))
-    for check in report.checks:
-        assert abs(check.witness_value - (1 - check.z) * v_x) < 1e-7
+    assert out.witness_margin_key == (5,)
+    assert abs(out.witness_margin - -(1 - 0.999) * v_x) < 1e-7
+    # White noise has Tr(W I/D) = 1/D > 0, so past its mixing threshold the
+    # mixture is PPT but witness-positive: a failure reported, not raised.
+    mixed = DensityMatrix.maximally_mixed(tiles_cert.upb.structure)
+    noisy = verify_maximal_robustness(tiles_cert, mixed, x, [0.0, 0.5, 0.9])
+    assert (noisy.ppt_violations, noisy.witness_violations) == (0, 2)
+    assert noisy.seeds_of_failures == ((1,), (2,))
+    assert noisy.witness_margin < 0 and noisy.witness_margin_key == (2,)
+    other = DensityMatrix.maximally_mixed(HilbertStructure((2, 2)))
+    with pytest.raises(ValueError, match="sigma dimension does not match the family"):
+        verify_maximal_robustness(tiles_cert, other, x, [0.5])
     with pytest.raises(ValueError, match=r"\[0, 1\)"):
         verify_maximal_robustness(tiles_cert, sigma_dir, x, [1.0])
     with pytest.raises(ValueError, match="at least one point"):

@@ -613,12 +613,10 @@ def test_proof_stopped_at_the_root_returns_the_root(dims):
 
 
 def test_proof_takes_a_plain_hermitian_array(tiles, tiles_lambda):
-    proofs = [
-        prove_product_minimum(w, tiles.structure, tiles_lambda.value)
-        for w in (tiles.projector, tiles.projector.matrix)
-    ]
-    a, b = ((p.lower, p.upper, p.cells) for p in proofs)
-    assert a == b
+    # The bound a01 pins for the operator tiles.projector.
+    lam = tiles_lambda.value
+    proof = prove_product_minimum(tiles.projector.matrix, tiles.structure, lam)
+    assert proof == ProductMinimumBound(lower=lam - PROOF_GAP, upper=lam, cells=26637)
 
 
 def _leaf_cells(upb, h4, levels, picks):
