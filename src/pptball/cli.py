@@ -1,9 +1,12 @@
 """Command-line reports over the catalog, overlap certification, robustness
 profiles, randomized verification, ball-membership estimates, and set export.
 
-Every command is deterministic given its flags; reports echo the effective
-configuration and stamp the tool version, and contain no timestamps, so
-repeated runs with identical seeds are byte-identical.
+Every command is deterministic given its flags; reports echo the flags in
+``config`` and stamp the tool version, and contain no timestamps, so repeated
+runs with identical seeds are byte-identical.  ``verify`` probes each proven
+bound at ``montecarlo.PROBE_FRACTION`` of it, which its suite configs echo;
+``membership`` samples the ball at the midpoint x = (x* + 1)/2, which its
+report gives as ``x``.
 
 Exit status: 0 success; 1 verification violations; 2 usage or validation
 error, or a report that cannot be written; 3 minimizer non-convergence within
@@ -175,17 +178,11 @@ def _cmd_verify(args) -> tuple[dict, int]:
     from .montecarlo import verify_ball_robustness, verify_separable_mixing
 
     cert = _certificate(args)
-    ball = verify_ball_robustness(cert, args.grid, args.y_fraction, args.trials, args.seed)
-    mixing = verify_separable_mixing(cert, args.z_fraction, args.trials, args.seed)
+    ball = verify_ball_robustness(cert, args.grid, args.trials, args.seed)
+    mixing = verify_separable_mixing(cert, args.trials, args.seed)
     violations = sum(s.ppt_violations + s.witness_violations for s in (ball, mixing))
     fields = {
-        "config": _config(
-            args,
-            trials=args.trials,
-            grid=args.grid,
-            y_fraction=args.y_fraction,
-            z_fraction=args.z_fraction,
-        ),
+        "config": _config(args, trials=args.trials, grid=args.grid),
         "lambda": cert.lam.value,
         "suites": {"ball": ball.to_json_dict(), "separable-mixing": mixing.to_json_dict()},
         "violations_total": violations,
@@ -198,11 +195,12 @@ def _cmd_membership(args) -> tuple[dict, int]:
 
     cert = _certificate(args)
     x_star = cert.x_star
-    x = args.x if args.x is not None else 0.5 * (x_star + 1.0)
+    x = 0.5 * (x_star + 1.0)
     radius = cert.radius(x)
     estimate = ball_fraction_estimate(cert.member(x), radius, args.trials, args.seed)
     fields = {
-        "config": _config(args, trials=args.trials, x=x),
+        "config": _config(args, trials=args.trials),
+        "x": x,
         "x_star": x_star,
         "radius": radius,
         "fraction": estimate.fraction,
@@ -234,18 +232,6 @@ def _at_least(floor: int):
         return value
 
     return parse
-
-
-def _open_unit(text: str) -> float:
-    """argparse type for a float strictly inside (0, 1); NaN and inf fail the range check."""
-    try:
-        value = float(text)
-    except ValueError:
-        # argparse's own wording for type=float.
-        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
-    if not 0.0 < value < 1.0:
-        raise argparse.ArgumentTypeError(f"must lie in (0, 1), got {value!r}")
-    return value
 
 
 @functools.cache  # one parser per process, built on first use, not on import
@@ -291,15 +277,12 @@ def build_parser() -> argparse.ArgumentParser:
     add_seesaw(p_verify)
     p_verify.add_argument("--trials", type=_at_least(1), default=1000)
     p_verify.add_argument("--grid", type=_at_least(1), default=10, help="x grid size")
-    p_verify.add_argument("--y-fraction", type=_open_unit, default=0.99)
-    p_verify.add_argument("--z-fraction", type=_open_unit, default=0.99)
     p_verify.set_defaults(handler=_cmd_verify)
 
     p_member = sub.add_parser("membership", help="ball-fraction estimate")
     add_common(p_member)
     add_seesaw(p_member)
     p_member.add_argument("--trials", type=_at_least(1), default=1000)
-    p_member.add_argument("--x", type=_open_unit, default=None)
     p_member.set_defaults(handler=_cmd_membership)
 
     p_export = sub.add_parser("export", help="export a catalog set as JSON")

@@ -3,9 +3,11 @@
 Three suites score mixtures in one loop, ``_score``, for PPT on every cut and
 a negative witness value: random states in each certified ball, random
 separable states below the mixing threshold, and a z grid toward a
-zero-witness direction.  Sampling is counter-based: every draw comes from the
-standard library's ``random.Random`` seeded by the string
-"seed:stream_id:tag:trial", so outcomes are bit-identical for a fixed
+zero-witness direction.  The first two probe each proven bound at
+``PROBE_FRACTION`` of it: y = PROBE_FRACTION y0(x) in the ball,
+z = PROBE_FRACTION lambda in the mixing suite.  Sampling is counter-based:
+every draw comes from the standard library's ``random.Random`` seeded by the
+string "seed:stream_id:tag:trial", so outcomes are bit-identical for a fixed
 configuration no matter how trials are scheduled or parallelized.  Each
 randomized suite takes a plain seed and owns a stream:
 ball 1, separable mixing 2, ball fraction 3; the public samplers take seed,
@@ -37,6 +39,9 @@ _MIXING_STREAM = 2
 _MEMBERSHIP_STREAM = 3
 # Product projectors per random separable state in the mixing suite.
 MIXTURE_TERMS = 4
+# The ball and mixing suites test each proven bound at this fraction of it, so
+# a violation means the bound is wrong by more than 1 %.
+PROBE_FRACTION = 0.99
 # Two-sided 95 % normal quantile; equals scipy.special.ndtri(0.975) to the last bit.
 WILSON_Z = 1.959963984540054
 
@@ -187,24 +192,22 @@ def _score(suite: str, cert: Certificate, keyed_matrices, **config) -> Verificat
 
 
 def verify_ball_robustness(
-    cert: Certificate, grid: int, y_fraction: float, trials: int, seed: int
+    cert: Certificate, grid: int, trials: int, seed: int
 ) -> VerificationOutcome:
     """Perturb each family member by arbitrary random states inside its ball.
 
     For every x in ``cert.x_grid(grid)`` and every trial, a Hilbert-Schmidt
-    random sigma is mixed in at y = y_fraction * y0(x); the mixture must stay
-    PPT on every bipartition and strictly witness-negative.  Zero violations
-    expected for y_fraction < 1; violations are data, not exceptions.
+    random sigma is mixed in at y = PROBE_FRACTION * y0(x); the mixture must
+    stay PPT on every bipartition and strictly witness-negative.  Zero
+    violations expected; violations are data, not exceptions.
     """
-    if not 0.0 < y_fraction < 1.0:
-        raise ValueError(f"y_fraction must lie in (0, 1), got {y_fraction!r}")
     trials = _integer(trials, "trials", 1)
     seed = _integer(seed, "seed", 0)
     x_grid = [float(x) for x in cert.x_grid(grid)]
 
     def keyed_matrices():
         for xi, x in enumerate(x_grid):
-            y = y_fraction * cert.radius(x)
+            y = PROBE_FRACTION * cert.radius(x)
             rho_x = cert.member(x).matrix
             for t in range(xi * trials, (xi + 1) * trials):
                 key = (seed, _BALL_STREAM, _HS_TAG, t)
@@ -219,16 +222,14 @@ def verify_ball_robustness(
         stream_id=_BALL_STREAM,
         trials_per_point=trials,
         x_grid=x_grid,
-        y_fraction=y_fraction,
+        y_fraction=PROBE_FRACTION,
     )
 
 
-def verify_separable_mixing(
-    cert: Certificate, z_fraction: float, trials: int, seed: int
-) -> VerificationOutcome:
+def verify_separable_mixing(cert: Certificate, trials: int, seed: int) -> VerificationOutcome:
     """Mix the complement state with random separable states below the threshold.
 
-    z = z_fraction * lambda; each separable state mixes MIXTURE_TERMS random
+    z = PROBE_FRACTION * lambda; each separable state mixes MIXTURE_TERMS random
     product projectors.  Every mixture is PPT by construction (both components
     are) and must stay strictly witness-negative.
 
@@ -240,11 +241,9 @@ def verify_separable_mixing(
     shifts (n = 4, D = 8) the kernels need not meet and the margin exceeds
     PSD_TOL.
     """
-    if not 0.0 < z_fraction < 1.0:
-        raise ValueError(f"z_fraction must lie in (0, 1), got {z_fraction!r}")
     trials = _integer(trials, "trials", 1)
     seed = _integer(seed, "seed", 0)
-    z = z_fraction * cert.lam.value
+    z = PROBE_FRACTION * cert.lam.value
 
     def keyed_matrices():
         for t in range(trials):
@@ -259,7 +258,7 @@ def verify_separable_mixing(
         master_seed=seed,
         stream_id=_MIXING_STREAM,
         trials=trials,
-        z_fraction=z_fraction,
+        z_fraction=PROBE_FRACTION,
         mixture_terms=MIXTURE_TERMS,
     )
 

@@ -174,6 +174,20 @@ def _partial_transpose_matrix(matrix, local_dims, transposed_side) -> np.ndarray
     return np.ascontiguousarray(t.transpose(perm)).reshape(d, d)
 
 
+def _structure_of(rho, structure: HilbertStructure | None) -> HilbertStructure:
+    """A density matrix's own structure, which an explicit one must match, or the explicit one."""
+    if isinstance(rho, DensityMatrix):
+        if structure is not None and structure.local_dims != rho.structure.local_dims:
+            raise ValueError(
+                f"explicit structure {structure.local_dims} does not match "
+                f"the state's {rho.structure.local_dims}"
+            )
+        return rho.structure
+    if structure is None:
+        raise ValueError("a bare operator or plain matrix needs an explicit structure")
+    return structure
+
+
 def partial_transpose(
     rho: HermitianOperator,
     side: tuple[int, ...],
@@ -184,12 +198,9 @@ def partial_transpose(
     Trace-preserving, Hermiticity-preserving, and an involution.  ``side``
     must be a nonempty proper subset of the subsystem indices.  A bare
     Hermitian operator (e.g. a previous partial transpose) needs an explicit
-    ``structure``; density matrices carry their own.
+    ``structure``; density matrices carry their own, which one passed must match.
     """
-    if isinstance(rho, DensityMatrix):
-        structure = rho.structure
-    elif structure is None:
-        raise ValueError("a bare Hermitian operator needs an explicit structure")
+    structure = _structure_of(rho, structure)
     if rho.matrix.shape[0] != structure.total_dim:
         raise ValueError("operator dimension does not match the structure")
     side = tuple(sorted(_integer(k, "subsystem index") for k in side))
@@ -213,14 +224,11 @@ def min_pt_eigenvalue(
 
     Takes a density matrix, or a bare Hermitian operator or plain matrix
     together with its structure (hot loops pass matrices that are valid states
-    by construction).
+    by construction).  A structure passed with a density matrix must match it.
     """
-    if isinstance(rho, DensityMatrix):
-        structure = rho.structure
+    structure = _structure_of(rho, structure)
     if isinstance(rho, HermitianOperator):
         rho = rho.matrix
-    if structure is None:
-        raise ValueError("a bare operator or plain matrix needs an explicit structure")
     if rho.shape != (structure.total_dim,) * 2:
         raise ValueError("operator dimension does not match the structure")
     return min(

@@ -165,8 +165,13 @@ class Witness(HermitianOperator):
             raise RuntimeError("spectral split violates the part-trace identity")
 
 
-def witness_from_operator(op: HermitianOperator) -> Witness:
-    """Split a unit-trace Hermitian operator into its positive and negative parts."""
+def witness_from_operator(op: HermitianOperator | np.ndarray) -> Witness:
+    """Split a unit-trace Hermitian operator into its positive and negative parts.
+
+    A plain array is checked by ``HermitianOperator`` first.
+    """
+    if not isinstance(op, HermitianOperator):
+        op = HermitianOperator(op)
     if abs(op.trace - 1.0) > TRACE_ATOL:
         raise ValueError(f"witness trace must be 1, got {op.trace!r}")
     vals = eig_hermitian(op).eigenvalues
@@ -210,7 +215,7 @@ def build_witness(upb: UPBSet, lam: LambdaResult | float) -> Witness:
     lam_value = lam.value if isinstance(lam, LambdaResult) else float(lam)
     d, n = upb.total_dim, upb.cardinality
     w = (upb.projector.matrix - lam_value * np.eye(d)) / _normalizer(n, d, lam_value)
-    return witness_from_operator(HermitianOperator(w))
+    return witness_from_operator(w)
 
 
 def witness_value(w: Witness, rho: HermitianOperator | np.ndarray) -> float:

@@ -11,6 +11,7 @@ import pytest
 import pptball
 from pptball import cli, witness
 from pptball.cli import _config, _flatten, build_parser, main
+from pptball.montecarlo import PROBE_FRACTION
 from pptball.proof import PROOF_GAP
 
 CERTIFICATE_COMMANDS = ["lambda", "profile", "verify", "membership"]
@@ -168,11 +169,15 @@ def test_counts_below_one_are_usage_errors(tmp_path, capsys, command, flag):
     assert not path.exists()
 
 
-@pytest.mark.parametrize("flag", ["--restarts", "--max-iters"])
+@pytest.mark.parametrize(
+    "flag", ["--restarts", "--max-iters", "--y-fraction", "--z-fraction", "--x"]
+)
 @pytest.mark.parametrize("command", CERTIFICATE_COMMANDS)
 def test_seesaw_counts_are_not_flags(tmp_path, capsys, monkeypatch, command, flag):
-    # The seesaw's counts are constants; a count given on the command line is
-    # an unknown argument, whatever its value, and nothing runs.
+    # The seesaw's counts are constants, and so are the points where verify
+    # and membership probe the proven bounds (PROBE_FRACTION of each bound,
+    # the midpoint x); any of them given on the command line is an unknown
+    # argument, whatever its value, and nothing runs.
     def must_not_run(*args, **kwargs):
         raise AssertionError("the seesaw ran despite an unknown flag")
 
@@ -195,45 +200,6 @@ def test_benchmark_flags_parse(tmp_path, command):
     args = build_parser().parse_args(argv)
     assert args.output == path
     assert list(_config(args).items())[:2] == [("upb", "tiles"), ("seed", 3)]
-
-
-@pytest.mark.parametrize("value", ["0", "1", "1.5", "nan"])
-@pytest.mark.parametrize(
-    "command, flag",
-    [("verify", "--y-fraction"), ("verify", "--z-fraction"), ("membership", "--x")],
-)
-def test_fractions_outside_open_unit_interval_fail_before_any_work(
-    capsys, monkeypatch, command, flag, value
-):
-    def must_not_run(*args, **kwargs):
-        raise AssertionError("the seesaw ran before the flag was checked")
-
-    monkeypatch.setattr("pptball.witness.minimum_overlap", must_not_run)
-    with pytest.raises(SystemExit) as exc:
-        main([command, "--upb", "tiles", flag, value])
-    assert exc.value.code == 2
-    assert f"argument {flag}:" in capsys.readouterr().err
-
-
-def test_membership_x_below_threshold_is_usage_error(tmp_path, capsys):
-    # 0.05 passes the (0, 1) flag check but lies below x* ~ 0.9489 on tiles.
-    code, path = run(tmp_path, "membership", "--upb", "tiles", "--x", "0.05")
-    assert code == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: x must lie strictly between x* = 0.9488") and err.count("\n") == 1
-    assert err.endswith(" and 1, got 0.05\n")
-    assert not path.exists()
-
-
-def test_membership_center_below_rank_tolerance_is_usage_error(tmp_path, capsys):
-    # x = 0.999999999999 lies in (x*, 1), but the center's smallest
-    # eigenvalue (1 - x)/D ~ 1.25e-13 is below RANK_TOL.
-    code, path = run(tmp_path, "membership", "--upb", "shifts", "--x", "0.999999999999")
-    assert code == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: center must have full rank") and err.count("\n") == 1
-    assert err.endswith("smallest eigenvalue 1.250e-13 < RANK_TOL = 1e-12\n")
-    assert not path.exists()
 
 
 @pytest.mark.parametrize("target", ["missing-dir", "directory"])
@@ -289,9 +255,12 @@ def test_verify_reports_zero_violations(tmp_path):
     for suite in report["suites"].values():
         assert suite["ppt_margin"] > 0 and suite["witness_margin"] > 0
         assert suite["witness_margin_key"][:2] == [42, suite["config"]["stream_id"]]
-    # Each suite draws from its own stream under the one --seed.
+    # Each suite draws from its own stream under the one --seed, and echoes
+    # the fraction of its bound that it probes.
     assert report["suites"]["ball"]["config"]["stream_id"] == 1
     assert report["suites"]["separable-mixing"]["config"]["stream_id"] == 2
+    assert report["suites"]["ball"]["config"]["y_fraction"] == PROBE_FRACTION
+    assert report["suites"]["separable-mixing"]["config"]["z_fraction"] == PROBE_FRACTION
 
 
 def test_verify_shifts_covers_all_cuts(tmp_path):
@@ -318,7 +287,7 @@ def test_membership_report(tmp_path):
     report = json.loads(path.read_text())
     assert 0.0 <= report["ci_low"] <= report["fraction"] <= report["ci_high"] <= 1.0
     assert report["radius"] > 0
-    assert list(report["config"]) == ["upb", "seed", "trials", "x"]
+    assert report["x"] == 0.5 * (report["x_star"] + 1.0)
 
 
 def test_contract_failure_exits_4(tmp_path, capsys, monkeypatch):
@@ -335,15 +304,16 @@ def test_contract_failure_exits_4(tmp_path, capsys, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "argv, counts, status, keys",
+    "argv, counts, status, keys, config",
     [
-        (["upb-list"], (20,), 0, ["sets"]),
+        (["upb-list"], (20,), 0, ["sets"], None),
         (
             ["lambda", "--upb", "shifts"],
             (2, 1),
             3,
             ["config", "lambda", "converged", "minimizer_vectors",
              "distinct_minimizers", "lambda_lower", "proof_cells", "agreement"],
+            ["upb", "seed"],
         ),
         (
             ["profile", "--upb", "shifts", "--grid", "3"],
@@ -351,30 +321,36 @@ def test_contract_failure_exits_4(tmp_path, capsys, monkeypatch):
             0,
             ["config", "lambda", "lambda_omega", "x_star", "x0_root",
              "x0_printed_eq32", "radius_samples", "mixing_threshold", "x0_note"],
+            ["upb", "seed", "grid"],
         ),
         (
             ["verify", "--upb", "shifts", "--trials", "10", "--grid", "2"],
             (20,),
             0,
             ["config", "lambda", "suites", "violations_total"],
+            ["upb", "seed", "trials", "grid"],
         ),
         (
             ["membership", "--upb", "shifts", "--trials", "10"],
             (20,),
             0,
-            ["config", "x_star", "radius", "fraction", "ci_low", "ci_high", "hits", "note"],
+            ["config", "x", "x_star", "radius", "fraction", "ci_low", "ci_high", "hits",
+             "note"],
+            ["upb", "seed", "trials"],
         ),
     ],
     ids=["upb-list", "lambda-not-converged", "profile", "verify", "membership"],
 )
-def test_reports_start_with_the_header(tmp_path, monkeypatch, argv, counts, status, keys):
+def test_reports_start_with_the_header(tmp_path, monkeypatch, argv, counts, status, keys, config):
     # main stamps the tool and command on every report but export's, and
-    # writes the report whatever the exit status (here 3 for lambda).
+    # writes the report whatever the exit status (here 3 for lambda).  The
+    # config echoes exactly the flags the command has.
     short_seesaw(monkeypatch, *counts)
     code, path = run(tmp_path, *argv)
     assert code == status
     report = json.loads(path.read_text())
     assert list(report) == ["tool", "command", *keys]
+    assert config is None or list(report["config"]) == config
     assert report["tool"] == {"name": "pptball", "version": pptball.__version__}
     assert report["command"] == argv[0]
 

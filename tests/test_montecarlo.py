@@ -31,6 +31,7 @@ from pptball import (
 )
 from pptball.montecarlo import (
     MIXTURE_TERMS,
+    PROBE_FRACTION,
     _dirichlet,
     _hs_matrix,
     _product_mixture,
@@ -105,11 +106,11 @@ def test_sampler_seed_and_stream_validation():
             "trial must be an integer, got True",
         ),
         (
-            lambda cert: verify_ball_robustness(cert, 1, 0.5, 5, -1),
+            lambda cert: verify_ball_robustness(cert, 1, 5, -1),
             "seed must be at least 0, got -1",
         ),
         (
-            lambda cert: verify_separable_mixing(cert, 0.5, 5, 1.5),
+            lambda cert: verify_separable_mixing(cert, 5, 1.5),
             "seed must be an integer",
         ),
         (
@@ -122,22 +123,22 @@ def test_sampler_seed_and_stream_validation():
             "trials must be an integer, got True",
         ),
         (
-            lambda cert: verify_ball_robustness(cert, True, 0.5, 5, 0),
+            lambda cert: verify_ball_robustness(cert, True, 5, 0),
             "grid size must be an integer, got True",
         ),
         (
-            lambda cert: verify_ball_robustness(cert, 0, 0.5, 5, 0),
+            lambda cert: verify_ball_robustness(cert, 0, 5, 0),
             "grid size must be at least 1, got 0",
         ),
         (lambda cert: cert.x_grid(0), "grid size must be at least 1"),
         (lambda cert: cert.x_grid(-1), "grid size must be at least 1"),
         (lambda cert: robustness_profile(cert, 0), "grid size must be at least 1"),
         (
-            lambda cert: verify_ball_robustness(cert, 1, 0.5, 2.5, 0),
+            lambda cert: verify_ball_robustness(cert, 1, 2.5, 0),
             "trials must be an integer",
         ),
         (
-            lambda cert: verify_separable_mixing(cert, 0.5, 2.5, 0),
+            lambda cert: verify_separable_mixing(cert, 2.5, 0),
             "trials must be an integer",
         ),
         (
@@ -267,7 +268,7 @@ def test_product_sampler_rejects_zero_terms():
 
 
 def test_ball_verification_clean_run(tiles_cert):
-    out = verify_ball_robustness(tiles_cert, 3, 0.99, 60, 42)
+    out = verify_ball_robustness(tiles_cert, 3, 60, 42)
     assert out.ok
     assert out.trials == 3 * 60
     assert out.worst_margin > 0
@@ -277,28 +278,32 @@ def test_ball_verification_clean_run(tiles_cert):
     assert list(data["config"]) == [
         "upb", "master_seed", "stream_id", "trials_per_point", "x_grid", "y_fraction", "psd_tol"
     ]
+    # The suite probes each ball at 99 % of its proven radius, and says so.
+    assert data["config"]["y_fraction"] == PROBE_FRACTION == 0.99
     assert data["suite"] == "ball"
 
 
 def test_ball_verification_validates_inputs(tiles_cert):
-    with pytest.raises(ValueError, match="y_fraction"):
-        verify_ball_robustness(tiles_cert, 1, 1.0, 5, 1)
     with pytest.raises(ValueError, match="trial"):
-        verify_ball_robustness(tiles_cert, 1, 0.9, 0, 1)
+        verify_ball_robustness(tiles_cert, 1, 0, 1)
     with pytest.raises(ValueError, match="grid size must be at least 1"):
-        verify_ball_robustness(tiles_cert, -1, 0.9, 5, 1)
+        verify_ball_robustness(tiles_cert, -1, 5, 1)
 
 
 def test_separable_mixing_clean_run(tiles_cert):
-    out = verify_separable_mixing(tiles_cert, 0.99, 200, 42)
+    out = verify_separable_mixing(tiles_cert, 200, 42)
     assert out.ok
     assert out.worst_margin > 0
+    assert list(out.config) == [
+        "upb", "master_seed", "stream_id", "trials", "z_fraction", "mixture_terms", "psd_tol"
+    ]
+    assert out.config["z_fraction"] == PROBE_FRACTION
 
 
 def test_separable_mixing_reports_witness_margin(tiles_cert):
     # The PPT margin is PSD_TOL plus a PT eigenvalue of rounding size; the
     # witness margin is the one that says how far the suite is from failing.
-    out = verify_separable_mixing(tiles_cert, 0.99, 50, 1)
+    out = verify_separable_mixing(tiles_cert, 50, 1)
     assert out.ppt_margin < 2e-9
     assert out.witness_margin > 1e-4
     assert out.worst_margin == out.ppt_margin
@@ -314,7 +319,7 @@ def test_mixing_ppt_margin_is_zero_where_the_kernels_meet(request, cert_name):
     # The PT kernels of omega (dimension n) and sigma (at least
     # D - MIXTURE_TERMS) meet when n > MIXTURE_TERMS: see the docstring.
     cert = request.getfixturevalue(cert_name)
-    out = verify_separable_mixing(cert, 0.99, 200, 0)
+    out = verify_separable_mixing(cert, 200, 0)
     if cert.upb.cardinality > MIXTURE_TERMS:
         assert abs(out.ppt_margin - PSD_TOL) <= 1e-14
     else:
@@ -322,10 +327,8 @@ def test_mixing_ppt_margin_is_zero_where_the_kernels_meet(request, cert_name):
 
 
 def test_separable_mixing_validates_inputs(tiles_cert):
-    with pytest.raises(ValueError, match="z_fraction"):
-        verify_separable_mixing(tiles_cert, 1.0, 5, 1)
     with pytest.raises(ValueError, match="trial"):
-        verify_separable_mixing(tiles_cert, 0.5, 0, 1)
+        verify_separable_mixing(tiles_cert, 0, 1)
 
 
 def _score_states(witness, keyed_states):
@@ -367,21 +370,21 @@ def test_plain_matrix_suites_match_object_path(request, cert_name):
     # stream 1 and the mixing suite stream 2.
     ball_states = []
     for xi, x in enumerate(cert.x_grid(2)):
-        y = 0.99 * cert.radius(x)
+        y = PROBE_FRACTION * cert.radius(x)
         for t in range(xi * trials, (xi + 1) * trials):
             sigma = sample_hs_density(structure, 5, trial=t, stream_id=1)
             ball_states.append(((5, 1, 1, t), mixture_tau(cert, sigma, x, y)[0]))
-    ball = verify_ball_robustness(cert, 2, 0.99, trials, 5)
+    ball = verify_ball_robustness(cert, 2, trials, 5)
     assert ball.trials == len(ball_states)
     assert _outcome_fields(ball) == _score_states(cert.witness, ball_states)
 
-    z = 0.99 * cert.lam.value
+    z = PROBE_FRACTION * cert.lam.value
     mixing_states = []
     for t in range(trials):
         sigma = sample_random_product_separable(structure, MIXTURE_TERMS, 5, trial=t, stream_id=2)
         m = z * sigma.matrix + (1.0 - z) * cert.omega.matrix
         mixing_states.append(((5, 2, 2, t), DensityMatrix(m, structure)))
-    mixing = verify_separable_mixing(cert, 0.99, trials, 5)
+    mixing = verify_separable_mixing(cert, trials, 5)
     assert mixing.trials == trials
     assert _outcome_fields(mixing) == _score_states(cert.witness, mixing_states)
 
@@ -417,10 +420,10 @@ def test_suites_diagonalize_each_trial_once_per_cut(request, monkeypatch, cert_n
         return eigvalsh(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigvalsh", counting)
-    verify_ball_robustness(cert, k, 0.99, trials, 3)
+    verify_ball_robustness(cert, k, trials, 3)
     assert calls == k * trials * cuts + k
     calls = 0
-    verify_separable_mixing(cert, 0.99, trials, 3)
+    verify_separable_mixing(cert, trials, 3)
     assert calls == trials * cuts
     calls = 0
     ball_fraction_estimate(center, cert.radius(x), trials, 3)

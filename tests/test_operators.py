@@ -233,6 +233,27 @@ def test_min_pt_eigenvalue_of_a_bare_operator_is_that_of_its_matrix(tiles, tiles
             min_pt_eigenvalue(op)
 
 
+def test_explicit_structure_must_match_a_density_matrix():
+    # |0><0| x Bell on three qubits is PPT across the (2, 4) split but not on
+    # its own three-party cuts; a structure passed with the state that
+    # disagrees with the state's own is an error, not silently overridden.
+    bell = np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2.0)
+    rho = DensityMatrix.from_pure(np.kron([1.0, 0.0], bell), HilbertStructure((2, 2, 2)))
+    split = HilbertStructure((2, 4))
+    assert abs(min_pt_eigenvalue(rho) + 0.5) < 1e-12
+    assert abs(min_pt_eigenvalue(rho.matrix, split)) < 1e-12
+    message = r"^explicit structure \(2, 4\) does not match the state's \(2, 2, 2\)$"
+    with pytest.raises(ValueError, match=message):
+        min_pt_eigenvalue(rho, split)
+    with pytest.raises(ValueError, match=message):
+        partial_transpose(rho, (1,), split)
+    # A structure equal to the state's own is accepted.
+    same = HilbertStructure((2, 2, 2))
+    assert min_pt_eigenvalue(rho, same) == min_pt_eigenvalue(rho)
+    pt = partial_transpose(rho, (1,), same).matrix
+    assert np.array_equal(pt, partial_transpose(rho, (1,)).matrix)
+
+
 @pytest.mark.parametrize("shape", [(4, 4), (9, 8)])
 def test_min_pt_eigenvalue_rejects_a_plain_matrix_of_the_wrong_shape(shape):
     # numpy's reshape error would name neither the structure nor the operator.

@@ -274,10 +274,17 @@ def test_ball_membership_is_bounded_by_line_weights(tiles_cert):
     assert down <= delta / x + 1e-12
 
 
-def test_ball_membership_rejects_rank_deficient_center(tiles_omega):
+def test_ball_membership_rejects_rank_deficient_center(tiles_omega, shifts_cert):
     pure = DensityMatrix.from_pure(np.eye(9)[0], tiles_omega.structure)
     with pytest.raises(ValueError, match="full rank"):
         ball_membership(pure, tiles_omega)
+    # x = 0.999999999999 lies in (x*, 1), but the member's smallest
+    # eigenvalue (1 - x)/D ~ 1.25e-13 is below RANK_TOL.
+    center = shifts_cert.member(0.999999999999)
+    with pytest.raises(ValueError) as error:
+        ball_membership(center, center)
+    message = "center must have full rank: smallest eigenvalue 1.250e-13 < RANK_TOL = 1e-12"
+    assert str(error.value) == message
 
 
 def test_separable_mixing_threshold_identity(tiles_cert):

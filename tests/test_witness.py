@@ -333,6 +333,19 @@ def test_spectral_split_diagonal_example(tiles_witness):
     assert abs(split.pos_part_trace - split.neg_part_trace - 1.0) < 1e-10
 
 
+def test_witness_from_a_plain_array_matches_the_operator():
+    # A plain array or nested list is checked by HermitianOperator first.
+    diag = np.diag([0.75, 0.75, -0.5])
+    expected = witness_from_operator(HermitianOperator(diag))
+    fields = ("p_count", "n_neg_count", "pos_part_trace", "neg_part_trace", "max_pos_eigenvalue")
+    for given_op in (diag, diag.tolist()):
+        split = witness_from_operator(given_op)
+        assert np.array_equal(split.matrix, expected.matrix)
+        assert [getattr(split, f) for f in fields] == [getattr(expected, f) for f in fields]
+    with pytest.raises(ValueError, match="^matrix is not Hermitian"):
+        witness_from_operator(np.array([[0.5, 1.0], [0.0, 0.5]]))
+
+
 # Minimum product overlaps of two catalog sets, from the seesaw.
 LAMBDA_REF = {"tiles": 0.028416213335730, "shifts": 0.081441346456309}
 
