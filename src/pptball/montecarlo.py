@@ -1,11 +1,11 @@
 """Verification of the ball, mixing and maximal-robustness guarantees.
 
-Three suites score mixtures in one loop, ``_score``, for PPT on every cut and
-a negative witness value: random states in each certified ball, random
-separable states below the mixing threshold, and a z grid toward a
-zero-witness direction.  The first two probe each proven bound at
-``PROBE_FRACTION`` of it: y = PROBE_FRACTION y0(x) in the ball,
-z = PROBE_FRACTION lambda in the mixing suite.  Sampling is counter-based:
+Three suites score mixtures of validated states in one loop, ``_score``, by
+the unchecked kernels of ``min_pt_eigenvalue`` and ``witness_value``: random
+states in each certified ball, random separable states below the mixing
+threshold, and a z grid toward a zero-witness direction.  The first two
+probe each proven bound at ``PROBE_FRACTION`` of it: y = PROBE_FRACTION y0(x)
+in the ball, z = PROBE_FRACTION lambda in the mixing suite.  Sampling is counter-based:
 every draw comes from the standard library's ``random.Random`` seeded by the
 string "seed:stream_id:tag:trial", so outcomes are bit-identical for a fixed
 configuration no matter how trials are scheduled or parallelized.  Each
@@ -28,9 +28,10 @@ from functools import reduce
 
 import numpy as np
 
-from .operators import DensityMatrix, HilbertStructure, PSD_TOL, _integer, min_pt_eigenvalue
+from .operators import DensityMatrix, HilbertStructure, PSD_TOL, _integer, _kron_rows
+from .operators import _min_pt_eigenvalue, all_bipartitions
 from .robustness import Certificate, _center_inv_sqrt, _membership
-from .witness import _complex_gaussians, witness_value
+from .witness import _complex_gaussians, _witness_value
 
 _HS_TAG = 1
 _PRODUCT_TAG = 2
@@ -84,12 +85,11 @@ def _product_mixture(local_dims, terms: int, gen: random.Random) -> np.ndarray:
     locals_ = []
     start = 0
     for dim in local_dims:
-        v = gauss[:, start : start + dim]
+        v = gauss[:, None, start : start + dim]
         start += dim
-        re, im = v.real[:, None, :], v.imag[:, None, :]
-        sq = re @ re.transpose(0, 2, 1) + im @ im.transpose(0, 2, 1)
-        locals_.append(v / np.sqrt(sq[:, 0]))
-    full = reduce(lambda a, b: (a[:, :, None] * b[:, None, :]).reshape(terms, -1), locals_)
+        sq = v.real @ v.real.transpose(0, 2, 1) + v.imag @ v.imag.transpose(0, 2, 1)
+        locals_.append(v / np.sqrt(sq))
+    full = reduce(_kron_rows, locals_)[:, 0]
     m = np.zeros((full.shape[1],) * 2, dtype=complex)
     for w, f in zip(weights, full):
         m += w * np.outer(f, f.conj())
@@ -164,10 +164,12 @@ def _score(suite: str, cert: Certificate, keyed_matrices, **config) -> Verificat
     ppt_margin = witness_margin = np.inf
     ppt_key = witness_key = ()
     failures = []
+    dims, cuts = cert.upb.structure.local_dims, all_bipartitions(cert.upb.structure)
+    w = cert.witness.matrix
     for key, m in keyed_matrices:
         trials += 1
-        lo = min_pt_eigenvalue(m, cert.upb.structure)
-        wv = witness_value(cert.witness, m)
+        lo = _min_pt_eigenvalue(m, dims, cuts)
+        wv = _witness_value(w, m)
         if lo + PSD_TOL < ppt_margin:
             ppt_margin, ppt_key = lo + PSD_TOL, key
         if -wv < witness_margin:

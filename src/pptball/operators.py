@@ -11,6 +11,7 @@ threads; all operations here are pure functions of their inputs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -54,10 +55,7 @@ class HilbertStructure:
 
     @property
     def total_dim(self) -> int:
-        out = 1
-        for d in self.local_dims:
-            out *= d
-        return out
+        return math.prod(self.local_dims)
 
     @property
     def n_parties(self) -> int:
@@ -95,6 +93,11 @@ class HermitianOperator:
     @property
     def trace(self) -> float:
         return float(np.trace(self.matrix).real)
+
+
+def _operator(value) -> HermitianOperator:
+    """The one entry check for operator arguments: a plain matrix (any array-like) is validated."""
+    return value if isinstance(value, HermitianOperator) else HermitianOperator(value)
 
 
 @dataclass(frozen=True, eq=False)
@@ -146,13 +149,14 @@ class EigenDecomposition:
     eigenvectors: np.ndarray
 
 
-def eig_hermitian(op: HermitianOperator) -> EigenDecomposition:
-    """Full spectral decomposition of a Hermitian operator.
+def eig_hermitian(op: HermitianOperator | np.ndarray) -> EigenDecomposition:
+    """Full spectral decomposition of a Hermitian operator or plain matrix.
 
     Eigenvalues come back ascending; column k of ``eigenvectors`` belongs to
     eigenvalue k.  The reconstruction V diag(w) V^dag and the eigenvector Gram
     matrix are checked against DECOMPOSITION_ATOL before returning.
     """
+    op = _operator(op)
     vals, vecs = np.linalg.eigh(op.matrix)
     recon = (vecs * vals) @ vecs.conj().T
     resid = float(np.abs(recon - op.matrix).max())
@@ -174,6 +178,12 @@ def _partial_transpose_matrix(matrix, local_dims, transposed_side) -> np.ndarray
     return np.ascontiguousarray(t.transpose(perm)).reshape(d, d)
 
 
+def _kron_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Kronecker products of each row of a (C, A, m) with each row of b (C, B, k): (C, AB, mk)."""
+    out = a[:, :, None, :, None] * b[:, None, :, None, :]
+    return out.reshape(out.shape[0], out.shape[1] * out.shape[2], -1)
+
+
 def _structure_of(rho, structure: HilbertStructure | None) -> HilbertStructure:
     """A density matrix's own structure, which an explicit one must match, or the explicit one."""
     if isinstance(rho, DensityMatrix):
@@ -185,24 +195,25 @@ def _structure_of(rho, structure: HilbertStructure | None) -> HilbertStructure:
         return rho.structure
     if structure is None:
         raise ValueError("a bare operator or plain matrix needs an explicit structure")
+    if np.shape(getattr(rho, "matrix", rho)) != (structure.total_dim,) * 2:
+        raise ValueError("operator dimension does not match the structure")
     return structure
 
 
 def partial_transpose(
-    rho: HermitianOperator,
+    rho: HermitianOperator | np.ndarray,
     side: tuple[int, ...],
     structure: HilbertStructure | None = None,
 ) -> HermitianOperator:
     """Transpose bra/ket indices of the subsystems in ``side`` in the product basis.
 
     Trace-preserving, Hermiticity-preserving, and an involution.  ``side``
-    must be a nonempty proper subset of the subsystem indices.  A bare
-    Hermitian operator (e.g. a previous partial transpose) needs an explicit
+    must be a nonempty proper subset of the subsystem indices.  A bare operator
+    (e.g. a previous partial transpose) or plain matrix needs an explicit
     ``structure``; density matrices carry their own, which one passed must match.
     """
     structure = _structure_of(rho, structure)
-    if rho.matrix.shape[0] != structure.total_dim:
-        raise ValueError("operator dimension does not match the structure")
+    rho = _operator(rho)
     side = tuple(sorted(_integer(k, "subsystem index") for k in side))
     n = structure.n_parties
     if not side:
@@ -223,18 +234,18 @@ def min_pt_eigenvalue(
     """Smallest partial-transpose eigenvalue over every bipartition.
 
     Takes a density matrix, or a bare Hermitian operator or plain matrix
-    together with its structure (hot loops pass matrices that are valid states
-    by construction).  A structure passed with a density matrix must match it.
+    together with its structure.  A structure passed with a density matrix
+    must match it.
     """
     structure = _structure_of(rho, structure)
-    if isinstance(rho, HermitianOperator):
-        rho = rho.matrix
-    if rho.shape != (structure.total_dim,) * 2:
-        raise ValueError("operator dimension does not match the structure")
-    return min(
-        float(np.linalg.eigvalsh(_partial_transpose_matrix(rho, structure.local_dims, side))[0])
-        for side in all_bipartitions(structure)
-    )
+    matrix = _operator(rho).matrix
+    return _min_pt_eigenvalue(matrix, structure.local_dims, all_bipartitions(structure))
+
+
+def _min_pt_eigenvalue(matrix: np.ndarray, local_dims, cuts) -> float:
+    """Smallest eigenvalue of ``matrix``'s partial transposes on ``cuts``, unchecked."""
+    pts = (_partial_transpose_matrix(matrix, local_dims, side) for side in cuts)
+    return min(float(np.linalg.eigvalsh(pt)[0]) for pt in pts)
 
 
 def is_ppt(rho: DensityMatrix) -> bool:

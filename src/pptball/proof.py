@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import HermitianOperator, HilbertStructure
+from .operators import HermitianOperator, HilbertStructure, _kron_rows, _operator
 
 # prove_product_minimum proves <W> >= (best product value found) - PROOF_GAP.
 # The cell bound is second order in the cell size, so cells near a minimizer
@@ -107,12 +107,6 @@ def _product_vectors(dims, charts: np.ndarray, centres: np.ndarray, offsets):
         centre, vertex = _kron_rows(centre, vec[:, :1]), _kron_rows(vertex, vec[:, 1:])
         start += 2 * (d - 1)
     return centre, vertex
-
-
-def _kron_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker products of each row of a (C, A, m) with each row of b (C, B, k): (C, AB, mk)."""
-    out = a[:, :, None, :, None] * b[:, None, :, None, :]
-    return out.reshape(out.shape[0], out.shape[1] * out.shape[2], -1)
 
 
 def _party_offsets(dims, half):
@@ -293,10 +287,9 @@ def prove_product_minimum(
     makes the result the same.  The cells of one level share their size and t, so
     the cell count does not depend on PROOF_BLOCK_BYTES.  Raises ValueError
     for an ``upper`` below the root and RuntimeError after PROOF_MAX_CELLS
-    cells.  A plain array W is checked by ``HermitianOperator`` first.
+    cells.  A plain matrix W is checked by ``HermitianOperator`` first.
     """
-    if not isinstance(w, HermitianOperator):
-        w = HermitianOperator(w)
+    w = _operator(w)
     if w.dim != structure.total_dim:
         raise ValueError(f"dimension mismatch: operator {w.dim}, structure {structure.total_dim}")
     if not np.isfinite(upper):

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import HermitianOperator, TRACE_ATOL, _integer, eig_hermitian
+from .operators import HermitianOperator, TRACE_ATOL, _integer, _operator, eig_hermitian
 from .upb import ProductState, UPBSet
 
 ZERO_EIG_ATOL = 1e-12
@@ -168,10 +168,9 @@ class Witness(HermitianOperator):
 def witness_from_operator(op: HermitianOperator | np.ndarray) -> Witness:
     """Split a unit-trace Hermitian operator into its positive and negative parts.
 
-    A plain array is checked by ``HermitianOperator`` first.
+    A plain matrix is checked by ``HermitianOperator`` first.
     """
-    if not isinstance(op, HermitianOperator):
-        op = HermitianOperator(op)
+    op = _operator(op)
     if abs(op.trace - 1.0) > TRACE_ATOL:
         raise ValueError(f"witness trace must be 1, got {op.trace!r}")
     vals = eig_hermitian(op).eigenvalues
@@ -218,10 +217,14 @@ def build_witness(upb: UPBSet, lam: LambdaResult | float) -> Witness:
     return witness_from_operator(w)
 
 
-def witness_value(w: Witness, rho: HermitianOperator | np.ndarray) -> float:
-    """Tr(W rho), for a density matrix, any Hermitian operator, or a plain matrix."""
-    mat = w.matrix
-    rho = rho.matrix if isinstance(rho, HermitianOperator) else rho
-    if mat.shape != rho.shape:
-        raise ValueError(f"dimension mismatch: witness {mat.shape[0]}, state {rho.shape[0]}")
-    return float(np.vdot(mat, rho).real)
+def witness_value(w: HermitianOperator | np.ndarray, rho: HermitianOperator | np.ndarray) -> float:
+    """Tr(W rho) for Hermitian operators; a plain matrix is checked by ``HermitianOperator``."""
+    w, rho = _operator(w), _operator(rho)
+    if w.dim != rho.dim:
+        raise ValueError(f"dimension mismatch: witness {w.dim}, state {rho.dim}")
+    return _witness_value(w.matrix, rho.matrix)
+
+
+def _witness_value(w_matrix: np.ndarray, m: np.ndarray) -> float:
+    """Tr(W m) for W's matrix and a matrix of the same shape, unchecked."""
+    return float(np.vdot(w_matrix, m).real)

@@ -10,6 +10,7 @@ import pytest
 
 from pptball import (
     DensityMatrix,
+    HermitianOperator,
     HilbertStructure,
     PSD_TOL,
     all_bipartitions,
@@ -405,29 +406,44 @@ def test_plain_matrix_suites_match_object_path(request, cert_name):
 @pytest.mark.parametrize("cert_name", ["tiles_cert", "shifts_cert"])
 def test_suites_diagonalize_each_trial_once_per_cut(request, monkeypatch, cert_name):
     # One eigvalsh per cut per trial, plus one per x point for the validated
-    # family member; the sampled states themselves are not re-validated.
+    # family member; the sampled states themselves are not re-validated, so
+    # no HermitianOperator check runs per trial either.
     cert = request.getfixturevalue(cert_name)
     cuts = len(all_bipartitions(cert.upb.structure))
     k, trials = 3, 7
     x = (cert.x_star + 1.0) / 2
     center = cert.member(x)
-    calls = 0
+    calls = validations = 0
     eigvalsh = np.linalg.eigvalsh
+    post_init = HermitianOperator.__post_init__
 
     def counting(a, *args, **kwargs):
         nonlocal calls
         calls += 1
         return eigvalsh(a, *args, **kwargs)
 
+    def counting_post_init(self):
+        nonlocal validations
+        validations += 1
+        post_init(self)
+
+    def counted(run, n):
+        nonlocal calls, validations
+        calls = validations = 0
+        run(n)
+        return calls, validations
+
     monkeypatch.setattr(np.linalg, "eigvalsh", counting)
-    verify_ball_robustness(cert, k, trials, 3)
-    assert calls == k * trials * cuts + k
-    calls = 0
-    verify_separable_mixing(cert, trials, 3)
-    assert calls == trials * cuts
-    calls = 0
-    ball_fraction_estimate(center, cert.radius(x), trials, 3)
-    assert calls == trials
+    monkeypatch.setattr(HermitianOperator, "__post_init__", counting_post_init)
+    suites = [
+        (lambda n: verify_ball_robustness(cert, k, n, 3), lambda n: k * n * cuts + k),
+        (lambda n: verify_separable_mixing(cert, n, 3), lambda n: n * cuts),
+        (lambda n: ball_fraction_estimate(center, cert.radius(x), n, 3), lambda n: n),
+    ]
+    for run, eigvalsh_calls in suites:
+        (calls_one, checks_one), (calls_many, checks_many) = counted(run, 1), counted(run, trials)
+        assert (calls_one, calls_many) == (eigvalsh_calls(1), eigvalsh_calls(trials))
+        assert checks_one == checks_many
 
 
 def test_mixing_respects_minimizer_direction(tiles, tiles_lambda, tiles_witness, tiles_omega):

@@ -16,7 +16,10 @@ from pptball import (
     min_pt_eigenvalue,
     omega_state,
     partial_transpose,
+    prove_product_minimum,
     purity,
+    witness_from_operator,
+    witness_value,
 )
 from pptball.montecarlo import sample_random_product_separable
 
@@ -252,6 +255,78 @@ def test_explicit_structure_must_match_a_density_matrix():
     assert min_pt_eigenvalue(rho, same) == min_pt_eigenvalue(rho)
     pt = partial_transpose(rho, (1,), same).matrix
     assert np.array_equal(pt, partial_transpose(rho, (1,)).matrix)
+
+
+# A unit-trace Hermitian matrix on two qubits, complex off the diagonal.
+QUBITS = HilbertStructure((2, 2))
+ENTRY_MATRIX = np.array(
+    [[0.4, 0, 0, 0.1j], [0, 0.1, 0.05, 0], [0, 0.05, 0.2, 0], [-0.1j, 0, 0, 0.3]]
+)
+DIMENSION = "^operator dimension does not match the structure$"
+SQUARE = r"^expected a square matrix, got shape \(4, 3\)$"
+
+
+def _decomposition(m):
+    dec = eig_hermitian(m)
+    return dec.eigenvalues, dec.eigenvectors
+
+
+def _split(m):
+    w = witness_from_operator(m)
+    return w.matrix, w.p_count, w.n_neg_count, w.pos_part_trace, w.neg_part_trace
+
+
+def _bound(m):
+    bound = prove_product_minimum(m, QUBITS, 1.0)
+    return bound.lower, bound.upper, bound.cells
+
+
+@pytest.mark.parametrize(
+    "call, wrong_shape, message",
+    [
+        (lambda m: (partial_transpose(m, (1,), QUBITS).matrix,), np.eye(3), DIMENSION),
+        (lambda m: (min_pt_eigenvalue(m, QUBITS),), np.eye(4, 3), DIMENSION),
+        (_decomposition, np.eye(4, 3), SQUARE),
+        (_split, np.eye(4, 3), SQUARE),
+        (
+            lambda m: (witness_value(m, ENTRY_MATRIX),),
+            np.eye(3) / 3,
+            "^dimension mismatch: witness 3, state 4$",
+        ),
+        (
+            lambda m: (witness_value(ENTRY_MATRIX, m),),
+            np.eye(3) / 3,
+            "^dimension mismatch: witness 4, state 3$",
+        ),
+        (_bound, np.eye(2) / 2, "^dimension mismatch: operator 2, structure 4$"),
+    ],
+    ids=[
+        "partial_transpose",
+        "min_pt_eigenvalue",
+        "eig_hermitian",
+        "witness_from_operator",
+        "witness_value-witness",
+        "witness_value-state",
+        "prove_product_minimum",
+    ],
+)
+def test_operator_arguments_share_one_entry_rule(call, wrong_shape, message):
+    # Every public function that takes an operator checks a plain matrix, an
+    # ndarray or a nested list, as a HermitianOperator, and gives what the
+    # operator gives.
+    expected = call(HermitianOperator(ENTRY_MATRIX))
+    for given_matrix in (ENTRY_MATRIX, ENTRY_MATRIX.tolist()):
+        got = call(given_matrix)
+        assert len(got) == len(expected)
+        assert all(np.array_equal(a, b) for a, b in zip(got, expected))
+    with pytest.raises(ValueError, match="^matrix is not Hermitian"):
+        call(ENTRY_MATRIX + np.triu(np.full((4, 4), 0.1), 1))
+    nan = ENTRY_MATRIX.copy()
+    nan[0, 0] = np.nan
+    with pytest.raises(ValueError, match="^matrix entries are not finite$"):
+        call(nan)
+    with pytest.raises(ValueError, match=message):
+        call(wrong_shape)
 
 
 @pytest.mark.parametrize("shape", [(4, 4), (9, 8)])
