@@ -3,14 +3,18 @@
 Prints the entanglement threshold, the radius curve with its two branches,
 the branch-crossing point (the closed-form root of branch equality beside
 the tabulated closed form, which disagrees and is reported for comparison
-only), and a descriptive probe just outside the certified radius: the radius
-is sufficient, not necessary, so violations beyond it may or may not occur
-and are simply recorded.
+only), x*, x0 and one radius beside their exact rational values, and a
+descriptive probe just outside the certified radius: the radius is
+sufficient, not necessary, so violations beyond it may or may not occur and
+are simply recorded.
 """
+
+import math
+from decimal import Decimal
+from fractions import Fraction
 
 from pptball import (
     certify,
-    crossing_x0,
     get_upb,
     is_ppt,
     minimum_overlap,
@@ -31,9 +35,26 @@ print(f"x*              = {profile['x_star']:.12f}  (family entangled for x > x*
 print(f"x0 (root)       = {profile['x0_root']:.12f}")
 print(f"x0 (printed)    = {profile['x0_printed_eq32']:.12f}  <- tabulated closed form, "
       f"disagrees with the root; comparison only")
-res = crossing_x0(upb.cardinality, upb.total_dim, lam.value)
-print(f"branch value at root = {res.branch_value:.12f}, branch gap {res.residual:.1e}")
 print(f"mixing threshold = {profile['mixing_threshold']:.12f} (= lambda)")
+
+# Each number is a rational function of n, D and lambda, evaluated exactly and
+# rounded once: x* up and y0 down, the safe sides of the bounds, and x0, which
+# bounds nothing, to nearest.
+print()
+n, d, l = upb.cardinality, upb.total_dim, Fraction(lam.value)
+lambda_omega, w_max = l / (n - l * d), (1 - l) / (n - l * d)
+x_mid = Fraction(cert.x_grid(1)[0])
+c = (x_mid * (1 + d * lambda_omega) - 1) / d
+exact = {
+    "x*": 1 - l * d / n,
+    "x0": (n * (d - 2) + d * (1 - l * (d - 1))) / (n * (d - 2) + d * (1 - l)),
+    f"y0({float(x_mid):.6f})": min((1 - x_mid) / (d - 1 - x_mid), c / (w_max + c)),
+}
+reported = [profile["x_star"], profile["x0_root"], cert.radius(float(x_mid))]
+for (label, q), value in zip(exact.items(), reported):
+    ulps = float((Fraction(value) - q) / Fraction(math.ulp(value)))
+    print(f"{label:<12} {value:.17g}  exact {Decimal(q.numerator) / Decimal(q.denominator):.20g}"
+          f"  ({ulps:+.3f} ulp)")
 
 print()
 print(f"{'x':>10}{'y0 tight':>14}{'y0 averaged':>14}")

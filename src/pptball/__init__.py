@@ -27,7 +27,7 @@ _MODULES = {
     "proof": ("ProductMinimumBound", "prove_product_minimum"),
     "robustness": (
         "Certificate", "CrossingResult", "MixtureDecomposition", "ball_membership", "certify",
-        "crossing_x0", "entanglement_threshold", "entanglement_threshold_upb", "in_gurvits_ball",
+        "crossing_x0", "entanglement_threshold", "in_gurvits_ball",
         "minimizer_direction", "mixture_tau", "ppt_mixing_threshold", "robustness_profile",
         "separable_mixing_threshold",
     ),

@@ -6,7 +6,9 @@ Every command is deterministic given its flags; reports echo the flags in
 runs with identical seeds are byte-identical.  ``verify`` probes each proven
 bound at ``montecarlo.PROBE_FRACTION`` of it, which its suite configs echo;
 ``membership`` samples the ball at the midpoint x = (x* + 1)/2, which its
-report gives as ``x``.
+report gives as ``x``.  Every number those commands derive from lambda is a
+rational function of (n, D, lambda), evaluated exactly and rounded once, a
+bound outward: x* up, lambda_omega and each radius down.
 
 Exit status: 0 success; 1 verification violations; 2 usage or validation
 error, or a report that cannot be written; 3 minimizer non-convergence within

@@ -62,6 +62,15 @@ class HilbertStructure:
         return len(self.local_dims)
 
 
+def _structure(value) -> HilbertStructure:
+    """The one entry check for structures: a tuple or list of local dimensions builds one."""
+    if isinstance(value, HilbertStructure):
+        return value
+    if isinstance(value, (tuple, list)):
+        return HilbertStructure(tuple(value))
+    raise ValueError(f"structure must be a HilbertStructure or local dimensions, got {value!r}")
+
+
 def all_bipartitions(structure: HilbertStructure) -> tuple[tuple[int, ...], ...]:
     """Transposed sides of the 2**(n-1) - 1 distinct splits; subsystem 0 is never transposed."""
     n = _integer(structure.n_parties, "number of subsystems", 2)
@@ -184,8 +193,9 @@ def _kron_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out.reshape(out.shape[0], out.shape[1] * out.shape[2], -1)
 
 
-def _structure_of(rho, structure: HilbertStructure | None) -> HilbertStructure:
+def _structure_of(rho, structure) -> HilbertStructure:
     """A density matrix's own structure, which an explicit one must match, or the explicit one."""
+    structure = structure if structure is None else _structure(structure)
     if isinstance(rho, DensityMatrix):
         if structure is not None and structure.local_dims != rho.structure.local_dims:
             raise ValueError(
@@ -203,14 +213,14 @@ def _structure_of(rho, structure: HilbertStructure | None) -> HilbertStructure:
 def partial_transpose(
     rho: HermitianOperator | np.ndarray,
     side: tuple[int, ...],
-    structure: HilbertStructure | None = None,
+    structure: HilbertStructure | tuple | None = None,
 ) -> HermitianOperator:
     """Transpose bra/ket indices of the subsystems in ``side`` in the product basis.
 
     Trace-preserving, Hermiticity-preserving, and an involution.  ``side``
     must be a nonempty proper subset of the subsystem indices.  A bare operator
     (e.g. a previous partial transpose) or plain matrix needs an explicit
-    ``structure``; density matrices carry their own, which one passed must match.
+    ``structure`` or its dimensions; density matrices carry their own, which one passed must match.
     """
     structure = _structure_of(rho, structure)
     rho = _operator(rho)
@@ -229,13 +239,13 @@ def partial_transpose(
 
 
 def min_pt_eigenvalue(
-    rho: HermitianOperator | np.ndarray, structure: HilbertStructure | None = None
+    rho: HermitianOperator | np.ndarray, structure: HilbertStructure | tuple | None = None
 ) -> float:
     """Smallest partial-transpose eigenvalue over every bipartition.
 
     Takes a density matrix, or a bare Hermitian operator or plain matrix
-    together with its structure.  A structure passed with a density matrix
-    must match it.
+    together with its structure or dimensions.  A structure passed with a
+    density matrix must match it.
     """
     structure = _structure_of(rho, structure)
     matrix = _operator(rho).matrix

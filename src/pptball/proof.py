@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import HermitianOperator, HilbertStructure, _kron_rows, _operator
+from .operators import HermitianOperator, HilbertStructure, _kron_rows, _operator, _structure
 
 # prove_product_minimum proves <W> >= (best product value found) - PROOF_GAP.
 # The cell bound is second order in the cell size, so cells near a minimizer
@@ -265,7 +265,7 @@ def _levels(structure, upper, h4, lam_w, norm_w, root):
 
 
 def prove_product_minimum(
-    w: HermitianOperator | np.ndarray, structure: HilbertStructure, upper: float
+    w: HermitianOperator | np.ndarray, structure: HilbertStructure | tuple, upper: float
 ) -> ProductMinimumBound:
     """Prove min over product states of <W> >= t by a vertex branch-and-bound.
 
@@ -287,9 +287,9 @@ def prove_product_minimum(
     makes the result the same.  The cells of one level share their size and t, so
     the cell count does not depend on PROOF_BLOCK_BYTES.  Raises ValueError
     for an ``upper`` below the root and RuntimeError after PROOF_MAX_CELLS
-    cells.  A plain matrix W is checked by ``HermitianOperator`` first.
+    cells.  W may be a plain matrix and ``structure`` a tuple of dimensions.
     """
-    w = _operator(w)
+    w, structure = _operator(w), _structure(structure)
     if w.dim != structure.total_dim:
         raise ValueError(f"dimension mismatch: operator {w.dim}, structure {structure.total_dim}")
     if not np.isfinite(upper):

@@ -6,20 +6,27 @@ branch-crossing point of the radius formula, mixture decompositions through
 the separable purity ball, ball membership, the separable-mixing thresholds,
 and the minimizer direction, a separable state with zero witness value;
 ``montecarlo.verify_maximal_robustness`` checks mixtures toward it.
+
+Every certificate number (lambda_omega, w_max, x*, x0, y0(x)) is a rational
+function of n, D and lambda, evaluated exactly from the float lambda and
+rounded once, a bound outward: x* up, lambda_omega and y0 down.  It is exact
+for the float lambda and the float set (Gram deviation 3.3e-16 to 6.7e-16).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
-from .operators import DensityMatrix, _integer, eig_hermitian, is_ppt, purity
+from .operators import DensityMatrix, HermitianOperator, _integer, _operator, eig_hermitian
+from .operators import is_ppt, purity
 from .upb import UPBSet, omega_state
 from .witness import LambdaResult, Witness, _normalizer, build_witness, witness_value
 
 IDENTITY_ATOL = 1e-12
-CROSSING_RESIDUAL = 1e-12
 RANK_TOL = 1e-12
 # Tr(W sigma) of a zero-witness direction is zero only up to the rounding of the trace.
 WITNESS_SIGN_ATOL = 1e-10
@@ -36,39 +43,38 @@ def entanglement_threshold(lambda_rho: float, dim_total: int) -> float:
     return 1.0 / (1.0 + dim_total * lambda_rho)
 
 
-def entanglement_threshold_upb(
-    cardinality: int, dim_total: int, lam_value: float, lambda_omega: float
-) -> float:
-    """Threshold for complement-state witnesses, cross-checked in both forms.
+def _line(n: int, d: int, lam: float) -> tuple[Fraction, Fraction, Fraction]:
+    """lambda_omega = lambda/(n - lambda D), w_max = (1 - lambda)/(n - lambda D) and x*.
 
-    1/(1 + D lambda_omega) must agree with 1 - lambda D / n to IDENTITY_ATOL.
+    They are -Tr(W omega), the flat positive eigenvalue of W, and
+    x* = 1 - lambda D/n = 1/(1 + D lambda_omega); ``_normalizer`` checks lambda.
     """
-    general = entanglement_threshold(lambda_omega, dim_total)
-    closed = _closed_threshold(cardinality, dim_total, lam_value)
-    if abs(general - closed) > IDENTITY_ATOL:
-        raise RuntimeError(
-            f"threshold identity violated: {general!r} vs {closed!r}"
-        )
-    return general
+    _normalizer(n, d, lam)
+    lam = Fraction(lam)
+    norm = n - lam * d
+    return lam / norm, (1 - lam) / norm, 1 - lam * d / n
 
 
-def _closed_threshold(n: int, dim_total: int, lam_value: float) -> float:
-    return 1.0 - lam_value * dim_total / n
+def _branches(x: float, n: int, d: int, lam: float) -> tuple[Fraction, Fraction]:
+    """The purity and witness branches at x, exactly; the radius y0(x) is the smaller.
+
+    Under the purity branch (1 - x)/(D - 1 - x) every direction mixes into the
+    separable purity ball.  Under the witness branch c/(w_max + c), with
+    c = -Tr(W rho_x) = (x(1 + D lambda_omega) - 1)/D, the mixture stays
+    witness-negative even when Tr(W sigma) = w_max.
+    """
+    lambda_omega, w_max, _ = _line(n, d, lam)
+    x = Fraction(x)
+    c = (x * (1 + d * lambda_omega) - 1) / d
+    return (1 - x) / (d - 1 - x), c / (w_max + c)
 
 
-def _purity_branch(x: float, dim_total: int) -> float:
-    return (1.0 - x) / (dim_total - 1.0 - x)
-
-
-def _witness_branch(x: float, lambda_rho: float, dim_total: int, bound: float) -> float:
-    c = (x * (1.0 + dim_total * lambda_rho) - 1.0) / dim_total
-    return c / (bound + c)
-
-
-def _radius(x: float, dim_total: int, lambda_rho: float, bound: float) -> float:
-    """The smaller of the purity branch and the witness branch with Tr(W sigma) <= bound."""
-    witness = _witness_branch(x, lambda_rho, dim_total, bound)
-    return float(min(_purity_branch(x, dim_total), witness))
+def _outward(q: Fraction, up: bool) -> float:
+    """float(q), one ulp further up (``up``) or down when rounding crossed q the other way."""
+    f = float(q)
+    if Fraction(f) < q if up else Fraction(f) > q:
+        f = math.nextafter(f, math.inf if up else -math.inf)
+    return f
 
 
 @dataclass(frozen=True, eq=False)
@@ -80,7 +86,9 @@ class Certificate:
     gives.  ``witness`` is the normalized W = (P - lambda I)/(n - lambda D),
     ``omega`` the complement state, ``lambda_omega`` = -Tr(W omega) its
     violation and ``x_star`` the threshold above which the white-noise family
-    through omega stays witness-negative.  Build it with ``certify``.
+    through omega stays witness-negative.  Both numbers are exact functions
+    of (n, D, lambda) rounded once, ``lambda_omega`` down and ``x_star`` up.
+    Build it with ``certify``.
     """
 
     upb: UPBSet
@@ -109,33 +117,24 @@ class Certificate:
             raise ValueError(f"x must lie strictly between x* = {self.x_star!r} and 1, got {x!r}")
 
     def radius(self, x: float) -> float:
-        """Certified ball radius y0(x) around the family member at x.
-
-        Minimum of two branches: the purity-ball branch (1 - x)/(D - 1 - x),
-        under which every perturbation direction mixes into the separable
-        purity ball, and the witness branch, under which the mixture stays
-        witness-negative even when Tr(W sigma) takes the largest eigenvalue of W.
-        """
+        """Certified ball radius y0(x) at x: the smaller branch of ``_branches``, rounded down."""
         self._check_entangled(x)
-        return _radius(x, self.upb.total_dim, self.lambda_omega, self.witness.max_pos_eigenvalue)
+        y0 = min(_branches(x, self.upb.cardinality, self.upb.total_dim, self.lam.value))
+        return _outward(y0, up=False)
 
 
 def certify(upb: UPBSet, lam: LambdaResult) -> Certificate:
     """Build the witness, complement state, violation and threshold of a set.
 
-    The violation must stay below the 1 - 2/D ceiling, and x* must agree in
-    its two forms (see ``entanglement_threshold_upb``).
+    lambda_omega = lambda/(n - lambda D), rounded down, must stay below the
+    1 - 2/D ceiling; x* = 1 - lambda D/n is rounded up.
     """
-    witness = build_witness(upb, lam)
-    omega = omega_state(upb)
-    lambda_omega = -witness_value(witness, omega)
     d = upb.total_dim
-    if lambda_omega > 1.0 - 2.0 / d + IDENTITY_ATOL:
-        raise RuntimeError(
-            f"witness violation {lambda_omega!r} exceeds the 1 - 2/D ceiling"
-        )
-    x_star = entanglement_threshold_upb(upb.cardinality, d, lam.value, lambda_omega)
-    return Certificate(upb, lam, witness, omega, float(lambda_omega), float(x_star))
+    lambda_omega, _, x_star = _line(upb.cardinality, d, lam.value)
+    if lambda_omega > 1 - Fraction(2, d):
+        raise RuntimeError(f"witness violation {float(lambda_omega)!r} exceeds the 1 - 2/D ceiling")
+    lambda_omega, x_star = _outward(lambda_omega, up=False), _outward(x_star, up=True)
+    return Certificate(upb, lam, build_witness(upb, lam), omega_state(upb), lambda_omega, x_star)
 
 
 @dataclass(frozen=True)
@@ -144,7 +143,7 @@ class CrossingResult:
 
     ``x0_printed`` evaluates the closed-form expression as tabulated; it does
     not match the branch-equality root and is carried for comparison only,
-    never used downstream.  ``residual`` is the branch gap at the root.
+    never used downstream.  ``branch_value`` and the branch gap ``residual`` are at x0_root.
     """
 
     x0_root: float
@@ -164,29 +163,23 @@ def crossing_x0(n: int, dim_total: int, lam_value: float) -> CrossingResult:
     (n(D - 2) + D(1 - lambda(D - 1))) / (n(D - 2) + D(1 - lambda)).
     The tabulated form has the same numerator but multiplies n(D - 2) by
     D(1 - lambda) in its denominator where the root adds them.  Input must
-    satisfy n < D and 0 < lambda < n/D; the root must lie in (x*, 1) and close
-    the branch gap to CROSSING_RESIDUAL.
+    satisfy n < D and 0 < lambda < n/D.  Both are exact, rounded to nearest.
     """
     n = _integer(n, "cardinality", 1)
     dim_total = _integer(dim_total, "total dimension", n + 1)
-    norm = _normalizer(n, dim_total, lam_value)
-    lambda_omega = lam_value / norm
-    bound = (1.0 - lam_value) / norm
-    x_star = _closed_threshold(n, dim_total, lam_value)
-    numerator = n * (dim_total - 2) + dim_total * (1.0 - lam_value * (dim_total - 1))
-    x0 = numerator / (n * (dim_total - 2) + dim_total * (1.0 - lam_value))
-    if not x_star < x0 < 1.0:
-        raise RuntimeError(f"branch crossing {x0!r} outside (x* = {x_star!r}, 1)")
-    branch = _purity_branch(x0, dim_total)
-    residual = abs(branch - _witness_branch(x0, lambda_omega, dim_total, bound))
-    if residual > CROSSING_RESIDUAL:
-        raise RuntimeError(f"branch gap {residual:.3e} at the closed-form crossing")
-    printed = numerator / (n * (dim_total - 2) * dim_total * (1.0 - lam_value))
+    x_star = _line(n, dim_total, lam_value)[2]
+    lam = Fraction(lam_value)
+    numerator = n * (dim_total - 2) + dim_total * (1 - lam * (dim_total - 1))
+    x0 = numerator / (n * (dim_total - 2) + dim_total * (1 - lam))
+    if not x_star < x0 < 1:
+        raise RuntimeError(f"branch crossing {float(x0)!r} outside (x* = {float(x_star)!r}, 1)")
+    root = float(x0)
+    purity_branch, witness_branch = _branches(root, n, dim_total, lam_value)
     return CrossingResult(
-        x0_root=float(x0),
-        x0_printed=float(printed),
-        branch_value=float(branch),
-        residual=float(residual),
+        x0_root=root,
+        x0_printed=float(numerator / (n * (dim_total - 2) * dim_total * (1 - lam))),
+        branch_value=float(purity_branch),
+        residual=float(abs(purity_branch - witness_branch)),
     )
 
 
@@ -255,12 +248,17 @@ def _membership(tau: np.ndarray, inv_sqrt: np.ndarray) -> float:
     return float(min(1.0, max(0.0, 1.0 - lam_min)))
 
 
-def ball_membership(tau: DensityMatrix, center: DensityMatrix) -> float:
+def ball_membership(
+    tau: HermitianOperator | np.ndarray, center: HermitianOperator | np.ndarray
+) -> float:
     """Smallest mu with tau = mu rho' + (1 - mu) center for a valid state rho'.
 
     Computed as 1 - min eigenvalue of center^{-1/2} tau center^{-1/2}, clamped
     to [0, 1]; tau lies in the radius-r ball around center iff the result < r.
+    Either argument may be a plain matrix, which ``HermitianOperator``
+    checks; the center must have full rank.
     """
+    tau, center = _operator(tau), _operator(center)
     if tau.dim != center.dim:
         raise ValueError("state and center dimensions differ")
     return _membership(tau.matrix, _center_inv_sqrt(center))
@@ -269,16 +267,10 @@ def ball_membership(tau: DensityMatrix, center: DensityMatrix) -> float:
 def separable_mixing_threshold(cert: Certificate) -> float:
     """Mixing weight below which any separable admixture stays witness-negative.
 
-    Equals the minimum overlap itself: p lambda_omega / (Tr W+ + p lambda_omega);
-    the identity is re-verified numerically to IDENTITY_ATOL.
+    p lambda_omega / (Tr W+ + p lambda_omega) with p = n and Tr W+ = n w_max;
+    lambda_omega + w_max = 1/(n - lambda D), so it is lambda itself, exactly.
     """
-    p, lambda_omega = cert.witness.p_count, cert.lambda_omega
-    threshold = p * lambda_omega / (cert.witness.pos_part_trace + p * lambda_omega)
-    if abs(threshold - cert.lam.value) > IDENTITY_ATOL:
-        raise RuntimeError(
-            f"mixing-threshold identity violated: {threshold!r} vs {cert.lam.value!r}"
-        )
-    return float(threshold)
+    return cert.lam.value
 
 
 def ppt_mixing_threshold(cert: Certificate, sigma: DensityMatrix) -> float:
@@ -309,12 +301,11 @@ def robustness_profile(cert: Certificate, grid_size: int) -> dict:
 
     ``radius_samples`` rows hold x, the certified radius ``y0_tight`` and
     ``y0_paper``, the radius with Tr W+ / p in place of the largest eigenvalue
-    of W; the two agree for flat-spectrum witnesses.
+    of W; on the UPB line Tr W+ / p = w_max exactly, so the two are equal.
     """
     lam = cert.lam.value
-    d = cert.upb.total_dim
-    crossing = crossing_x0(cert.upb.cardinality, d, lam)
-    averaged = cert.witness.pos_part_trace / cert.witness.p_count
+    crossing = crossing_x0(cert.upb.cardinality, cert.upb.total_dim, lam)
+    xs = [float(x) for x in cert.x_grid(grid_size)]
     return {
         "lambda": lam,
         "lambda_omega": cert.lambda_omega,
@@ -322,12 +313,7 @@ def robustness_profile(cert: Certificate, grid_size: int) -> dict:
         "x0_root": crossing.x0_root,
         "x0_printed_eq32": crossing.x0_printed,
         "radius_samples": [
-            {
-                "x": float(x),
-                "y0_tight": cert.radius(x),
-                "y0_paper": _radius(x, d, cert.lambda_omega, averaged),
-            }
-            for x in cert.x_grid(grid_size)
+            {"x": x, "y0_tight": y0, "y0_paper": y0} for x, y0 in zip(xs, map(cert.radius, xs))
         ],
         "mixing_threshold": separable_mixing_threshold(cert),
     }

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -13,6 +14,7 @@ from pptball import cli, witness
 from pptball.cli import _config, _flatten, build_parser, main
 from pptball.montecarlo import PROBE_FRACTION
 from pptball.proof import PROOF_GAP
+from pptball.robustness import _branches, _line
 
 CERTIFICATE_COMMANDS = ["lambda", "profile", "verify", "membership"]
 
@@ -290,16 +292,38 @@ def test_membership_report(tmp_path):
     assert report["x"] == 0.5 * (report["x_star"] + 1.0)
 
 
+@pytest.mark.parametrize("name", ["tiles", "pyramid", "shifts"])
+def test_reported_bounds_stay_outward_of_their_exact_values(tmp_path, name):
+    # Read back from JSON, x* is at or above its exact value and every radius
+    # at or below the exact y0 at its reported x: rounding outward survives
+    # serialisation.  membership reports no lambda; profile's, from the same
+    # seed, is the same.
+    _, path = run(tmp_path, "profile", "--upb", name, "--grid", "9", name="p.json")
+    profile = json.loads(path.read_text())
+    _, path = run(tmp_path, "membership", "--upb", name, "--trials", "10", name="m.json")
+    membership = json.loads(path.read_text())
+    upb, lam = pptball.get_upb(name), profile["lambda"]
+    n, d = upb.cardinality, upb.total_dim
+    x_star = _line(n, d, lam)[2]
+    samples = [(row["x"], row["y0_tight"]) for row in profile["radius_samples"]]
+    samples += [(row["x"], row["y0_paper"]) for row in profile["radius_samples"]]
+    samples.append((membership["x"], membership["radius"]))
+    for report in (profile, membership):
+        assert Fraction(report["x_star"]) >= x_star
+    for x, y0 in samples:
+        assert Fraction(y0) <= min(_branches(x, n, d, lam))
+
+
 def test_contract_failure_exits_4(tmp_path, capsys, monkeypatch):
     def broken(upb, lam):
-        raise RuntimeError("threshold identity violated")
+        raise RuntimeError("witness violation exceeds the 1 - 2/D ceiling")
 
     monkeypatch.setattr("pptball.robustness.certify", broken)
     short_seesaw(monkeypatch, 20)
     code, path = run(tmp_path, "profile", "--upb", "tiles")
     assert code == 4
     err = capsys.readouterr().err
-    assert err == "internal error: threshold identity violated\n"
+    assert err == "internal error: witness violation exceeds the 1 - 2/D ceiling\n"
     assert not path.exists()
 
 

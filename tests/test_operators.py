@@ -74,6 +74,10 @@ def test_structure_requires_physical_dims():
         ),
         (lambda: HilbertStructure((True, 3)), "local dimension must be an integer, got True"),
         (lambda: entanglement_threshold(float("nan"), 9), "strictly positive"),
+        (
+            lambda: min_pt_eigenvalue(np.eye(4) / 4, 4),
+            "structure must be a HilbertStructure or local dimensions, got 4",
+        ),
     ],
     ids=[
         "structure",
@@ -82,6 +86,7 @@ def test_structure_requires_physical_dims():
         "partial-transpose-bool",
         "structure-bool",
         "nan-violation",
+        "structure-not-dims",
     ],
 )
 def test_non_integral_and_nan_inputs_are_rejected(call, message):
@@ -276,8 +281,8 @@ def _split(m):
     return w.matrix, w.p_count, w.n_neg_count, w.pos_part_trace, w.neg_part_trace
 
 
-def _bound(m):
-    bound = prove_product_minimum(m, QUBITS, 1.0)
+def _bound(m, structure=QUBITS):
+    bound = prove_product_minimum(m, structure, 1.0)
     return bound.lower, bound.upper, bound.cells
 
 
@@ -299,6 +304,13 @@ def _bound(m):
             "^dimension mismatch: witness 4, state 3$",
         ),
         (_bound, np.eye(2) / 2, "^dimension mismatch: operator 2, structure 4$"),
+        (lambda m: (partial_transpose(m, (1,), (2, 2)).matrix,), np.eye(3), DIMENSION),
+        (lambda m: (min_pt_eigenvalue(m, [2, 2]),), np.eye(4, 3), DIMENSION),
+        (
+            lambda m: _bound(m, (2, 2)),
+            np.eye(2) / 2,
+            "^dimension mismatch: operator 2, structure 4$",
+        ),
     ],
     ids=[
         "partial_transpose",
@@ -308,12 +320,15 @@ def _bound(m):
         "witness_value-witness",
         "witness_value-state",
         "prove_product_minimum",
+        "partial_transpose-dims",
+        "min_pt_eigenvalue-dims",
+        "prove_product_minimum-dims",
     ],
 )
 def test_operator_arguments_share_one_entry_rule(call, wrong_shape, message):
     # Every public function that takes an operator checks a plain matrix, an
     # ndarray or a nested list, as a HermitianOperator, and gives what the
-    # operator gives.
+    # operator gives.  A structure may be given as its local dimensions.
     expected = call(HermitianOperator(ENTRY_MATRIX))
     for given_matrix in (ENTRY_MATRIX, ENTRY_MATRIX.tolist()):
         got = call(given_matrix)

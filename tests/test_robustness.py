@@ -1,4 +1,5 @@
-from dataclasses import replace
+import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,7 +14,6 @@ from pptball import (
     certify,
     crossing_x0,
     entanglement_threshold,
-    entanglement_threshold_upb,
     in_gurvits_ball,
     is_ppt,
     min_pt_eigenvalue,
@@ -28,8 +28,20 @@ from pptball import (
     witness_value,
 )
 from pptball.montecarlo import sample_hs_density
+from pptball.robustness import _branches, _line
+from pptball.witness import ZERO_EIG_ATOL, LambdaResult
 
 TILES_N, TILES_D = 5, 9
+
+
+def rounded_up(f, q):
+    """f is the least float at or above the exact q."""
+    return Fraction(math.nextafter(f, -math.inf)) < q <= Fraction(f)
+
+
+def rounded_down(f, q):
+    """f is the greatest float at or below the exact q."""
+    return Fraction(f) <= q < Fraction(math.nextafter(f, math.inf))
 
 
 def test_family_endpoints(tiles_cert):
@@ -87,15 +99,21 @@ def test_entanglement_threshold_forms():
 
 
 def test_threshold_identity_cross_check(tiles_cert):
-    lam, lambda_omega, x_star = tiles_cert.lam, tiles_cert.lambda_omega, tiles_cert.x_star
-    assert x_star == entanglement_threshold(lambda_omega, TILES_D)
-    closed = 1.0 - lam.value * TILES_D / TILES_N
-    assert abs(x_star - closed) < 1e-12
-    assert (
-        entanglement_threshold_upb(TILES_N, TILES_D, lam.value, lambda_omega) == x_star
-    )
-    with pytest.raises(RuntimeError, match="identity"):
-        entanglement_threshold_upb(TILES_N, TILES_D, lam.value, lambda_omega * 1.01)
+    # The identities once re-checked in floats at run time hold exactly in the
+    # Fractions the certificate is rounded from: the two forms of x*, the
+    # mixing threshold p lambda_omega / (Tr W+ + p lambda_omega) = lambda with
+    # p = n and Tr W+ = n w_max, and branch equality at the exact x0.
+    n, d, value = TILES_N, TILES_D, tiles_cert.lam.value
+    lam = Fraction(value)
+    lambda_omega, w_max, x_star = _line(n, d, value)
+    assert lambda_omega == lam / (n - lam * d)
+    assert w_max == (1 - lam) / (n - lam * d)
+    assert 1 / (1 + d * lambda_omega) == x_star == 1 - lam * d / n
+    assert n * lambda_omega / (n * w_max + n * lambda_omega) == lam
+    x0 = (n * (d - 2) + d * (1 - lam * (d - 1))) / (n * (d - 2) + d * (1 - lam))
+    c = (x0 * (1 + d * lambda_omega) - 1) / d
+    assert (1 - x0) / (d - 1 - x0) == c / (w_max + c)
+    assert _branches(x0, n, d, value) == ((1 - x0) / (d - 1 - x0), c / (w_max + c))
 
 
 @pytest.mark.parametrize("name", ["tiles", "shifts"])
@@ -104,8 +122,9 @@ def test_certificate_matches_closed_forms(request, name):
     upb, lam = cert.upb, cert.lam.value
     d, n = upb.total_dim, upb.cardinality
     assert cert.lam is request.getfixturevalue(f"{name}_lambda")
-    assert abs(cert.x_star - (1.0 - lam * d / n)) < 1e-12
-    assert abs(cert.lambda_omega - lam / (n - lam * d)) < 1e-12
+    lambda_omega, w_max, x_star = _line(n, d, lam)
+    assert rounded_up(cert.x_star, x_star)
+    assert rounded_down(cert.lambda_omega, lambda_omega)
     assert np.array_equal(cert.omega.matrix, omega_state(upb).matrix)
     witness = request.getfixturevalue(f"{name}_witness")
     assert np.array_equal(cert.witness.matrix, witness.matrix)
@@ -113,10 +132,34 @@ def test_certificate_matches_closed_forms(request, name):
     assert len(xs) == 7
     assert np.all((cert.x_star < xs) & (xs < 1.0))
     assert np.all(np.diff(xs) > 0)
-    b = cert.witness.max_pos_eigenvalue
     for x in xs:
-        c = (x * (1.0 + d * cert.lambda_omega) - 1.0) / d
-        assert cert.radius(x) == float(min((1.0 - x) / (d - 1.0 - x), c / (b + c)))
+        assert rounded_down(cert.radius(x), min(_branches(x, n, d, lam)))
+    # The float spectrum of W agrees with the exact numbers to rounding.
+    assert abs(cert.witness.max_pos_eigenvalue - w_max) < 1e-12
+    assert abs(-witness_value(cert.witness, cert.omega) - lambda_omega) < 1e-12
+
+
+@pytest.mark.parametrize("name", ["tiles", "shifts"])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_certificate_rounds_outward_across_lambda(tiles, shifts, name, data):
+    # Any lambda in (0, n/D), not just the seesaw's: x* is rounded up, and
+    # lambda_omega and every radius on the grid down, each by at most one ulp;
+    # past the 1 - 2/D ceiling the certificate is refused.
+    upb = {"tiles": tiles, "shifts": shifts}[name]
+    n, d = upb.cardinality, upb.total_dim
+    lam = data.draw(st.floats(ZERO_EIG_ATOL, n / d, exclude_min=True, exclude_max=True))
+    lambda_omega, w_max, x_star = _line(n, d, lam)
+    result = LambdaResult(value=lam, converged=True, minimizers=())
+    if lambda_omega > 1 - Fraction(2, d):
+        with pytest.raises(RuntimeError, match="exceeds the 1 - 2/D ceiling"):
+            certify(upb, result)
+        return
+    cert = certify(upb, result)
+    assert rounded_up(cert.x_star, x_star)
+    assert rounded_down(cert.lambda_omega, lambda_omega)
+    for x in cert.x_grid(9):
+        assert rounded_down(cert.radius(x), min(_branches(x, n, d, lam)))
 
 
 def test_radius_limits_and_positivity(tiles_cert):
@@ -251,6 +294,11 @@ def test_ball_membership_basics(tiles, tiles_cert):
     assert ball_membership(center, center) < 1e-10
     pure = DensityMatrix.from_pure(np.eye(9)[3], tiles.structure)
     assert abs(ball_membership(pure, center) - 1.0) < 1e-10
+    # Plain matrices pass the operator entry check and give what the states give.
+    assert ball_membership(pure.matrix, center.matrix) == ball_membership(pure, center)
+    assert ball_membership(np.eye(9) / 9, np.eye(9) / 9) < 1e-10
+    with pytest.raises(ValueError, match="^state and center dimensions differ$"):
+        ball_membership(np.eye(4) / 4, center)
 
 
 def test_ball_membership_of_constructed_mixtures(tiles, tiles_cert):
@@ -288,11 +336,15 @@ def test_ball_membership_rejects_rank_deficient_center(tiles_omega, shifts_cert)
 
 
 def test_separable_mixing_threshold_identity(tiles_cert):
-    lam, lambda_omega = tiles_cert.lam, tiles_cert.lambda_omega
-    threshold = separable_mixing_threshold(tiles_cert)
-    assert abs(threshold - lam.value) < 1e-12
-    with pytest.raises(RuntimeError, match="identity"):
-        separable_mixing_threshold(replace(tiles_cert, lambda_omega=lambda_omega * 1.01))
+    # p lambda_omega / (Tr W+ + p lambda_omega) is lambda exactly on the line,
+    # and the witness's float counts and traces give it to rounding.
+    lam, w = tiles_cert.lam.value, tiles_cert.witness
+    assert separable_mixing_threshold(tiles_cert) == lam
+    lambda_omega, w_max, _ = _line(TILES_N, TILES_D, lam)
+    p = w.p_count
+    assert p * lambda_omega / (p * w_max + p * lambda_omega) == Fraction(lam)
+    lambda_omega = tiles_cert.lambda_omega
+    assert abs(p * lambda_omega / (w.pos_part_trace + p * lambda_omega) - lam) < 1e-12
 
 
 def test_ppt_mixing_threshold_directions(tiles, tiles_cert):
