@@ -21,7 +21,7 @@ from pptball import (
 
 upb = get_upb("tiles")
 lam = minimum_overlap(upb)
-w = build_witness(upb, lam)
+w = build_witness(upb, lam.value)
 omega = omega_state(upb)
 n, d = upb.cardinality, upb.total_dim
 

@@ -26,7 +26,7 @@ from pptball import (
 
 upb = get_upb("tiles")
 lam = minimum_overlap(upb)
-cert = certify(upb, lam)
+cert = certify(upb, lam.value)
 profile = robustness_profile(cert, grid_size=12)
 
 print(f"lambda          = {profile['lambda']:.12f}")

@@ -26,7 +26,7 @@ from pptball import (
 certs = {}
 for name in ("tiles", "shifts"):
     upb = get_upb(name)
-    cert = certs[name] = certify(upb, minimum_overlap(upb))
+    cert = certs[name] = certify(upb, minimum_overlap(upb).value)
     ball = verify_ball_robustness(cert, 10, 300, 42)
     mixing = verify_separable_mixing(cert, 300, 42)
     print(f"== {name} ==")

@@ -18,13 +18,14 @@ from pptball import (
 )
 
 upb = get_upb("tiles")
-cert = certify(upb, minimum_overlap(upb))
+lam = minimum_overlap(upb)
+cert = certify(upb, lam.value)
 
 universal = separable_mixing_threshold(cert)
 print(f"universal separable-mixing threshold = {universal:.12f} (= lambda)")
 
 mixed = DensityMatrix.maximally_mixed(upb.structure)
-sigma_dir = minimizer_direction(cert)
+sigma_dir = minimizer_direction(lam.minimizers)
 print(f"per-direction thresholds:")
 print(f"  white noise I/D      : {ppt_mixing_threshold(cert, mixed):.12f}")
 print(f"  minimizer direction  : {ppt_mixing_threshold(cert, sigma_dir):.12f} "

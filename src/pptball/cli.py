@@ -125,7 +125,7 @@ def _certificate(args) -> Certificate:
     upb, lam = _overlap(args)
     if not lam.converged:
         raise _NoConvergence("overlap minimizer did not converge")
-    return certify(upb, lam)
+    return certify(upb, lam.value)
 
 
 def _cmd_upb_list(args) -> tuple[dict, int]:
@@ -185,7 +185,7 @@ def _cmd_verify(args) -> tuple[dict, int]:
     violations = sum(s.ppt_violations + s.witness_violations for s in (ball, mixing))
     fields = {
         "config": _config(args, trials=args.trials, grid=args.grid),
-        "lambda": cert.lam.value,
+        "lambda": cert.lam,
         "suites": {"ball": ball.to_json_dict(), "separable-mixing": mixing.to_json_dict()},
         "violations_total": violations,
     }

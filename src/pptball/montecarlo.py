@@ -28,7 +28,7 @@ from functools import reduce
 
 import numpy as np
 
-from .operators import DensityMatrix, HilbertStructure, PSD_TOL, _integer, _kron_rows
+from .operators import DensityMatrix, HilbertStructure, PSD_TOL, _integer, _kron_rows, _structure
 from .operators import _min_pt_eigenvalue, all_bipartitions
 from .robustness import Certificate, _center_inv_sqrt, _membership
 from .witness import _complex_gaussians, _witness_value
@@ -97,25 +97,25 @@ def _product_mixture(local_dims, terms: int, gen: random.Random) -> np.ndarray:
 
 
 def sample_hs_density(
-    structure: HilbertStructure, seed: int, trial: int = 0, stream_id: int = 0
+    structure: HilbertStructure | tuple, seed: int, trial: int = 0, stream_id: int = 0
 ) -> DensityMatrix:
     """One Hilbert-Schmidt random state: G G^dag / Tr(G G^dag) for Gaussian G.
 
     Full rank with probability 1.
     """
     gen = _substream(_sampler_key(seed, stream_id, _HS_TAG, trial))
-    return DensityMatrix(_hs_matrix(structure.total_dim, gen), structure)
+    return DensityMatrix(_hs_matrix(_structure(structure).total_dim, gen), structure)
 
 
 def sample_random_product_separable(
-    structure: HilbertStructure,
+    structure: HilbertStructure | tuple,
     mixture_terms: int,
     seed: int,
     trial: int = 0,
     stream_id: int = 0,
 ) -> DensityMatrix:
     """Dirichlet-weighted mixture of random product projectors; separable by construction."""
-    mixture_terms = _integer(mixture_terms, "mixture_terms", 1)
+    structure, mixture_terms = _structure(structure), _integer(mixture_terms, "mixture_terms", 1)
     gen = _substream(_sampler_key(seed, stream_id, _PRODUCT_TAG, trial))
     return DensityMatrix(_product_mixture(structure.local_dims, mixture_terms, gen), structure)
 
@@ -245,7 +245,7 @@ def verify_separable_mixing(cert: Certificate, trials: int, seed: int) -> Verifi
     """
     trials = _integer(trials, "trials", 1)
     seed = _integer(seed, "seed", 0)
-    z = PROBE_FRACTION * cert.lam.value
+    z = PROBE_FRACTION * cert.lam
 
     def keyed_matrices():
         for t in range(trials):

@@ -71,9 +71,9 @@ def _structure(value) -> HilbertStructure:
     raise ValueError(f"structure must be a HilbertStructure or local dimensions, got {value!r}")
 
 
-def all_bipartitions(structure: HilbertStructure) -> tuple[tuple[int, ...], ...]:
+def all_bipartitions(structure: HilbertStructure | tuple) -> tuple[tuple[int, ...], ...]:
     """Transposed sides of the 2**(n-1) - 1 distinct splits; subsystem 0 is never transposed."""
-    n = _integer(structure.n_parties, "number of subsystems", 2)
+    n = _integer(_structure(structure).n_parties, "number of subsystems", 2)
     return tuple(side for r in range(1, n) for side in combinations(range(1, n), r))
 
 
@@ -117,6 +117,7 @@ class DensityMatrix(HermitianOperator):
 
     def __post_init__(self):
         super().__post_init__()
+        object.__setattr__(self, "structure", _structure(self.structure))
         if self.dim != self.structure.total_dim:
             raise ValueError(
                 f"operator dimension {self.dim} does not match "
@@ -129,12 +130,12 @@ class DensityMatrix(HermitianOperator):
             raise ValueError(f"not positive semidefinite: min eigenvalue {lo:.3e}")
 
     @classmethod
-    def maximally_mixed(cls, structure: HilbertStructure) -> "DensityMatrix":
-        d = structure.total_dim
+    def maximally_mixed(cls, structure: HilbertStructure | tuple) -> "DensityMatrix":
+        d = _structure(structure).total_dim
         return cls(np.eye(d) / d, structure)
 
     @classmethod
-    def from_pure(cls, vector, structure: HilbertStructure) -> "DensityMatrix":
+    def from_pure(cls, vector, structure: HilbertStructure | tuple) -> "DensityMatrix":
         v = np.asarray(vector, dtype=complex).reshape(-1)
         if not np.isfinite(v).all() or not v.any():
             raise ValueError("vector entries are not finite, or all zero")

@@ -23,8 +23,8 @@ import numpy as np
 
 from .operators import DensityMatrix, HermitianOperator, _integer, _operator, eig_hermitian
 from .operators import is_ppt, purity
-from .upb import UPBSet, omega_state
-from .witness import LambdaResult, Witness, _normalizer, build_witness, witness_value
+from .upb import ProductState, UPBSet, omega_state
+from .witness import Witness, _normalizer, build_witness, witness_value
 
 IDENTITY_ATOL = 1e-12
 RANK_TOL = 1e-12
@@ -81,18 +81,17 @@ def _outward(q: Fraction, up: bool) -> float:
 class Certificate:
     """The chain from a product basis to its entanglement threshold.
 
-    ``lam`` is the minimum product overlap as the seesaw finds it: an upper
-    estimate, not the proof's lower bound ``proof.prove_product_minimum``
-    gives.  ``witness`` is the normalized W = (P - lambda I)/(n - lambda D),
-    ``omega`` the complement state, ``lambda_omega`` = -Tr(W omega) its
-    violation and ``x_star`` the threshold above which the white-noise family
-    through omega stays witness-negative.  Both numbers are exact functions
-    of (n, D, lambda) rounded once, ``lambda_omega`` down and ``x_star`` up.
-    Build it with ``certify``.
+    ``lam`` is the float lambda it is built from, such as the seesaw's upper
+    estimate of the minimum product overlap or the proven lower bound.
+    ``witness`` is W = (P - lambda I)/(n - lambda D), ``omega`` the complement
+    state, ``lambda_omega`` = -Tr(W omega) its violation and ``x_star`` the
+    threshold above which the white-noise family through omega stays
+    witness-negative.  Both numbers are exact functions of (n, D, lambda)
+    rounded once, ``lambda_omega`` down and ``x_star`` up.  Build it with ``certify``.
     """
 
     upb: UPBSet
-    lam: LambdaResult
+    lam: float
     witness: Witness
     omega: DensityMatrix
     lambda_omega: float
@@ -119,20 +118,18 @@ class Certificate:
     def radius(self, x: float) -> float:
         """Certified ball radius y0(x) at x: the smaller branch of ``_branches``, rounded down."""
         self._check_entangled(x)
-        y0 = min(_branches(x, self.upb.cardinality, self.upb.total_dim, self.lam.value))
+        y0 = min(_branches(x, self.upb.cardinality, self.upb.total_dim, self.lam))
         return _outward(y0, up=False)
 
 
-def certify(upb: UPBSet, lam: LambdaResult) -> Certificate:
-    """Build the witness, complement state, violation and threshold of a set.
+def certify(upb: UPBSet, lam: float) -> Certificate:
+    """Build the witness, complement state, violation and threshold of a set at lambda.
 
-    lambda_omega = lambda/(n - lambda D), rounded down, must stay below the
-    1 - 2/D ceiling; x* = 1 - lambda D/n is rounded up.
+    ``build_witness`` checks lambda; lambda_omega = lambda/(n - lambda D) is
+    rounded down and x* = 1 - lambda D/n up.
     """
-    d = upb.total_dim
-    lambda_omega, _, x_star = _line(upb.cardinality, d, lam.value)
-    if lambda_omega > 1 - Fraction(2, d):
-        raise RuntimeError(f"witness violation {float(lambda_omega)!r} exceeds the 1 - 2/D ceiling")
+    lam = float(lam)
+    lambda_omega, _, x_star = _line(upb.cardinality, upb.total_dim, lam)
     lambda_omega, x_star = _outward(lambda_omega, up=False), _outward(x_star, up=True)
     return Certificate(upb, lam, build_witness(upb, lam), omega_state(upb), lambda_omega, x_star)
 
@@ -270,7 +267,7 @@ def separable_mixing_threshold(cert: Certificate) -> float:
     p lambda_omega / (Tr W+ + p lambda_omega) with p = n and Tr W+ = n w_max;
     lambda_omega + w_max = 1/(n - lambda D), so it is lambda itself, exactly.
     """
-    return cert.lam.value
+    return cert.lam
 
 
 def ppt_mixing_threshold(cert: Certificate, sigma: DensityMatrix) -> float:
@@ -289,11 +286,13 @@ def ppt_mixing_threshold(cert: Certificate, sigma: DensityMatrix) -> float:
     return float(cert.lambda_omega / (cert.lambda_omega + max(val, 0.0)))
 
 
-def minimizer_direction(cert: Certificate) -> DensityMatrix:
-    """Uniform mixture of the collected minimizing product-state projectors."""
-    structure = cert.upb.structure
-    mats = [m.to_density(structure).matrix for m in cert.lam.minimizers]
-    return DensityMatrix(sum(mats) / len(mats), structure)
+def minimizer_direction(minimizers: tuple[ProductState, ...]) -> DensityMatrix:
+    """Uniform mixture of the projectors onto product states, such as the seesaw's minimizers."""
+    dims = {m.local_dims for m in minimizers}
+    if len(dims) != 1:
+        raise ValueError(f"need product states on one set of local dimensions, got {sorted(dims)}")
+    mats = [m.to_density().matrix for m in minimizers]
+    return DensityMatrix(sum(mats) / len(mats), dims.pop())
 
 
 def robustness_profile(cert: Certificate, grid_size: int) -> dict:
@@ -303,11 +302,10 @@ def robustness_profile(cert: Certificate, grid_size: int) -> dict:
     ``y0_paper``, the radius with Tr W+ / p in place of the largest eigenvalue
     of W; on the UPB line Tr W+ / p = w_max exactly, so the two are equal.
     """
-    lam = cert.lam.value
-    crossing = crossing_x0(cert.upb.cardinality, cert.upb.total_dim, lam)
+    crossing = crossing_x0(cert.upb.cardinality, cert.upb.total_dim, cert.lam)
     xs = [float(x) for x in cert.x_grid(grid_size)]
     return {
-        "lambda": lam,
+        "lambda": cert.lam,
         "lambda_omega": cert.lambda_omega,
         "x_star": cert.x_star,
         "x0_root": crossing.x0_root,

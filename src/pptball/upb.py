@@ -19,12 +19,7 @@ from functools import reduce
 
 import numpy as np
 
-from .operators import (
-    DensityMatrix,
-    HermitianOperator,
-    HilbertStructure,
-    _frozen,
-)
+from .operators import DensityMatrix, HermitianOperator, HilbertStructure, _frozen, _structure
 
 GRAM_ATOL = 1e-10
 UNIT_NORM_ATOL = 1e-12
@@ -67,8 +62,8 @@ class ProductState:
             out *= float(abs(np.vdot(a, b)) ** 2)
         return out
 
-    def to_density(self, structure: HilbertStructure | None = None) -> DensityMatrix:
-        structure = structure or HilbertStructure(self.local_dims)
+    def to_density(self, structure: HilbertStructure | tuple | None = None) -> DensityMatrix:
+        structure = self.local_dims if structure is None else structure
         return DensityMatrix.from_pure(self.full_vector, structure)
 
 
@@ -82,6 +77,7 @@ class UPBSet:
     projector: HermitianOperator = field(init=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "structure", _structure(self.structure))
         members = tuple(self.members)
         if not members:
             raise ValueError("a product-vector set needs at least one member")
@@ -122,9 +118,8 @@ class UPBSet:
         ``vectors`` iterates over members; each member is an iterable of one
         vector per subsystem.
         """
-        structure = HilbertStructure(tuple(local_dims))
         members = tuple(ProductState(tuple(v for v in member)) for member in vectors)
-        return cls(name, structure, members)
+        return cls(name, tuple(local_dims), members)
 
     def to_json_dict(self) -> dict:
         """Export as plain data with complex entries encoded as [re, im] pairs."""

@@ -205,16 +205,22 @@ def _normalizer(n: int, d: int, lam_value: float) -> float:
     return n - lam_value * d
 
 
-def build_witness(upb: UPBSet, lam: LambdaResult | float) -> Witness:
+def build_witness(upb: UPBSet, lam: float) -> Witness:
     """Normalized witness (P - lambda I) / (n - lambda D) for a product-basis set.
 
     The spectrum is flat by construction: eigenvalue (1 - lambda)/(n - lambda D)
     with multiplicity n and -lambda/(n - lambda D) with multiplicity D - n.
+    The violation lambda/(n - lambda D) may not exceed 1 - 2/D, compared exactly.
     """
-    lam_value = lam.value if isinstance(lam, LambdaResult) else float(lam)
+    # Imported on use: the lambda command loads this module but builds no witness.
+    from fractions import Fraction
+
+    lam = float(lam)
     d, n = upb.total_dim, upb.cardinality
-    w = (upb.projector.matrix - lam_value * np.eye(d)) / _normalizer(n, d, lam_value)
-    return witness_from_operator(w)
+    norm = _normalizer(n, d, lam)
+    if Fraction(lam) / (n - Fraction(lam) * d) > 1 - Fraction(2, d):
+        raise ValueError(f"witness violation at lambda = {lam!r} exceeds the 1 - 2/D ceiling")
+    return witness_from_operator((upb.projector.matrix - lam * np.eye(d)) / norm)
 
 
 def witness_value(w: HermitianOperator | np.ndarray, rho: HermitianOperator | np.ndarray) -> float:

@@ -49,32 +49,32 @@ def shifts_lambda(shifts):
 
 @pytest.fixture(scope="session")
 def tiles_witness(tiles, tiles_lambda):
-    return build_witness(tiles, tiles_lambda)
+    return build_witness(tiles, tiles_lambda.value)
 
 
 @pytest.fixture(scope="session")
 def pyramid_witness(pyramid, pyramid_lambda):
-    return build_witness(pyramid, pyramid_lambda)
+    return build_witness(pyramid, pyramid_lambda.value)
 
 
 @pytest.fixture(scope="session")
 def shifts_witness(shifts, shifts_lambda):
-    return build_witness(shifts, shifts_lambda)
+    return build_witness(shifts, shifts_lambda.value)
 
 
 @pytest.fixture(scope="session")
 def tiles_cert(tiles, tiles_lambda):
-    return certify(tiles, tiles_lambda)
+    return certify(tiles, tiles_lambda.value)
 
 
 @pytest.fixture(scope="session")
 def pyramid_cert(pyramid, pyramid_lambda):
-    return certify(pyramid, pyramid_lambda)
+    return certify(pyramid, pyramid_lambda.value)
 
 
 @pytest.fixture(scope="session")
 def shifts_cert(shifts, shifts_lambda):
-    return certify(shifts, shifts_lambda)
+    return certify(shifts, shifts_lambda.value)
 
 
 @pytest.fixture(scope="session")

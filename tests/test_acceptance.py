@@ -144,7 +144,7 @@ def test_a05_ball_verification(
         lo = lambda_omega_of(witness, omega_state(upb))
         x_star = entanglement_threshold(lo, upb.total_dim)
         xs = np.linspace(x_star, 1.0, 12)[1:-1]
-        out = verify_ball_robustness(certify(upb, lam), 10, 1000, 42)
+        out = verify_ball_robustness(certify(upb, lam.value), 10, 1000, 42)
         # The suite draws its points from the certificate; they must be the
         # grid over the x* computed here from the witness value alone.
         assert np.max(np.abs(np.array(out.config["x_grid"]) - xs)) < 1e-12
@@ -161,11 +161,11 @@ def test_a05_ball_verification(
 
 def test_a06_separable_mixing_verification(tiles, shifts, tiles_lambda, shifts_lambda):
     for upb, lam in ((tiles, tiles_lambda), (shifts, shifts_lambda)):
-        cert = certify(upb, lam)
+        cert = certify(upb, lam.value)
         out = verify_separable_mixing(cert, 1000, 42)
         assert out.ppt_violations == 0
         assert out.witness_violations == 0
-        sigma_dir = minimizer_direction(cert)
+        sigma_dir = minimizer_direction(lam.minimizers)
         zs = list(np.linspace(0.0, 0.9, 10)) + [0.99, 0.999]
         for x in ((cert.x_star + 1.0) / 2, 0.99):
             report = verify_maximal_robustness(cert, sigma_dir, x, zs)

@@ -379,7 +379,7 @@ def test_plain_matrix_suites_match_object_path(request, cert_name):
     assert ball.trials == len(ball_states)
     assert _outcome_fields(ball) == _score_states(cert.witness, ball_states)
 
-    z = PROBE_FRACTION * cert.lam.value
+    z = PROBE_FRACTION * cert.lam
     mixing_states = []
     for t in range(trials):
         sigma = sample_random_product_separable(structure, MIXTURE_TERMS, 5, trial=t, stream_id=2)
@@ -392,7 +392,8 @@ def test_plain_matrix_suites_match_object_path(request, cert_name):
     # The maximal-direction grid keys the mixture at z_grid[i] by (i,).
     x = (cert.x_star + 1.0) / 2
     zs = list(np.linspace(0.0, 0.9, 10)) + [0.99, 0.999]
-    sigma_dir = minimizer_direction(cert)
+    lam = request.getfixturevalue(cert_name.replace("cert", "lambda"))
+    sigma_dir = minimizer_direction(lam.minimizers)
     rho_x = cert.member(x).matrix
     direction_states = [
         ((i,), DensityMatrix(z * sigma_dir.matrix + (1.0 - z) * rho_x, structure))
@@ -529,7 +530,7 @@ import pptball.witness
 from pptball import build_shifts, certify, minimum_overlap, robustness_profile
 pptball.witness.SEESAW_RESTARTS = 20
 shifts = build_shifts()
-robustness_profile(certify(shifts, minimum_overlap(shifts)), grid_size=3)
+robustness_profile(certify(shifts, minimum_overlap(shifts).value), grid_size=3)
 print("scipy" in sys.modules)
 """
     assert _probe(probe) == ["False"]

@@ -7,6 +7,8 @@ from pptball import (
     DensityMatrix,
     HermitianOperator,
     HilbertStructure,
+    ProductState,
+    UPBSet,
     Witness,
     all_bipartitions,
     build_complete_basis,
@@ -21,7 +23,7 @@ from pptball import (
     witness_from_operator,
     witness_value,
 )
-from pptball.montecarlo import sample_random_product_separable
+from pptball.montecarlo import sample_hs_density, sample_random_product_separable
 
 
 def rand_hermitian(rng, d):
@@ -342,6 +344,46 @@ def test_operator_arguments_share_one_entry_rule(call, wrong_shape, message):
         call(nan)
     with pytest.raises(ValueError, match=message):
         call(wrong_shape)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda s: DensityMatrix(ENTRY_MATRIX, s),
+        DensityMatrix.maximally_mixed,
+        lambda s: DensityMatrix.from_pure([1.0, 0.0, 0.0, 1.0], s),
+        lambda s: ProductState(([1.0, 0.0], [0.0, 1.0])).to_density(s),
+        lambda s: sample_hs_density(s, 0),
+        lambda s: sample_random_product_separable(s, 2, 0),
+        all_bipartitions,
+        lambda s: UPBSet("qubits", s, build_complete_basis((2, 2)).members).projector,
+    ],
+    ids=[
+        "DensityMatrix",
+        "maximally_mixed",
+        "from_pure",
+        "to_density",
+        "sample_hs_density",
+        "sample_random_product_separable",
+        "all_bipartitions",
+        "UPBSet",
+    ],
+)
+def test_structure_arguments_share_one_entry_rule(call):
+    # Every public function and type that takes a structure accepts its local
+    # dimensions as a tuple or list and gives what the HilbertStructure gives;
+    # anything else is a ValueError, not an AttributeError.
+    expected = call(QUBITS)
+    for dims in ((2, 2), [2, 2]):
+        got = call(dims)
+        if isinstance(expected, HermitianOperator):
+            assert np.array_equal(got.matrix, expected.matrix)
+            assert getattr(got, "structure", QUBITS).local_dims == (2, 2)
+        else:
+            assert got == expected
+    message = "^structure must be a HilbertStructure or local dimensions, got 4$"
+    with pytest.raises(ValueError, match=message):
+        call(4)
 
 
 @pytest.mark.parametrize("shape", [(4, 4), (9, 8)])

@@ -29,7 +29,7 @@ from pptball import (
 )
 from pptball.montecarlo import sample_hs_density
 from pptball.robustness import _branches, _line
-from pptball.witness import ZERO_EIG_ATOL, LambdaResult
+from pptball.witness import ZERO_EIG_ATOL
 
 TILES_N, TILES_D = 5, 9
 
@@ -103,7 +103,7 @@ def test_threshold_identity_cross_check(tiles_cert):
     # Fractions the certificate is rounded from: the two forms of x*, the
     # mixing threshold p lambda_omega / (Tr W+ + p lambda_omega) = lambda with
     # p = n and Tr W+ = n w_max, and branch equality at the exact x0.
-    n, d, value = TILES_N, TILES_D, tiles_cert.lam.value
+    n, d, value = TILES_N, TILES_D, tiles_cert.lam
     lam = Fraction(value)
     lambda_omega, w_max, x_star = _line(n, d, value)
     assert lambda_omega == lam / (n - lam * d)
@@ -119,9 +119,9 @@ def test_threshold_identity_cross_check(tiles_cert):
 @pytest.mark.parametrize("name", ["tiles", "shifts"])
 def test_certificate_matches_closed_forms(request, name):
     cert = request.getfixturevalue(f"{name}_cert")
-    upb, lam = cert.upb, cert.lam.value
+    upb, lam = cert.upb, cert.lam
     d, n = upb.total_dim, upb.cardinality
-    assert cert.lam is request.getfixturevalue(f"{name}_lambda")
+    assert type(lam) is float and lam == request.getfixturevalue(f"{name}_lambda").value
     lambda_omega, w_max, x_star = _line(n, d, lam)
     assert rounded_up(cert.x_star, x_star)
     assert rounded_down(cert.lambda_omega, lambda_omega)
@@ -150,12 +150,11 @@ def test_certificate_rounds_outward_across_lambda(tiles, shifts, name, data):
     n, d = upb.cardinality, upb.total_dim
     lam = data.draw(st.floats(ZERO_EIG_ATOL, n / d, exclude_min=True, exclude_max=True))
     lambda_omega, w_max, x_star = _line(n, d, lam)
-    result = LambdaResult(value=lam, converged=True, minimizers=())
     if lambda_omega > 1 - Fraction(2, d):
-        with pytest.raises(RuntimeError, match="exceeds the 1 - 2/D ceiling"):
-            certify(upb, result)
+        with pytest.raises(ValueError, match="exceeds the 1 - 2/D ceiling"):
+            certify(upb, lam)
         return
-    cert = certify(upb, result)
+    cert = certify(upb, lam)
     assert rounded_up(cert.x_star, x_star)
     assert rounded_down(cert.lambda_omega, lambda_omega)
     for x in cert.x_grid(9):
@@ -179,7 +178,7 @@ def test_radius_limits_and_positivity(tiles_cert):
 def test_radius_modes_agree_for_flat_spectrum(request):
     for name in ("tiles", "pyramid", "shifts"):
         upb, lam = request.getfixturevalue(name), request.getfixturevalue(f"{name}_lambda")
-        profile = robustness_profile(certify(upb, lam), grid_size=21)
+        profile = robustness_profile(certify(upb, lam.value), grid_size=21)
         for row in profile["radius_samples"]:
             assert abs(row["y0_tight"] - row["y0_paper"]) < 1e-12
 
@@ -338,7 +337,7 @@ def test_ball_membership_rejects_rank_deficient_center(tiles_omega, shifts_cert)
 def test_separable_mixing_threshold_identity(tiles_cert):
     # p lambda_omega / (Tr W+ + p lambda_omega) is lambda exactly on the line,
     # and the witness's float counts and traces give it to rounding.
-    lam, w = tiles_cert.lam.value, tiles_cert.witness
+    lam, w = tiles_cert.lam, tiles_cert.witness
     assert separable_mixing_threshold(tiles_cert) == lam
     lambda_omega, w_max, _ = _line(TILES_N, TILES_D, lam)
     p = w.p_count
@@ -347,9 +346,9 @@ def test_separable_mixing_threshold_identity(tiles_cert):
     assert abs(p * lambda_omega / (w.pos_part_trace + p * lambda_omega) - lam) < 1e-12
 
 
-def test_ppt_mixing_threshold_directions(tiles, tiles_cert):
+def test_ppt_mixing_threshold_directions(tiles, tiles_lambda, tiles_cert):
     lambda_omega = tiles_cert.lambda_omega
-    sigma_min = tiles_cert.lam.minimizers[0].to_density(tiles.structure)
+    sigma_min = tiles_lambda.minimizers[0].to_density(tiles.structure)
     assert abs(ppt_mixing_threshold(tiles_cert, sigma_min) - 1.0) < 1e-6
     mixed = DensityMatrix.maximally_mixed(tiles.structure)
     expected = lambda_omega / (lambda_omega + 1.0 / TILES_D)
@@ -358,8 +357,21 @@ def test_ppt_mixing_threshold_directions(tiles, tiles_cert):
         ppt_mixing_threshold(tiles_cert, tiles_cert.omega)
 
 
-def test_maximal_robustness_direction(tiles_cert):
-    sigma_dir = minimizer_direction(tiles_cert)
+def test_minimizer_direction_mixes_product_states_of_one_shape(tiles_lambda, shifts_lambda):
+    # The direction is the uniform mixture of the minimizers' projectors, on
+    # their own local dimensions; an empty list or mixed dimensions is refused.
+    minimizers = tiles_lambda.minimizers
+    direction = minimizer_direction(minimizers)
+    mats = [m.to_density().matrix for m in minimizers]
+    assert direction.structure.local_dims == (3, 3)
+    assert np.array_equal(direction.matrix, sum(mats) / len(mats))
+    for bad in ((), (minimizers[0], shifts_lambda.minimizers[0])):
+        with pytest.raises(ValueError, match="^need product states on one set of local dimensions"):
+            minimizer_direction(bad)
+
+
+def test_maximal_robustness_direction(tiles_lambda, tiles_cert):
+    sigma_dir = minimizer_direction(tiles_lambda.minimizers)
     x_star = tiles_cert.x_star
     x = (x_star + 1.0) / 2
     zs = [0.0, 0.3, 0.6, 0.9, 0.99, 0.999]

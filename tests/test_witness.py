@@ -103,7 +103,7 @@ def test_extendible_sets_are_not_certified(seed, dims, n, quick):
     lam = minimum_overlap(upb)
     message = "extendible" if lam.value > 0 else r"outside \(0, n/D"
     with pytest.raises(ValueError, match=f"minimum overlap {re.escape(repr(lam.value))}.*{message}"):
-        certify(upb, lam)
+        certify(upb, lam.value)
 
 
 def test_overlaps_are_positive_and_below_ratio(tiles_lambda, pyramid_lambda, shifts_lambda):
@@ -303,13 +303,18 @@ def test_expectation_sandwich(tiles, tiles_witness):
         assert -w.neg_part_trace - 1e-12 <= val <= w.pos_part_trace + 1e-12
 
 
-def test_witness_normalizer_guard(complete22):
+def test_witness_normalizer_guard(complete22, tiles):
     with pytest.raises(ValueError, match="normalizer"):
         build_witness(complete22, 1.0)
     with pytest.raises(ValueError, match="normalizer"):
         build_witness(complete22, 0.0)
     with pytest.raises(ValueError, match=r"1e-13 is at most ZERO_EIG_ATOL = 1e-12: .* extendible"):
         build_witness(complete22, 1e-13)
+    # The float just below n/D = 5/9 passes the normalizer, which is then a
+    # few ulps; the exact violation lambda/(n - lambda D) is what refuses it.
+    message = r"^witness violation at lambda = 0\.5555555555555555 exceeds the 1 - 2/D ceiling$"
+    with pytest.raises(ValueError, match=message):
+        build_witness(tiles, 0.5555555555555555)
 
 
 def test_witness_requires_unit_trace():
