@@ -38,7 +38,7 @@ print(f"max positive eigenvalue = {w.max_pos_eigenvalue:.15f} "
 print()
 print(f"Tr(W Omega) = {witness_value(w, omega):.15f} "
       f"(closed form -lambda/(n-lambda D) = {-lam.value/(n-lam.value*d):.15f})")
-sigma_min = lam.minimizers[0].to_density(upb.structure)
+sigma_min = lam.minimizers[0].to_density()
 print(f"Tr(W sigma_min) = {witness_value(w, sigma_min):.2e} (zero-crossing direction)")
 mixed = DensityMatrix.maximally_mixed(upb.structure)
 print(f"Tr(W I/D)   = {witness_value(w, mixed):.15f} (= 1/D)")

@@ -13,7 +13,6 @@ from pptball import (
     minimizer_direction,
     minimum_overlap,
     ppt_mixing_threshold,
-    separable_mixing_threshold,
     verify_maximal_robustness,
 )
 
@@ -21,12 +20,12 @@ upb = get_upb("tiles")
 lam = minimum_overlap(upb)
 cert = certify(upb, lam.value)
 
-universal = separable_mixing_threshold(cert)
+universal = cert.lam
 print(f"universal separable-mixing threshold = {universal:.12f} (= lambda)")
 
 mixed = DensityMatrix.maximally_mixed(upb.structure)
 sigma_dir = minimizer_direction(lam.minimizers)
-print(f"per-direction thresholds:")
+print("per-direction thresholds:")
 print(f"  white noise I/D      : {ppt_mixing_threshold(cert, mixed):.12f}")
 print(f"  minimizer direction  : {ppt_mixing_threshold(cert, sigma_dir):.12f} "
       f"(zero witness value, maximal robustness)")

@@ -26,10 +26,8 @@ _MODULES = {
     ),
     "proof": ("ProductMinimumBound", "prove_product_minimum"),
     "robustness": (
-        "Certificate", "CrossingResult", "MixtureDecomposition", "ball_membership", "certify",
-        "crossing_x0", "entanglement_threshold", "in_gurvits_ball",
+        "Certificate", "MixtureDecomposition", "ball_membership", "certify", "in_gurvits_ball",
         "minimizer_direction", "mixture_tau", "ppt_mixing_threshold", "robustness_profile",
-        "separable_mixing_threshold",
     ),
     "montecarlo": (
         "BallFractionEstimate", "VerificationOutcome", "ball_fraction_estimate",

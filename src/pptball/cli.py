@@ -48,14 +48,6 @@ EXIT_USAGE = 2
 EXIT_NO_CONVERGENCE = 3
 EXIT_CONTRACT = 4
 
-X0_NOTE = (
-    "x0_root is the root of branch equality, (n(D-2) + D(1 - lambda(D-1))) / "
-    "(n(D-2) + D(1 - lambda)); x0_printed_eq32 evaluates the tabulated closed "
-    "form, whose denominator multiplies n(D-2) by D(1 - lambda) where the root "
-    "adds them, so it disagrees with the root and is carried for comparison only."
-)
-
-
 class _NoConvergence(Exception):
     """The overlap minimizer did not converge; ``main`` exits with status 3."""
 
@@ -173,7 +165,7 @@ def _cmd_profile(args) -> tuple[dict, int]:
     from .robustness import robustness_profile
 
     profile = robustness_profile(_certificate(args), grid_size=args.grid)
-    return {"config": _config(args, grid=args.grid), **profile, "x0_note": X0_NOTE}, EXIT_OK
+    return {"config": _config(args, grid=args.grid), **profile}, EXIT_OK
 
 
 def _cmd_verify(args) -> tuple[dict, int]:

@@ -42,6 +42,17 @@ def _integer(value, what: str, floor: int | None = None) -> int:
     return value
 
 
+def _real(value, what: str) -> float:
+    """``value`` as a float; Python and numpy integers and floats pass.
+
+    The entry check for real parameters such as lambda; bool, str and
+    complex values are rejected.  Range and finiteness are the caller's checks.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise ValueError(f"{what} must be a real number, got {value!r}")
+    return float(value)
+
+
 @dataclass(frozen=True, eq=False)
 class HilbertStructure:
     """Ordered local dimensions (d1, ..., dn) of a composite system."""

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import HermitianOperator, HilbertStructure, _kron_rows, _operator, _structure
+from .operators import HermitianOperator, HilbertStructure, _kron_rows, _operator, _real, _structure
 
 # prove_product_minimum proves <W> >= (best product value found) - PROOF_GAP.
 # The cell bound is second order in the cell size, so cells near a minimizer
@@ -286,10 +286,11 @@ def prove_product_minimum(
     only the others have their vertex matrices built and solved; the margin
     makes the result the same.  The cells of one level share their size and t, so
     the cell count does not depend on PROOF_BLOCK_BYTES.  Raises ValueError
-    for an ``upper`` below the root and RuntimeError after PROOF_MAX_CELLS
-    cells.  W may be a plain matrix and ``structure`` a tuple of dimensions.
+    for an ``upper`` that is not a real number or lies below the root, and
+    RuntimeError after PROOF_MAX_CELLS cells.  W may be a plain matrix and
+    ``structure`` a tuple of dimensions.
     """
-    w, structure = _operator(w), _structure(structure)
+    w, structure, upper = _operator(w), _structure(structure), _real(upper, "upper")
     if w.dim != structure.total_dim:
         raise ValueError(f"dimension mismatch: operator {w.dim}, structure {structure.total_dim}")
     if not np.isfinite(upper):
@@ -298,8 +299,8 @@ def prove_product_minimum(
     if upper < root:
         raise ValueError(f"upper must be at least lambda_min(W) - margin = {root!r}, got {upper!r}")
     if len(structure.local_dims) == 1:
-        return ProductMinimumBound(lower=root, upper=min(float(upper), lam_w), cells=0)
-    lower, best, cells = root, float(upper), 0
+        return ProductMinimumBound(lower=root, upper=min(upper, lam_w), cells=0)
+    lower, best, cells = root, upper, 0
     for level in _levels(structure, upper, h4, lam_w, norm_w, root):
         lower = root if level.failed.any() else level.t
         best, cells = level.upper, cells + level.failed.size

@@ -24,35 +24,12 @@ import numpy as np
 from .operators import DensityMatrix, HermitianOperator, _integer, _operator, eig_hermitian
 from .operators import is_ppt, purity
 from .upb import ProductState, UPBSet, omega_state
-from .witness import Witness, _normalizer, build_witness, witness_value
+from .witness import Witness, _line, build_witness, witness_value
 
 IDENTITY_ATOL = 1e-12
 RANK_TOL = 1e-12
 # Tr(W sigma) of a zero-witness direction is zero only up to the rounding of the trace.
 WITNESS_SIGN_ATOL = 1e-10
-
-
-def entanglement_threshold(lambda_rho: float, dim_total: int) -> float:
-    """x* = 1/(1 + D lambda); family members with x > x* stay witness-negative."""
-    dim_total = _integer(dim_total, "total dimension", 2)
-    if not 0.0 < lambda_rho < np.inf:
-        raise ValueError(
-            "witness violation must be strictly positive and finite; a separable "
-            f"base state has no entanglement threshold, got {lambda_rho!r}"
-        )
-    return 1.0 / (1.0 + dim_total * lambda_rho)
-
-
-def _line(n: int, d: int, lam: float) -> tuple[Fraction, Fraction, Fraction]:
-    """lambda_omega = lambda/(n - lambda D), w_max = (1 - lambda)/(n - lambda D) and x*.
-
-    They are -Tr(W omega), the flat positive eigenvalue of W, and
-    x* = 1 - lambda D/n = 1/(1 + D lambda_omega); ``_normalizer`` checks lambda.
-    """
-    _normalizer(n, d, lam)
-    lam = Fraction(lam)
-    norm = n - lam * d
-    return lam / norm, (1 - lam) / norm, 1 - lam * d / n
 
 
 def _branches(x: float, n: int, d: int, lam: float) -> tuple[Fraction, Fraction]:
@@ -125,59 +102,40 @@ class Certificate:
 def certify(upb: UPBSet, lam: float) -> Certificate:
     """Build the witness, complement state, violation and threshold of a set at lambda.
 
-    ``build_witness`` checks lambda; lambda_omega = lambda/(n - lambda D) is
+    ``_line`` checks lambda; lambda_omega = lambda/(n - lambda D) is
     rounded down and x* = 1 - lambda D/n up.
     """
-    lam = float(lam)
     lambda_omega, _, x_star = _line(upb.cardinality, upb.total_dim, lam)
+    lam = float(lam)
     lambda_omega, x_star = _outward(lambda_omega, up=False), _outward(x_star, up=True)
     return Certificate(upb, lam, build_witness(upb, lam), omega_state(upb), lambda_omega, x_star)
 
 
-@dataclass(frozen=True)
-class CrossingResult:
-    """Where the two radius branches meet, with the tabulated closed form beside it.
-
-    ``x0_printed`` evaluates the closed-form expression as tabulated; it does
-    not match the branch-equality root and is carried for comparison only,
-    never used downstream.  ``branch_value`` and the branch gap ``residual`` are at x0_root.
-    """
-
-    x0_root: float
-    x0_printed: float
-    branch_value: float
-    residual: float
+X0_NOTE = (
+    "x0_root is the root of branch equality, (n(D-2) + D(1 - lambda(D-1))) / "
+    "(n(D-2) + D(1 - lambda)); x0_printed_eq32 evaluates the tabulated closed "
+    "form, whose denominator multiplies n(D-2) by D(1 - lambda) where the root "
+    "adds them, so it disagrees with the root and is carried for comparison only."
+)
 
 
-def crossing_x0(n: int, dim_total: int, lam_value: float) -> CrossingResult:
-    """Unique x in (x*, 1) where the purity and witness branches are equal.
+def _crossing(n: int, d: int, lam: float) -> tuple[Fraction, Fraction]:
+    """The x0 in (x*, 1) where the two branches of ``_branches`` meet, and the tabulated form.
 
-    The witness branch is that of the product-basis witness: violation
-    lambda/(n - lambda D) on the complement state and flat positive eigenvalue
-    (1 - lambda)/(n - lambda D).  With a = 1 + D lambda_omega and b that
-    eigenvalue, branch equality reduces to (1 - x) b = (D - 2)(x a - 1)/D,
-    which is linear in x; its root is
+    With a = 1 + D lambda_omega and b = w_max, branch equality reduces to
+    (1 - x) b = (D - 2)(x a - 1)/D, which is linear in x; its root is
     (n(D - 2) + D(1 - lambda(D - 1))) / (n(D - 2) + D(1 - lambda)).
     The tabulated form has the same numerator but multiplies n(D - 2) by
-    D(1 - lambda) in its denominator where the root adds them.  Input must
-    satisfy n < D and 0 < lambda < n/D.  Both are exact, rounded to nearest.
+    D(1 - lambda) in its denominator where the root adds them; it is carried
+    for comparison only, never used downstream.  Both are exact.
     """
-    n = _integer(n, "cardinality", 1)
-    dim_total = _integer(dim_total, "total dimension", n + 1)
-    x_star = _line(n, dim_total, lam_value)[2]
-    lam = Fraction(lam_value)
-    numerator = n * (dim_total - 2) + dim_total * (1 - lam * (dim_total - 1))
-    x0 = numerator / (n * (dim_total - 2) + dim_total * (1 - lam))
+    x_star = _line(n, d, lam)[2]
+    lam = Fraction(lam)
+    numerator = n * (d - 2) + d * (1 - lam * (d - 1))
+    x0 = numerator / (n * (d - 2) + d * (1 - lam))
     if not x_star < x0 < 1:
         raise RuntimeError(f"branch crossing {float(x0)!r} outside (x* = {float(x_star)!r}, 1)")
-    root = float(x0)
-    purity_branch, witness_branch = _branches(root, n, dim_total, lam_value)
-    return CrossingResult(
-        x0_root=root,
-        x0_printed=float(numerator / (n * (dim_total - 2) * dim_total * (1 - lam))),
-        branch_value=float(purity_branch),
-        residual=float(abs(purity_branch - witness_branch)),
-    )
+    return x0, numerator / (n * (d - 2) * d * (1 - lam))
 
 
 @dataclass(frozen=True)
@@ -261,15 +219,6 @@ def ball_membership(
     return _membership(tau.matrix, _center_inv_sqrt(center))
 
 
-def separable_mixing_threshold(cert: Certificate) -> float:
-    """Mixing weight below which any separable admixture stays witness-negative.
-
-    p lambda_omega / (Tr W+ + p lambda_omega) with p = n and Tr W+ = n w_max;
-    lambda_omega + w_max = 1/(n - lambda D), so it is lambda itself, exactly.
-    """
-    return cert.lam
-
-
 def ppt_mixing_threshold(cert: Certificate, sigma: DensityMatrix) -> float:
     """Per-direction mixing threshold lambda_omega / (lambda_omega + Tr(W sigma)).
 
@@ -301,17 +250,21 @@ def robustness_profile(cert: Certificate, grid_size: int) -> dict:
     ``radius_samples`` rows hold x, the certified radius ``y0_tight`` and
     ``y0_paper``, the radius with Tr W+ / p in place of the largest eigenvalue
     of W; on the UPB line Tr W+ / p = w_max exactly, so the two are equal.
+    ``mixing_threshold`` is p lambda_omega / (Tr W+ + p lambda_omega) with
+    p = n and Tr W+ = n w_max; lambda_omega + w_max = 1/(n - lambda D), so it
+    is lambda itself, exactly.  ``x0_note`` explains the two crossing points.
     """
-    crossing = crossing_x0(cert.upb.cardinality, cert.upb.total_dim, cert.lam)
+    x0, x0_printed = _crossing(cert.upb.cardinality, cert.upb.total_dim, cert.lam)
     xs = [float(x) for x in cert.x_grid(grid_size)]
     return {
         "lambda": cert.lam,
         "lambda_omega": cert.lambda_omega,
         "x_star": cert.x_star,
-        "x0_root": crossing.x0_root,
-        "x0_printed_eq32": crossing.x0_printed,
+        "x0_root": float(x0),
+        "x0_printed_eq32": float(x0_printed),
         "radius_samples": [
             {"x": x, "y0_tight": y0, "y0_paper": y0} for x, y0 in zip(xs, map(cert.radius, xs))
         ],
-        "mixing_threshold": separable_mixing_threshold(cert),
+        "mixing_threshold": cert.lam,
+        "x0_note": X0_NOTE,
     }

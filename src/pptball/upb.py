@@ -62,9 +62,9 @@ class ProductState:
             out *= float(abs(np.vdot(a, b)) ** 2)
         return out
 
-    def to_density(self, structure: HilbertStructure | tuple | None = None) -> DensityMatrix:
-        structure = self.local_dims if structure is None else structure
-        return DensityMatrix.from_pure(self.full_vector, structure)
+    def to_density(self) -> DensityMatrix:
+        """|phi><phi| on the state's own local dimensions."""
+        return DensityMatrix.from_pure(self.full_vector, self.local_dims)
 
 
 @dataclass(frozen=True, eq=False)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import HermitianOperator, TRACE_ATOL, _integer, _operator, eig_hermitian
+from .operators import HermitianOperator, TRACE_ATOL, _integer, _operator, _real, eig_hermitian
 from .upb import ProductState, UPBSet
 
 ZERO_EIG_ATOL = 1e-12
@@ -186,23 +186,34 @@ def witness_from_operator(op: HermitianOperator | np.ndarray) -> Witness:
     )
 
 
-def _normalizer(n: int, d: int, lam_value: float) -> float:
-    """n - lambda D, the witness normalizer; lambda must lie in (ZERO_EIG_ATOL, n/D).
+def _line(n: int, d: int, lam: float) -> tuple[Fraction, Fraction, Fraction]:
+    """lambda_omega = lambda/(n - lambda D), w_max = (1 - lambda)/(n - lambda D) and x*.
 
-    The seesaw's lambda is an eigenvalue, so one within ZERO_EIG_ATOL of 0 is
-    a zero product overlap: the set is extendible and has no witness.
+    They are -Tr(W omega), the flat positive eigenvalue of W, and
+    x* = 1 - lambda D/n = 1/(1 + D lambda_omega), exact for the float lambda;
+    every certificate number is a function of these.  lambda must be a real
+    number in (ZERO_EIG_ATOL, n/D), so that the normalizer n - lambda D is
+    positive.  The seesaw's lambda is an eigenvalue, so one within
+    ZERO_EIG_ATOL of 0 is a zero product overlap: the set is extendible and
+    has no witness.
     """
-    if not 0.0 < lam_value < n / d:
+    # Imported on use: the lambda command loads this module but builds no witness.
+    from fractions import Fraction
+
+    lam = _real(lam, "minimum overlap")
+    if not 0.0 < lam < n / d:
         raise ValueError(
-            f"minimum overlap {lam_value!r} outside (0, n/D = {n / d}); "
+            f"minimum overlap {lam!r} outside (0, n/D = {n / d}); "
             "the normalizer n - lambda D must be positive"
         )
-    if lam_value <= ZERO_EIG_ATOL:
+    if lam <= ZERO_EIG_ATOL:
         raise ValueError(
-            f"minimum overlap {lam_value!r} is at most ZERO_EIG_ATOL = {ZERO_EIG_ATOL}: "
+            f"minimum overlap {lam!r} is at most ZERO_EIG_ATOL = {ZERO_EIG_ATOL}: "
             "a product state is orthogonal to every member, so the set is extendible"
         )
-    return n - lam_value * d
+    lam = Fraction(lam)
+    norm = n - lam * d
+    return lam / norm, (1 - lam) / norm, 1 - lam * d / n
 
 
 def build_witness(upb: UPBSet, lam: float) -> Witness:
@@ -212,15 +223,12 @@ def build_witness(upb: UPBSet, lam: float) -> Witness:
     with multiplicity n and -lambda/(n - lambda D) with multiplicity D - n.
     The violation lambda/(n - lambda D) may not exceed 1 - 2/D, compared exactly.
     """
-    # Imported on use: the lambda command loads this module but builds no witness.
-    from fractions import Fraction
-
-    lam = float(lam)
     d, n = upb.total_dim, upb.cardinality
-    norm = _normalizer(n, d, lam)
-    if Fraction(lam) / (n - Fraction(lam) * d) > 1 - Fraction(2, d):
+    lambda_omega = _line(n, d, lam)[0]
+    lam = float(lam)
+    if d * lambda_omega > d - 2:
         raise ValueError(f"witness violation at lambda = {lam!r} exceeds the 1 - 2/D ceiling")
-    return witness_from_operator((upb.projector.matrix - lam * np.eye(d)) / norm)
+    return witness_from_operator((upb.projector.matrix - lam * np.eye(d)) / (n - lam * d))
 
 
 def witness_value(w: HermitianOperator | np.ndarray, rho: HermitianOperator | np.ndarray) -> float:

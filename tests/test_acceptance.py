@@ -15,9 +15,7 @@ from pptball import (
     build_shifts,
     build_tiles,
     certify,
-    crossing_x0,
     eig_hermitian,
-    entanglement_threshold,
     in_gurvits_ball,
     is_ppt,
     min_pt_eigenvalue,
@@ -35,6 +33,7 @@ from pptball import (
 )
 from pptball.cli import main
 from pptball.proof import PROOF_GAP, ProductMinimumBound
+from pptball.robustness import _branches, _crossing
 
 
 def gram_deviation(upb):
@@ -142,7 +141,7 @@ def test_a05_ball_verification(
         (shifts, shifts_lambda, shifts_witness),
     ):
         lo = lambda_omega_of(witness, omega_state(upb))
-        x_star = entanglement_threshold(lo, upb.total_dim)
+        x_star = 1.0 / (1.0 + upb.total_dim * lo)
         xs = np.linspace(x_star, 1.0, 12)[1:-1]
         out = verify_ball_robustness(certify(upb, lam.value), 10, 1000, 42)
         # The suite draws its points from the certificate; they must be the
@@ -178,16 +177,14 @@ def test_a07_branch_crossing(tiles_lambda, pyramid_lambda, shifts_lambda, tiles,
     lines = []
     for upb, lam in ((tiles, tiles_lambda), (pyramid, pyramid_lambda), (shifts, shifts_lambda)):
         d, n = upb.total_dim, upb.cardinality
-        res = crossing_x0(n, d, lam.value)
-        assert res.residual < 1e-12
-        purity_branch = (1 - res.x0_root) / (d - 1 - res.x0_root)
-        witness_branch = (n * res.x0_root - n + lam.value * d) / (
-            n * res.x0_root - n + d
-        )
+        x0, printed = _crossing(n, d, lam.value)
+        root = float(x0)
+        purity_branch, witness_branch = _branches(root, n, d, lam.value)
+        assert abs(purity_branch - witness_branch) < 1e-12
+        purity_branch = (1 - root) / (d - 1 - root)
+        witness_branch = (n * root - n + lam.value * d) / (n * root - n + d)
         assert abs(purity_branch - witness_branch) < 1e-10
-        lines.append(
-            f"{upb.name}: root={res.x0_root:.12f} printed={res.x0_printed:.12f}"
-        )
+        lines.append(f"{upb.name}: root={root:.12f} printed={float(printed):.12f}")
     print("[PASS] criterion 7: branch crossing (side-by-side record: "
           + "; ".join(lines) + ")")
 

@@ -448,7 +448,7 @@ def test_suites_diagonalize_each_trial_once_per_cut(request, monkeypatch, cert_n
 
 
 def test_mixing_respects_minimizer_direction(tiles, tiles_lambda, tiles_witness, tiles_omega):
-    sigma = tiles_lambda.minimizers[0].to_density(tiles.structure)
+    sigma = tiles_lambda.minimizers[0].to_density()
     for z in (0.1, 0.5, 0.9, 0.999):
         m = z * sigma.matrix + (1 - z) * tiles_omega.matrix
         state = DensityMatrix(m, tiles.structure)
@@ -536,16 +536,17 @@ print("scipy" in sys.modules)
     assert _probe(probe) == ["False"]
 
 
-# The pptball modules each command leaves unloaded: lambda certifies without
-# the robustness and sampling code, the other certificate commands never run
-# the proof, and upb-list and export read only the catalog.
+# The modules each command leaves unloaded: lambda certifies without the
+# robustness and sampling code or the exact arithmetic of ``witness._line``,
+# the other certificate commands never run the proof, and upb-list and export
+# read only the catalog.
 UNUSED_MODULES = {
-    "upb-list": ("witness", "proof", "robustness", "montecarlo"),
-    "lambda": ("robustness", "montecarlo"),
-    "profile": ("proof",),
-    "verify": ("proof",),
-    "membership": ("proof",),
-    "export": ("witness", "proof", "robustness", "montecarlo"),
+    "upb-list": ("pptball.witness", "pptball.proof", "pptball.robustness", "pptball.montecarlo"),
+    "lambda": ("pptball.robustness", "pptball.montecarlo", "fractions", "decimal"),
+    "profile": ("pptball.proof",),
+    "verify": ("pptball.proof",),
+    "membership": ("pptball.proof",),
+    "export": ("pptball.witness", "pptball.proof", "pptball.robustness", "pptball.montecarlo"),
 }
 SEESAW_FLAGS = ["--upb", "shifts"]
 
@@ -563,7 +564,7 @@ SEESAW_FLAGS = ["--upb", "shifts"]
     ids=lambda command: command[0],
 )
 def test_command_loads_only_its_modules(command):
-    unused = tuple(f"pptball.{m}" for m in UNUSED_MODULES[command[0]])
+    unused = UNUSED_MODULES[command[0]]
     # A certificate command runs 20 seesaw restarts; upb-list and export must
     # not import the witness module at all, so they leave the counts alone.
     shorten = "" if "pptball.witness" in unused else (

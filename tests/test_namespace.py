@@ -1,6 +1,8 @@
 """The lazy ``pptball`` namespace: every public name resolves, on demand, to its module's object."""
 
+import ast
 import importlib
+from pathlib import Path
 
 import pytest
 
@@ -59,3 +61,20 @@ def test_names_are_not_cached_in_the_package(monkeypatch):
     sentinel = object()
     monkeypatch.setattr(witness, "minimum_overlap", sentinel)
     assert pptball.minimum_overlap is sentinel
+
+
+DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.name)
+def test_demo_imports_only_public_names(demo):
+    # CI runs the demos; this catches a removed public name in milliseconds.
+    tree = ast.parse(demo.read_text(), filename=str(demo))
+    imported = [
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "pptball"
+        for alias in node.names
+    ]
+    assert imported
+    assert sorted(set(imported) - set(pptball.__all__)) == []

@@ -7,13 +7,14 @@ from pptball import (
     DensityMatrix,
     HermitianOperator,
     HilbertStructure,
-    ProductState,
     UPBSet,
     Witness,
     all_bipartitions,
     build_complete_basis,
+    build_witness,
+    certify,
     eig_hermitian,
-    entanglement_threshold,
+    get_upb,
     is_ppt,
     min_pt_eigenvalue,
     omega_state,
@@ -75,7 +76,7 @@ def test_structure_requires_physical_dims():
             "subsystem index must be an integer, got True",
         ),
         (lambda: HilbertStructure((True, 3)), "local dimension must be an integer, got True"),
-        (lambda: entanglement_threshold(float("nan"), 9), "strictly positive"),
+        (lambda: prove_product_minimum(np.eye(4) / 4, (2, 2), np.nan), "upper must be finite"),
         (
             lambda: min_pt_eigenvalue(np.eye(4) / 4, 4),
             "structure must be a HilbertStructure or local dimensions, got 4",
@@ -87,7 +88,7 @@ def test_structure_requires_physical_dims():
         "partial-transpose",
         "partial-transpose-bool",
         "structure-bool",
-        "nan-violation",
+        "nan-upper",
         "structure-not-dims",
     ],
 )
@@ -112,6 +113,34 @@ def test_non_integral_and_nan_inputs_are_rejected(call, message):
 def test_counts_below_their_floor_are_rejected(call, message):
     with pytest.raises(ValueError, match=message):
         call()
+
+
+@pytest.mark.parametrize("bad", ["0.0284162", 0.0284162 + 0j, True], ids=["str", "complex", "bool"])
+@pytest.mark.parametrize(
+    "call, what",
+    [
+        (lambda lam: certify(get_upb("tiles"), lam), "minimum overlap"),
+        (lambda lam: build_witness(get_upb("tiles"), lam), "minimum overlap"),
+        (lambda lam: prove_product_minimum(np.eye(4) / 4, (2, 2), lam), "upper"),
+    ],
+    ids=["certify", "build_witness", "prove_product_minimum"],
+)
+def test_real_parameters_must_be_real_numbers(call, what, bad):
+    # lambda and the proof's upper bound pass one entry check: a Python or
+    # numpy integer or float passes, anything else is a ValueError.
+    with pytest.raises(ValueError) as error:
+        call(bad)
+    assert str(error.value) == f"{what} must be a real number, got {bad!r}"
+
+
+def test_real_numpy_lambda_passes():
+    cert = certify(get_upb("tiles"), np.float64(0.0284162))
+    assert type(cert.lam) is float and cert.lam == 0.0284162
+    assert np.array_equal(
+        build_witness(get_upb("tiles"), np.float64(0.0284162)).matrix, cert.witness.matrix
+    )
+    bound = prove_product_minimum(np.eye(4) / 4, (2, 2), np.float64(1.0))
+    assert bound == prove_product_minimum(np.eye(4) / 4, (2, 2), 1.0)
 
 
 def test_bipartition_validation():
@@ -352,7 +381,6 @@ def test_operator_arguments_share_one_entry_rule(call, wrong_shape, message):
         lambda s: DensityMatrix(ENTRY_MATRIX, s),
         DensityMatrix.maximally_mixed,
         lambda s: DensityMatrix.from_pure([1.0, 0.0, 0.0, 1.0], s),
-        lambda s: ProductState(([1.0, 0.0], [0.0, 1.0])).to_density(s),
         lambda s: sample_hs_density(s, 0),
         lambda s: sample_random_product_separable(s, 2, 0),
         all_bipartitions,
@@ -362,7 +390,6 @@ def test_operator_arguments_share_one_entry_rule(call, wrong_shape, message):
         "DensityMatrix",
         "maximally_mixed",
         "from_pure",
-        "to_density",
         "sample_hs_density",
         "sample_random_product_separable",
         "all_bipartitions",

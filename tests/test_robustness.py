@@ -12,8 +12,6 @@ from pptball import (
     PSD_TOL,
     ball_membership,
     certify,
-    crossing_x0,
-    entanglement_threshold,
     in_gurvits_ball,
     is_ppt,
     min_pt_eigenvalue,
@@ -23,12 +21,11 @@ from pptball import (
     ppt_mixing_threshold,
     purity,
     robustness_profile,
-    separable_mixing_threshold,
     verify_maximal_robustness,
     witness_value,
 )
 from pptball.montecarlo import sample_hs_density
-from pptball.robustness import _branches, _line
+from pptball.robustness import X0_NOTE, _branches, _crossing, _line
 from pptball.witness import ZERO_EIG_ATOL
 
 TILES_N, TILES_D = 5, 9
@@ -79,23 +76,6 @@ def test_min_pt_eigenvalue_on_noise_line_is_closed_form(request, name):
     d = cert.upb.total_dim
     for x in np.linspace(0.0, 1.0, 22)[:-1]:
         assert abs(min_pt_eigenvalue(cert.member(x)) - (1.0 - x) / d) < 1e-12
-
-
-def test_entanglement_threshold_forms():
-    assert abs(entanglement_threshold(1 - 2 / 9, 9) - 1 / 8) < 1e-15
-    with pytest.raises(ValueError):
-        entanglement_threshold(0.0, 9)
-    with pytest.raises(ValueError):
-        entanglement_threshold(-0.5, 9)
-    assert entanglement_threshold(1e-9, 9) > 0.99999
-    for lam, dim, match in (
-        (0.1, -20, "total dimension must be at least 2, got -20"),
-        (0.1, 2.5, "total dimension must be an integer, got 2.5"),
-        (0.1, True, "total dimension must be an integer, got True"),
-        (float("inf"), 9, "strictly positive and finite"),
-    ):
-        with pytest.raises(ValueError, match=match):
-            entanglement_threshold(lam, dim)
 
 
 def test_threshold_identity_cross_check(tiles_cert):
@@ -185,38 +165,34 @@ def test_radius_modes_agree_for_flat_spectrum(request):
 
 def test_crossing_root_and_branch_equality(tiles_lambda):
     lam = tiles_lambda.value
-    res = crossing_x0(TILES_N, TILES_D, lam)
+    x0, printed = _crossing(TILES_N, TILES_D, lam)
+    root = float(x0)
     x_star = 1 - lam * TILES_D / TILES_N
-    assert x_star < res.x0_root < 1.0
-    assert res.residual < 1e-12
-    purity_branch = (1 - res.x0_root) / (TILES_D - 1 - res.x0_root)
-    witness_branch = (TILES_N * res.x0_root - TILES_N + lam * TILES_D) / (
-        TILES_N * res.x0_root - TILES_N + TILES_D
+    assert x_star < root < 1.0
+    purity_branch, witness_branch = _branches(root, TILES_N, TILES_D, lam)
+    assert abs(purity_branch - witness_branch) < 1e-12
+    purity_branch = (1 - root) / (TILES_D - 1 - root)
+    witness_branch = (TILES_N * root - TILES_N + lam * TILES_D) / (
+        TILES_N * root - TILES_N + TILES_D
     )
     assert abs(purity_branch - witness_branch) < 1e-10
     closed = (TILES_N * (TILES_D - 2) + TILES_D * (1 - lam * (TILES_D - 1))) / (
         TILES_N * (TILES_D - 2) + TILES_D * (1 - lam)
     )
-    assert abs(res.x0_root - closed) < 1e-10
-    assert res.x0_printed != pytest.approx(res.x0_root, abs=1e-3)
+    assert abs(root - closed) < 1e-10
+    assert float(printed) != pytest.approx(root, abs=1e-3)
     # Bad input is a ValueError, as for build_witness, not a failed contract.
-    for n, d, bad, message in (
-        (TILES_N, TILES_D, 0.6, r"outside \(0, n/D"),
-        (TILES_N, TILES_D, 0.0, r"outside \(0, n/D"),
-        (TILES_N, TILES_D, np.nan, r"outside \(0, n/D"),
-        (TILES_D, TILES_D, 0.5, "total dimension must be at least 10, got 9"),
-        (5.5, TILES_D, 0.02, "cardinality must be an integer"),
-    ):
-        with pytest.raises(ValueError, match=message):
-            crossing_x0(n, d, bad)
+    for bad in (0.6, 0.0, np.nan):
+        with pytest.raises(ValueError, match=r"outside \(0, n/D"):
+            _crossing(TILES_N, TILES_D, bad)
 
 
 def test_crossing_sweep_is_monotone():
     lams = np.linspace(0.02, TILES_N / TILES_D - 0.02, 12)
     stars = [1 - lam * TILES_D / TILES_N for lam in lams]
-    roots = [crossing_x0(TILES_N, TILES_D, lam).x0_root for lam in lams]
+    roots = [_crossing(TILES_N, TILES_D, lam)[0] for lam in lams]
     assert np.all(np.diff(stars) < 0)
-    assert np.all(np.diff(roots) < 0)
+    assert all(a > b for a, b in zip(roots, roots[1:]))
     for s, r in zip(stars, roots):
         assert s < r < 1.0
 
@@ -338,7 +314,7 @@ def test_separable_mixing_threshold_identity(tiles_cert):
     # p lambda_omega / (Tr W+ + p lambda_omega) is lambda exactly on the line,
     # and the witness's float counts and traces give it to rounding.
     lam, w = tiles_cert.lam, tiles_cert.witness
-    assert separable_mixing_threshold(tiles_cert) == lam
+    assert robustness_profile(tiles_cert, grid_size=1)["mixing_threshold"] == lam
     lambda_omega, w_max, _ = _line(TILES_N, TILES_D, lam)
     p = w.p_count
     assert p * lambda_omega / (p * w_max + p * lambda_omega) == Fraction(lam)
@@ -348,7 +324,7 @@ def test_separable_mixing_threshold_identity(tiles_cert):
 
 def test_ppt_mixing_threshold_directions(tiles, tiles_lambda, tiles_cert):
     lambda_omega = tiles_cert.lambda_omega
-    sigma_min = tiles_lambda.minimizers[0].to_density(tiles.structure)
+    sigma_min = tiles_lambda.minimizers[0].to_density()
     assert abs(ppt_mixing_threshold(tiles_cert, sigma_min) - 1.0) < 1e-6
     mixed = DensityMatrix.maximally_mixed(tiles.structure)
     expected = lambda_omega / (lambda_omega + 1.0 / TILES_D)
@@ -435,7 +411,9 @@ def test_profile_contents_and_serialization(tiles_cert, tiles_lambda):
         "x0_printed_eq32",
         "radius_samples",
         "mixing_threshold",
+        "x0_note",
     }
+    assert data["x0_note"] == X0_NOTE
     assert len(data["radius_samples"]) == 12
     for row in data["radius_samples"]:
         assert set(row) == {"x", "y0_tight", "y0_paper"}

@@ -71,6 +71,13 @@ def test_fidelity_rejects_another_structure(dims_a, dims_b):
     assert a.fidelity(a) == 1.0
 
 
+def test_product_state_density_keeps_its_local_dimensions():
+    state = ProductState(([1.0, 0.0], [0.0, 1.0]))
+    rho = state.to_density()
+    assert rho.structure.local_dims == (2, 2)
+    assert np.array_equal(rho.matrix, np.diag([0.0, 1.0, 0.0, 0.0]))
+
+
 def test_from_vectors_rejects_non_orthonormal():
     e = np.eye(3)
     with pytest.raises(ValueError, match="orthonormal"):

@@ -270,7 +270,7 @@ def test_witness_detects_complement_state(tiles, tiles_lambda, tiles_witness):
 
 
 def test_witness_vanishes_on_minimizer(tiles, tiles_lambda, tiles_witness):
-    sigma = tiles_lambda.minimizers[0].to_density(tiles.structure)
+    sigma = tiles_lambda.minimizers[0].to_density()
     assert abs(witness_value(tiles_witness, sigma)) < 1e-8
 
 
