@@ -35,6 +35,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
+from .operators import _integer
 from .upb import CATALOG, _pairs, get_upb
 
 # Each handler imports the modules it runs and returns its report fields and
@@ -213,17 +214,18 @@ def _cmd_export(args) -> tuple[dict, int]:
     return get_upb(args.upb).to_json_dict(), EXIT_OK
 
 
-def _at_least(floor: int):
-    """argparse type for an integer of at least ``floor``: 1 for counts, 0 for seeds."""
+def _at_least(floor: int, what: str):
+    """argparse type for an integer of at least ``floor``, checked as the library's ``what``."""
 
     def parse(text: str) -> int:
         try:
             value = int(text)
         except ValueError:
-            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-        if value < floor:
-            raise argparse.ArgumentTypeError(f"must be at least {floor}, got {value}")
-        return value
+            value = text  # not an integer: _integer refuses it in its own words
+        try:
+            return _integer(value, what, floor)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
 
     return parse
 
@@ -238,6 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    seed, trials, grid = _at_least(0, "seed"), _at_least(1, "trials"), _at_least(1, "grid size")
 
     def add_common(p, upb=True):
         if upb:
@@ -246,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--output", default=None, help="write the report to a file")
 
     def add_seesaw(p):
-        p.add_argument("--seed", type=_at_least(0), default=0)
+        p.add_argument("--seed", type=seed, default=0)
 
     p_list = sub.add_parser("upb-list", help="list the catalog")
     add_common(p_list, upb=False)
@@ -263,20 +266,20 @@ def build_parser() -> argparse.ArgumentParser:
     p_profile = sub.add_parser("profile", help="robustness profile")
     add_common(p_profile)
     add_seesaw(p_profile)
-    p_profile.add_argument("--grid", type=_at_least(1), default=50, help="radius sample count")
+    p_profile.add_argument("--grid", type=grid, default=50, help="radius sample count")
     p_profile.set_defaults(handler=_cmd_profile)
 
     p_verify = sub.add_parser("verify", help="randomized ball and mixing suites")
     add_common(p_verify)
     add_seesaw(p_verify)
-    p_verify.add_argument("--trials", type=_at_least(1), default=1000)
-    p_verify.add_argument("--grid", type=_at_least(1), default=10, help="x grid size")
+    p_verify.add_argument("--trials", type=trials, default=1000)
+    p_verify.add_argument("--grid", type=grid, default=10, help="x grid size")
     p_verify.set_defaults(handler=_cmd_verify)
 
     p_member = sub.add_parser("membership", help="ball-fraction estimate")
     add_common(p_member)
     add_seesaw(p_member)
-    p_member.add_argument("--trials", type=_at_least(1), default=1000)
+    p_member.add_argument("--trials", type=trials, default=1000)
     p_member.set_defaults(handler=_cmd_membership)
 
     p_export = sub.add_parser("export", help="export a catalog set as JSON")

@@ -29,7 +29,7 @@ from functools import reduce
 import numpy as np
 
 from .operators import DensityMatrix, HilbertStructure, PSD_TOL, _integer, _kron_rows, _structure
-from .operators import _min_pt_eigenvalue, all_bipartitions
+from .operators import _min_pt_eigenvalue, _operator, _real, _state, all_bipartitions
 from .robustness import Certificate, _center_inv_sqrt, _membership
 from .witness import _complex_gaussians, _witness_value
 
@@ -266,20 +266,18 @@ def verify_separable_mixing(cert: Certificate, trials: int, seed: int) -> Verifi
 
 
 def verify_maximal_robustness(
-    cert: Certificate, sigma_dir: DensityMatrix, x: float, z_grid
+    cert: Certificate, sigma_dir: DensityMatrix | np.ndarray, x: float, z_grid
 ) -> VerificationOutcome:
     """Check z sigma_dir + (1 - z) rho_x stays PPT and witness-negative on a z grid.
 
-    x must lie in (x*, 1), sigma_dir must act on the family's space and the
-    grid must hold at least one z in [0, 1); all are checked before any
-    mixture is scored.  The mixture at z_grid[i] is keyed (i,).  Failures are
-    data, not exceptions: the grid checks a proven guarantee, so a failure
-    points to a bug or to a tolerance that is too tight.
+    x must lie in (x*, 1), sigma_dir must be a state on the family's structure
+    (a plain matrix is validated as one) and the grid must hold at least one real
+    z in [0, 1); all are checked before any mixture is scored.  The mixture at
+    z_grid[i] is keyed (i,).  Failures are data, not exceptions: the grid checks a
+    proven guarantee, so a failure points to a bug or to a tolerance that is too tight.
     """
-    cert._check_entangled(x)
-    if sigma_dir.dim != cert.upb.total_dim:
-        raise ValueError("sigma dimension does not match the family")
-    z_grid = [float(z) for z in z_grid]
+    x, sigma_dir = cert._check_entangled(x), _state(sigma_dir, cert.upb.structure)
+    z_grid = [_real(z, "grid entry") for z in z_grid]
     if not z_grid:
         raise ValueError("z_grid must hold at least one point")
     for z in z_grid:
@@ -289,7 +287,7 @@ def verify_maximal_robustness(
     keyed_matrices = (
         ((i,), z * sigma_dir.matrix + (1.0 - z) * rho_x) for i, z in enumerate(z_grid)
     )
-    return _score("maximal-direction", cert, keyed_matrices, x=float(x), z_grid=z_grid)
+    return _score("maximal-direction", cert, keyed_matrices, x=x, z_grid=z_grid)
 
 
 @dataclass(frozen=True)
@@ -324,7 +322,7 @@ def _wilson_interval(k: int, n: int) -> tuple[float, float]:
 
 
 def ball_fraction_estimate(
-    center: DensityMatrix, radius: float, trials: int, seed: int
+    center: DensityMatrix | np.ndarray, radius: float, trials: int, seed: int
 ) -> BallFractionEstimate:
     """Estimate the Hilbert-Schmidt probability of landing inside the ball.
 
@@ -332,7 +330,7 @@ def ball_fraction_estimate(
     square root computed once.
     """
     trials = _integer(trials, "trials", 1)
-    seed = _integer(seed, "seed", 0)
+    seed, center, radius = _integer(seed, "seed", 0), _operator(center), _real(radius, "radius")
     if not 0.0 <= radius <= 1.0:
         raise ValueError(f"radius must lie in [0, 1], got {radius!r}")
     inv_sqrt = _center_inv_sqrt(center)

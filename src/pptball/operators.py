@@ -222,6 +222,12 @@ def _structure_of(rho, structure) -> HilbertStructure:
     return structure
 
 
+def _state(value, structure=None) -> DensityMatrix:
+    """The one entry check for states: a matching DensityMatrix passes, any other is validated."""
+    structure, matrix = _structure_of(value, structure), getattr(value, "matrix", value)
+    return value if isinstance(value, DensityMatrix) else DensityMatrix(matrix, structure)
+
+
 def partial_transpose(
     rho: HermitianOperator | np.ndarray,
     side: tuple[int, ...],
@@ -275,6 +281,7 @@ def is_ppt(rho: DensityMatrix) -> bool:
     return min_pt_eigenvalue(rho) >= -PSD_TOL
 
 
-def purity(rho: DensityMatrix) -> float:
-    """Tr(rho^2); ranges over [1/D, 1]."""
-    return float(np.vdot(rho.matrix, rho.matrix).real)
+def purity(rho: HermitianOperator | np.ndarray) -> float:
+    """Tr(rho^2); ranges over [1/D, 1] on states.  A plain matrix is checked by ``_operator``."""
+    m = _operator(rho).matrix
+    return float(np.vdot(m, m).real)

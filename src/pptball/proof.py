@@ -20,7 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import HermitianOperator, HilbertStructure, _kron_rows, _operator, _real, _structure
+from .operators import HermitianOperator, HilbertStructure, _kron_rows, _operator, _real
+from .operators import _structure_of
 
 # prove_product_minimum proves <W> >= (best product value found) - PROOF_GAP.
 # The cell bound is second order in the cell size, so cells near a minimizer
@@ -290,9 +291,7 @@ def prove_product_minimum(
     RuntimeError after PROOF_MAX_CELLS cells.  W may be a plain matrix and
     ``structure`` a tuple of dimensions.
     """
-    w, structure, upper = _operator(w), _structure(structure), _real(upper, "upper")
-    if w.dim != structure.total_dim:
-        raise ValueError(f"dimension mismatch: operator {w.dim}, structure {structure.total_dim}")
+    w, structure, upper = _operator(w), _structure_of(w, structure), _real(upper, "upper")
     if not np.isfinite(upper):
         raise ValueError(f"upper must be finite, got {upper!r}")
     h4, lam_w, norm_w, root = _prelude(w, structure)

@@ -21,8 +21,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .operators import DensityMatrix, HermitianOperator, _integer, _operator, eig_hermitian
-from .operators import is_ppt, purity
+from .operators import DensityMatrix, HermitianOperator, _integer, _operator, _real, _state
+from .operators import eig_hermitian, is_ppt, purity
 from .upb import ProductState, UPBSet, omega_state
 from .witness import Witness, _line, build_witness, witness_value
 
@@ -81,20 +81,23 @@ class Certificate:
 
     def member(self, x: float) -> DensityMatrix:
         """The white-noise family member x * omega + (1 - x) * I/D."""
+        x = _real(x, "mixing parameter")
         if not 0.0 <= x <= 1.0:
             raise ValueError(f"mixing parameter must lie in [0, 1], got {x!r}")
         d = self.upb.total_dim
         m = x * self.omega.matrix + (1.0 - x) * np.eye(d) / d
         return DensityMatrix(m, self.upb.structure)
 
-    def _check_entangled(self, x: float) -> None:
-        """Raise unless x lies strictly in (x*, 1), where the family is certified entangled."""
+    def _check_entangled(self, x: float) -> float:
+        """x as a float; raise unless it lies strictly in (x*, 1), where the family is entangled."""
+        x = _real(x, "x")
         if not self.x_star < x < 1.0:
             raise ValueError(f"x must lie strictly between x* = {self.x_star!r} and 1, got {x!r}")
+        return x
 
     def radius(self, x: float) -> float:
         """Certified ball radius y0(x) at x: the smaller branch of ``_branches``, rounded down."""
-        self._check_entangled(x)
+        x = self._check_entangled(x)
         y0 = min(_branches(x, self.upb.cardinality, self.upb.total_dim, self.lam))
         return _outward(y0, up=False)
 
@@ -151,20 +154,20 @@ class MixtureDecomposition:
 
 
 def mixture_tau(
-    cert: Certificate, sigma: DensityMatrix, x: float, y: float
+    cert: Certificate, sigma: DensityMatrix | np.ndarray, x: float, y: float
 ) -> tuple[DensityMatrix, MixtureDecomposition]:
     """y sigma + (1 - y) rho_x together with its (s, t) decomposition.
 
     The rewrite tau = s {t sigma + (1 - t) I/D} + (1 - s) omega is verified to
-    IDENTITY_ATOL on every call.
+    IDENTITY_ATOL on every call.  sigma may be a plain matrix on the family's space.
     """
+    x, y = _real(x, "x"), _real(y, "y")
     if not 0.0 < x < 1.0:
         raise ValueError(f"x must lie in (0, 1), got {x!r}")
     if not 0.0 <= y < 1.0:
         raise ValueError(f"y must lie in [0, 1), got {y!r}")
     structure = cert.upb.structure
-    if sigma.structure.total_dim != structure.total_dim:
-        raise ValueError("sigma dimension does not match the family")
+    sigma = _state(sigma, structure)
     rho_x = cert.member(x)
     tau_m = y * sigma.matrix + (1.0 - y) * rho_x.matrix
     s = 1.0 - x * (1.0 - y)
@@ -180,10 +183,10 @@ def mixture_tau(
 
 def in_gurvits_ball(rho: DensityMatrix) -> bool:
     """Purity below 1/(D - 1): sufficient (not necessary) for separability."""
+    rho = _state(rho)
     if rho.structure.n_parties != 2:
         raise ValueError("the purity-ball criterion is stated for bipartite structures")
-    d = rho.structure.total_dim
-    return purity(rho) < 1.0 / (d - 1)
+    return purity(rho) < 1.0 / (rho.dim - 1)
 
 
 def _center_inv_sqrt(center: DensityMatrix) -> np.ndarray:
@@ -219,17 +222,16 @@ def ball_membership(
     return _membership(tau.matrix, _center_inv_sqrt(center))
 
 
-def ppt_mixing_threshold(cert: Certificate, sigma: DensityMatrix) -> float:
+def ppt_mixing_threshold(cert: Certificate, sigma: DensityMatrix | np.ndarray) -> float:
     """Per-direction mixing threshold lambda_omega / (lambda_omega + Tr(W sigma)).
 
-    Defined for PPT directions with nonnegative witness value; mixtures below
-    the threshold stay witness-negative (and PPT, both components being PPT).
+    Defined for PPT directions (a plain matrix too) with nonnegative witness value;
+    mixtures below the threshold stay witness-negative, and PPT as both components are.
     """
+    sigma = _state(sigma, cert.upb.structure)
     val = witness_value(cert.witness, sigma)
     if val < -WITNESS_SIGN_ATOL:
-        raise ValueError(
-            f"direction has negative witness value {val!r}; threshold undefined"
-        )
+        raise ValueError(f"direction has negative witness value {val!r}; threshold undefined")
     if not is_ppt(sigma):
         raise ValueError("direction must be PPT on every bipartition")
     return float(cert.lambda_omega / (cert.lambda_omega + max(val, 0.0)))

@@ -220,7 +220,7 @@ CATALOG = {
 def get_upb(name: str) -> UPBSet:
     try:
         builder = CATALOG[name]
-    except KeyError:
+    except (KeyError, TypeError):  # TypeError: an unhashable name, such as a list
         known = ", ".join(sorted(CATALOG))
         raise ValueError(f"unknown product-basis set {name!r} (known: {known})") from None
     return builder()

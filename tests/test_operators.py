@@ -334,14 +334,10 @@ def _bound(m, structure=QUBITS):
             np.eye(3) / 3,
             "^dimension mismatch: witness 4, state 3$",
         ),
-        (_bound, np.eye(2) / 2, "^dimension mismatch: operator 2, structure 4$"),
+        (_bound, np.eye(2) / 2, DIMENSION),
         (lambda m: (partial_transpose(m, (1,), (2, 2)).matrix,), np.eye(3), DIMENSION),
         (lambda m: (min_pt_eigenvalue(m, [2, 2]),), np.eye(4, 3), DIMENSION),
-        (
-            lambda m: _bound(m, (2, 2)),
-            np.eye(2) / 2,
-            "^dimension mismatch: operator 2, structure 4$",
-        ),
+        (lambda m: _bound(m, (2, 2)), np.eye(2) / 2, DIMENSION),
     ],
     ids=[
         "partial_transpose",

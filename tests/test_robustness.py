@@ -10,6 +10,7 @@ from pptball import (
     DensityMatrix,
     HilbertStructure,
     PSD_TOL,
+    ball_fraction_estimate,
     ball_membership,
     certify,
     in_gurvits_ball,
@@ -19,12 +20,13 @@ from pptball import (
     mixture_tau,
     omega_state,
     ppt_mixing_threshold,
+    prove_product_minimum,
     purity,
     robustness_profile,
     verify_maximal_robustness,
     witness_value,
 )
-from pptball.montecarlo import sample_hs_density
+from pptball.montecarlo import sample_hs_density, sample_random_product_separable
 from pptball.robustness import X0_NOTE, _branches, _crossing, _line
 from pptball.witness import ZERO_EIG_ATOL
 
@@ -372,7 +374,8 @@ def test_maximal_robustness_direction(tiles_lambda, tiles_cert):
     assert noisy.seeds_of_failures == ((1,), (2,))
     assert noisy.witness_margin < 0 and noisy.witness_margin_key == (2,)
     other = DensityMatrix.maximally_mixed(HilbertStructure((2, 2)))
-    with pytest.raises(ValueError, match="sigma dimension does not match the family"):
+    mismatch = r"^explicit structure \(3, 3\) does not match the state's \(2, 2\)$"
+    with pytest.raises(ValueError, match=mismatch):
         verify_maximal_robustness(tiles_cert, other, x, [0.5])
     with pytest.raises(ValueError, match=r"\[0, 1\)"):
         verify_maximal_robustness(tiles_cert, sigma_dir, x, [1.0])
@@ -421,3 +424,117 @@ def test_profile_contents_and_serialization(tiles_cert, tiles_lambda):
         assert abs(row["y0_tight"] - row["y0_paper"]) < 1e-12
     assert data["x_star"] < data["x0_root"] < 1.0
     assert abs(data["mixing_threshold"] - tiles_lambda.value) < 1e-12
+
+
+def _midpoint(cert):
+    return (cert.x_star + 1.0) / 2
+
+
+# Every real argument of the paper's constructions, as (where, name, call):
+# call(cert, sigma, value) passes value as that argument and valid values as
+# the others.  operators._real checks each before its range test.
+REAL_ARGUMENTS = [
+    ("member.x", "mixing parameter", lambda c, s, v: c.member(v)),
+    ("radius.x", "x", lambda c, s, v: c.radius(v)),
+    ("mixture_tau.x", "x", lambda c, s, v: mixture_tau(c, s, v, 0.1)),
+    ("mixture_tau.y", "y", lambda c, s, v: mixture_tau(c, s, _midpoint(c), v)),
+    ("maximal.x", "x", lambda c, s, v: verify_maximal_robustness(c, s, v, [0.1])),
+    (
+        "maximal.z",
+        "grid entry",
+        lambda c, s, v: verify_maximal_robustness(c, s, _midpoint(c), [0.1, v]),
+    ),
+    (
+        "ball_fraction.radius",
+        "radius",
+        lambda c, s, v: ball_fraction_estimate(c.member(_midpoint(c)), v, 1, 0),
+    ),
+]
+# A 4 x 4 state where a state on the 3 x 3 family is expected is refused by
+# _structure_of, and a 4 x 3 matrix where a bare operator is expected by
+# HermitianOperator.
+ON_STRUCTURE = (np.eye(4) / 4, "^operator dimension does not match the structure$")
+BARE = (np.eye(4, 3), r"^expected a square matrix, got shape \(4, 3\)$")
+STATE_ARGUMENTS = [
+    ("mixture_tau.sigma", ON_STRUCTURE, lambda c, v: mixture_tau(c, v, _midpoint(c), 0.1)),
+    (
+        "maximal.sigma_dir",
+        ON_STRUCTURE,
+        lambda c, v: verify_maximal_robustness(c, v, _midpoint(c), [0.1]),
+    ),
+    ("ppt_mixing_threshold.sigma", ON_STRUCTURE, ppt_mixing_threshold),
+    ("prove_product_minimum.w", ON_STRUCTURE, lambda c, v: prove_product_minimum(v, (3, 3), 0.1)),
+    (
+        "in_gurvits_ball.rho",
+        (np.eye(4) / 4, "^a bare operator or plain matrix needs an explicit structure$"),
+        lambda c, v: in_gurvits_ball(v),
+    ),
+    ("purity.rho", BARE, lambda c, v: purity(v)),
+    ("ball_fraction.center", BARE, lambda c, v: ball_fraction_estimate(v, 0.5, 1, 0)),
+]
+
+
+@pytest.fixture(scope="module")
+def tiles_direction(tiles):
+    """A separable state on tiles' space: PPT, with a nonnegative witness value."""
+    return sample_random_product_separable(tiles.structure, 4, seed=0)
+
+
+@pytest.mark.parametrize("value", ["0.5", True, 0.5 + 0j], ids=["str", "bool", "complex"])
+@pytest.mark.parametrize(
+    "what, call", [r[1:] for r in REAL_ARGUMENTS], ids=[r[0] for r in REAL_ARGUMENTS]
+)
+def test_real_arguments_share_one_entry_rule(tiles_cert, tiles_direction, what, call, value):
+    # A str, a bool or a complex is refused in _real's words before any range
+    # test; none escapes as the TypeError of a comparison, and True is not 1.
+    with pytest.raises(ValueError) as error:
+        call(tiles_cert, tiles_direction, value)
+    assert str(error.value) == f"{what} must be a real number, got {value!r}"
+
+
+@pytest.mark.parametrize(
+    "wrong, call", [r[1:] for r in STATE_ARGUMENTS], ids=[r[0] for r in STATE_ARGUMENTS]
+)
+def test_state_arguments_share_one_entry_rule(tiles_cert, wrong, call):
+    # A plain matrix of the wrong shape is refused in the words of the helper
+    # that checks that kind of argument, never by an AttributeError.
+    matrix, message = wrong
+    with pytest.raises(ValueError, match=message):
+        call(tiles_cert, matrix)
+
+
+def test_state_structure_must_match_the_family(tiles_cert, tiles_direction):
+    # A DensityMatrix on the family's total dimension but other local
+    # dimensions is refused; a plain matrix takes the family's structure.
+    flat = DensityMatrix(tiles_direction.matrix, (9,))
+    message = r"^explicit structure \(3, 3\) does not match the state's \(9,\)$"
+    for call in (
+        lambda v: mixture_tau(tiles_cert, v, _midpoint(tiles_cert), 0.1),
+        lambda v: verify_maximal_robustness(tiles_cert, v, _midpoint(tiles_cert), [0.1]),
+        lambda v: ppt_mixing_threshold(tiles_cert, v),
+    ):
+        with pytest.raises(ValueError, match=message):
+            call(flat)
+
+
+def test_plain_matrices_give_the_state_results(tiles_cert, tiles_direction):
+    # A valid plain matrix, here a nested list, gives bit for bit what the
+    # DensityMatrix gives.
+    sigma, plain = tiles_direction, tiles_direction.matrix.tolist()
+    x = _midpoint(tiles_cert)
+    center = tiles_cert.member(x)
+    tau, parts = mixture_tau(tiles_cert, sigma, x, 0.1)
+    plain_tau, plain_parts = mixture_tau(tiles_cert, plain, x, 0.1)
+    assert np.array_equal(tau.matrix, plain_tau.matrix) and parts == plain_parts
+    assert plain_tau.structure.local_dims == tau.structure.local_dims
+    zs = [0.0, 0.3, 0.9]
+    assert (
+        verify_maximal_robustness(tiles_cert, plain, x, zs).to_json_dict()
+        == verify_maximal_robustness(tiles_cert, sigma, x, zs).to_json_dict()
+    )
+    assert ppt_mixing_threshold(tiles_cert, plain) == ppt_mixing_threshold(tiles_cert, sigma)
+    assert purity(plain) == purity(sigma)
+    radius = tiles_cert.radius(x)
+    assert ball_fraction_estimate(center.matrix.tolist(), radius, 20, 0) == ball_fraction_estimate(
+        center, radius, 20, 0
+    )

@@ -27,8 +27,13 @@ def test_catalog_names():
     assert get_upb("pyramid").cardinality == 5
     assert get_upb("shifts").cardinality == 4
     assert get_upb("complete-2x2").cardinality == 4
-    with pytest.raises(ValueError, match="unknown product-basis set"):
-        get_upb("nope")
+    # An unhashable name, such as a list, is an unknown set too, not the
+    # catalog lookup's TypeError.
+    for name in ("nope", ["tiles"]):
+        with pytest.raises(ValueError) as error:
+            get_upb(name)
+        known = "complete-2x2, pyramid, shifts, tiles"
+        assert str(error.value) == f"unknown product-basis set {name!r} (known: {known})"
 
 
 def test_gram_identities(tiles, pyramid, shifts):

@@ -599,7 +599,7 @@ def test_complete_basis_proof_is_one(dims):
 
 
 def test_proof_rejects_bad_input(tiles):
-    with pytest.raises(ValueError, match="mismatch"):
+    with pytest.raises(ValueError, match="^operator dimension does not match the structure$"):
         prove_product_minimum(tiles.projector, HilbertStructure((2, 2)), 0.1)
     for upper in (np.nan, np.inf, -np.inf):
         with pytest.raises(ValueError, match="finite"):
