@@ -189,14 +189,13 @@ def _cmd_membership(args) -> tuple[dict, int]:
     from .montecarlo import ball_fraction_estimate
 
     cert = _certificate(args)
-    x_star = cert.x_star
-    x = 0.5 * (x_star + 1.0)
+    x = 0.5 * (cert.x_star + 1.0)
     radius = cert.radius(x)
     estimate = ball_fraction_estimate(cert.member(x), radius, args.trials, args.seed)
     fields = {
         "config": _config(args, trials=args.trials),
         "x": x,
-        "x_star": x_star,
+        "x_star": cert.x_star,
         "radius": radius,
         "fraction": estimate.fraction,
         "ci_low": estimate.ci_low,

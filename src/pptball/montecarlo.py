@@ -6,7 +6,7 @@ states in each certified ball, random separable states below the mixing
 threshold, and a z grid toward a zero-witness direction.  The first two
 probe each proven bound at ``PROBE_FRACTION`` of it: y = PROBE_FRACTION y0(x)
 in the ball, z = PROBE_FRACTION lambda in the mixing suite.  Sampling is counter-based:
-every draw comes from the standard library's ``random.Random`` seeded by the
+every draw comes from ``witness._stream``, a ``random.Random`` seeded by the
 string "seed:stream_id:tag:trial", so outcomes are bit-identical for a fixed
 configuration no matter how trials are scheduled or parallelized.  Each
 randomized suite takes a plain seed and owns a stream:
@@ -29,9 +29,9 @@ from functools import reduce
 import numpy as np
 
 from .operators import DensityMatrix, HilbertStructure, PSD_TOL, _integer, _kron_rows, _structure
-from .operators import _min_pt_eigenvalue, _operator, _real, _state, all_bipartitions
+from .operators import _min_pt_eigenvalue, _operator, _real, _sequence, _state, all_bipartitions
 from .robustness import Certificate, _center_inv_sqrt, _membership
-from .witness import _complex_gaussians, _witness_value
+from .witness import _complex_gaussians, _stream, _uniforms, _witness_value
 
 _HS_TAG = 1
 _PRODUCT_TAG = 2
@@ -45,11 +45,6 @@ MIXTURE_TERMS = 4
 PROBE_FRACTION = 0.99
 # Two-sided 95 % normal quantile; equals scipy.special.ndtri(0.975) to the last bit.
 WILSON_Z = 1.959963984540054
-
-
-def _substream(key: tuple[int, int, int, int]) -> random.Random:
-    """The generator of the draw that reports name by ``key``: (seed, stream, tag, trial)."""
-    return random.Random("{}:{}:{}:{}".format(*key))
 
 
 def _sampler_key(seed, stream_id, tag: int, trial) -> tuple[int, int, int, int]:
@@ -67,7 +62,7 @@ def _hs_matrix(d: int, gen: random.Random) -> np.ndarray:
 
 def _dirichlet(gen: random.Random, terms: int) -> np.ndarray:
     """Dirichlet(1, ..., 1) weights: E / sum(E) with E = -ln(1 - u) per uniform."""
-    e = -np.log1p(-np.array([gen.random() for _ in range(terms)]))
+    e = -np.log1p(-_uniforms(gen, terms))
     return e / e.sum()
 
 
@@ -103,7 +98,7 @@ def sample_hs_density(
 
     Full rank with probability 1.
     """
-    gen = _substream(_sampler_key(seed, stream_id, _HS_TAG, trial))
+    gen = _stream(_sampler_key(seed, stream_id, _HS_TAG, trial))
     return DensityMatrix(_hs_matrix(_structure(structure).total_dim, gen), structure)
 
 
@@ -116,7 +111,7 @@ def sample_random_product_separable(
 ) -> DensityMatrix:
     """Dirichlet-weighted mixture of random product projectors; separable by construction."""
     structure, mixture_terms = _structure(structure), _integer(mixture_terms, "mixture_terms", 1)
-    gen = _substream(_sampler_key(seed, stream_id, _PRODUCT_TAG, trial))
+    gen = _stream(_sampler_key(seed, stream_id, _PRODUCT_TAG, trial))
     return DensityMatrix(_product_mixture(structure.local_dims, mixture_terms, gen), structure)
 
 
@@ -203,8 +198,7 @@ def verify_ball_robustness(
     stay PPT on every bipartition and strictly witness-negative.  Zero
     violations expected; violations are data, not exceptions.
     """
-    trials = _integer(trials, "trials", 1)
-    seed = _integer(seed, "seed", 0)
+    trials, seed = _integer(trials, "trials", 1), _integer(seed, "seed", 0)
     x_grid = [float(x) for x in cert.x_grid(grid)]
 
     def keyed_matrices():
@@ -213,7 +207,7 @@ def verify_ball_robustness(
             rho_x = cert.member(x).matrix
             for t in range(xi * trials, (xi + 1) * trials):
                 key = (seed, _BALL_STREAM, _HS_TAG, t)
-                sigma = _hs_matrix(cert.upb.total_dim, _substream(key))
+                sigma = _hs_matrix(cert.upb.total_dim, _stream(key))
                 yield key, y * sigma + (1.0 - y) * rho_x
 
     return _score(
@@ -243,14 +237,13 @@ def verify_separable_mixing(cert: Certificate, trials: int, seed: int) -> Verifi
     shifts (n = 4, D = 8) the kernels need not meet and the margin exceeds
     PSD_TOL.
     """
-    trials = _integer(trials, "trials", 1)
-    seed = _integer(seed, "seed", 0)
+    trials, seed = _integer(trials, "trials", 1), _integer(seed, "seed", 0)
     z = PROBE_FRACTION * cert.lam
 
     def keyed_matrices():
         for t in range(trials):
             key = (seed, _MIXING_STREAM, _PRODUCT_TAG, t)
-            sigma = _product_mixture(cert.upb.structure.local_dims, MIXTURE_TERMS, _substream(key))
+            sigma = _product_mixture(cert.upb.structure.local_dims, MIXTURE_TERMS, _stream(key))
             yield key, z * sigma + (1.0 - z) * cert.omega.matrix
 
     return _score(
@@ -277,9 +270,7 @@ def verify_maximal_robustness(
     proven guarantee, so a failure points to a bug or to a tolerance that is too tight.
     """
     x, sigma_dir = cert._check_entangled(x), _state(sigma_dir, cert.upb.structure)
-    z_grid = [_real(z, "grid entry") for z in z_grid]
-    if not z_grid:
-        raise ValueError("z_grid must hold at least one point")
+    z_grid = [_real(z, "grid entry") for z in _sequence(z_grid, "grid entries")]
     for z in z_grid:
         if not 0.0 <= z < 1.0:
             raise ValueError(f"grid entries must lie in [0, 1), got {z!r}")
@@ -336,7 +327,7 @@ def ball_fraction_estimate(
     inv_sqrt = _center_inv_sqrt(center)
     hits = 0
     for t in range(trials):
-        tau = _hs_matrix(center.dim, _substream((seed, _MEMBERSHIP_STREAM, _HS_TAG, t)))
+        tau = _hs_matrix(center.dim, _stream((seed, _MEMBERSHIP_STREAM, _HS_TAG, t)))
         if _membership(tau, inv_sqrt) < radius:
             hits += 1
     low, high = _wilson_interval(hits, trials)

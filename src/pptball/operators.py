@@ -53,6 +53,17 @@ def _real(value, what: str) -> float:
     return float(value)
 
 
+def _sequence(value, what: str) -> tuple:
+    """``value``, any iterable such as a generator or array, as a tuple of at least one item."""
+    try:
+        items = iter(value)
+    except TypeError:
+        raise ValueError(f"expected a sequence of {what}, got {value!r}") from None
+    items = tuple(items)
+    _integer(len(items), f"number of {what}", 1)
+    return items
+
+
 @dataclass(frozen=True, eq=False)
 class HilbertStructure:
     """Ordered local dimensions (d1, ..., dn) of a composite system."""
@@ -60,8 +71,8 @@ class HilbertStructure:
     local_dims: tuple[int, ...]
 
     def __post_init__(self):
-        dims = tuple(_integer(d, "local dimension", 2) for d in self.local_dims)
-        _integer(len(dims), "number of subsystems", 1)
+        dims = _sequence(self.local_dims, "subsystems")
+        dims = tuple(_integer(d, "local dimension", 2) for d in dims)
         object.__setattr__(self, "local_dims", dims)
 
     @property
@@ -242,10 +253,9 @@ def partial_transpose(
     """
     structure = _structure_of(rho, structure)
     rho = _operator(rho)
+    side = _sequence(side, "transposed subsystems")
     side = tuple(sorted(_integer(k, "subsystem index") for k in side))
     n = structure.n_parties
-    if not side:
-        raise ValueError("transposed side must be a nonempty set of subsystem indices")
     if len(set(side)) != len(side):
         raise ValueError(f"duplicate subsystem indices in {side}")
     if side[0] < 0 or side[-1] >= n:

@@ -21,8 +21,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .operators import DensityMatrix, HermitianOperator, _integer, _operator, _real, _state
-from .operators import eig_hermitian, is_ppt, purity
+from .operators import DensityMatrix, HermitianOperator, _integer, _operator, _real, _sequence
+from .operators import _state, eig_hermitian, is_ppt, purity
 from .upb import ProductState, UPBSet, omega_state
 from .witness import Witness, _line, build_witness, witness_value
 
@@ -239,6 +239,10 @@ def ppt_mixing_threshold(cert: Certificate, sigma: DensityMatrix | np.ndarray) -
 
 def minimizer_direction(minimizers: tuple[ProductState, ...]) -> DensityMatrix:
     """Uniform mixture of the projectors onto product states, such as the seesaw's minimizers."""
+    minimizers = _sequence(minimizers, "minimizers")
+    for m in minimizers:
+        if not isinstance(m, ProductState):
+            raise ValueError(f"a minimizer must be a ProductState, got {type(m).__name__}")
     dims = {m.local_dims for m in minimizers}
     if len(dims) != 1:
         raise ValueError(f"need product states on one set of local dimensions, got {sorted(dims)}")

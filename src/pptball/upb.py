@@ -19,7 +19,8 @@ from functools import reduce
 
 import numpy as np
 
-from .operators import DensityMatrix, HermitianOperator, HilbertStructure, _frozen, _structure
+from .operators import DensityMatrix, HermitianOperator, HilbertStructure, _frozen, _integer
+from .operators import _sequence, _structure
 
 GRAM_ATOL = 1e-10
 UNIT_NORM_ATOL = 1e-12
@@ -33,7 +34,7 @@ class ProductState:
 
     def __post_init__(self):
         vecs = []
-        for v in self.local_vectors:
+        for v in _sequence(self.local_vectors, "subsystems"):
             arr = np.array(v, dtype=complex).reshape(-1)
             if not np.isfinite(arr).all():
                 raise ValueError("local vector entries are not finite")
@@ -78,10 +79,10 @@ class UPBSet:
 
     def __post_init__(self):
         object.__setattr__(self, "structure", _structure(self.structure))
-        members = tuple(self.members)
-        if not members:
-            raise ValueError("a product-vector set needs at least one member")
+        members = _sequence(self.members, "members")
         for m in members:
+            if not isinstance(m, ProductState):
+                raise ValueError(f"a member must be a ProductState, got {type(m).__name__}")
             if m.local_dims != self.structure.local_dims:
                 raise ValueError(
                     f"member dimensions {m.local_dims} do not match "
@@ -109,6 +110,9 @@ class UPBSet:
 
     def local_matrix(self, party: int) -> np.ndarray:
         """Member vectors of one subsystem stacked as rows, shape (n, d_party)."""
+        party = _integer(party, "party", 0)
+        if party >= self.n_parties:
+            raise ValueError(f"party {party} out of range for {self.n_parties} parties")
         return np.array([m.local_vectors[party] for m in self.members])
 
     @classmethod
@@ -118,8 +122,7 @@ class UPBSet:
         ``vectors`` iterates over members; each member is an iterable of one
         vector per subsystem.
         """
-        members = tuple(ProductState(tuple(v for v in member)) for member in vectors)
-        return cls(name, tuple(local_dims), members)
+        return cls(name, local_dims, [ProductState(m) for m in _sequence(vectors, "members")])
 
     def to_json_dict(self) -> dict:
         """Export as plain data with complex entries encoded as [re, im] pairs."""
@@ -185,7 +188,7 @@ def build_shifts() -> UPBSet:
 
 def build_complete_basis(local_dims) -> UPBSet:
     """Full computational product basis (n = D); its minimum overlap is exactly 1."""
-    dims = HilbertStructure(tuple(local_dims)).local_dims
+    dims = HilbertStructure(local_dims).local_dims
     name = "complete-" + "x".join(str(d) for d in dims)
     eyes = [np.eye(d) for d in dims]
     vectors = [

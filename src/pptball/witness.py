@@ -65,6 +65,16 @@ def _party_operator(local_mats, phis, party) -> np.ndarray:
     return (v.T * _weights(local_mats, phis, party)) @ v.conj()
 
 
+def _stream(key: tuple[int, ...]) -> random.Random:
+    """Generator seeded by ``key`` joined with ":": (seed, restart), (seed, stream, tag, trial)."""
+    return random.Random(":".join(map(str, key)))
+
+
+def _uniforms(gen: random.Random, n: int) -> np.ndarray:
+    """``n`` draws of ``gen.random()``; map keeps the loop in C (162 draws: 12 us, not 22 us)."""
+    return np.fromiter(map(random.Random.random, itertools.repeat(gen, n)), float, n)
+
+
 def _complex_gaussians(gen: random.Random, n: int) -> np.ndarray:
     """``n`` complex Gaussians by Box-Muller on ``2 n`` draws of ``gen.random()``.
 
@@ -74,25 +84,14 @@ def _complex_gaussians(gen: random.Random, n: int) -> np.ndarray:
     sequence for a seed across versions, which it does not promise for
     ``gauss``, ``getrandbits`` or ``randbytes``.
     """
-    # map over the unbound method keeps the loop in C: 162 draws take about
-    # 12 us this way, against 22 us for a list comprehension of gen.random().
-    u = np.fromiter(map(random.Random.random, itertools.repeat(gen, 2 * n)), float, 2 * n)
+    u = _uniforms(gen, 2 * n)
     return np.sqrt(-2.0 * np.log1p(-u[:n])) * np.exp(2j * np.pi * u[n:])
 
 
 def _restart_start(dims, seed: int, restart: int) -> list[np.ndarray]:
-    """Haar-uniform unit vectors, one per party, that start restart ``restart``.
-
-    Each party's vector is ``_complex_gaussians`` of
-    ``random.Random(f"{seed}:{restart}")``, normalised.  Only (seed, restart)
-    decides them.
-    """
-    gen = random.Random(f"{seed}:{restart}")
-    phis = []
-    for d in dims:
-        v = _complex_gaussians(gen, d)
-        phis.append(v / np.linalg.norm(v))
-    return phis
+    """Haar-uniform unit vectors, one per party, that start restart ``restart`` of ``seed``."""
+    gen = _stream((seed, restart))
+    return [v / np.linalg.norm(v) for v in [_complex_gaussians(gen, d) for d in dims]]
 
 
 def _seesaw_once(local_mats, start, max_iters):
@@ -127,11 +126,10 @@ def minimum_overlap(upb: UPBSet, seed: int = 0) -> LambdaResult:
     seed = _integer(seed, "seed", 0)
     local_mats = [upb.local_matrix(k) for k in range(upb.n_parties)]
     dims = upb.structure.local_dims
-    finals = []
-    for r in range(SEESAW_RESTARTS):
-        start = _restart_start(dims, seed, r)
-        value, phis, conv, _ = _seesaw_once(local_mats, start, SEESAW_MAX_ITERS)
-        finals.append((value, phis, conv))
+    finals = [
+        _seesaw_once(local_mats, _restart_start(dims, seed, r), SEESAW_MAX_ITERS)[:3]
+        for r in range(SEESAW_RESTARTS)
+    ]
     best_value = min(value for value, _, _ in finals)
     near = [item for item in finals if item[0] <= best_value + MINIMIZER_VALUE_ATOL]
     distinct: list[ProductState] = []

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import pptball
-from pptball import cli, witness
+from pptball import cli, robustness, witness
 from pptball.cli import _config, _flatten, build_parser, main
 from pptball.montecarlo import PROBE_FRACTION
 from pptball.proof import PROOF_GAP
@@ -118,6 +118,17 @@ def test_lambda_non_convergence_exit(tmp_path, monkeypatch):
     assert report["proof_cells"] > 0
 
 
+@pytest.mark.parametrize("command", ["profile", "verify", "membership"])
+def test_certificate_commands_exit_3_without_convergence(tmp_path, capsys, monkeypatch, command):
+    # One sweep per restart cannot converge; the commands built on the
+    # certificate refuse it with exit 3 and write no report.
+    monkeypatch.setattr("pptball.witness.SEESAW_MAX_ITERS", 1)
+    code, path = run(tmp_path, command, "--upb", "tiles")
+    assert code == 3
+    assert capsys.readouterr().err == "overlap minimizer did not converge\n"
+    assert not path.exists()
+
+
 def test_lambda_reports_the_proofs_incumbent(tmp_path, monkeypatch, tiles_lambda):
     # Two one-sweep restarts stop well above the minimum; the proof's cell
     # centres find it, and lambda and agreement are read from that value.
@@ -138,6 +149,29 @@ def test_lambda_proof_out_of_cells_exits_4(tmp_path, capsys, monkeypatch):
     err = capsys.readouterr().err
     assert err.startswith("internal error: ") and err.count("\n") == 1
     assert "PROOF_MAX_CELLS" in err
+    assert not path.exists()
+
+
+@pytest.mark.parametrize(
+    "patch, words",
+    [
+        (("pptball.operators.DECOMPOSITION_ATOL", -1.0), "eigendecomposition contract violated"),
+        # x* = 1 leaves no room for the crossing x0 in (x*, 1).
+        (
+            (robustness, "_line", lambda *a, line=robustness._line: (*line(*a)[:2], Fraction(1))),
+            "branch crossing",
+        ),
+    ],
+    ids=["eigendecomposition", "branch-crossing"],
+)
+def test_contract_violations_exit_4(tmp_path, capsys, monkeypatch, patch, words):
+    # The certificate's internal checks raise RuntimeError, which main reports
+    # as an internal error with exit 4 and no report.
+    monkeypatch.setattr(*patch)
+    code, path = run(tmp_path, "profile", "--upb", "tiles")
+    assert code == 4
+    err = capsys.readouterr().err
+    assert err.startswith(f"internal error: {words}") and err.count("\n") == 1
     assert not path.exists()
 
 

@@ -38,6 +38,7 @@ from pptball.montecarlo import (
     _product_mixture,
     _wilson_interval,
 )
+from pptball.witness import _stream
 
 
 def test_sampler_determinism():
@@ -261,6 +262,15 @@ def test_dirichlet_weights_sum_to_one_with_mean_one_over_terms(terms):
     # Each weight is Beta(1, terms - 1): variance (terms - 1) / (terms^2 (terms + 1)).
     sigma = np.sqrt((terms - 1) / (terms**2 * (terms + 1)) / n)
     assert np.all(np.abs(weights.mean(axis=0) - 1 / terms) <= 4 * sigma)
+
+
+def test_dirichlet_draws_one_uniform_per_term_from_the_keyed_stream():
+    # The seed strings and the uniforms are those of one gen.random() per term
+    # from random.Random("seed:stream:tag:trial"), so reports keep their bits.
+    for t in range(20):
+        reference = random.Random(f"5:0:2:{t}")
+        e = -np.log1p(-np.array([reference.random() for _ in range(MIXTURE_TERMS)]))
+        assert np.array_equal(_dirichlet(_stream((5, 0, 2, t)), MIXTURE_TERMS), e / e.sum())
 
 
 def test_product_sampler_rejects_zero_terms():

@@ -143,9 +143,16 @@ def test_real_numpy_lambda_passes():
     assert bound == prove_product_minimum(np.eye(4) / 4, (2, 2), 1.0)
 
 
+def test_eig_contract_violation_is_a_runtime_error(monkeypatch):
+    monkeypatch.setattr("pptball.operators.DECOMPOSITION_ATOL", -1.0)
+    with pytest.raises(RuntimeError, match="^eigendecomposition contract violated"):
+        eig_hermitian(np.eye(2))
+
+
 def test_bipartition_validation():
     rho = DensityMatrix.maximally_mixed(HilbertStructure((2, 2)))
-    with pytest.raises(ValueError, match="nonempty"):
+    empty = "^number of transposed subsystems must be at least 1, got 0$"
+    with pytest.raises(ValueError, match=empty):
         partial_transpose(rho, ())
     with pytest.raises(ValueError, match="duplicate"):
         partial_transpose(rho, (1, 1))

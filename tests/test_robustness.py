@@ -10,8 +10,11 @@ from pptball import (
     DensityMatrix,
     HilbertStructure,
     PSD_TOL,
+    ProductState,
+    UPBSet,
     ball_fraction_estimate,
     ball_membership,
+    build_complete_basis,
     certify,
     in_gurvits_ball,
     is_ppt,
@@ -19,6 +22,7 @@ from pptball import (
     minimizer_direction,
     mixture_tau,
     omega_state,
+    partial_transpose,
     ppt_mixing_threshold,
     prove_product_minimum,
     purity,
@@ -235,6 +239,15 @@ def test_mixture_witness_value_identity(tiles, tiles_cert):
         assert abs(witness_value(witness, tau) - expected) < 1e-12
 
 
+def test_mixture_tau_identity_is_a_contract(monkeypatch, tiles, tiles_cert):
+    # A rewrite residual above IDENTITY_ATOL is a RuntimeError, which the CLI
+    # maps to exit 4; a negative tolerance forces it.
+    monkeypatch.setattr("pptball.robustness.IDENTITY_ATOL", -1.0)
+    mixed = DensityMatrix.maximally_mixed(tiles.structure)
+    with pytest.raises(RuntimeError, match="^mixture decomposition identity violated"):
+        mixture_tau(tiles_cert, mixed, 0.4, 0.1)
+
+
 def test_mixture_tau_range_validation(tiles, tiles_cert):
     mixed = DensityMatrix.maximally_mixed(tiles.structure)
     with pytest.raises(ValueError):
@@ -333,6 +346,13 @@ def test_ppt_mixing_threshold_directions(tiles, tiles_lambda, tiles_cert):
     assert abs(ppt_mixing_threshold(tiles_cert, mixed) - expected) < 1e-12
     with pytest.raises(ValueError, match="negative witness value"):
         ppt_mixing_threshold(tiles_cert, tiles_cert.omega)
+    # The maximally entangled state has witness value (<Phi|P|Phi> - lambda)/(n - lambda D)
+    # > 0, since <Phi|P|Phi> >= 1/6 from the member (e0, (e0 - e1)/sqrt 2), but it is
+    # not PPT, so the threshold is refused.
+    phi = DensityMatrix.from_pure(np.eye(3).reshape(-1), tiles.structure)
+    assert witness_value(tiles_cert.witness, phi) > 0 and not is_ppt(phi)
+    with pytest.raises(ValueError, match="^direction must be PPT on every bipartition$"):
+        ppt_mixing_threshold(tiles_cert, phi)
 
 
 def test_minimizer_direction_mixes_product_states_of_one_shape(tiles_lambda, shifts_lambda):
@@ -343,9 +363,10 @@ def test_minimizer_direction_mixes_product_states_of_one_shape(tiles_lambda, shi
     mats = [m.to_density().matrix for m in minimizers]
     assert direction.structure.local_dims == (3, 3)
     assert np.array_equal(direction.matrix, sum(mats) / len(mats))
-    for bad in ((), (minimizers[0], shifts_lambda.minimizers[0])):
-        with pytest.raises(ValueError, match="^need product states on one set of local dimensions"):
-            minimizer_direction(bad)
+    with pytest.raises(ValueError, match="^need product states on one set of local dimensions"):
+        minimizer_direction((minimizers[0], shifts_lambda.minimizers[0]))
+    with pytest.raises(ValueError, match="^number of minimizers must be at least 1, got 0$"):
+        minimizer_direction(())
 
 
 def test_maximal_robustness_direction(tiles_lambda, tiles_cert):
@@ -379,7 +400,7 @@ def test_maximal_robustness_direction(tiles_lambda, tiles_cert):
         verify_maximal_robustness(tiles_cert, other, x, [0.5])
     with pytest.raises(ValueError, match=r"\[0, 1\)"):
         verify_maximal_robustness(tiles_cert, sigma_dir, x, [1.0])
-    with pytest.raises(ValueError, match="at least one point"):
+    with pytest.raises(ValueError, match="^number of grid entries must be at least 1, got 0$"):
         verify_maximal_robustness(tiles_cert, sigma_dir, x, [])
     for outside in (x_star / 2, x_star, 1.0):
         with pytest.raises(ValueError, match="strictly between"):
@@ -537,4 +558,86 @@ def test_plain_matrices_give_the_state_results(tiles_cert, tiles_direction):
     radius = tiles_cert.radius(x)
     assert ball_fraction_estimate(center.matrix.tolist(), radius, 20, 0) == ball_fraction_estimate(
         center, radius, 20, 0
+    )
+
+
+# Every list-like argument passes operators._sequence: one that is not
+# iterable, or is empty, is refused in its words ("expected a sequence of
+# ...", "number of ... must be at least 1"), and each item is checked where
+# the caller reads it.  Party indices pass _integer and a range test.
+SEQUENCE_ARGUMENTS = [
+    ("structure", lambda c: HilbertStructure(3), "expected a sequence of subsystems, got 3"),
+    (
+        "complete-basis",
+        lambda c: build_complete_basis(3),
+        "expected a sequence of subsystems, got 3",
+    ),
+    ("product-state", lambda c: ProductState(5), "expected a sequence of subsystems, got 5"),
+    (
+        "product-state.empty",
+        lambda c: ProductState(()),
+        "number of subsystems must be at least 1, got 0",
+    ),
+    ("upb-set", lambda c: UPBSet("x", (2, 2), 5), "expected a sequence of members, got 5"),
+    (
+        "upb-set.empty",
+        lambda c: UPBSet("x", (2, 2), []),
+        "number of members must be at least 1, got 0",
+    ),
+    (
+        "upb-set.member",
+        lambda c: UPBSet("x", (2, 2), [np.eye(2)]),
+        "a member must be a ProductState, got ndarray",
+    ),
+    (
+        "from-vectors",
+        lambda c: UPBSet.from_vectors("x", (2, 2), 5),
+        "expected a sequence of members, got 5",
+    ),
+    (
+        "partial-transpose",
+        lambda c: partial_transpose(c.omega, 1),
+        "expected a sequence of transposed subsystems, got 1",
+    ),
+    (
+        "maximal.z-grid",
+        lambda c: verify_maximal_robustness(c, c.omega, _midpoint(c), 0.5),
+        "expected a sequence of grid entries, got 0.5",
+    ),
+    (
+        "minimizer-direction",
+        lambda c: minimizer_direction([np.eye(3)]),
+        "a minimizer must be a ProductState, got ndarray",
+    ),
+    ("local-matrix", lambda c: c.upb.local_matrix(5), "party 5 out of range for 2 parties"),
+    ("local-matrix.negative", lambda c: c.upb.local_matrix(-1), "party must be at least 0, got -1"),
+    ("local-matrix.float", lambda c: c.upb.local_matrix(1.5), "party must be an integer, got 1.5"),
+]
+
+
+@pytest.mark.parametrize(
+    "call, message", [r[1:] for r in SEQUENCE_ARGUMENTS], ids=[r[0] for r in SEQUENCE_ARGUMENTS]
+)
+def test_sequence_arguments_share_one_entry_rule(tiles_cert, call, message):
+    # pytest.raises(ValueError) lets a TypeError, AttributeError or IndexError through.
+    with pytest.raises(ValueError) as error:
+        call(tiles_cert)
+    assert str(error.value) == message
+
+
+def test_generators_and_arrays_pass_as_sequences(tiles, tiles_cert, tiles_lambda):
+    # A generator of generators builds the same set, and an ndarray z grid or a
+    # generator of minimizers gives the same results as lists, bit for bit.
+    rebuilt = UPBSet.from_vectors(
+        "tiles", (3, 3), (iter(m.local_vectors) for m in tiles.members)
+    )
+    assert np.array_equal(rebuilt.projector.matrix, tiles.projector.matrix)
+    for a, b in zip(rebuilt.members, tiles.members, strict=True):
+        assert all(np.array_equal(u, v) for u, v in zip(a.local_vectors, b.local_vectors))
+    x, zs = _midpoint(tiles_cert), np.linspace(0.0, 0.9, 4)
+    direction = minimizer_direction(m for m in tiles_lambda.minimizers)
+    assert np.array_equal(direction.matrix, minimizer_direction(tiles_lambda.minimizers).matrix)
+    assert (
+        verify_maximal_robustness(tiles_cert, direction, x, zs).to_json_dict()
+        == verify_maximal_robustness(tiles_cert, direction, x, zs.tolist()).to_json_dict()
     )

@@ -83,6 +83,13 @@ def test_product_state_density_keeps_its_local_dimensions():
     assert np.array_equal(rho.matrix, np.diag([0.0, 1.0, 0.0, 0.0]))
 
 
+def test_members_must_match_the_structure():
+    member = ProductState(([1.0, 0.0], [1.0, 0.0, 0.0]))
+    message = r"^member dimensions \(2, 3\) do not match structure \(2, 2\)$"
+    with pytest.raises(ValueError, match=message):
+        UPBSet("bad", (2, 2), [member])
+
+
 def test_from_vectors_rejects_non_orthonormal():
     e = np.eye(3)
     with pytest.raises(ValueError, match="orthonormal"):
