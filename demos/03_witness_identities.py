@@ -25,14 +25,18 @@ w = build_witness(upb, lam.value)
 omega = omega_state(upb)
 n, d = upb.cardinality, upb.total_dim
 
+spectrum = eig_hermitian(w).eigenvalues
+pos, neg = spectrum[spectrum > 0], spectrum[spectrum < 0]
+pos_trace, neg_trace = float(pos.sum()), float(-neg.sum())
 print("witness spectrum (ascending):")
-print(" ", np.round(eig_hermitian(w).eigenvalues, 10))
-print(f"positive count p = {w.p_count}, negative count = {w.n_neg_count}")
+print(" ", np.round(spectrum, 10))
+print(f"positive count p = {pos.size}, negative count = {neg.size}")
 print(f"Tr W        = {w.trace:.15f}")
-print(f"Tr W+       = {w.pos_part_trace:.15f} "
+print(f"Tr W+       = {pos_trace:.15f} "
       f"(closed form n(1-lambda)/(n-lambda D) = {n*(1-lam.value)/(n-lam.value*d):.15f})")
-print(f"Tr W+ - Tr W- = {w.pos_part_trace - w.neg_part_trace:.15f}")
-print(f"max positive eigenvalue = {w.max_pos_eigenvalue:.15f} "
+print(f"Tr W-       = {neg_trace:.15f}")
+print(f"Tr W+ - Tr W- = {pos_trace - neg_trace:.15f}")
+print(f"max positive eigenvalue = {spectrum[-1]:.15f} "
       f"(= Tr W+/p for this flat spectrum)")
 
 print()
@@ -48,7 +52,7 @@ vals = [witness_value(w, sample_hs_density(upb.structure, 11, trial=t))
 print()
 print(f"2000 random states: expectations in "
       f"[{min(vals):.6f}, {max(vals):.6f}] vs bounds "
-      f"[-{w.neg_part_trace:.6f}, {w.pos_part_trace:.6f}]")
+      f"[-{neg_trace:.6f}, {pos_trace:.6f}]")
 sep_vals = [
     witness_value(w, sample_random_product_separable(upb.structure, 3, 12, trial=t))
     for t in range(2000)

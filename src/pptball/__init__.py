@@ -21,7 +21,7 @@ _MODULES = {
         "build_shifts", "build_tiles", "get_upb", "omega_state",
     ),
     "witness": (
-        "LambdaResult", "Witness", "build_witness", "minimum_overlap", "witness_from_operator",
+        "LambdaResult", "build_witness", "minimum_overlap", "witness_from_operator",
         "witness_value",
     ),
     "proof": ("ProductMinimumBound", "prove_product_minimum"),

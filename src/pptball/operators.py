@@ -53,6 +53,14 @@ def _real(value, what: str) -> float:
     return float(value)
 
 
+def _complex(value, what: str) -> np.ndarray:
+    """``value`` as a new complex array; entries that are not numbers raise ValueError."""
+    try:
+        return np.array(value, dtype=complex)
+    except TypeError:  # numpy's "must be real number, not dict"
+        raise ValueError(f"{what} entries are not numbers") from None
+
+
 def _sequence(value, what: str) -> tuple:
     """``value``, any iterable such as a generator or array, as a tuple of at least one item."""
     try:
@@ -106,7 +114,7 @@ class HermitianOperator:
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = np.array(self.matrix, dtype=complex)
+        m = _complex(self.matrix, "matrix")
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"expected a square matrix, got shape {m.shape}")
         _integer(m.shape[0], "dimension", 1)
@@ -158,7 +166,7 @@ class DensityMatrix(HermitianOperator):
 
     @classmethod
     def from_pure(cls, vector, structure: HilbertStructure | tuple) -> "DensityMatrix":
-        v = np.asarray(vector, dtype=complex).reshape(-1)
+        v = _complex(vector, "vector").reshape(-1)
         if not np.isfinite(v).all() or not v.any():
             raise ValueError("vector entries are not finite, or all zero")
         # Scale to unit max modulus first: the norm squares the entries, which

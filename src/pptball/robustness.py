@@ -24,7 +24,7 @@ import numpy as np
 from .operators import DensityMatrix, HermitianOperator, _integer, _operator, _real, _sequence
 from .operators import _state, eig_hermitian, is_ppt, purity
 from .upb import ProductState, UPBSet, omega_state
-from .witness import Witness, _line, build_witness, witness_value
+from .witness import _line, build_witness, witness_value
 
 IDENTITY_ATOL = 1e-12
 RANK_TOL = 1e-12
@@ -69,7 +69,7 @@ class Certificate:
 
     upb: UPBSet
     lam: float
-    witness: Witness
+    witness: HermitianOperator
     omega: DensityMatrix
     lambda_omega: float
     x_star: float

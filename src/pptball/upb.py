@@ -19,8 +19,8 @@ from functools import reduce
 
 import numpy as np
 
-from .operators import DensityMatrix, HermitianOperator, HilbertStructure, _frozen, _integer
-from .operators import _sequence, _structure
+from .operators import DensityMatrix, HermitianOperator, HilbertStructure, _complex, _frozen
+from .operators import _integer, _sequence, _structure
 
 GRAM_ATOL = 1e-10
 UNIT_NORM_ATOL = 1e-12
@@ -35,7 +35,7 @@ class ProductState:
     def __post_init__(self):
         vecs = []
         for v in _sequence(self.local_vectors, "subsystems"):
-            arr = np.array(v, dtype=complex).reshape(-1)
+            arr = _complex(v, "local vector").reshape(-1)
             if not np.isfinite(arr).all():
                 raise ValueError("local vector entries are not finite")
             nrm = float(np.linalg.norm(arr))
@@ -78,6 +78,8 @@ class UPBSet:
     projector: HermitianOperator = field(init=False)
 
     def __post_init__(self):
+        if not isinstance(self.name, str):
+            raise ValueError(f"name must be a string, got {self.name!r}")
         object.__setattr__(self, "structure", _structure(self.structure))
         members = _sequence(self.members, "members")
         for m in members:

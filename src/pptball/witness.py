@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import HermitianOperator, TRACE_ATOL, _integer, _operator, _real, eig_hermitian
+from .operators import HermitianOperator, TRACE_ATOL, _integer, _operator, _real
 from .upb import ProductState, UPBSet
 
 ZERO_EIG_ATOL = 1e-12
@@ -140,48 +140,15 @@ def minimum_overlap(upb: UPBSet, seed: int = 0) -> LambdaResult:
     return LambdaResult(value=best_value, converged=near[0][2], minimizers=tuple(distinct))
 
 
-@dataclass(frozen=True, eq=False)
-class Witness(HermitianOperator):
-    """Unit-trace Hermitian witness with the counts and traces of its two parts.
-
-    Eigenvalues within ZERO_EIG_ATOL of zero belong to neither part.  The part
-    traces differ by exactly the trace (= 1), and for any state pi the
-    expectation Tr(W pi) lies in [-neg_part_trace, pos_part_trace].
-    ``max_pos_eigenvalue`` is the largest eigenvalue (0 when none is
-    positive).  Build it with ``witness_from_operator``.
-    """
-
-    p_count: int
-    n_neg_count: int
-    pos_part_trace: float
-    neg_part_trace: float
-    max_pos_eigenvalue: float
-
-    def __post_init__(self):
-        super().__post_init__()
-        if abs(self.pos_part_trace - self.neg_part_trace - 1.0) > TRACE_ATOL:
-            raise RuntimeError("spectral split violates the part-trace identity")
-
-
-def witness_from_operator(op: HermitianOperator | np.ndarray) -> Witness:
-    """Split a unit-trace Hermitian operator into its positive and negative parts.
+def witness_from_operator(op: HermitianOperator | np.ndarray) -> HermitianOperator:
+    """The entry check for witnesses: a Hermitian operator of unit trace.
 
     A plain matrix is checked by ``HermitianOperator`` first.
     """
     op = _operator(op)
     if abs(op.trace - 1.0) > TRACE_ATOL:
         raise ValueError(f"witness trace must be 1, got {op.trace!r}")
-    vals = eig_hermitian(op).eigenvalues
-    pos = vals > ZERO_EIG_ATOL
-    neg = vals < -ZERO_EIG_ATOL
-    return Witness(
-        op.matrix,
-        p_count=int(pos.sum()),
-        n_neg_count=int(neg.sum()),
-        pos_part_trace=float(vals[pos].sum()),
-        neg_part_trace=float(-vals[neg].sum()),
-        max_pos_eigenvalue=float(vals[-1]) if pos.any() else 0.0,
-    )
+    return op
 
 
 def _line(n: int, d: int, lam: float) -> tuple[Fraction, Fraction, Fraction]:
@@ -214,7 +181,7 @@ def _line(n: int, d: int, lam: float) -> tuple[Fraction, Fraction, Fraction]:
     return lam / norm, (1 - lam) / norm, 1 - lam * d / n
 
 
-def build_witness(upb: UPBSet, lam: float) -> Witness:
+def build_witness(upb: UPBSet, lam: float) -> HermitianOperator:
     """Normalized witness (P - lambda I) / (n - lambda D) for a product-basis set.
 
     The spectrum is flat by construction: eigenvalue (1 - lambda)/(n - lambda D)

@@ -97,12 +97,14 @@ def test_a02_complement_state_contract(
 def test_a03_witness_algebra(tiles, tiles_lambda, tiles_witness, shifts, shifts_witness):
     d, n, lam = 9, 5, tiles_lambda.value
     w = tiles_witness
+    vals = eig_hermitian(w).eigenvalues
+    pos_trace, neg_trace = vals[vals > 0].sum(), -vals[vals < 0].sum()
     assert abs(w.trace - 1.0) < 1e-12
-    assert abs(w.pos_part_trace - n * (1 - lam) / (n - lam * d)) < 1e-12
+    assert abs(pos_trace - n * (1 - lam) / (n - lam * d)) < 1e-12
     for t in range(10_000):
         pi = sample_hs_density(tiles.structure, 2024, trial=t)
         val = witness_value(w, pi)
-        assert -w.neg_part_trace - 1e-12 <= val <= w.pos_part_trace + 1e-12
+        assert -neg_trace - 1e-12 <= val <= pos_trace + 1e-12
     for upb, witness in ((tiles, w), (shifts, shifts_witness)):
         for t in range(10_000):
             sigma = sample_random_product_separable(upb.structure, 3, 2025, trial=t)
@@ -125,7 +127,8 @@ def test_a04_threshold_identities(
         lo = lambda_omega_of(witness, omega_state(upb))
         assert abs(1.0 / (1.0 + d * lo) - (1.0 - lam.value * d / n)) < 1e-12
         assert lo <= 1.0 - 2.0 / d
-        mixing = n * lo / (witness.pos_part_trace + n * lo)
+        vals = eig_hermitian(witness).eigenvalues
+        mixing = n * lo / (vals[vals > 0].sum() + n * lo)
         assert abs(mixing - lam.value) < 1e-12
     print("[PASS] criterion 4: threshold identities "
           "(x* both forms, violation ceiling, mixing-threshold identity)")

@@ -153,22 +153,28 @@ def test_lambda_proof_out_of_cells_exits_4(tmp_path, capsys, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "patch, words",
+    "command, patch, words",
     [
-        (("pptball.operators.DECOMPOSITION_ATOL", -1.0), "eigendecomposition contract violated"),
+        # membership diagonalizes the ball's center; no profile step does.
+        (
+            "membership",
+            ("pptball.operators.DECOMPOSITION_ATOL", -1.0),
+            "eigendecomposition contract violated",
+        ),
         # x* = 1 leaves no room for the crossing x0 in (x*, 1).
         (
+            "profile",
             (robustness, "_line", lambda *a, line=robustness._line: (*line(*a)[:2], Fraction(1))),
             "branch crossing",
         ),
     ],
     ids=["eigendecomposition", "branch-crossing"],
 )
-def test_contract_violations_exit_4(tmp_path, capsys, monkeypatch, patch, words):
+def test_contract_violations_exit_4(tmp_path, capsys, monkeypatch, command, patch, words):
     # The certificate's internal checks raise RuntimeError, which main reports
     # as an internal error with exit 4 and no report.
     monkeypatch.setattr(*patch)
-    code, path = run(tmp_path, "profile", "--upb", "tiles")
+    code, path = run(tmp_path, command, "--upb", "tiles")
     assert code == 4
     err = capsys.readouterr().err
     assert err.startswith(f"internal error: {words}") and err.count("\n") == 1

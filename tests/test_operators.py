@@ -8,7 +8,6 @@ from pptball import (
     HermitianOperator,
     HilbertStructure,
     UPBSet,
-    Witness,
     all_bipartitions,
     build_complete_basis,
     build_witness,
@@ -314,9 +313,8 @@ def _decomposition(m):
     return dec.eigenvalues, dec.eigenvectors
 
 
-def _split(m):
-    w = witness_from_operator(m)
-    return w.matrix, w.p_count, w.n_neg_count, w.pos_part_trace, w.neg_part_trace
+def _witness(m):
+    return (witness_from_operator(m).matrix,)
 
 
 def _bound(m, structure=QUBITS):
@@ -330,7 +328,7 @@ def _bound(m, structure=QUBITS):
         (lambda m: (partial_transpose(m, (1,), QUBITS).matrix,), np.eye(3), DIMENSION),
         (lambda m: (min_pt_eigenvalue(m, QUBITS),), np.eye(4, 3), DIMENSION),
         (_decomposition, np.eye(4, 3), SQUARE),
-        (_split, np.eye(4, 3), SQUARE),
+        (_witness, np.eye(4, 3), SQUARE),
         (
             lambda m: (witness_value(m, ENTRY_MATRIX),),
             np.eye(3) / 3,
@@ -491,7 +489,7 @@ def test_states_and_witnesses_are_read_only_hermitian_operators(tiles_witness):
     for arr in (rho.matrix, tiles_witness.matrix, dec.eigenvalues, dec.eigenvectors):
         with pytest.raises(ValueError, match="read-only"):
             arr[(0,) * arr.ndim] = 0.0
-    assert isinstance(rho, HermitianOperator) and isinstance(tiles_witness, HermitianOperator)
+    assert isinstance(rho, HermitianOperator) and type(tiles_witness) is HermitianOperator
     recon = (dec.eigenvectors * dec.eigenvalues) @ dec.eigenvectors.conj().T
     assert np.abs(recon - tiles_witness.matrix).max() < 1e-12
     pt = partial_transpose(tiles_witness, (1,), structure)
@@ -501,8 +499,6 @@ def test_states_and_witnesses_are_read_only_hermitian_operators(tiles_witness):
     skew[0, 1] = 0.1
     with pytest.raises(ValueError, match="not Hermitian"):
         DensityMatrix(skew, HilbertStructure((2, 2)))
-    with pytest.raises(RuntimeError, match="part-trace identity"):
-        Witness(np.eye(2) / 2, 1, 0, 0.5, 0.0, 0.5)
 
 
 @pytest.mark.parametrize(

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from pptball import (
     DensityMatrix,
+    HermitianOperator,
     HilbertStructure,
     PSD_TOL,
     ProductState,
@@ -16,6 +17,7 @@ from pptball import (
     ball_membership,
     build_complete_basis,
     certify,
+    eig_hermitian,
     in_gurvits_ball,
     is_ppt,
     min_pt_eigenvalue,
@@ -113,6 +115,7 @@ def test_certificate_matches_closed_forms(request, name):
     assert rounded_down(cert.lambda_omega, lambda_omega)
     assert np.array_equal(cert.omega.matrix, omega_state(upb).matrix)
     witness = request.getfixturevalue(f"{name}_witness")
+    assert type(cert.witness) is HermitianOperator
     assert np.array_equal(cert.witness.matrix, witness.matrix)
     xs = cert.x_grid(7)
     assert len(xs) == 7
@@ -121,7 +124,7 @@ def test_certificate_matches_closed_forms(request, name):
     for x in xs:
         assert rounded_down(cert.radius(x), min(_branches(x, n, d, lam)))
     # The float spectrum of W agrees with the exact numbers to rounding.
-    assert abs(cert.witness.max_pos_eigenvalue - w_max) < 1e-12
+    assert abs(eig_hermitian(cert.witness).eigenvalues[-1] - w_max) < 1e-12
     assert abs(-witness_value(cert.witness, cert.omega) - lambda_omega) < 1e-12
 
 
@@ -327,14 +330,16 @@ def test_ball_membership_rejects_rank_deficient_center(tiles_omega, shifts_cert)
 
 def test_separable_mixing_threshold_identity(tiles_cert):
     # p lambda_omega / (Tr W+ + p lambda_omega) is lambda exactly on the line,
-    # and the witness's float counts and traces give it to rounding.
-    lam, w = tiles_cert.lam, tiles_cert.witness
+    # and the witness's float spectrum gives it to rounding.
+    lam = tiles_cert.lam
     assert robustness_profile(tiles_cert, grid_size=1)["mixing_threshold"] == lam
     lambda_omega, w_max, _ = _line(TILES_N, TILES_D, lam)
-    p = w.p_count
+    pos = eig_hermitian(tiles_cert.witness).eigenvalues
+    pos = pos[pos > 0]
+    p = pos.size
     assert p * lambda_omega / (p * w_max + p * lambda_omega) == Fraction(lam)
     lambda_omega = tiles_cert.lambda_omega
-    assert abs(p * lambda_omega / (w.pos_part_trace + p * lambda_omega) - lam) < 1e-12
+    assert abs(p * lambda_omega / (pos.sum() + p * lambda_omega) - lam) < 1e-12
 
 
 def test_ppt_mixing_threshold_directions(tiles, tiles_lambda, tiles_cert):
@@ -564,7 +569,9 @@ def test_plain_matrices_give_the_state_results(tiles_cert, tiles_direction):
 # Every list-like argument passes operators._sequence: one that is not
 # iterable, or is empty, is refused in its words ("expected a sequence of
 # ...", "number of ... must be at least 1"), and each item is checked where
-# the caller reads it.  Party indices pass _integer and a range test.
+# the caller reads it.  Party indices pass _integer and a range test, entries
+# that are not numbers are refused where they become a complex array, and a
+# set's name must be a string.
 SEQUENCE_ARGUMENTS = [
     ("structure", lambda c: HilbertStructure(3), "expected a sequence of subsystems, got 3"),
     (
@@ -578,7 +585,23 @@ SEQUENCE_ARGUMENTS = [
         lambda c: ProductState(()),
         "number of subsystems must be at least 1, got 0",
     ),
+    (
+        "product-state.entries",
+        lambda c: ProductState(({1: 2},)),
+        "local vector entries are not numbers",
+    ),
+    ("operator.entries", lambda c: HermitianOperator({1: 2}), "matrix entries are not numbers"),
+    (
+        "from-pure.entries",
+        lambda c: DensityMatrix.from_pure({1: 2}, (2, 2)),
+        "vector entries are not numbers",
+    ),
     ("upb-set", lambda c: UPBSet("x", (2, 2), 5), "expected a sequence of members, got 5"),
+    (
+        "upb-set.name",
+        lambda c: UPBSet(5, (2, 2), [ProductState(([1, 0], [1, 0]))]),
+        "name must be a string, got 5",
+    ),
     (
         "upb-set.empty",
         lambda c: UPBSet("x", (2, 2), []),

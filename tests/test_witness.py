@@ -247,19 +247,17 @@ def test_minimum_overlap_reads_its_counts_at_call_time(tiles, monkeypatch, resta
         assert all(np.array_equal(a, b) for a, b in zip(start, expected))
 
 
-def test_witness_flat_spectrum(tiles, tiles_lambda, tiles_witness):
-    n, d = 5, 9
-    lam = tiles_lambda.value
-    w = tiles_witness
+@pytest.mark.parametrize("name", ["tiles", "pyramid", "shifts"])
+def test_witness_flat_spectrum(request, name):
+    upb = request.getfixturevalue(name)
+    lam = request.getfixturevalue(f"{name}_lambda").value
+    w = request.getfixturevalue(f"{name}_witness")
+    n, d = upb.cardinality, upb.total_dim
     assert abs(w.trace - 1.0) < 1e-12
-    assert w.p_count == n and w.n_neg_count == d - n
-    pos = (1 - lam) / (n - lam * d)
-    neg = -lam / (n - lam * d)
     vals = eig_hermitian(w).eigenvalues
-    assert np.abs(vals[: d - n] - neg).max() < 1e-10
-    assert np.abs(vals[d - n :] - pos).max() < 1e-10
-    assert abs(w.pos_part_trace - n * (1 - lam) / (n - lam * d)) < 1e-12
-    assert abs(w.max_pos_eigenvalue - w.pos_part_trace / w.p_count) < 1e-10
+    assert np.abs(vals[: d - n] - (-lam / (n - lam * d))).max() < 1e-10
+    assert np.abs(vals[d - n :] - (1 - lam) / (n - lam * d)).max() < 1e-10
+    assert abs(vals[vals > 0].sum() - n * (1 - lam) / (n - lam * d)) < 1e-12
 
 
 def test_witness_detects_complement_state(tiles, tiles_lambda, tiles_witness):
@@ -296,11 +294,14 @@ def test_witness_nonnegative_on_product_states(tiles, tiles_witness):
 
 
 def test_expectation_sandwich(tiles, tiles_witness):
+    # Tr(W pi) lies in [-Tr W-, Tr W+] for every state pi.
     w = tiles_witness
+    vals = eig_hermitian(w).eigenvalues
+    pos_trace, neg_trace = vals[vals > 0].sum(), -vals[vals < 0].sum()
     for t in range(1000):
         pi = sample_hs_density(tiles.structure, 17, trial=t)
         val = witness_value(w, pi)
-        assert -w.neg_part_trace - 1e-12 <= val <= w.pos_part_trace + 1e-12
+        assert -neg_trace - 1e-12 <= val <= pos_trace + 1e-12
 
 
 def test_witness_normalizer_guard(complete22, tiles):
@@ -328,25 +329,15 @@ def test_witness_value_dimension_mismatch(tiles_witness):
         witness_value(tiles_witness, rho)
 
 
-def test_spectral_split_diagonal_example(tiles_witness):
-    split = witness_from_operator(HermitianOperator(np.diag([0.75, 0.75, -0.5])))
-    assert split.p_count == 2 and split.n_neg_count == 1
-    assert abs(split.pos_part_trace - 1.5) < 1e-14
-    assert abs(split.neg_part_trace - 0.5) < 1e-14
-    assert abs(split.max_pos_eigenvalue - 0.75) < 1e-14
-    split = witness_from_operator(tiles_witness)
-    assert abs(split.pos_part_trace - split.neg_part_trace - 1.0) < 1e-10
-
-
 def test_witness_from_a_plain_array_matches_the_operator():
-    # A plain array or nested list is checked by HermitianOperator first.
+    # A plain array or nested list is checked by HermitianOperator first; a
+    # unit-trace operator comes back as it is.
     diag = np.diag([0.75, 0.75, -0.5])
-    expected = witness_from_operator(HermitianOperator(diag))
-    fields = ("p_count", "n_neg_count", "pos_part_trace", "neg_part_trace", "max_pos_eigenvalue")
+    op = HermitianOperator(diag)
+    assert witness_from_operator(op) is op
     for given_op in (diag, diag.tolist()):
-        split = witness_from_operator(given_op)
-        assert np.array_equal(split.matrix, expected.matrix)
-        assert [getattr(split, f) for f in fields] == [getattr(expected, f) for f in fields]
+        w = witness_from_operator(given_op)
+        assert type(w) is HermitianOperator and np.array_equal(w.matrix, op.matrix)
     with pytest.raises(ValueError, match="^matrix is not Hermitian"):
         witness_from_operator(np.array([[0.5, 1.0], [0.0, 0.5]]))
 
