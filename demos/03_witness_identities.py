@@ -9,11 +9,10 @@ import numpy as np
 
 from pptball import (
     DensityMatrix,
-    build_witness,
+    certify,
     eig_hermitian,
     get_upb,
     minimum_overlap,
-    omega_state,
     sample_hs_density,
     sample_random_product_separable,
     witness_value,
@@ -21,8 +20,8 @@ from pptball import (
 
 upb = get_upb("tiles")
 lam = minimum_overlap(upb)
-w = build_witness(upb, lam.value)
-omega = omega_state(upb)
+cert = certify(upb, lam.value)
+w, omega = cert.witness, cert.omega
 n, d = upb.cardinality, upb.total_dim
 
 spectrum = eig_hermitian(w).eigenvalues

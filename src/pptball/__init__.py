@@ -20,10 +20,7 @@ _MODULES = {
         "CATALOG", "ProductState", "UPBSet", "build_complete_basis", "build_pyramid",
         "build_shifts", "build_tiles", "get_upb", "omega_state",
     ),
-    "witness": (
-        "LambdaResult", "build_witness", "minimum_overlap", "witness_from_operator",
-        "witness_value",
-    ),
+    "witness": ("LambdaResult", "minimum_overlap", "witness_value"),
     "proof": ("ProductMinimumBound", "prove_product_minimum"),
     "robustness": (
         "Certificate", "MixtureDecomposition", "ball_membership", "certify", "in_gurvits_ball",

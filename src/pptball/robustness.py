@@ -7,10 +7,14 @@ the separable purity ball, ball membership, the separable-mixing thresholds,
 and the minimizer direction, a separable state with zero witness value;
 ``montecarlo.verify_maximal_robustness`` checks mixtures toward it.
 
+``certify`` is the one constructor of the witness W = (P - lambda I)/(n - lambda D),
+which is a witness only if lambda is at most the true minimum product
+overlap; ``proof.prove_product_minimum`` establishes that from below.
 Every certificate number (lambda_omega, w_max, x*, x0, y0(x)) is a rational
-function of n, D and lambda, evaluated exactly from the float lambda and
-rounded once, a bound outward: x* up, lambda_omega and y0 down.  It is exact
-for the float lambda and the float set (Gram deviation 3.3e-16 to 6.7e-16).
+function of n, D and lambda, evaluated exactly by ``_line`` from the float
+lambda and rounded once, a bound outward: x* up, lambda_omega and y0 down.
+It is exact for the float lambda and the float set (Gram deviation 3.3e-16
+to 6.7e-16).
 """
 
 from __future__ import annotations
@@ -21,15 +25,43 @@ from fractions import Fraction
 
 import numpy as np
 
-from .operators import DensityMatrix, HermitianOperator, _integer, _operator, _real, _sequence
-from .operators import _state, eig_hermitian, is_ppt, purity
+from .operators import DensityMatrix, HermitianOperator, TRACE_ATOL, _integer, _operator, _real
+from .operators import _sequence, _state, eig_hermitian, is_ppt, purity
 from .upb import ProductState, UPBSet, omega_state
-from .witness import _line, build_witness, witness_value
+from .witness import witness_value
 
 IDENTITY_ATOL = 1e-12
 RANK_TOL = 1e-12
+ZERO_EIG_ATOL = 1e-12
 # Tr(W sigma) of a zero-witness direction is zero only up to the rounding of the trace.
 WITNESS_SIGN_ATOL = 1e-10
+
+
+def _line(n: int, d: int, lam: float) -> tuple[Fraction, Fraction, Fraction]:
+    """lambda_omega = lambda/(n - lambda D), w_max = (1 - lambda)/(n - lambda D) and x*.
+
+    They are -Tr(W omega), the flat positive eigenvalue of W, and
+    x* = 1 - lambda D/n = 1/(1 + D lambda_omega), exact for the float lambda;
+    every certificate number is a function of these.  lambda must be a real
+    number in (ZERO_EIG_ATOL, n/D), so that the normalizer n - lambda D is
+    positive.  The seesaw's lambda is an eigenvalue, so one within
+    ZERO_EIG_ATOL of 0 is a zero product overlap: the set is extendible and
+    has no witness.
+    """
+    lam = _real(lam, "minimum overlap")
+    if not 0.0 < lam < n / d:
+        raise ValueError(
+            f"minimum overlap {lam!r} outside (0, n/D = {n / d}); "
+            "the normalizer n - lambda D must be positive"
+        )
+    if lam <= ZERO_EIG_ATOL:
+        raise ValueError(
+            f"minimum overlap {lam!r} is at most ZERO_EIG_ATOL = {ZERO_EIG_ATOL}: "
+            "a product state is orthogonal to every member, so the set is extendible"
+        )
+    lam = Fraction(lam)
+    norm = n - lam * d
+    return lam / norm, (1 - lam) / norm, 1 - lam * d / n
 
 
 def _branches(x: float, n: int, d: int, lam: float) -> tuple[Fraction, Fraction]:
@@ -105,13 +137,24 @@ class Certificate:
 def certify(upb: UPBSet, lam: float) -> Certificate:
     """Build the witness, complement state, violation and threshold of a set at lambda.
 
-    ``_line`` checks lambda; lambda_omega = lambda/(n - lambda D) is
-    rounded down and x* = 1 - lambda D/n up.
+    W = (P - lambda I)/(n - lambda D) is formed here and nowhere else.  Its
+    spectrum is flat by construction: (1 - lambda)/(n - lambda D) with
+    multiplicity n and -lambda/(n - lambda D) with multiplicity D - n.  A set
+    with n = D has no complement state and is refused first.  ``_line``
+    checks lambda; the violation lambda_omega = lambda/(n - lambda D) may not
+    exceed 1 - 2/D, compared exactly, and is rounded down, x* = 1 - lambda D/n up.
     """
-    lambda_omega, _, x_star = _line(upb.cardinality, upb.total_dim, lam)
+    omega = omega_state(upb)
+    d, n = upb.total_dim, upb.cardinality
+    lambda_omega, _, x_star = _line(n, d, lam)
     lam = float(lam)
+    if d * lambda_omega > d - 2:
+        raise ValueError(f"witness violation at lambda = {lam!r} exceeds the 1 - 2/D ceiling")
+    witness = HermitianOperator((upb.projector.matrix - lam * np.eye(d)) / (n - lam * d))
+    if abs(witness.trace - 1.0) > TRACE_ATOL:
+        raise ValueError(f"witness trace must be 1, got {witness.trace!r}")
     lambda_omega, x_star = _outward(lambda_omega, up=False), _outward(x_star, up=True)
-    return Certificate(upb, lam, build_witness(upb, lam), omega_state(upb), lambda_omega, x_star)
+    return Certificate(upb, lam, witness, omega, lambda_omega, x_star)
 
 
 X0_NOTE = (

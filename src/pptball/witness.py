@@ -1,12 +1,11 @@
-"""Minimum product-state overlap and the entanglement witnesses built from it.
+"""Minimum product-state overlap, the seeded random streams, and witness values.
 
 The overlap minimizer is an alternating eigenvector descent: with every local
 vector but one held fixed, the objective is a quadratic form in the remaining
 vector, so its optimum is the minimum-eigenvalue eigenvector of the contracted
 projector and the objective never increases.  Random restarts guard against
-the non-convex landscape, but the descent only ever gives an upper estimate.
-W = (P - lambda I)/(n - lambda D) is a witness only if lambda is at most the
-true minimum, which ``proof.prove_product_minimum`` establishes from below.
+the non-convex landscape, but the descent only ever gives an upper estimate;
+``proof.prove_product_minimum`` bounds the minimum from below.
 """
 
 from __future__ import annotations
@@ -17,10 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import HermitianOperator, TRACE_ATOL, _integer, _operator, _real
+from .operators import HermitianOperator, _integer, _operator
 from .upb import ProductState, UPBSet
 
-ZERO_EIG_ATOL = 1e-12
 MINIMIZER_VALUE_ATOL = 1e-9
 DISTINCT_FIDELITY = 1 - 1e-6
 # A restart has converged once a full sweep lowers the objective by less than this.
@@ -138,62 +136,6 @@ def minimum_overlap(upb: UPBSet, seed: int = 0) -> LambdaResult:
         if all(cand.fidelity(kept) < DISTINCT_FIDELITY for kept in distinct):
             distinct.append(cand)
     return LambdaResult(value=best_value, converged=near[0][2], minimizers=tuple(distinct))
-
-
-def witness_from_operator(op: HermitianOperator | np.ndarray) -> HermitianOperator:
-    """The entry check for witnesses: a Hermitian operator of unit trace.
-
-    A plain matrix is checked by ``HermitianOperator`` first.
-    """
-    op = _operator(op)
-    if abs(op.trace - 1.0) > TRACE_ATOL:
-        raise ValueError(f"witness trace must be 1, got {op.trace!r}")
-    return op
-
-
-def _line(n: int, d: int, lam: float) -> tuple[Fraction, Fraction, Fraction]:
-    """lambda_omega = lambda/(n - lambda D), w_max = (1 - lambda)/(n - lambda D) and x*.
-
-    They are -Tr(W omega), the flat positive eigenvalue of W, and
-    x* = 1 - lambda D/n = 1/(1 + D lambda_omega), exact for the float lambda;
-    every certificate number is a function of these.  lambda must be a real
-    number in (ZERO_EIG_ATOL, n/D), so that the normalizer n - lambda D is
-    positive.  The seesaw's lambda is an eigenvalue, so one within
-    ZERO_EIG_ATOL of 0 is a zero product overlap: the set is extendible and
-    has no witness.
-    """
-    # Imported on use: the lambda command loads this module but builds no witness.
-    from fractions import Fraction
-
-    lam = _real(lam, "minimum overlap")
-    if not 0.0 < lam < n / d:
-        raise ValueError(
-            f"minimum overlap {lam!r} outside (0, n/D = {n / d}); "
-            "the normalizer n - lambda D must be positive"
-        )
-    if lam <= ZERO_EIG_ATOL:
-        raise ValueError(
-            f"minimum overlap {lam!r} is at most ZERO_EIG_ATOL = {ZERO_EIG_ATOL}: "
-            "a product state is orthogonal to every member, so the set is extendible"
-        )
-    lam = Fraction(lam)
-    norm = n - lam * d
-    return lam / norm, (1 - lam) / norm, 1 - lam * d / n
-
-
-def build_witness(upb: UPBSet, lam: float) -> HermitianOperator:
-    """Normalized witness (P - lambda I) / (n - lambda D) for a product-basis set.
-
-    The spectrum is flat by construction: eigenvalue (1 - lambda)/(n - lambda D)
-    with multiplicity n and -lambda/(n - lambda D) with multiplicity D - n.
-    The violation lambda/(n - lambda D) may not exceed 1 - 2/D, compared exactly.
-    """
-    d, n = upb.total_dim, upb.cardinality
-    lambda_omega = _line(n, d, lam)[0]
-    lam = float(lam)
-    if d * lambda_omega > d - 2:
-        raise ValueError(f"witness violation at lambda = {lam!r} exceeds the 1 - 2/D ceiling")
-    return witness_from_operator((upb.projector.matrix - lam * np.eye(d)) / (n - lam * d))
 
 
 def witness_value(w: HermitianOperator | np.ndarray, rho: HermitianOperator | np.ndarray) -> float:

@@ -5,7 +5,6 @@ from pptball import (
     build_pyramid,
     build_shifts,
     build_tiles,
-    build_witness,
     certify,
     minimum_overlap,
     omega_state,
@@ -45,21 +44,6 @@ def pyramid_lambda(pyramid):
 @pytest.fixture(scope="session")
 def shifts_lambda(shifts):
     return minimum_overlap(shifts)
-
-
-@pytest.fixture(scope="session")
-def tiles_witness(tiles, tiles_lambda):
-    return build_witness(tiles, tiles_lambda.value)
-
-
-@pytest.fixture(scope="session")
-def pyramid_witness(pyramid, pyramid_lambda):
-    return build_witness(pyramid, pyramid_lambda.value)
-
-
-@pytest.fixture(scope="session")
-def shifts_witness(shifts, shifts_lambda):
-    return build_witness(shifts, shifts_lambda.value)
 
 
 @pytest.fixture(scope="session")

@@ -75,12 +75,12 @@ def test_a01_catalog_validity_and_dual_method_overlap():
 
 def test_a02_complement_state_contract(
     tiles, pyramid, shifts, tiles_lambda, pyramid_lambda, shifts_lambda,
-    tiles_witness, pyramid_witness, shifts_witness,
+    tiles_cert, pyramid_cert, shifts_cert,
 ):
     for upb, lam, witness in (
-        (tiles, tiles_lambda, tiles_witness),
-        (pyramid, pyramid_lambda, pyramid_witness),
-        (shifts, shifts_lambda, shifts_witness),
+        (tiles, tiles_lambda, tiles_cert.witness),
+        (pyramid, pyramid_lambda, pyramid_cert.witness),
+        (shifts, shifts_lambda, shifts_cert.witness),
     ):
         d, n = upb.total_dim, upb.cardinality
         omega = omega_state(upb)
@@ -94,9 +94,9 @@ def test_a02_complement_state_contract(
           "(flat spectrum, PPT on every cut, witness value identity)")
 
 
-def test_a03_witness_algebra(tiles, tiles_lambda, tiles_witness, shifts, shifts_witness):
+def test_a03_witness_algebra(tiles, tiles_lambda, tiles_cert, shifts, shifts_cert):
     d, n, lam = 9, 5, tiles_lambda.value
-    w = tiles_witness
+    w = tiles_cert.witness
     vals = eig_hermitian(w).eigenvalues
     pos_trace, neg_trace = vals[vals > 0].sum(), -vals[vals < 0].sum()
     assert abs(w.trace - 1.0) < 1e-12
@@ -105,7 +105,7 @@ def test_a03_witness_algebra(tiles, tiles_lambda, tiles_witness, shifts, shifts_
         pi = sample_hs_density(tiles.structure, 2024, trial=t)
         val = witness_value(w, pi)
         assert -neg_trace - 1e-12 <= val <= pos_trace + 1e-12
-    for upb, witness in ((tiles, w), (shifts, shifts_witness)):
+    for upb, witness in ((tiles, w), (shifts, shifts_cert.witness)):
         for t in range(10_000):
             sigma = sample_random_product_separable(upb.structure, 3, 2025, trial=t)
             assert witness_value(witness, sigma) >= -1e-10
@@ -116,12 +116,12 @@ def test_a03_witness_algebra(tiles, tiles_lambda, tiles_witness, shifts, shifts_
 
 def test_a04_threshold_identities(
     tiles, pyramid, shifts, tiles_lambda, pyramid_lambda, shifts_lambda,
-    tiles_witness, pyramid_witness, shifts_witness,
+    tiles_cert, pyramid_cert, shifts_cert,
 ):
     for upb, lam, witness in (
-        (tiles, tiles_lambda, tiles_witness),
-        (pyramid, pyramid_lambda, pyramid_witness),
-        (shifts, shifts_lambda, shifts_witness),
+        (tiles, tiles_lambda, tiles_cert.witness),
+        (pyramid, pyramid_lambda, pyramid_cert.witness),
+        (shifts, shifts_lambda, shifts_cert.witness),
     ):
         d, n = upb.total_dim, upb.cardinality
         lo = lambda_omega_of(witness, omega_state(upb))
@@ -135,13 +135,13 @@ def test_a04_threshold_identities(
 
 
 def test_a05_ball_verification(
-    tiles, shifts, tiles_lambda, shifts_lambda, tiles_witness, shifts_witness
+    tiles, shifts, tiles_lambda, shifts_lambda, tiles_cert, shifts_cert
 ):
     start = time.monotonic()
     worst = {}
     for upb, lam, witness in (
-        (tiles, tiles_lambda, tiles_witness),
-        (shifts, shifts_lambda, shifts_witness),
+        (tiles, tiles_lambda, tiles_cert.witness),
+        (shifts, shifts_lambda, shifts_cert.witness),
     ):
         lo = lambda_omega_of(witness, omega_state(upb))
         x_star = 1.0 / (1.0 + upb.total_dim * lo)

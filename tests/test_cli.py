@@ -129,6 +129,21 @@ def test_certificate_commands_exit_3_without_convergence(tmp_path, capsys, monke
     assert not path.exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["profile"], ["verify", "--trials", "2"], ["membership", "--trials", "2"]],
+    ids=["profile", "verify", "membership"],
+)
+def test_certificate_commands_refuse_a_set_that_spans_the_space(tmp_path, capsys, argv):
+    # A complete basis has n = D and no complement state; the commands built
+    # on the certificate say so with exit 2 and write no report.
+    code, path = run(tmp_path, *argv, "--upb", "complete-2x2")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "n = D" in err
+    assert not path.exists()
+
+
 def test_lambda_reports_the_proofs_incumbent(tmp_path, monkeypatch, tiles_lambda):
     # Two one-sweep restarts stop well above the minimum; the proof's cell
     # centres find it, and lambda and agreement are read from that value.

@@ -457,12 +457,12 @@ def test_suites_diagonalize_each_trial_once_per_cut(request, monkeypatch, cert_n
         assert checks_one == checks_many
 
 
-def test_mixing_respects_minimizer_direction(tiles, tiles_lambda, tiles_witness, tiles_omega):
+def test_mixing_respects_minimizer_direction(tiles, tiles_lambda, tiles_cert, tiles_omega):
     sigma = tiles_lambda.minimizers[0].to_density()
     for z in (0.1, 0.5, 0.9, 0.999):
         m = z * sigma.matrix + (1 - z) * tiles_omega.matrix
         state = DensityMatrix(m, tiles.structure)
-        assert witness_value(tiles_witness, state) < 0
+        assert witness_value(tiles_cert.witness, state) < 0
         assert is_ppt(state)
 
 
@@ -547,7 +547,7 @@ print("scipy" in sys.modules)
 
 
 # The modules each command leaves unloaded: lambda certifies without the
-# robustness and sampling code or the exact arithmetic of ``witness._line``,
+# robustness and sampling code or the exact arithmetic of ``robustness._line``,
 # the other certificate commands never run the proof, and upb-list and export
 # read only the catalog.
 UNUSED_MODULES = {

@@ -10,7 +10,6 @@ from pptball import (
     UPBSet,
     all_bipartitions,
     build_complete_basis,
-    build_witness,
     certify,
     eig_hermitian,
     get_upb,
@@ -20,7 +19,6 @@ from pptball import (
     partial_transpose,
     prove_product_minimum,
     purity,
-    witness_from_operator,
     witness_value,
 )
 from pptball.montecarlo import sample_hs_density, sample_random_product_separable
@@ -119,10 +117,9 @@ def test_counts_below_their_floor_are_rejected(call, message):
     "call, what",
     [
         (lambda lam: certify(get_upb("tiles"), lam), "minimum overlap"),
-        (lambda lam: build_witness(get_upb("tiles"), lam), "minimum overlap"),
         (lambda lam: prove_product_minimum(np.eye(4) / 4, (2, 2), lam), "upper"),
     ],
-    ids=["certify", "build_witness", "prove_product_minimum"],
+    ids=["certify", "prove_product_minimum"],
 )
 def test_real_parameters_must_be_real_numbers(call, what, bad):
     # lambda and the proof's upper bound pass one entry check: a Python or
@@ -135,9 +132,7 @@ def test_real_parameters_must_be_real_numbers(call, what, bad):
 def test_real_numpy_lambda_passes():
     cert = certify(get_upb("tiles"), np.float64(0.0284162))
     assert type(cert.lam) is float and cert.lam == 0.0284162
-    assert np.array_equal(
-        build_witness(get_upb("tiles"), np.float64(0.0284162)).matrix, cert.witness.matrix
-    )
+    assert np.array_equal(cert.witness.matrix, certify(get_upb("tiles"), 0.0284162).witness.matrix)
     bound = prove_product_minimum(np.eye(4) / 4, (2, 2), np.float64(1.0))
     assert bound == prove_product_minimum(np.eye(4) / 4, (2, 2), 1.0)
 
@@ -265,11 +260,11 @@ def test_is_ppt_maximally_mixed():
         min_pt_eigenvalue(rho.matrix)
 
 
-def test_min_pt_eigenvalue_of_a_bare_operator_is_that_of_its_matrix(tiles, tiles_witness):
+def test_min_pt_eigenvalue_of_a_bare_operator_is_that_of_its_matrix(tiles, tiles_cert):
     # A partial transpose and a witness are Hermitian operators without a
     # structure: they need one passed, and give what their matrices give.
     pt = partial_transpose(omega_state(tiles), (1,))
-    for op in (pt, tiles_witness):
+    for op in (pt, tiles_cert.witness):
         assert type(op) is not DensityMatrix
         assert min_pt_eigenvalue(op, tiles.structure) == min_pt_eigenvalue(
             op.matrix, tiles.structure
@@ -313,10 +308,6 @@ def _decomposition(m):
     return dec.eigenvalues, dec.eigenvectors
 
 
-def _witness(m):
-    return (witness_from_operator(m).matrix,)
-
-
 def _bound(m, structure=QUBITS):
     bound = prove_product_minimum(m, structure, 1.0)
     return bound.lower, bound.upper, bound.cells
@@ -328,7 +319,6 @@ def _bound(m, structure=QUBITS):
         (lambda m: (partial_transpose(m, (1,), QUBITS).matrix,), np.eye(3), DIMENSION),
         (lambda m: (min_pt_eigenvalue(m, QUBITS),), np.eye(4, 3), DIMENSION),
         (_decomposition, np.eye(4, 3), SQUARE),
-        (_witness, np.eye(4, 3), SQUARE),
         (
             lambda m: (witness_value(m, ENTRY_MATRIX),),
             np.eye(3) / 3,
@@ -348,7 +338,6 @@ def _bound(m, structure=QUBITS):
         "partial_transpose",
         "min_pt_eigenvalue",
         "eig_hermitian",
-        "witness_from_operator",
         "witness_value-witness",
         "witness_value-state",
         "prove_product_minimum",
@@ -482,19 +471,20 @@ def test_density_matrix_validation():
         DensityMatrix(np.eye(4) / 4.0, HilbertStructure((2, 4)))
 
 
-def test_states_and_witnesses_are_read_only_hermitian_operators(tiles_witness):
+def test_states_and_witnesses_are_read_only_hermitian_operators(tiles_cert):
+    w = tiles_cert.witness
     structure = HilbertStructure((3, 3))
     rho = DensityMatrix.maximally_mixed(structure)
-    dec = eig_hermitian(tiles_witness)
-    for arr in (rho.matrix, tiles_witness.matrix, dec.eigenvalues, dec.eigenvectors):
+    dec = eig_hermitian(w)
+    for arr in (rho.matrix, w.matrix, dec.eigenvalues, dec.eigenvectors):
         with pytest.raises(ValueError, match="read-only"):
             arr[(0,) * arr.ndim] = 0.0
-    assert isinstance(rho, HermitianOperator) and type(tiles_witness) is HermitianOperator
+    assert isinstance(rho, HermitianOperator) and type(w) is HermitianOperator
     recon = (dec.eigenvectors * dec.eigenvalues) @ dec.eigenvectors.conj().T
-    assert np.abs(recon - tiles_witness.matrix).max() < 1e-12
-    pt = partial_transpose(tiles_witness, (1,), structure)
+    assert np.abs(recon - w.matrix).max() < 1e-12
+    pt = partial_transpose(w, (1,), structure)
     assert abs(pt.trace - 1.0) < 1e-12
-    assert np.array_equal(partial_transpose(pt, (1,), structure).matrix, tiles_witness.matrix)
+    assert np.array_equal(partial_transpose(pt, (1,), structure).matrix, w.matrix)
     skew = np.eye(4) / 4
     skew[0, 1] = 0.1
     with pytest.raises(ValueError, match="not Hermitian"):

@@ -33,8 +33,7 @@ from pptball import (
     witness_value,
 )
 from pptball.montecarlo import sample_hs_density, sample_random_product_separable
-from pptball.robustness import X0_NOTE, _branches, _crossing, _line
-from pptball.witness import ZERO_EIG_ATOL
+from pptball.robustness import X0_NOTE, ZERO_EIG_ATOL, _branches, _crossing, _line
 
 TILES_N, TILES_D = 5, 9
 
@@ -114,9 +113,9 @@ def test_certificate_matches_closed_forms(request, name):
     assert rounded_up(cert.x_star, x_star)
     assert rounded_down(cert.lambda_omega, lambda_omega)
     assert np.array_equal(cert.omega.matrix, omega_state(upb).matrix)
-    witness = request.getfixturevalue(f"{name}_witness")
     assert type(cert.witness) is HermitianOperator
-    assert np.array_equal(cert.witness.matrix, witness.matrix)
+    witness = (upb.projector.matrix - lam * np.eye(d)) / (n - lam * d)
+    assert np.array_equal(cert.witness.matrix, witness)
     xs = cert.x_grid(7)
     assert len(xs) == 7
     assert np.all((cert.x_star < xs) & (xs < 1.0))
@@ -190,7 +189,7 @@ def test_crossing_root_and_branch_equality(tiles_lambda):
     )
     assert abs(root - closed) < 1e-10
     assert float(printed) != pytest.approx(root, abs=1e-3)
-    # Bad input is a ValueError, as for build_witness, not a failed contract.
+    # Bad input is a ValueError, as for certify, not a failed contract.
     for bad in (0.6, 0.0, np.nan):
         with pytest.raises(ValueError, match=r"outside \(0, n/D"):
             _crossing(TILES_N, TILES_D, bad)

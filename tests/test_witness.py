@@ -15,17 +15,16 @@ from pptball import (
     HilbertStructure,
     UPBSet,
     build_complete_basis,
-    build_witness,
     eig_hermitian,
     minimum_overlap,
     omega_state,
     partial_transpose,
     prove_product_minimum,
-    witness_from_operator,
     witness_value,
 )
 from pptball.montecarlo import sample_hs_density, sample_random_product_separable
 from pptball import proof as proof_module
+from pptball import robustness as robustness_module
 from pptball import witness as witness_module
 from pptball.proof import (
     PROOF_GAP,
@@ -251,7 +250,7 @@ def test_minimum_overlap_reads_its_counts_at_call_time(tiles, monkeypatch, resta
 def test_witness_flat_spectrum(request, name):
     upb = request.getfixturevalue(name)
     lam = request.getfixturevalue(f"{name}_lambda").value
-    w = request.getfixturevalue(f"{name}_witness")
+    w = request.getfixturevalue(f"{name}_cert").witness
     n, d = upb.cardinality, upb.total_dim
     assert abs(w.trace - 1.0) < 1e-12
     vals = eig_hermitian(w).eigenvalues
@@ -260,16 +259,16 @@ def test_witness_flat_spectrum(request, name):
     assert abs(vals[vals > 0].sum() - n * (1 - lam) / (n - lam * d)) < 1e-12
 
 
-def test_witness_detects_complement_state(tiles, tiles_lambda, tiles_witness):
+def test_witness_detects_complement_state(tiles, tiles_lambda, tiles_cert):
     n, d = 5, 9
     omega = omega_state(tiles)
     lam = tiles_lambda.value
-    assert abs(witness_value(tiles_witness, omega) - (-lam / (n - lam * d))) < 1e-12
+    assert abs(witness_value(tiles_cert.witness, omega) - (-lam / (n - lam * d))) < 1e-12
 
 
-def test_witness_vanishes_on_minimizer(tiles, tiles_lambda, tiles_witness):
+def test_witness_vanishes_on_minimizer(tiles, tiles_lambda, tiles_cert):
     sigma = tiles_lambda.minimizers[0].to_density()
-    assert abs(witness_value(tiles_witness, sigma)) < 1e-8
+    assert abs(witness_value(tiles_cert.witness, sigma)) < 1e-8
 
 
 def test_witness_value_of_any_hermitian_operator_is_that_of_its_matrix(tiles, tiles_cert):
@@ -282,20 +281,20 @@ def test_witness_value_of_any_hermitian_operator_is_that_of_its_matrix(tiles, ti
     assert witness_value(w, w) == float(np.vdot(w.matrix, w.matrix).real)
 
 
-def test_witness_value_on_maximally_mixed(tiles, tiles_witness):
+def test_witness_value_on_maximally_mixed(tiles, tiles_cert):
     rho = DensityMatrix.maximally_mixed(tiles.structure)
-    assert abs(witness_value(tiles_witness, rho) - 1.0 / 9.0) < 1e-12
+    assert abs(witness_value(tiles_cert.witness, rho) - 1.0 / 9.0) < 1e-12
 
 
-def test_witness_nonnegative_on_product_states(tiles, tiles_witness):
+def test_witness_nonnegative_on_product_states(tiles, tiles_cert):
     for t in range(1000):
         sigma = sample_random_product_separable(tiles.structure, 1, 31, trial=t)
-        assert witness_value(tiles_witness, sigma) >= -1e-10
+        assert witness_value(tiles_cert.witness, sigma) >= -1e-10
 
 
-def test_expectation_sandwich(tiles, tiles_witness):
+def test_expectation_sandwich(tiles, tiles_cert):
     # Tr(W pi) lies in [-Tr W-, Tr W+] for every state pi.
-    w = tiles_witness
+    w = tiles_cert.witness
     vals = eig_hermitian(w).eigenvalues
     pos_trace, neg_trace = vals[vals > 0].sum(), -vals[vals < 0].sum()
     for t in range(1000):
@@ -304,42 +303,32 @@ def test_expectation_sandwich(tiles, tiles_witness):
         assert -neg_trace - 1e-12 <= val <= pos_trace + 1e-12
 
 
-def test_witness_normalizer_guard(complete22, tiles):
+def test_witness_normalizer_guard(complete22, tiles, monkeypatch):
+    # certify refuses a set with n = D before it reads lambda.
+    with pytest.raises(ValueError, match=r"^the set spans the whole space \(n = D\)"):
+        certify(complete22, 0.5)
     with pytest.raises(ValueError, match="normalizer"):
-        build_witness(complete22, 1.0)
+        certify(tiles, float(5 / 9))
     with pytest.raises(ValueError, match="normalizer"):
-        build_witness(complete22, 0.0)
+        certify(tiles, 0.0)
     with pytest.raises(ValueError, match=r"1e-13 is at most ZERO_EIG_ATOL = 1e-12: .* extendible"):
-        build_witness(complete22, 1e-13)
+        certify(tiles, 1e-13)
     # The float just below n/D = 5/9 passes the normalizer, which is then a
     # few ulps; the exact violation lambda/(n - lambda D) is what refuses it.
     message = r"^witness violation at lambda = 0\.5555555555555555 exceeds the 1 - 2/D ceiling$"
     with pytest.raises(ValueError, match=message):
-        build_witness(tiles, 0.5555555555555555)
+        certify(tiles, 0.5555555555555555)
+    # Tr W = 1 up to the members' norms, which ``UPBSet.from_vectors`` lets
+    # miss 1 by UNIT_NORM_ATOL per factor; a trace outside TRACE_ATOL is refused.
+    monkeypatch.setattr(robustness_module, "TRACE_ATOL", -1.0)
+    with pytest.raises(ValueError, match="^witness trace must be 1"):
+        certify(tiles, 0.0284162)
 
 
-def test_witness_requires_unit_trace():
-    with pytest.raises(ValueError, match="trace"):
-        witness_from_operator(HermitianOperator(np.eye(3)))
-
-
-def test_witness_value_dimension_mismatch(tiles_witness):
+def test_witness_value_dimension_mismatch(tiles_cert):
     rho = DensityMatrix.maximally_mixed(HilbertStructure((2, 2)))
     with pytest.raises(ValueError, match="mismatch"):
-        witness_value(tiles_witness, rho)
-
-
-def test_witness_from_a_plain_array_matches_the_operator():
-    # A plain array or nested list is checked by HermitianOperator first; a
-    # unit-trace operator comes back as it is.
-    diag = np.diag([0.75, 0.75, -0.5])
-    op = HermitianOperator(diag)
-    assert witness_from_operator(op) is op
-    for given_op in (diag, diag.tolist()):
-        w = witness_from_operator(given_op)
-        assert type(w) is HermitianOperator and np.array_equal(w.matrix, op.matrix)
-    with pytest.raises(ValueError, match="^matrix is not Hermitian"):
-        witness_from_operator(np.array([[0.5, 1.0], [0.0, 0.5]]))
+        witness_value(tiles_cert.witness, rho)
 
 
 # Minimum product overlaps of two catalog sets, from the seesaw.
