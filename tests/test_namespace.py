@@ -18,6 +18,17 @@ def test_public_name_is_its_modules_object(name):
     assert getattr(obj, "__module__", module.__name__) == module.__name__
 
 
+@pytest.mark.parametrize("name", ["build_witness", "witness_from_operator"])
+def test_witness_builders_left_the_namespace(name):
+    # certify is the one constructor of the witness; no other builder remains.
+    from pptball import robustness, witness
+
+    assert name not in pptball.__all__ and name not in dir(pptball)
+    with pytest.raises(AttributeError, match=f"'pptball' has no attribute '{name}'"):
+        getattr(pptball, name)
+    assert not hasattr(witness, name) and not hasattr(robustness, name)
+
+
 def test_dir_lists_every_public_name():
     listed = dir(pptball)
     assert set(pptball.__all__) <= set(listed)

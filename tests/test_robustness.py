@@ -32,6 +32,7 @@ from pptball import (
     verify_maximal_robustness,
     witness_value,
 )
+from pptball import robustness as robustness_module
 from pptball.montecarlo import sample_hs_density, sample_random_product_separable
 from pptball.robustness import X0_NOTE, ZERO_EIG_ATOL, _branches, _crossing, _line
 
@@ -101,6 +102,23 @@ def test_threshold_identity_cross_check(tiles_cert):
     c = (x0 * (1 + d * lambda_omega) - 1) / d
     assert (1 - x0) / (d - 1 - x0) == c / (w_max + c)
     assert _branches(x0, n, d, value) == ((1 - x0) / (d - 1 - x0), c / (w_max + c))
+
+
+@pytest.mark.parametrize("name", ["tiles", "pyramid", "shifts"])
+def test_certify_evaluates_the_line_once(request, monkeypatch, name):
+    # The exact (n, D, lambda) line is evaluated once per certificate, by certify.
+    upb = request.getfixturevalue(name)
+    lam = request.getfixturevalue(f"{name}_lambda").value
+    calls = []
+
+    def counted(n, d, value):
+        calls.append((n, d, value))
+        return _line(n, d, value)
+
+    monkeypatch.setattr(robustness_module, "_line", counted)
+    cert = certify(upb, lam)
+    assert calls == [(upb.cardinality, upb.total_dim, lam)]
+    assert type(cert.witness) is HermitianOperator
 
 
 @pytest.mark.parametrize("name", ["tiles", "shifts"])

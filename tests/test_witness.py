@@ -3,6 +3,7 @@ import math
 import random
 import re
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -323,6 +324,15 @@ def test_witness_normalizer_guard(complete22, tiles, monkeypatch):
     monkeypatch.setattr(robustness_module, "TRACE_ATOL", -1.0)
     with pytest.raises(ValueError, match="^witness trace must be 1"):
         certify(tiles, 0.0284162)
+
+
+def test_witness_module_leaves_the_line_to_robustness():
+    # The exact line and its zero-eigenvalue tolerance live beside their
+    # callers in robustness; the witness module needs no exact arithmetic.
+    for name in ("_line", "ZERO_EIG_ATOL"):
+        assert not hasattr(witness_module, name) and hasattr(robustness_module, name)
+    source = Path(witness_module.__file__).read_text()
+    assert "fractions" not in source and "Fraction" not in source
 
 
 def test_witness_value_dimension_mismatch(tiles_cert):
