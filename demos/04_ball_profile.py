@@ -1,6 +1,8 @@
 """Certified robustness ball along the white-noise line through a catalog state.
 
-Prints the entanglement threshold, the radius curve with its two branches,
+Prints the entanglement threshold, the separable-mixing threshold (lambda
+itself), Tr W+ / p beside w_max (so the paper's averaged radius is the tight
+one), the radius curve with its two branches,
 the branch-crossing point (the closed-form root of branch equality beside
 the tabulated closed form, which disagrees and is reported for comparison
 only), x*, x0 and one radius beside their exact rational values, and a
@@ -15,6 +17,7 @@ from fractions import Fraction
 
 from pptball import (
     certify,
+    eig_hermitian,
     get_upb,
     is_ppt,
     minimum_overlap,
@@ -35,7 +38,7 @@ print(f"x*              = {profile['x_star']:.12f}  (family entangled for x > x*
 print(f"x0 (root)       = {profile['x0_root']:.12f}")
 print(f"x0 (printed)    = {profile['x0_printed_eq32']:.12f}  <- tabulated closed form, "
       f"disagrees with the root; comparison only")
-print(f"mixing threshold = {profile['mixing_threshold']:.12f} (= lambda)")
+print(f"mixing threshold = {profile['lambda']:.12f}  (= p lambda_omega / (Tr W+ + p lambda_omega))")
 
 # Each number is a rational function of n, D and lambda, evaluated exactly and
 # rounded once: x* up and y0 down, the safe sides of the bounds, and x0, which
@@ -56,10 +59,18 @@ for (label, q), value in zip(exact.items(), reported):
     print(f"{label:<12} {value:.17g}  exact {Decimal(q.numerator) / Decimal(q.denominator):.20g}"
           f"  ({ulps:+.3f} ulp)")
 
+# The paper's averaged radius puts Tr W+ / p in place of W's largest
+# eigenvalue w_max; W+ is n copies of w_max, so the two radii are one.
 print()
-print(f"{'x':>10}{'y0 tight':>14}{'y0 averaged':>14}")
+spectrum = eig_hermitian(cert.witness).eigenvalues
+positive = spectrum[spectrum > 0]
+print(f"Tr W+ / p = {positive.sum() / positive.size:.17g}  (p = {positive.size})")
+print(f"w_max     = {float(w_max):.17g}  (exact, rounded once)")
+
+print()
+print(f"{'x':>10}{'y0 tight':>14}")
 for row in profile["radius_samples"]:
-    print(f"{row['x']:>10.6f}{row['y0_tight']:>14.8f}{row['y0_paper']:>14.8f}")
+    print(f"{row['x']:>10.6f}{row['y0_tight']:>14.8f}")
 print("the curve rises on the witness branch, peaks at x0, and falls on the "
       "purity branch")
 

@@ -5,10 +5,10 @@ Every command is deterministic given its flags; reports echo the flags in
 ``config`` and stamp the tool version, and contain no timestamps, so repeated
 runs with identical seeds are byte-identical.  ``verify`` probes each proven
 bound at ``montecarlo.PROBE_FRACTION`` of it, which its suite configs echo;
-``membership`` samples the ball at the midpoint x = (x* + 1)/2, which its
-report gives as ``x``.  Every number those commands derive from lambda is a
-rational function of (n, D, lambda), evaluated exactly and rounded once, a
-bound outward: x* up, lambda_omega and each radius down.
+``membership`` samples the ball at ``Certificate.x_grid(1)``, the midpoint
+of (x*, 1), which its report gives as ``x``.  Every number those commands
+derive from lambda is a rational function of (n, D, lambda), evaluated exactly
+and rounded once, a bound outward: x* up, lambda_omega and each radius down.
 
 Exit status: 0 success; 1 verification violations; 2 usage or validation
 error, or a report that cannot be written; 3 minimizer non-convergence within
@@ -54,15 +54,14 @@ class _NoConvergence(Exception):
 
 
 def _flatten(obj, prefix=""):
+    """One (key, text) row per leaf of the report; an empty list or dict is a leaf, "[]" or "{}"."""
+    if isinstance(obj, (list, tuple)):
+        obj = dict(enumerate(obj)) if obj else "[]"
+    if not (isinstance(obj, dict) and obj):
+        return [(prefix, "" if obj is None else str(obj))]
     rows = []
-    if isinstance(obj, dict):
-        for k, v in obj.items():
-            rows.extend(_flatten(v, f"{prefix}.{k}" if prefix else str(k)))
-    elif isinstance(obj, (list, tuple)):
-        for i, v in enumerate(obj):
-            rows.extend(_flatten(v, f"{prefix}.{i}"))
-    else:
-        rows.append((prefix, "" if obj is None else str(obj)))
+    for k, v in obj.items():
+        rows.extend(_flatten(v, f"{prefix}.{k}" if prefix else str(k)))
     return rows
 
 
@@ -189,7 +188,7 @@ def _cmd_membership(args) -> tuple[dict, int]:
     from .montecarlo import ball_fraction_estimate
 
     cert = _certificate(args)
-    x = 0.5 * (cert.x_star + 1.0)
+    x = float(cert.x_grid(1)[0])
     radius = cert.radius(x)
     estimate = ball_fraction_estimate(cert.member(x), radius, args.trials, args.seed)
     fields = {

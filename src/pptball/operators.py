@@ -6,7 +6,9 @@ index ((i1 * d2 + i2) * d3 + ...), which is what ``numpy.kron`` and C-ordered
 ``reshape`` produce.
 
 Every value is immutable after construction and safe to share between
-threads; all operations here are pure functions of their inputs.
+threads; all operations here are pure functions of their inputs.  Each kind
+of public argument has one entry check here, raising ValueError: ``_integer``,
+``_real``, ``_sequence``, ``_structure``, ``_operator`` and ``_state``.
 """
 
 from __future__ import annotations
@@ -17,10 +19,10 @@ from itertools import combinations
 
 import numpy as np
 
-HERMITICITY_ATOL = 1e-12
+HERMITICITY_ATOL = 1e-12  # x max(1, max |A_ij|): rounding in A - A^dag grows with A's entries
 TRACE_ATOL = 1e-10
 PSD_TOL = 1e-9
-DECOMPOSITION_ATOL = 1e-10
+DECOMPOSITION_ATOL = 1e-10  # residual x max(1, max |A_ij|), for the same reason; Gram absolute
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -109,7 +111,7 @@ def all_bipartitions(structure: HilbertStructure | tuple) -> tuple[tuple[int, ..
 
 @dataclass(frozen=True, eq=False)
 class HermitianOperator:
-    """Square complex matrix equal to its conjugate transpose within HERMITICITY_ATOL."""
+    """Square complex matrix with max |A - A^dag| <= HERMITICITY_ATOL x max(1, max |A_ij|)."""
 
     matrix: np.ndarray
 
@@ -121,7 +123,7 @@ class HermitianOperator:
         if not np.isfinite(m).all():
             raise ValueError("matrix entries are not finite")
         dev = float(np.abs(m - m.conj().T).max())
-        if dev > HERMITICITY_ATOL:
+        if dev > HERMITICITY_ATOL * max(1.0, float(np.abs(m).max())):
             raise ValueError(f"matrix is not Hermitian: max |A - A^dag| = {dev:.3e}")
         object.__setattr__(self, "matrix", _frozen(m))
 
@@ -193,15 +195,17 @@ def eig_hermitian(op: HermitianOperator | np.ndarray) -> EigenDecomposition:
     """Full spectral decomposition of a Hermitian operator or plain matrix.
 
     Eigenvalues come back ascending; column k of ``eigenvectors`` belongs to
-    eigenvalue k.  The reconstruction V diag(w) V^dag and the eigenvector Gram
-    matrix are checked against DECOMPOSITION_ATOL before returning.
+    eigenvalue k.  Before returning, the reconstruction V diag(w) V^dag is checked
+    against DECOMPOSITION_ATOL x max(1, max |A_ij|) and the eigenvector Gram matrix
+    against DECOMPOSITION_ATOL.
     """
     op = _operator(op)
     vals, vecs = np.linalg.eigh(op.matrix)
     recon = (vecs * vals) @ vecs.conj().T
     resid = float(np.abs(recon - op.matrix).max())
     gram = float(np.abs(vecs.conj().T @ vecs - np.eye(op.dim)).max())
-    if resid > DECOMPOSITION_ATOL or gram > DECOMPOSITION_ATOL:
+    scale = max(1.0, float(np.abs(op.matrix).max()))
+    if resid > DECOMPOSITION_ATOL * scale or gram > DECOMPOSITION_ATOL:
         raise RuntimeError(
             f"eigendecomposition contract violated: residual {resid:.3e}, gram {gram:.3e}"
         )

@@ -296,12 +296,11 @@ def minimizer_direction(minimizers: tuple[ProductState, ...]) -> DensityMatrix:
 def robustness_profile(cert: Certificate, grid_size: int) -> dict:
     """Report data for one catalog set: thresholds, crossing point and sampled radii.
 
-    ``radius_samples`` rows hold x, the certified radius ``y0_tight`` and
-    ``y0_paper``, the radius with Tr W+ / p in place of the largest eigenvalue
-    of W; on the UPB line Tr W+ / p = w_max exactly, so the two are equal.
-    ``mixing_threshold`` is p lambda_omega / (Tr W+ + p lambda_omega) with
-    p = n and Tr W+ = n w_max; lambda_omega + w_max = 1/(n - lambda D), so it
-    is lambda itself, exactly.  ``x0_note`` explains the two crossing points.
+    ``radius_samples`` rows hold x and the certified radius ``y0_tight``.
+    Tr W+ / p = w_max with p = n, so the paper's averaged radius is ``y0_tight``.
+    p lambda_omega / (Tr W+ + p lambda_omega) = lambda, as lambda_omega + w_max =
+    1/(n - lambda D), so the separable-mixing threshold is ``lambda``.
+    ``x0_note`` explains the two crossing points.
     """
     x0, x0_printed = _crossing(cert.upb.cardinality, cert.upb.total_dim, cert.lam)
     xs = [float(x) for x in cert.x_grid(grid_size)]
@@ -311,9 +310,6 @@ def robustness_profile(cert: Certificate, grid_size: int) -> dict:
         "x_star": cert.x_star,
         "x0_root": float(x0),
         "x0_printed_eq32": float(x0_printed),
-        "radius_samples": [
-            {"x": x, "y0_tight": y0, "y0_paper": y0} for x, y0 in zip(xs, map(cert.radius, xs))
-        ],
-        "mixing_threshold": cert.lam,
+        "radius_samples": [{"x": x, "y0_tight": y0} for x, y0 in zip(xs, map(cert.radius, xs))],
         "x0_note": X0_NOTE,
     }

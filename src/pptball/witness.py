@@ -92,27 +92,25 @@ def _restart_start(dims, seed: int, restart: int) -> list[np.ndarray]:
     return [v / np.linalg.norm(v) for v in [_complex_gaussians(gen, d) for d in dims]]
 
 
-def _seesaw_once(local_mats, start, max_iters):
-    """One descent run from the local vectors ``start``.
+def _seesaw_once(local_mats, start):
+    """One descent run of at most SEESAW_MAX_ITERS sweeps from the local vectors ``start``.
 
-    Returns (value, local vectors, converged, history).
+    Returns (value, local vectors, converged).
     """
     phis = [np.array(v, dtype=complex) for v in start]
     value = float(_weights(local_mats, phis).sum())
-    history = [value]
     converged = False
-    for _ in range(max_iters):
+    for _ in range(SEESAW_MAX_ITERS):
         before = value
         for k in range(len(phis)):
             m = _party_operator(local_mats, phis, k)
             vals, vecs = np.linalg.eigh(m)
             phis[k] = vecs[:, 0]
             value = float(vals[0])
-            history.append(value)
         if before - value < SEESAW_TOL:
             converged = True
             break
-    return value, phis, converged, history
+    return value, phis, converged
 
 
 def minimum_overlap(upb: UPBSet, seed: int = 0) -> LambdaResult:
@@ -125,8 +123,7 @@ def minimum_overlap(upb: UPBSet, seed: int = 0) -> LambdaResult:
     local_mats = [upb.local_matrix(k) for k in range(upb.n_parties)]
     dims = upb.structure.local_dims
     finals = [
-        _seesaw_once(local_mats, _restart_start(dims, seed, r), SEESAW_MAX_ITERS)[:3]
-        for r in range(SEESAW_RESTARTS)
+        _seesaw_once(local_mats, _restart_start(dims, seed, r)) for r in range(SEESAW_RESTARTS)
     ]
     best_value = min(value for value, _, _ in finals)
     near = [item for item in finals if item[0] <= best_value + MINIMIZER_VALUE_ATOL]

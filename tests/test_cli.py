@@ -291,7 +291,8 @@ def test_profile_report(tmp_path):
     assert code == 0
     report = json.loads(path.read_text())
     assert report["x_star"] == pytest.approx(1 - report["lambda"] * 9 / 5, abs=1e-12)
-    assert report["mixing_threshold"] == pytest.approx(report["lambda"], abs=1e-12)
+    # The separable-mixing threshold is lambda itself, reported once.
+    assert "mixing_threshold" not in report
     assert len(report["radius_samples"]) == 8
     assert "x0_printed_eq32" in report
     assert "x0_note" in report
@@ -364,7 +365,6 @@ def test_reported_bounds_stay_outward_of_their_exact_values(tmp_path, name):
     n, d = upb.cardinality, upb.total_dim
     x_star = _line(n, d, lam)[2]
     samples = [(row["x"], row["y0_tight"]) for row in profile["radius_samples"]]
-    samples += [(row["x"], row["y0_paper"]) for row in profile["radius_samples"]]
     samples.append((membership["x"], membership["radius"]))
     for report in (profile, membership):
         assert Fraction(report["x_star"]) >= x_star
@@ -402,7 +402,7 @@ def test_contract_failure_exits_4(tmp_path, capsys, monkeypatch):
             (20,),
             0,
             ["config", "lambda", "lambda_omega", "x_star", "x0_root",
-             "x0_printed_eq32", "radius_samples", "mixing_threshold", "x0_note"],
+             "x0_printed_eq32", "radius_samples", "x0_note"],
             ["upb", "seed", "grid"],
         ),
         (
@@ -463,3 +463,31 @@ def test_csv_and_json_carry_identical_content(tmp_path):
     assert rows[0] == ["key", "value"]
     got = {key: value for key, value in rows[1:]}
     assert got == expected
+
+
+def test_csv_has_one_row_per_json_leaf_empty_containers_included(tmp_path):
+    # Walked from the parsed JSON itself: every leaf path, an empty list or
+    # dict included, has exactly one CSV row, in order, with the same text.
+    argv = ["verify", "--upb", "shifts", "--trials", "2", "--grid", "1"]
+    _, jpath = run(tmp_path, *argv, name="v.json")
+    code = main([*argv, "--format", "csv", "--output", str(tmp_path / "v.csv")])
+    assert code == 0
+    leaves = []
+
+    def walk(node, path):
+        if isinstance(node, (dict, list)) and node:
+            items = node.items() if isinstance(node, dict) else enumerate(node)
+            for key, value in items:
+                walk(value, [*path, str(key)])
+        elif isinstance(node, (dict, list)):
+            leaves.append([".".join(path), json.dumps(node)])
+        else:
+            leaves.append([".".join(path), "" if node is None else str(node)])
+
+    walk(json.loads(jpath.read_text()), [])
+    assert ["suites.ball.seeds_of_failures", "[]"] in leaves
+    assert ["suites.separable-mixing.seeds_of_failures", "[]"] in leaves
+    with open(tmp_path / "v.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["key", "value"]
+    assert rows[1:] == leaves

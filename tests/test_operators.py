@@ -36,10 +36,28 @@ def rand_density(rng, structure):
     return DensityMatrix(m / np.trace(m).real, structure)
 
 
-def test_hermitian_rejects_non_hermitian():
-    m = np.array([[0.0, 1.0], [0.0, 0.0]])
+@pytest.mark.parametrize("scale", [1.0, 1e6])
+def test_hermitian_rejects_non_hermitian(scale):
+    m = scale * np.array([[0.0, 1.0], [0.0, 0.0]])
     with pytest.raises(ValueError, match="not Hermitian"):
         HermitianOperator(m)
+
+
+@pytest.mark.parametrize("scale", [1e2, 1e4, 1e6, 1e8])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda g: HermitianOperator(g @ g.conj().T),
+        lambda g: eig_hermitian(g + g.conj().T),
+    ],
+    ids=["hermiticity", "decomposition"],
+)
+def test_operator_checks_scale_with_the_entries(call, scale):
+    # Rounding grows with the entries: G G^dag misses Hermiticity by ~1e-11
+    # at scale 1e2, and an exact eigendecomposition of G + G^dag leaves a
+    # residual ~5e-10 at scale 1e5.  Neither is refused.
+    rng = np.random.default_rng(0)
+    call(scale * (rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9))))
 
 
 def test_hermitian_rejects_non_square():

@@ -181,14 +181,6 @@ def test_radius_limits_and_positivity(tiles_cert):
         tiles_cert.radius(1.0)
 
 
-def test_radius_modes_agree_for_flat_spectrum(request):
-    for name in ("tiles", "pyramid", "shifts"):
-        upb, lam = request.getfixturevalue(name), request.getfixturevalue(f"{name}_lambda")
-        profile = robustness_profile(certify(upb, lam.value), grid_size=21)
-        for row in profile["radius_samples"]:
-            assert abs(row["y0_tight"] - row["y0_paper"]) < 1e-12
-
-
 def test_crossing_root_and_branch_equality(tiles_lambda):
     lam = tiles_lambda.value
     x0, printed = _crossing(TILES_N, TILES_D, lam)
@@ -345,17 +337,22 @@ def test_ball_membership_rejects_rank_deficient_center(tiles_omega, shifts_cert)
     assert str(error.value) == message
 
 
-def test_separable_mixing_threshold_identity(tiles_cert):
-    # p lambda_omega / (Tr W+ + p lambda_omega) is lambda exactly on the line,
-    # and the witness's float spectrum gives it to rounding.
-    lam = tiles_cert.lam
-    assert robustness_profile(tiles_cert, grid_size=1)["mixing_threshold"] == lam
-    lambda_omega, w_max, _ = _line(TILES_N, TILES_D, lam)
-    pos = eig_hermitian(tiles_cert.witness).eigenvalues
+@pytest.mark.parametrize("name", ["tiles", "shifts"])
+def test_separable_mixing_threshold_identity(request, name):
+    # W+ has p = n eigenvalues, each w_max, so Tr W+ / p = w_max: the paper's
+    # averaged radius is the tight one.  p lambda_omega / (Tr W+ + p lambda_omega)
+    # is lambda exactly on the line, and the witness's float spectrum gives
+    # both to rounding.
+    cert = request.getfixturevalue(f"{name}_cert")
+    lam, n = cert.lam, cert.upb.cardinality
+    lambda_omega, w_max, _ = _line(n, cert.upb.total_dim, lam)
+    pos = eig_hermitian(cert.witness).eigenvalues
     pos = pos[pos > 0]
     p = pos.size
+    assert p == n
+    assert abs(pos.sum() / p - w_max) < 1e-12
     assert p * lambda_omega / (p * w_max + p * lambda_omega) == Fraction(lam)
-    lambda_omega = tiles_cert.lambda_omega
+    lambda_omega = cert.lambda_omega
     assert abs(p * lambda_omega / (pos.sum() + p * lambda_omega) - lam) < 1e-12
 
 
@@ -456,17 +453,15 @@ def test_profile_contents_and_serialization(tiles_cert, tiles_lambda):
         "x0_root",
         "x0_printed_eq32",
         "radius_samples",
-        "mixing_threshold",
         "x0_note",
     }
     assert data["x0_note"] == X0_NOTE
     assert len(data["radius_samples"]) == 12
     for row in data["radius_samples"]:
-        assert set(row) == {"x", "y0_tight", "y0_paper"}
+        assert set(row) == {"x", "y0_tight"}
         assert row["y0_tight"] > 0
-        assert abs(row["y0_tight"] - row["y0_paper"]) < 1e-12
     assert data["x_star"] < data["x0_root"] < 1.0
-    assert abs(data["mixing_threshold"] - tiles_lambda.value) < 1e-12
+    assert data["lambda"] == tiles_lambda.value
 
 
 def _midpoint(cert):

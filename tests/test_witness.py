@@ -34,7 +34,7 @@ from pptball.proof import (
     _lowest_eigenvalues,
 )
 from pptball.robustness import certify
-from pptball.witness import _restart_start, _seesaw_once
+from pptball.witness import _restart_start, _seesaw_once, _weights
 
 
 @pytest.fixture
@@ -161,16 +161,28 @@ def test_distinct_minimizers_all_achieve_the_overlap(tiles, tiles_lambda):
             assert a.fidelity(b) < 1 - 1e-6
 
 
-def test_descent_is_monotone_per_half_step(tiles):
+def test_descent_is_monotone_per_half_step(tiles, monkeypatch):
+    # Each half-step's value is the least eigenvalue of the party operator it
+    # solves; the start's value is the objective at the start vectors.
     mats = [tiles.local_matrix(k) for k in range(2)]
-    _, _, _, history = _seesaw_once(mats, _restart_start((3, 3), 123, 0), 500)
-    diffs = np.diff(np.asarray(history))
-    assert np.all(diffs <= 1e-12)
+    start = _restart_start((3, 3), 123, 0)
+    values = [float(_weights(mats, start).sum())]
+    eigh = np.linalg.eigh
+
+    def record(m):
+        vals, vecs = eigh(m)
+        values.append(float(vals[0]))
+        return vals, vecs
+
+    monkeypatch.setattr(np.linalg, "eigh", record)
+    _seesaw_once(mats, start)
+    assert len(values) >= 3
+    assert np.all(np.diff(np.asarray(values)) <= 1e-12)
 
 
 def test_restart_from_minimizer_is_a_fixed_point(tiles, tiles_lambda):
     mats = [tiles.local_matrix(k) for k in range(2)]
-    value, _, converged, _ = _seesaw_once(mats, tiles_lambda.minimizers[0].local_vectors, 500)
+    value, _, converged = _seesaw_once(mats, tiles_lambda.minimizers[0].local_vectors)
     assert converged
     assert abs(value - tiles_lambda.value) < 1e-12
 
@@ -230,18 +242,28 @@ def test_non_convergence_is_flagged(tiles, monkeypatch):
 @pytest.mark.parametrize("restarts, max_iters", [(1, 1), (3, 7)])
 def test_minimum_overlap_reads_its_counts_at_call_time(tiles, monkeypatch, restarts, max_iters):
     # The counts are module constants, read on every call: one descent per
-    # restart, in restart order from the seed's starts, each with the sweep cap.
-    calls = []
+    # restart, in restart order from the seed's starts, each within the sweep
+    # cap of two eigensolves (one per party of tiles) per sweep.
+    calls, solves = [], []
+    eigh = np.linalg.eigh
 
-    def record(local_mats, start, cap):
-        calls.append((start, cap))
-        return _seesaw_once(local_mats, start, cap)
+    def count(m):
+        solves.append(1)
+        return eigh(m)
+
+    def record(local_mats, start):
+        before = len(solves)
+        out = _seesaw_once(local_mats, start)
+        calls.append((start, len(solves) - before))
+        return out
 
     monkeypatch.setattr(witness_module, "SEESAW_RESTARTS", restarts)
     monkeypatch.setattr(witness_module, "SEESAW_MAX_ITERS", max_iters)
     monkeypatch.setattr(witness_module, "_seesaw_once", record)
+    monkeypatch.setattr(np.linalg, "eigh", count)
     minimum_overlap(tiles, seed=5)
-    assert [cap for _, cap in calls] == [max_iters] * restarts
+    assert len(calls) == restarts
+    assert all(2 <= n <= 2 * max_iters for _, n in calls)  # exactly 2 at a cap of 1
     for r, (start, _) in enumerate(calls):
         expected = _restart_start(tiles.structure.local_dims, 5, r)
         assert all(np.array_equal(a, b) for a, b in zip(start, expected))
