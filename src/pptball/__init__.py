@@ -14,13 +14,13 @@ _MODULES = {
     "operators": (
         "DensityMatrix", "EigenDecomposition", "HermitianOperator", "HilbertStructure",
         "PSD_TOL", "all_bipartitions", "eig_hermitian", "is_ppt", "min_pt_eigenvalue",
-        "partial_transpose", "purity",
+        "partial_transpose", "purity", "witness_value",
     ),
     "upb": (
         "CATALOG", "ProductState", "UPBSet", "build_complete_basis", "build_pyramid",
         "build_shifts", "build_tiles", "get_upb", "omega_state",
     ),
-    "witness": ("LambdaResult", "minimum_overlap", "witness_value"),
+    "witness": ("LambdaResult", "minimum_overlap"),
     "proof": ("ProductMinimumBound", "prove_product_minimum"),
     "robustness": (
         "Certificate", "MixtureDecomposition", "ball_membership", "certify", "in_gurvits_ball",

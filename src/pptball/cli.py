@@ -53,16 +53,13 @@ class _NoConvergence(Exception):
     """The overlap minimizer did not converge; ``main`` exits with status 3."""
 
 
-def _flatten(obj, prefix=""):
-    """One (key, text) row per leaf of the report; an empty list or dict is a leaf, "[]" or "{}"."""
-    if isinstance(obj, (list, tuple)):
-        obj = dict(enumerate(obj)) if obj else "[]"
+def _flatten(obj, path=()):
+    """One (key, text) row per report leaf, spelt as in JSON; an empty list or dict is a leaf."""
+    if isinstance(obj, (list, tuple)) and obj:
+        obj = dict(enumerate(obj))
     if not (isinstance(obj, dict) and obj):
-        return [(prefix, "" if obj is None else str(obj))]
-    rows = []
-    for k, v in obj.items():
-        rows.extend(_flatten(v, f"{prefix}.{k}" if prefix else str(k)))
-    return rows
+        return [(".".join(path), obj if isinstance(obj, str) else json.dumps(obj, allow_nan=False))]
+    return [row for k, v in obj.items() for row in _flatten(v, (*path, str(k)))]
 
 
 def _emit(report: dict, fmt: str, path: str | None) -> None:

@@ -29,9 +29,10 @@ from functools import reduce
 import numpy as np
 
 from .operators import DensityMatrix, HilbertStructure, PSD_TOL, _integer, _kron_rows, _structure
-from .operators import _min_pt_eigenvalue, _operator, _real, _sequence, _state, all_bipartitions
+from .operators import _min_pt_eigenvalue, _operator, _real, _sequence, _state, _trace_product
+from .operators import all_bipartitions
 from .robustness import Certificate, _center_inv_sqrt, _membership
-from .witness import _complex_gaussians, _stream, _uniforms, _witness_value
+from .witness import _complex_gaussians, _stream, _uniforms
 
 _HS_TAG = 1
 _PRODUCT_TAG = 2
@@ -164,7 +165,7 @@ def _score(suite: str, cert: Certificate, keyed_matrices, **config) -> Verificat
     for key, m in keyed_matrices:
         trials += 1
         lo = _min_pt_eigenvalue(m, dims, cuts)
-        wv = _witness_value(w, m)
+        wv = _trace_product(w, m)
         if lo + PSD_TOL < ppt_margin:
             ppt_margin, ppt_key = lo + PSD_TOL, key
         if -wv < witness_margin:

@@ -303,7 +303,20 @@ def is_ppt(rho: DensityMatrix) -> bool:
     return min_pt_eigenvalue(rho) >= -PSD_TOL
 
 
+def _trace_product(a: np.ndarray, b: np.ndarray) -> float:
+    """Tr(A B) for Hermitian matrices of one shape, unchecked: the one kernel of Tr(AB)."""
+    return float(np.vdot(a, b).real)
+
+
 def purity(rho: HermitianOperator | np.ndarray) -> float:
     """Tr(rho^2); ranges over [1/D, 1] on states.  A plain matrix is checked by ``_operator``."""
     m = _operator(rho).matrix
-    return float(np.vdot(m, m).real)
+    return _trace_product(m, m)
+
+
+def witness_value(w: HermitianOperator | np.ndarray, rho: HermitianOperator | np.ndarray) -> float:
+    """Tr(W rho) for Hermitian operators; a plain matrix is checked by ``_operator``."""
+    w, rho = _operator(w), _operator(rho)
+    if w.dim != rho.dim:
+        raise ValueError(f"dimension mismatch: witness {w.dim}, state {rho.dim}")
+    return _trace_product(w.matrix, rho.matrix)

@@ -50,8 +50,9 @@ PROOF_ROUND = 1e-12
 # quotients leave, and its arrays are freed before the next block's, so a
 # proof's traced peak is a few blocks: 0.34 MiB on tiles and 0.57 MiB on
 # shifts, against 0.9 and 1.65 MiB at 2**19.  Smaller blocks add per-block
-# overhead: one tiles proof took 1.06 s at 2**17, 1.35 s at 2**16 and 1.67 s
-# at 2**15 (2-vCPU VM, one BLAS thread).
+# overhead: a tiles proof takes 0.52 / 0.58 / 0.69 s and a shifts proof
+# 0.32 / 0.39 / 0.60 s at 2**17 / 2**16 / 2**15 (median of 5, 2-vCPU VM, one
+# BLAS thread), while 2**16 lowers the lambda command's peak RSS by 0.18 MB.
 PROOF_BLOCK_BYTES = 2**17
 # Cells a proof may examine before it gives up with RuntimeError.
 PROOF_MAX_CELLS = 2_000_000

@@ -26,9 +26,8 @@ from fractions import Fraction
 import numpy as np
 
 from .operators import DensityMatrix, HermitianOperator, TRACE_ATOL, _integer, _operator, _real
-from .operators import _sequence, _state, eig_hermitian, is_ppt, purity
+from .operators import _sequence, _state, eig_hermitian, is_ppt, purity, witness_value
 from .upb import ProductState, UPBSet, omega_state
-from .witness import witness_value
 
 IDENTITY_ATOL = 1e-12
 RANK_TOL = 1e-12

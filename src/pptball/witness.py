@@ -1,4 +1,4 @@
-"""Minimum product-state overlap, the seeded random streams, and witness values.
+"""Minimum product-state overlap by a seeded seesaw, and the seeded random streams.
 
 The overlap minimizer is an alternating eigenvector descent: with every local
 vector but one held fixed, the objective is a quadratic form in the remaining
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import HermitianOperator, _integer, _operator
+from .operators import _integer
 from .upb import ProductState, UPBSet
 
 MINIMIZER_VALUE_ATOL = 1e-9
@@ -133,16 +133,3 @@ def minimum_overlap(upb: UPBSet, seed: int = 0) -> LambdaResult:
         if all(cand.fidelity(kept) < DISTINCT_FIDELITY for kept in distinct):
             distinct.append(cand)
     return LambdaResult(value=best_value, converged=near[0][2], minimizers=tuple(distinct))
-
-
-def witness_value(w: HermitianOperator | np.ndarray, rho: HermitianOperator | np.ndarray) -> float:
-    """Tr(W rho) for Hermitian operators; a plain matrix is checked by ``HermitianOperator``."""
-    w, rho = _operator(w), _operator(rho)
-    if w.dim != rho.dim:
-        raise ValueError(f"dimension mismatch: witness {w.dim}, state {rho.dim}")
-    return _witness_value(w.matrix, rho.matrix)
-
-
-def _witness_value(w_matrix: np.ndarray, m: np.ndarray) -> float:
-    """Tr(W m) for W's matrix and a matrix of the same shape, unchecked."""
-    return float(np.vdot(w_matrix, m).real)

@@ -465,12 +465,20 @@ def test_csv_and_json_carry_identical_content(tmp_path):
     assert got == expected
 
 
-def test_csv_has_one_row_per_json_leaf_empty_containers_included(tmp_path):
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--upb", "shifts", "--trials", "2", "--grid", "1"],
+        ["lambda", "--upb", "tiles"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_csv_has_one_row_per_json_leaf_empty_containers_included(tmp_path, argv):
     # Walked from the parsed JSON itself: every leaf path, an empty list or
-    # dict included, has exactly one CSV row, in order, with the same text.
-    argv = ["verify", "--upb", "shifts", "--trials", "2", "--grid", "1"]
-    _, jpath = run(tmp_path, *argv, name="v.json")
-    code = main([*argv, "--format", "csv", "--output", str(tmp_path / "v.csv")])
+    # dict included, has exactly one CSV row, in order, with the text JSON
+    # gives it (a string as it is).  lambda's converged is the one boolean leaf.
+    _, jpath = run(tmp_path, *argv, name="r.json")
+    code = main([*argv, "--format", "csv", "--output", str(tmp_path / "r.csv")])
     assert code == 0
     leaves = []
 
@@ -479,15 +487,16 @@ def test_csv_has_one_row_per_json_leaf_empty_containers_included(tmp_path):
             items = node.items() if isinstance(node, dict) else enumerate(node)
             for key, value in items:
                 walk(value, [*path, str(key)])
-        elif isinstance(node, (dict, list)):
-            leaves.append([".".join(path), json.dumps(node)])
         else:
-            leaves.append([".".join(path), "" if node is None else str(node)])
+            leaves.append([".".join(path), node if isinstance(node, str) else json.dumps(node)])
 
     walk(json.loads(jpath.read_text()), [])
-    assert ["suites.ball.seeds_of_failures", "[]"] in leaves
-    assert ["suites.separable-mixing.seeds_of_failures", "[]"] in leaves
-    with open(tmp_path / "v.csv", newline="") as fh:
+    if argv[0] == "verify":
+        assert ["suites.ball.seeds_of_failures", "[]"] in leaves
+        assert ["suites.separable-mixing.seeds_of_failures", "[]"] in leaves
+    else:
+        assert ["converged", "true"] in leaves
+    with open(tmp_path / "r.csv", newline="") as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["key", "value"]
     assert rows[1:] == leaves

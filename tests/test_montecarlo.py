@@ -533,6 +533,12 @@ def test_cli_import_leaves_scipy_stats_unloaded():
     assert words[2:] == ["pptball,pptball.cli,pptball.operators,pptball.upb"]
 
 
+def test_certificate_import_leaves_the_seesaw_unloaded():
+    # certify, Certificate and robustness_profile need lambda, not the seesaw.
+    probe = f"import sys, pptball.robustness; {_PPTBALL_MODULES}"
+    assert _probe(probe) == ["pptball,pptball.operators,pptball.robustness,pptball.upb"]
+
+
 def test_no_pptball_code_loads_scipy():
     probe = """
 import sys

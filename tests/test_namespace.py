@@ -74,6 +74,37 @@ def test_names_are_not_cached_in_the_package(monkeypatch):
     assert pptball.minimum_overlap is sentinel
 
 
+# The package's layers: the pptball modules each module imports at module
+# level ("__init__" is ``from . import``).  The CLI's handlers import what
+# they run inside their bodies, which is not a module-level edge.  The
+# certificate (robustness) needs no seesaw; only the suites and the CLI's
+# handlers reach the witness module's seesaw and streams.
+LAYERS = {
+    "__init__": set(),
+    "operators": set(),
+    "gridsearch": set(),
+    "upb": {"operators"},
+    "proof": {"operators"},
+    "witness": {"operators", "upb"},
+    "robustness": {"operators", "upb"},
+    "montecarlo": {"operators", "robustness", "witness"},
+    "cli": {"__init__", "operators", "upb"},
+}
+
+
+def test_module_level_imports_follow_the_layers():
+    package = Path(pptball.__file__).resolve().parent
+    edges = {}
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        edges[path.stem] = {
+            node.module or "__init__"
+            for node in tree.body
+            if isinstance(node, ast.ImportFrom) and node.level == 1
+        }
+    assert edges == LAYERS
+
+
 DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
 
 

@@ -478,6 +478,24 @@ def test_purity_of_noisy_pure_state():
         assert abs(purity(rho) - expected) < 1e-13
 
 
+def test_trace_product_is_the_one_kernel_of_tr_ab(monkeypatch):
+    # purity, witness_value and the suites' trial loop reach Tr(AB) through
+    # operators._trace_product alone; the seesaw module keeps no copy of it.
+    from pptball import montecarlo, operators, witness
+
+    rng = np.random.default_rng(7)
+    a, b = rand_hermitian(rng, 4), rand_hermitian(rng, 4)
+    assert witness_value(a, b) == float(np.vdot(a.matrix, b.matrix).real)
+    assert purity(a) == float(np.vdot(a.matrix, a.matrix).real)
+    assert montecarlo._trace_product is operators._trace_product
+    assert not hasattr(witness, "witness_value") and not hasattr(witness, "_witness_value")
+    calls = []
+    monkeypatch.setattr(operators, "_trace_product", lambda x, y: calls.append((x, y)) or 0.5)
+    assert (purity(a), witness_value(a, b)) == (0.5, 0.5)
+    assert len(calls) == 2 and calls[0][0] is calls[0][1] is calls[1][0] is a.matrix
+    assert calls[1][1] is b.matrix
+
+
 def test_density_matrix_validation():
     structure = HilbertStructure((2, 2))
     with pytest.raises(ValueError, match="trace"):
