@@ -17,8 +17,7 @@ _MODULES = {
         "partial_transpose", "purity", "witness_value",
     ),
     "upb": (
-        "CATALOG", "ProductState", "UPBSet", "build_complete_basis", "build_pyramid",
-        "build_shifts", "build_tiles", "get_upb", "omega_state",
+        "CATALOG", "ProductState", "UPBSet", "build_complete_basis", "get_upb", "omega_state",
     ),
     "witness": ("LambdaResult", "minimum_overlap"),
     "proof": ("ProductMinimumBound", "prove_product_minimum"),

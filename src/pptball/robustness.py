@@ -41,14 +41,14 @@ def _line(n: int, d: int, lam: float) -> tuple[Fraction, Fraction, Fraction]:
 
     They are -Tr(W omega), the flat positive eigenvalue of W, and
     x* = 1 - lambda D/n = 1/(1 + D lambda_omega), exact for the float lambda;
-    every certificate number is a function of these.  lambda must be a real
-    number in (ZERO_EIG_ATOL, n/D), so that the normalizer n - lambda D is
-    positive.  The seesaw's lambda is an eigenvalue, so one within
-    ZERO_EIG_ATOL of 0 is a zero product overlap: the set is extendible and
-    has no witness.
+    every certificate number is a function of these.  lambda must be a finite
+    real number below n/D, so that the normalizer n - lambda D is positive,
+    and above ZERO_EIG_ATOL.  The seesaw's lambda is an eigenvalue, so any
+    finite one at most ZERO_EIG_ATOL (0, or rounding on either side of it) is
+    a zero product overlap: the set is extendible and has no witness.
     """
     lam = _real(lam, "minimum overlap")
-    if not 0.0 < lam < n / d:
+    if not (math.isfinite(lam) and lam < n / d):
         raise ValueError(
             f"minimum overlap {lam!r} outside (0, n/D = {n / d}); "
             "the normalizer n - lambda D must be positive"

@@ -1,11 +1,12 @@
 """Unextendible product bases and the bound entangled states they generate.
 
-Catalog entries are defined directly in code and re-validated when built
-(orthonormality of members, projector consistency), so nothing is trusted to
-transcription.  New sets can be registered through ``UPBSet.from_vectors``,
-which runs the same checks.  Unextendibility means that the minimum
-product-state overlap of the span projector is strictly positive.  The
-multistart descent of the witness module only estimates that minimum from
+Catalog entries are defined directly in code and re-validated each time
+``get_upb`` builds one (orthonormality of members, projector consistency), so
+nothing is trusted to transcription.  New sets can be registered through
+``UPBSet.from_vectors``, which runs the same checks.  Unextendibility means
+that the minimum product-state overlap of the span projector is strictly
+positive; ``_overlaps`` gives each member's term of that overlap.  The
+multistart descent of the witness module only estimates the minimum from
 above, so it cannot prove it; ``proof.prove_product_minimum`` bounds it from
 below, and lambda_lower > 0 is the certificate.  The proof is computed on
 demand rather than at construction; the test suite proves tiles, pyramid and
@@ -24,6 +25,20 @@ from .operators import _integer, _sequence, _structure
 
 GRAM_ATOL = 1e-10
 UNIT_NORM_ATOL = 1e-12
+
+
+def _overlaps(local_mats, phis, skip=None) -> np.ndarray:
+    """Per row i, the product over parties k but ``skip`` of |<v_ik|phi_k>|^2.
+
+    ``local_mats[k]`` stacks party k's vectors v_ik as rows, as
+    ``UPBSet.local_matrix`` does; summed over the members of a set, the rows
+    give <phi|P|phi> for the product state phi.
+    """
+    w = np.ones(local_mats[0].shape[0])
+    for k, (v_k, phi) in enumerate(zip(local_mats, phis)):
+        if k != skip:
+            w = w * np.abs(v_k @ phi.conj()) ** 2
+    return w
 
 
 @dataclass(frozen=True, eq=False)
@@ -58,10 +73,7 @@ class ProductState:
             raise ValueError(
                 f"structure mismatch: local dims {self.local_dims} and {other.local_dims}"
             )
-        out = 1.0
-        for a, b in zip(self.local_vectors, other.local_vectors):
-            out *= float(abs(np.vdot(a, b)) ** 2)
-        return out
+        return float(_overlaps([a[None] for a in self.local_vectors], other.local_vectors)[0])
 
     def to_density(self) -> DensityMatrix:
         """|phi><phi| on the state's own local dimensions."""
@@ -140,7 +152,7 @@ def _pairs(vec) -> list[list[float]]:
     return [[float(z.real), float(z.imag)] for z in vec]
 
 
-def build_tiles() -> UPBSet:
+def _tiles() -> UPBSet:
     """Five-member 3x3 set: four domino-shaped vectors plus a uniform stopper."""
     e = np.eye(3)
     m01 = (e[0] - e[1]) / np.sqrt(2.0)
@@ -156,7 +168,7 @@ def build_tiles() -> UPBSet:
     return UPBSet.from_vectors("tiles", (3, 3), vectors)
 
 
-def build_pyramid() -> UPBSet:
+def _pyramid() -> UPBSet:
     """Five-member 3x3 set from a regular pentagon lifted out of plane.
 
     Local vectors are v_j ~ (cos(2 pi j / 5), sin(2 pi j / 5), h) with the
@@ -173,7 +185,7 @@ def build_pyramid() -> UPBSet:
     return UPBSet.from_vectors("pyramid", (3, 3), vectors)
 
 
-def build_shifts() -> UPBSet:
+def _shifts() -> UPBSet:
     """Four-member 2x2x2 set: cyclic shifts of |0,1,+> plus the all-minus state."""
     zero = np.array([1.0, 0.0])
     one = np.array([0.0, 1.0])
@@ -215,14 +227,15 @@ def omega_state(upb: UPBSet) -> DensityMatrix:
 
 
 CATALOG = {
-    "tiles": build_tiles,
-    "pyramid": build_pyramid,
-    "shifts": build_shifts,
+    "tiles": _tiles,
+    "pyramid": _pyramid,
+    "shifts": _shifts,
     "complete-2x2": lambda: build_complete_basis((2, 2)),
 }
 
 
 def get_upb(name: str) -> UPBSet:
+    """The catalog set ``name``, built and validated afresh."""
     try:
         builder = CATALOG[name]
     except (KeyError, TypeError):  # TypeError: an unhashable name, such as a list

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .operators import _integer
-from .upb import ProductState, UPBSet
+from .upb import ProductState, UPBSet, _overlaps
 
 MINIMIZER_VALUE_ATOL = 1e-9
 DISTINCT_FIDELITY = 1 - 1e-6
@@ -47,20 +47,6 @@ class LambdaResult:
     value: float
     converged: bool
     minimizers: tuple[ProductState, ...]
-
-
-def _weights(local_mats, phis, skip=None) -> np.ndarray:
-    """Per member, the product over parties but ``skip`` of |<v_k|phi_k>|^2."""
-    w = np.ones(local_mats[0].shape[0])
-    for j, (v_k, phi) in enumerate(zip(local_mats, phis)):
-        if j != skip:
-            w = w * np.abs(v_k @ phi.conj()) ** 2
-    return w
-
-
-def _party_operator(local_mats, phis, party) -> np.ndarray:
-    v = local_mats[party]
-    return (v.T * _weights(local_mats, phis, party)) @ v.conj()
 
 
 def _stream(key: tuple[int, ...]) -> random.Random:
@@ -98,13 +84,13 @@ def _seesaw_once(local_mats, start):
     Returns (value, local vectors, converged).
     """
     phis = [np.array(v, dtype=complex) for v in start]
-    value = float(_weights(local_mats, phis).sum())
+    value = float(_overlaps(local_mats, phis).sum())
     converged = False
     for _ in range(SEESAW_MAX_ITERS):
         before = value
         for k in range(len(phis)):
-            m = _party_operator(local_mats, phis, k)
-            vals, vecs = np.linalg.eigh(m)
+            v = local_mats[k]
+            vals, vecs = np.linalg.eigh((v.T * _overlaps(local_mats, phis, k)) @ v.conj())
             phis[k] = vecs[:, 0]
             value = float(vals[0])
         if before - value < SEESAW_TOL:

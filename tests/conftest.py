@@ -2,10 +2,8 @@ import pytest
 
 from pptball import (
     build_complete_basis,
-    build_pyramid,
-    build_shifts,
-    build_tiles,
     certify,
+    get_upb,
     minimum_overlap,
     omega_state,
 )
@@ -13,17 +11,17 @@ from pptball import (
 
 @pytest.fixture(scope="session")
 def tiles():
-    return build_tiles()
+    return get_upb("tiles")
 
 
 @pytest.fixture(scope="session")
 def pyramid():
-    return build_pyramid()
+    return get_upb("pyramid")
 
 
 @pytest.fixture(scope="session")
 def shifts():
-    return build_shifts()
+    return get_upb("shifts")
 
 
 @pytest.fixture(scope="session")

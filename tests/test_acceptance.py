@@ -11,11 +11,9 @@ import numpy as np
 from pptball import (
     DensityMatrix,
     ball_membership,
-    build_pyramid,
-    build_shifts,
-    build_tiles,
     certify,
     eig_hermitian,
+    get_upb,
     in_gurvits_ball,
     is_ppt,
     min_pt_eigenvalue,
@@ -48,9 +46,9 @@ def lambda_omega_of(witness, omega):
 def test_a01_catalog_validity_and_dual_method_overlap():
     start = time.monotonic()
     results = {}
-    for build, tol, cells in ((build_tiles, 1e-6, 26637), (build_pyramid, 1e-6, 32973),
-                              (build_shifts, 1e-5, 83840)):
-        upb = build()
+    for name, tol, cells in (("tiles", 1e-6, 26637), ("pyramid", 1e-6, 32973),
+                             ("shifts", 1e-5, 83840)):
+        upb = get_upb(name)
         assert gram_deviation(upb) < 1e-10
         lam = minimum_overlap(upb)
         proof = prove_product_minimum(upb.projector, upb.structure, lam.value)

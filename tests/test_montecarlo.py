@@ -543,9 +543,9 @@ def test_no_pptball_code_loads_scipy():
     probe = """
 import sys
 import pptball.witness
-from pptball import build_shifts, certify, minimum_overlap, robustness_profile
+from pptball import certify, get_upb, minimum_overlap, robustness_profile
 pptball.witness.SEESAW_RESTARTS = 20
-shifts = build_shifts()
+shifts = get_upb("shifts")
 robustness_profile(certify(shifts, minimum_overlap(shifts).value), grid_size=3)
 print("scipy" in sys.modules)
 """

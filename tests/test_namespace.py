@@ -4,6 +4,7 @@ import ast
 import importlib
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import pptball
@@ -27,6 +28,26 @@ def test_witness_builders_left_the_namespace(name):
     with pytest.raises(AttributeError, match=f"'pptball' has no attribute '{name}'"):
         getattr(pptball, name)
     assert not hasattr(witness, name) and not hasattr(robustness, name)
+
+
+@pytest.mark.parametrize("name", ["build_tiles", "build_pyramid", "build_shifts"])
+def test_catalog_builders_left_the_namespace(name):
+    # get_upb is the one door to a catalog set; its builders are CATALOG's own.
+    from pptball import upb
+
+    assert name not in pptball.__all__ and name not in dir(pptball)
+    with pytest.raises(AttributeError, match=f"'pptball' has no attribute '{name}'"):
+        getattr(pptball, name)
+    assert not hasattr(upb, name)
+
+
+@pytest.mark.parametrize("name", ["tiles", "pyramid", "shifts", "complete-2x2"])
+def test_catalog_builder_gives_what_get_upb_gives(name):
+    built, got = pptball.CATALOG[name](), pptball.get_upb(name)
+    assert (built.name, built.structure.local_dims) == (got.name, got.structure.local_dims)
+    assert len(built.members) == len(got.members)
+    for a, b in zip(built.members, got.members):
+        assert all(np.array_equal(u, v) for u, v in zip(a.local_vectors, b.local_vectors))
 
 
 def test_dir_lists_every_public_name():

@@ -200,9 +200,11 @@ def test_crossing_root_and_branch_equality(tiles_lambda):
     assert abs(root - closed) < 1e-10
     assert float(printed) != pytest.approx(root, abs=1e-3)
     # Bad input is a ValueError, as for certify, not a failed contract.
-    for bad in (0.6, 0.0, np.nan):
+    for bad in (0.6, np.nan):
         with pytest.raises(ValueError, match=r"outside \(0, n/D"):
             _crossing(TILES_N, TILES_D, bad)
+    with pytest.raises(ValueError, match="extendible"):
+        _crossing(TILES_N, TILES_D, 0.0)
 
 
 def test_crossing_sweep_is_monotone():

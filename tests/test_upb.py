@@ -15,6 +15,7 @@ from pptball import (
     min_pt_eigenvalue,
     omega_state,
 )
+from pptball.upb import _overlaps
 
 
 def gram_deviation(upb):
@@ -74,6 +75,35 @@ def test_fidelity_rejects_another_structure(dims_a, dims_b):
     with pytest.raises(ValueError, match="structure mismatch"):
         a.fidelity(b)
     assert a.fidelity(a) == 1.0
+
+
+def _random_product_states(dims, count, seed):
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        vecs = [rng.standard_normal(d) + 1j * rng.standard_normal(d) for d in dims]
+        yield ProductState(tuple(v / np.linalg.norm(v) for v in vecs))
+
+
+@pytest.mark.parametrize("name", ["tiles", "pyramid", "shifts"])
+def test_overlaps_sum_to_the_projector_expectation(name, request):
+    # <phi|P|phi> = sum_i prod_k |<v_ik|phi_k>|^2 for a product state phi.
+    upb = request.getfixturevalue(name)
+    mats = [upb.local_matrix(k) for k in range(upb.n_parties)]
+    p = upb.projector.matrix
+    for phi in _random_product_states(upb.structure.local_dims, 200, seed=7):
+        v = phi.full_vector
+        expected = float(np.vdot(v, p @ v).real)
+        assert abs(float(_overlaps(mats, phi.local_vectors).sum()) - expected) < 1e-14
+
+
+@pytest.mark.parametrize("name", ["tiles", "pyramid", "shifts"])
+def test_fidelity_is_the_full_vector_overlap(name, request):
+    dims = request.getfixturevalue(name).structure.local_dims
+    states = list(_random_product_states(dims, 201, seed=11))
+    for a, b in zip(states, states[1:]):
+        expected = abs(np.vdot(a.full_vector, b.full_vector)) ** 2
+        assert abs(a.fidelity(b) - expected) < 1e-14
+        assert abs(a.fidelity(b) - b.fidelity(a)) < 1e-14
 
 
 def test_product_state_density_keeps_its_local_dimensions():

@@ -34,7 +34,8 @@ from pptball.proof import (
     _lowest_eigenvalues,
 )
 from pptball.robustness import certify
-from pptball.witness import _restart_start, _seesaw_once, _weights
+from pptball.upb import _overlaps
+from pptball.witness import _restart_start, _seesaw_once
 
 
 @pytest.fixture
@@ -99,10 +100,10 @@ def test_extendible_orthogonal_sets_have_zero_overlap(dims, n, quick):
 def test_extendible_sets_are_not_certified(seed, dims, n, quick):
     # The seesaw lands within rounding of 0, on either side; a lambda a few
     # ulps above 0 would give x* = 1 and an empty entangled range (x*, 1).
+    # Either sign is refused with the one extendible message.
     upb = _random_orthogonal_product_set(seed, dims, n)
     lam = minimum_overlap(upb)
-    message = "extendible" if lam.value > 0 else r"outside \(0, n/D"
-    with pytest.raises(ValueError, match=f"minimum overlap {re.escape(repr(lam.value))}.*{message}"):
+    with pytest.raises(ValueError, match=f"minimum overlap {re.escape(repr(lam.value))}.*extendible"):
         certify(upb, lam.value)
 
 
@@ -166,7 +167,7 @@ def test_descent_is_monotone_per_half_step(tiles, monkeypatch):
     # solves; the start's value is the objective at the start vectors.
     mats = [tiles.local_matrix(k) for k in range(2)]
     start = _restart_start((3, 3), 123, 0)
-    values = [float(_weights(mats, start).sum())]
+    values = [float(_overlaps(mats, start).sum())]
     eigh = np.linalg.eigh
 
     def record(m):
@@ -330,9 +331,10 @@ def test_witness_normalizer_guard(complete22, tiles, monkeypatch):
     # certify refuses a set with n = D before it reads lambda.
     with pytest.raises(ValueError, match=r"^the set spans the whole space \(n = D\)"):
         certify(complete22, 0.5)
-    with pytest.raises(ValueError, match="normalizer"):
-        certify(tiles, float(5 / 9))
-    with pytest.raises(ValueError, match="normalizer"):
+    for lam in (float(5 / 9), math.inf, -math.inf):
+        with pytest.raises(ValueError, match="normalizer"):
+            certify(tiles, lam)
+    with pytest.raises(ValueError, match=r"0\.0 is at most ZERO_EIG_ATOL = 1e-12: .* extendible"):
         certify(tiles, 0.0)
     with pytest.raises(ValueError, match=r"1e-13 is at most ZERO_EIG_ATOL = 1e-12: .* extendible"):
         certify(tiles, 1e-13)
