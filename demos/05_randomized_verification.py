@@ -42,7 +42,7 @@ for name in ("tiles", "shifts"):
           f"witness margin {mixing.witness_margin:.2e}")
 
 cert = certs["tiles"]
-x = (cert.x_star + 1.0) / 2
+x = float(cert.x_grid(1)[0])
 center = cert.member(x)
 radius = cert.radius(x)
 est = ball_fraction_estimate(center, radius, 2000, 7)

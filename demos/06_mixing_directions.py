@@ -30,7 +30,7 @@ print(f"  white noise I/D      : {ppt_mixing_threshold(cert, mixed):.12f}")
 print(f"  minimizer direction  : {ppt_mixing_threshold(cert, sigma_dir):.12f} "
       f"(zero witness value, maximal robustness)")
 
-x = (cert.x_star + 1.0) / 2
+x = float(cert.x_grid(1)[0])
 zs = [0.0, 0.25, 0.5, 0.75, 0.9, 0.99, 0.999]
 out = verify_maximal_robustness(cert, sigma_dir, x, zs)
 ppt_z, witness_z = zs[out.ppt_margin_key[0]], zs[out.witness_margin_key[0]]

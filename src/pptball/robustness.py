@@ -174,12 +174,16 @@ def _crossing(n: int, d: int, lam: float) -> tuple[Fraction, Fraction]:
     D(1 - lambda) in its denominator where the root adds them; it is carried
     for comparison only, never used downstream.  Both are exact.
     """
-    x_star = _line(n, d, lam)[2]
+    _line(n, d, lam)  # checks lambda
     lam = Fraction(lam)
     numerator = n * (d - 2) + d * (1 - lam * (d - 1))
+    # The root lies in (x*, 1) for every certificate: 1 - x0 =
+    # D lambda (D - 2)/(n(D - 2) + D(1 - lambda)), whose denominator is
+    # positive for lambda < 1, so x0 < 1 iff lambda (D - 2) > 0, and
+    # x0 > x* = 1 - lambda D/n iff lambda < 1.  _line gives
+    # 0 < lambda < n/D < 1 (omega_state refuses n >= D), and certify's
+    # 1 - 2/D ceiling refuses D = 2, since lambda_omega > 0.
     x0 = numerator / (n * (d - 2) + d * (1 - lam))
-    if not x_star < x0 < 1:
-        raise RuntimeError(f"branch crossing {float(x0)!r} outside (x* = {float(x_star)!r}, 1)")
     return x0, numerator / (n * (d - 2) * d * (1 - lam))
 
 

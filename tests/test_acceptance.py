@@ -57,7 +57,7 @@ def test_a01_catalog_validity_and_dual_method_overlap():
         assert 0.0 <= lam.value - proof.lower < tol
         # The proof at the seed-0 lambda, pinned: no centre beats lambda, and
         # every cell of the last level passed at t = lambda - PROOF_GAP.  The
-        # cell counts are those test_witness pins from the proof's levels.
+        # cell counts are those test_proof pins from the proof's levels.
         assert proof == ProductMinimumBound(lower=lam.value - PROOF_GAP, upper=lam.value,
                                             cells=cells)
         results[upb.name] = (lam.value, lam.value - proof.lower)

@@ -1,3 +1,4 @@
+import ast
 import csv
 import gc
 import json
@@ -10,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import pptball
-from pptball import cli, robustness, witness
+from pptball import cli, witness
 from pptball.cli import _config, _flatten, build_parser, main
 from pptball.montecarlo import PROBE_FRACTION
 from pptball.proof import PROOF_GAP
@@ -108,9 +109,11 @@ def test_lambda_shifts_multipartite(tmp_path):
 
 
 def test_lambda_non_convergence_exit(tmp_path, monkeypatch):
+    # lambda exits by its proof: both ends of its interval are proven whatever
+    # the seesaw did, and converged is the diagnostic of minimizer_vectors.
     short_seesaw(monkeypatch, 2, 1)
     code, path = run(tmp_path, "lambda", "--upb", "tiles")
-    assert code == 3
+    assert code == 0
     report = json.loads(path.read_text())
     assert report["converged"] is False
     # The proof's cell centres find what the two short restarts missed.
@@ -127,6 +130,39 @@ def test_certificate_commands_exit_3_without_convergence(tmp_path, capsys, monke
     assert code == 3
     assert capsys.readouterr().err == "overlap minimizer did not converge\n"
     assert not path.exists()
+
+
+def _names_in(source, names):
+    """(name, enclosing function or ``except`` clause, context) of each use of ``names``."""
+    places = []
+
+    def visit(node, where):
+        if isinstance(node, ast.FunctionDef):
+            where = node.name
+        elif isinstance(node, ast.ExceptHandler):
+            where = f"{where}: except {ast.unparse(node.type)}"
+        elif isinstance(node, ast.Name) and node.id in names:
+            places.append((node.id, where, type(node.ctx).__name__))
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(ast.parse(source), "module")
+    return places
+
+
+def test_exit_3_has_one_producer():
+    # Exit 3 means one thing: _certificate refused a seesaw lambda that did
+    # not converge.  EXIT_NO_CONVERGENCE is named where it is defined and in
+    # main's handler of that refusal, and nowhere else; lambda exits by its
+    # proof.
+    handler = "main: except _NoConvergence"
+    source = Path(cli.__file__).read_text()
+    assert _names_in(source, {"EXIT_NO_CONVERGENCE", "_NoConvergence"}) == [
+        ("EXIT_NO_CONVERGENCE", "module", "Store"),
+        ("_NoConvergence", "_certificate", "Load"),
+        ("_NoConvergence", handler, "Load"),
+        ("EXIT_NO_CONVERGENCE", handler, "Load"),
+    ]
 
 
 @pytest.mark.parametrize(
@@ -149,11 +185,23 @@ def test_lambda_reports_the_proofs_incumbent(tmp_path, monkeypatch, tiles_lambda
     # centres find it, and lambda and agreement are read from that value.
     short_seesaw(monkeypatch, 2, 1)
     code, path = run(tmp_path, "lambda", "--upb", "tiles")
-    assert code == 3
+    assert code == 0
     report = json.loads(path.read_text())
     assert abs(report["lambda"] - tiles_lambda.value) < 1e-8
     assert report["agreement"] == report["lambda"] - report["lambda_lower"]
     assert report["agreement"] <= 2 * PROOF_GAP
+
+
+def test_verify_writes_its_report_when_it_exits_1(tmp_path, monkeypatch):
+    # A nonzero exit can carry a report: probed at three times each proven
+    # bound, each of the 20 separable-mixing trials is a witness violation,
+    # and verify writes its report and exits 1.
+    monkeypatch.setattr("pptball.montecarlo.PROBE_FRACTION", 3.0)
+    code, path = run(tmp_path, "verify", "--upb", "tiles", "--trials", "20", "--grid", "2")
+    assert code == 1
+    report = json.loads(path.read_text())
+    assert list(report)[:2] == ["tool", "command"]
+    assert report["violations_total"] == 20
 
 
 def test_lambda_proof_out_of_cells_exits_4(tmp_path, capsys, monkeypatch):
@@ -176,18 +224,12 @@ def test_lambda_proof_out_of_cells_exits_4(tmp_path, capsys, monkeypatch):
             ("pptball.operators.DECOMPOSITION_ATOL", -1.0),
             "eigendecomposition contract violated",
         ),
-        # x* = 1 leaves no room for the crossing x0 in (x*, 1).
-        (
-            "profile",
-            (robustness, "_line", lambda *a, line=robustness._line: (*line(*a)[:2], Fraction(1))),
-            "branch crossing",
-        ),
     ],
-    ids=["eigendecomposition", "branch-crossing"],
+    ids=["eigendecomposition"],
 )
 def test_contract_violations_exit_4(tmp_path, capsys, monkeypatch, command, patch, words):
-    # The certificate's internal checks raise RuntimeError, which main reports
-    # as an internal error with exit 4 and no report.
+    # An internal contract check raises RuntimeError, which main reports as
+    # an internal error with exit 4 and no report.
     monkeypatch.setattr(*patch)
     code, path = run(tmp_path, command, "--upb", "tiles")
     assert code == 4
@@ -392,7 +434,7 @@ def test_contract_failure_exits_4(tmp_path, capsys, monkeypatch):
         (
             ["lambda", "--upb", "shifts"],
             (2, 1),
-            3,
+            0,
             ["config", "lambda", "converged", "minimizer_vectors",
              "distinct_minimizers", "lambda_lower", "proof_cells", "agreement"],
             ["upb", "seed"],
@@ -424,8 +466,7 @@ def test_contract_failure_exits_4(tmp_path, capsys, monkeypatch):
     ids=["upb-list", "lambda-not-converged", "profile", "verify", "membership"],
 )
 def test_reports_start_with_the_header(tmp_path, monkeypatch, argv, counts, status, keys, config):
-    # main stamps the tool and command on every report but export's, and
-    # writes the report whatever the exit status (here 3 for lambda).  The
+    # main stamps the tool and command on every report but export's.  The
     # config echoes exactly the flags the command has.
     short_seesaw(monkeypatch, *counts)
     code, path = run(tmp_path, *argv)

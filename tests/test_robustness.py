@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from pptball import (
@@ -207,6 +207,23 @@ def test_crossing_root_and_branch_equality(tiles_lambda):
         _crossing(TILES_N, TILES_D, 0.0)
 
 
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_crossing_lies_inside_every_certifiable_line(data):
+    # The argument beside _crossing's root, checked exactly: for every
+    # (n, D, lambda) that certify accepts, x* < x0 < 1.  Past
+    # lambda = n(D - 2)/(D(D - 1)), lambda_omega exceeds the 1 - 2/D ceiling.
+    d = data.draw(st.integers(3, 64))
+    n = data.draw(st.integers(1, d - 1))
+    top = n * (d - 2) / (d * (d - 1))
+    lam = data.draw(st.floats(ZERO_EIG_ATOL, top, exclude_min=True))
+    lambda_omega, _, x_star = _line(n, d, lam)
+    assume(lambda_omega <= 1 - Fraction(2, d))
+    x0, _ = _crossing(n, d, lam)
+    assert isinstance(x0, Fraction)
+    assert x_star < x0 < 1
+
+
 def test_crossing_sweep_is_monotone():
     lams = np.linspace(0.02, TILES_N / TILES_D - 0.02, 12)
     stars = [1 - lam * TILES_D / TILES_N for lam in lams]
@@ -254,8 +271,9 @@ def test_mixture_witness_value_identity(tiles, tiles_cert):
 
 
 def test_mixture_tau_identity_is_a_contract(monkeypatch, tiles, tiles_cert):
-    # A rewrite residual above IDENTITY_ATOL is a RuntimeError, which the CLI
-    # maps to exit 4; a negative tolerance forces it.
+    # A rewrite residual above IDENTITY_ATOL is a RuntimeError, the contract
+    # a08 relies on (no command calls mixture_tau); a negative tolerance
+    # forces it.
     monkeypatch.setattr("pptball.robustness.IDENTITY_ATOL", -1.0)
     mixed = DensityMatrix.maximally_mixed(tiles.structure)
     with pytest.raises(RuntimeError, match="^mixture decomposition identity violated"):
