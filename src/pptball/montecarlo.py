@@ -276,10 +276,8 @@ def verify_maximal_robustness(
         if not 0.0 <= z < 1.0:
             raise ValueError(f"grid entries must lie in [0, 1), got {z!r}")
     rho_x = cert.member(x).matrix
-    keyed_matrices = (
-        ((i,), z * sigma_dir.matrix + (1.0 - z) * rho_x) for i, z in enumerate(z_grid)
-    )
-    return _score("maximal-direction", cert, keyed_matrices, x=x, z_grid=z_grid)
+    keyed = (((i,), z * sigma_dir.matrix + (1.0 - z) * rho_x) for i, z in enumerate(z_grid))
+    return _score("maximal-direction", cert, keyed, x=x, z_grid=z_grid)
 
 
 @dataclass(frozen=True)

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import HermitianOperator, HilbertStructure, _kron_rows, _operator, _real
-from .operators import _structure_of
+from .operators import HermitianOperator, HilbertStructure, _kron_rows, _lowest_eigenvalues
+from .operators import _operator, _real, _structure_of
 
 # prove_product_minimum proves <W> >= (best product value found) - PROOF_GAP.
 # The cell bound is second order in the cell size, so cells near a minimizer
@@ -121,14 +121,6 @@ def _party_offsets(dims, half):
             for a, b in zip(bounds[:-1], bounds[1:])]
 
 
-def _lowest_eigenvalues(m: np.ndarray) -> np.ndarray:
-    """Smallest eigenvalue of each Hermitian matrix in a stack; closed form for 2x2."""
-    if m.shape[-1] == 2:
-        a, d = m[..., 0, 0].real, m[..., 1, 1].real
-        return 0.5 * (a + d) - np.hypot(0.5 * (a - d), np.abs(m[..., 0, 1]))
-    return np.linalg.eigvalsh(m)[..., 0]
-
-
 def _centre_matrices(h4, centre):
     """Y = (<Phi_c| x I) W as (C, D', d, d) and N(Phi_c) = Y contracted with Phi_c, (C, d, d)."""
     y = np.einsum("ci,ijab->cjab", centre[:, 0].conj(), h4)
@@ -166,7 +158,7 @@ def _vertex_stack(delta, y, n_c):
     """Vertex matrices L_v = N(Phi_c) + X(Phi_c, Delta) + X(Delta, Phi_c), shape (C, V, d, d).
 
     X(A, B) = (<A| x I) W (|B> x I).  The stack is built in place in the
-    array of X(Phi_c, Delta), and only the triangle ``_lowest_eigenvalues``
+    array of X(Phi_c, Delta), and only the triangle ``operators._lowest_eigenvalues``
     reads holds L_v: the lower one (eigvalsh), or the upper one for d = 2.
     Each of its entries is x_ab + conj(x_ba) + N_ab, bit for bit the full
     Hermitian sum; the other triangle holds x_ab + N_ab.

@@ -25,8 +25,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .operators import DensityMatrix, HermitianOperator, TRACE_ATOL, _integer, _operator, _real
-from .operators import _sequence, _state, eig_hermitian, is_ppt, purity, witness_value
+from .operators import DensityMatrix, HermitianOperator, TRACE_ATOL, _integer, _lowest_eigenvalues
+from .operators import _operator, _real, _sequence, _state, eig_hermitian, is_ppt, purity
+from .operators import witness_value
 from .upb import ProductState, UPBSet, omega_state
 
 IDENTITY_ATOL = 1e-12
@@ -42,13 +43,17 @@ def _line(n: int, d: int, lam: float) -> tuple[Fraction, Fraction, Fraction]:
     They are -Tr(W omega), the flat positive eigenvalue of W, and
     x* = 1 - lambda D/n = 1/(1 + D lambda_omega), exact for the float lambda;
     every certificate number is a function of these.  lambda must be a finite
-    real number below n/D, so that the normalizer n - lambda D is positive,
-    and above ZERO_EIG_ATOL.  The seesaw's lambda is an eigenvalue, so any
-    finite one at most ZERO_EIG_ATOL (0, or rounding on either side of it) is
-    a zero product overlap: the set is extendible and has no witness.
+    real number, at least -ZERO_EIG_ATOL (no product overlap is negative),
+    below n/D, so that the normalizer n - lambda D is positive, and above
+    ZERO_EIG_ATOL.  The seesaw's lambda is an eigenvalue, so one within
+    ZERO_EIG_ATOL of 0 is a zero product overlap: the set is extendible.
     """
     lam = _real(lam, "minimum overlap")
-    if not (math.isfinite(lam) and lam < n / d):
+    if not math.isfinite(lam):
+        raise ValueError(f"minimum overlap must be finite, got {lam!r}")
+    if lam < -ZERO_EIG_ATOL:
+        raise ValueError(f"minimum overlap {lam!r} is negative, a value no product overlap takes")
+    if lam >= n / d:
         raise ValueError(
             f"minimum overlap {lam!r} outside (0, n/D = {n / d}); "
             "the normalizer n - lambda D must be positive"
@@ -248,8 +253,7 @@ def _center_inv_sqrt(center: DensityMatrix) -> np.ndarray:
 
 def _membership(tau: np.ndarray, inv_sqrt: np.ndarray) -> float:
     """1 - min eigenvalue of inv_sqrt tau inv_sqrt, clamped to [0, 1]."""
-    lam_min = float(np.linalg.eigvalsh(inv_sqrt @ tau @ inv_sqrt)[0])
-    return float(min(1.0, max(0.0, 1.0 - lam_min)))
+    return min(1.0, max(0.0, 1.0 - float(_lowest_eigenvalues(inv_sqrt @ tau @ inv_sqrt))))
 
 
 def ball_membership(

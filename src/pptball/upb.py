@@ -176,10 +176,7 @@ def _pyramid() -> UPBSet:
     i.e. h^2 = -cos(4 pi / 5); member j pairs v_j with v_{2j mod 5}.
     """
     h = np.sqrt(-np.cos(4 * np.pi / 5))
-    raw = [
-        np.array([np.cos(2 * np.pi * j / 5), np.sin(2 * np.pi * j / 5), h])
-        for j in range(5)
-    ]
+    raw = [np.array([np.cos(2 * np.pi * j / 5), np.sin(2 * np.pi * j / 5), h]) for j in range(5)]
     v = [r / np.linalg.norm(r) for r in raw]
     vectors = [(v[j], v[(2 * j) % 5]) for j in range(5)]
     return UPBSet.from_vectors("pyramid", (3, 3), vectors)
@@ -205,9 +202,7 @@ def build_complete_basis(local_dims) -> UPBSet:
     dims = HilbertStructure(local_dims).local_dims
     name = "complete-" + "x".join(str(d) for d in dims)
     eyes = [np.eye(d) for d in dims]
-    vectors = [
-        tuple(eyes[k][i] for k, i in enumerate(idx)) for idx in np.ndindex(*dims)
-    ]
+    vectors = [tuple(eyes[k][i] for k, i in enumerate(idx)) for idx in np.ndindex(*dims)]
     return UPBSet.from_vectors(name, dims, vectors)
 
 
@@ -219,9 +214,7 @@ def omega_state(upb: UPBSet) -> DensityMatrix:
     """
     d, n = upb.total_dim, upb.cardinality
     if n >= d:
-        raise ValueError(
-            "the set spans the whole space (n = D); its complement state is undefined"
-        )
+        raise ValueError("the set spans the whole space (n = D); its complement state is undefined")
     m = (np.eye(d) - upb.projector.matrix) / (d - n)
     return DensityMatrix(m, upb.structure)
 

@@ -113,9 +113,9 @@ def minimum_overlap(upb: UPBSet, seed: int = 0) -> LambdaResult:
     ]
     best_value = min(value for value, _, _ in finals)
     near = [item for item in finals if item[0] <= best_value + MINIMIZER_VALUE_ATOL]
-    distinct: list[ProductState] = []
-    for _, phis, _ in near:
-        cand = ProductState(tuple(phis))
-        if all(cand.fidelity(kept) < DISTINCT_FIDELITY for kept in distinct):
-            distinct.append(cand)
-    return LambdaResult(value=best_value, converged=near[0][2], minimizers=tuple(distinct))
+    kept = [near[0][1]]
+    for _, phis, _ in near[1:]:
+        # Row i is the fidelity |<phis|kept[i]>|^2; only kept minimizers become ProductStates.
+        if (_overlaps([np.array(p) for p in zip(*kept)], phis) < DISTINCT_FIDELITY).all():
+            kept.append(phis)
+    return LambdaResult(best_value, near[0][2], tuple(ProductState(tuple(p)) for p in kept))

@@ -415,12 +415,12 @@ def test_plain_matrix_suites_match_object_path(request, cert_name):
 
 
 @pytest.mark.parametrize("cert_name", ["tiles_cert", "shifts_cert"])
-def test_suites_diagonalize_each_trial_once_per_cut(request, monkeypatch, cert_name):
-    # One eigvalsh per cut per trial, plus one per x point for the validated
-    # family member; the sampled states themselves are not re-validated, so
-    # no HermitianOperator check runs per trial either.
+def test_suites_diagonalize_each_trial_once(request, monkeypatch, cert_name):
+    # One eigvalsh per trial, which solves every cut's partial transpose in
+    # one stack, plus one per x point for the validated family member; the
+    # sampled states themselves are not re-validated, so no HermitianOperator
+    # check runs per trial either.
     cert = request.getfixturevalue(cert_name)
-    cuts = len(all_bipartitions(cert.upb.structure))
     k, trials = 3, 7
     x = (cert.x_star + 1.0) / 2
     center = cert.member(x)
@@ -447,8 +447,8 @@ def test_suites_diagonalize_each_trial_once_per_cut(request, monkeypatch, cert_n
     monkeypatch.setattr(np.linalg, "eigvalsh", counting)
     monkeypatch.setattr(HermitianOperator, "__post_init__", counting_post_init)
     suites = [
-        (lambda n: verify_ball_robustness(cert, k, n, 3), lambda n: k * n * cuts + k),
-        (lambda n: verify_separable_mixing(cert, n, 3), lambda n: n * cuts),
+        (lambda n: verify_ball_robustness(cert, k, n, 3), lambda n: k * n + k),
+        (lambda n: verify_separable_mixing(cert, n, 3), lambda n: n),
         (lambda n: ball_fraction_estimate(center, cert.radius(x), n, 3), lambda n: n),
     ]
     for run, eigvalsh_calls in suites:

@@ -126,6 +126,26 @@ def test_module_level_imports_follow_the_layers():
     assert edges == LAYERS
 
 
+def test_eigvalsh_is_called_by_the_kernel_and_the_proofs_prelude_alone():
+    # operators._lowest_eigenvalues is the one smallest-eigenvalue kernel of
+    # states, cuts, membership and the proof's cells; proof._prelude needs
+    # W's full spectrum.  Each mention of eigvalsh is charged to the function
+    # around it, or to "<module>".
+    package = Path(pptball.__file__).resolve().parent
+    callers = set()
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+        for node in ast.walk(tree):
+            named = (getattr(node, "attr", None), getattr(node, "id", None))
+            if "eigvalsh" in named or "eigvalsh" in str(getattr(node, "name", "")):
+                scope = node
+                while scope in parents and not isinstance(scope, ast.FunctionDef):
+                    scope = parents[scope]
+                callers.add((path.stem, getattr(scope, "name", "<module>")))
+    assert callers == {("operators", "_lowest_eigenvalues"), ("proof", "_prelude")}
+
+
 DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
 
 

@@ -15,12 +15,8 @@ from pptball import (
     prove_product_minimum,
 )
 from pptball import proof as proof_module
-from pptball.proof import (
-    PROOF_GAP,
-    PROOF_ROUND,
-    ProductMinimumBound,
-    _lowest_eigenvalues,
-)
+from pptball.operators import _lowest_eigenvalues
+from pptball.proof import PROOF_GAP, PROOF_ROUND, ProductMinimumBound
 
 
 # Minimum product overlaps of two catalog sets, from the seesaw.

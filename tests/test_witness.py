@@ -23,8 +23,8 @@ from pptball.montecarlo import sample_hs_density, sample_random_product_separabl
 from pptball import robustness as robustness_module
 from pptball import witness as witness_module
 from pptball.robustness import certify
-from pptball.upb import _overlaps
-from pptball.witness import _restart_start, _seesaw_once
+from pptball.upb import ProductState, _overlaps
+from pptball.witness import DISTINCT_FIDELITY, MINIMIZER_VALUE_ATOL, _restart_start, _seesaw_once
 
 
 @pytest.fixture
@@ -149,6 +149,33 @@ def test_distinct_minimizers_all_achieve_the_overlap(tiles, tiles_lambda):
     for i, a in enumerate(tiles_lambda.minimizers):
         for b in tiles_lambda.minimizers[i + 1 :]:
             assert a.fidelity(b) < 1 - 1e-6
+
+
+@pytest.mark.parametrize("name", ["tiles", "shifts"])
+def test_minimizers_are_the_near_restarts_fidelity_keeps(request, monkeypatch, name):
+    # The reference rule on ProductStates: a restart within
+    # MINIMIZER_VALUE_ATOL of lambda is kept when its fidelity with every
+    # kept one is below DISTINCT_FIDELITY.  The seesaw compares plain vectors
+    # and validates one ProductState per kept minimizer, not per near restart.
+    upb, finals, built = request.getfixturevalue(name), [], []
+    post_init = ProductState.__post_init__
+    monkeypatch.setattr(
+        "pptball.witness._seesaw_once", lambda *args: finals.append(_seesaw_once(*args)) or finals[-1]
+    )
+    monkeypatch.setattr(ProductState, "__post_init__", lambda self: built.append(post_init(self)))
+    result = minimum_overlap(upb)
+    assert len(built) == len(result.minimizers)
+    monkeypatch.undo()
+    reference = []
+    for value, phis, _ in finals:
+        cand = ProductState(tuple(phis))
+        if value <= result.value + MINIMIZER_VALUE_ATOL and all(
+            cand.fidelity(kept) < DISTINCT_FIDELITY for kept in reference
+        ):
+            reference.append(cand)
+    assert len(finals) > len(reference) == len(result.minimizers) > 1
+    for a, b in zip(reference, result.minimizers):
+        assert all(np.array_equal(u, v) for u, v in zip(a.local_vectors, b.local_vectors))
 
 
 def test_descent_is_monotone_per_half_step(tiles, monkeypatch):
@@ -320,13 +347,22 @@ def test_witness_normalizer_guard(complete22, tiles, monkeypatch):
     # certify refuses a set with n = D before it reads lambda.
     with pytest.raises(ValueError, match=r"^the set spans the whole space \(n = D\)"):
         certify(complete22, 0.5)
-    for lam in (float(5 / 9), math.inf, -math.inf):
-        with pytest.raises(ValueError, match="normalizer"):
+    # A non-finite or clearly negative lambda is refused before the
+    # normalizer and the extendibility branch read it.
+    refusals = [
+        (math.inf, r"^minimum overlap must be finite, got inf$"),
+        (-math.inf, r"^minimum overlap must be finite, got -inf$"),
+        (math.nan, r"^minimum overlap must be finite, got nan$"),
+        (-0.5, r"^minimum overlap -0\.5 is negative, a value no product overlap takes$"),
+        (float(5 / 9), r"outside \(0, n/D = 0\.5555555555555556\); the normalizer"),
+        (0.0, r"0\.0 is at most ZERO_EIG_ATOL = 1e-12: .* extendible"),
+        (1e-13, r"1e-13 is at most ZERO_EIG_ATOL = 1e-12: .* extendible"),
+        (5e-13, r"5e-13 is at most ZERO_EIG_ATOL = 1e-12: .* extendible"),
+        (-1e-13, r"-1e-13 is at most ZERO_EIG_ATOL = 1e-12: .* extendible"),
+    ]
+    for lam, message in refusals:
+        with pytest.raises(ValueError, match=message):
             certify(tiles, lam)
-    with pytest.raises(ValueError, match=r"0\.0 is at most ZERO_EIG_ATOL = 1e-12: .* extendible"):
-        certify(tiles, 0.0)
-    with pytest.raises(ValueError, match=r"1e-13 is at most ZERO_EIG_ATOL = 1e-12: .* extendible"):
-        certify(tiles, 1e-13)
     # The float just below n/D = 5/9 passes the normalizer, which is then a
     # few ulps; the exact violation lambda/(n - lambda D) is what refuses it.
     message = r"^witness violation at lambda = 0\.5555555555555555 exceeds the 1 - 2/D ceiling$"
