@@ -266,14 +266,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_profile = sub.add_parser("profile", help="robustness profile")
     add_common(p_profile)
     add_seesaw(p_profile)
-    p_profile.add_argument("--grid", type=grid, default=50, help="radius sample count")
+    p_profile.add_argument("--grid", type=grid, default=50, help="points of the x grid in (x*, 1)")
     p_profile.set_defaults(handler=_cmd_profile)
 
     p_verify = sub.add_parser("verify", help="randomized ball and mixing suites")
     add_common(p_verify)
     add_seesaw(p_verify)
     p_verify.add_argument("--trials", type=trials, default=1000)
-    p_verify.add_argument("--grid", type=grid, default=10, help="x grid size")
+    p_verify.add_argument("--grid", type=grid, default=10, help="points of the x grid in (x*, 1)")
     p_verify.set_defaults(handler=_cmd_verify)
 
     p_member = sub.add_parser("membership", help="ball-fraction estimate")

@@ -10,11 +10,12 @@ and the minimizer direction, a separable state with zero witness value;
 ``certify`` is the one constructor of the witness W = (P - lambda I)/(n - lambda D),
 which is a witness only if lambda is at most the true minimum product
 overlap; ``proof.prove_product_minimum`` establishes that from below.
-Every certificate number (lambda_omega, w_max, x*, x0, y0(x)) is a rational
-function of n, D and lambda, evaluated exactly by ``_line`` from the float
-lambda and rounded once, a bound outward: x* up, lambda_omega and y0 down.
-It is exact for the float lambda and the float set (Gram deviation 3.3e-16
-to 6.7e-16).
+``certify`` checks lambda once, through ``_line``; every later number reads
+the certificate's checked lambda.  Every certificate number (lambda_omega,
+x*, x0, y0(x)) is a rational function of n, D and lambda, evaluated exactly
+from the float lambda (``_line``, ``_branches``, ``_crossing``) and rounded
+once, a bound outward: x* up, lambda_omega and y0 down.  It is exact for the
+float lambda and the float set (Gram deviation 3.3e-16 to 6.7e-16).
 """
 
 from __future__ import annotations
@@ -30,23 +31,22 @@ from .operators import _operator, _real, _sequence, _state, eig_hermitian, is_pp
 from .operators import witness_value
 from .upb import ProductState, UPBSet, omega_state
 
-IDENTITY_ATOL = 1e-12
 RANK_TOL = 1e-12
 ZERO_EIG_ATOL = 1e-12
 # Tr(W sigma) of a zero-witness direction is zero only up to the rounding of the trace.
 WITNESS_SIGN_ATOL = 1e-10
 
 
-def _line(n: int, d: int, lam: float) -> tuple[Fraction, Fraction, Fraction]:
-    """lambda_omega = lambda/(n - lambda D), w_max = (1 - lambda)/(n - lambda D) and x*.
+def _line(n: int, d: int, lam: float) -> tuple[Fraction, Fraction]:
+    """Check lambda; lambda_omega = lambda/(n - lambda D) and x* = 1 - lambda D/n, exactly.
 
-    They are -Tr(W omega), the flat positive eigenvalue of W, and
-    x* = 1 - lambda D/n = 1/(1 + D lambda_omega), exact for the float lambda;
-    every certificate number is a function of these.  lambda must be a finite
-    real number, at least -ZERO_EIG_ATOL (no product overlap is negative),
-    below n/D, so that the normalizer n - lambda D is positive, and above
-    ZERO_EIG_ATOL.  The seesaw's lambda is an eigenvalue, so one within
-    ZERO_EIG_ATOL of 0 is a zero product overlap: the set is extendible.
+    lambda_omega is -Tr(W omega) and x* = 1/(1 + D lambda_omega), exact for
+    the float lambda.  ``certify`` is the one caller: it checks lambda here
+    once per certificate.  lambda must be a finite real number, at least
+    -ZERO_EIG_ATOL (no product overlap is negative), below n/D, so that the
+    normalizer n - lambda D is positive, and above ZERO_EIG_ATOL.  The
+    seesaw's lambda is an eigenvalue, so one within ZERO_EIG_ATOL of 0 is a
+    zero product overlap: the set is extendible.
     """
     lam = _real(lam, "minimum overlap")
     if not math.isfinite(lam):
@@ -64,22 +64,21 @@ def _line(n: int, d: int, lam: float) -> tuple[Fraction, Fraction, Fraction]:
             "a product state is orthogonal to every member, so the set is extendible"
         )
     lam = Fraction(lam)
-    norm = n - lam * d
-    return lam / norm, (1 - lam) / norm, 1 - lam * d / n
+    return lam / (n - lam * d), 1 - lam * d / n
 
 
 def _branches(x: float, n: int, d: int, lam: float) -> tuple[Fraction, Fraction]:
     """The purity and witness branches at x, exactly; the radius y0(x) is the smaller.
 
     Under the purity branch (1 - x)/(D - 1 - x) every direction mixes into the
-    separable purity ball.  Under the witness branch c/(w_max + c), with
-    c = -Tr(W rho_x) = (x(1 + D lambda_omega) - 1)/D, the mixture stays
-    witness-negative even when Tr(W sigma) = w_max.
+    separable purity ball.  Under the witness branch (nx - n + lambda D)/(nx - n + D)
+    the mixture stays witness-negative even when Tr(W sigma) is W's largest
+    eigenvalue w_max = (1 - lambda)/(n - lambda D): it is c/(w_max + c) with
+    c = -Tr(W rho_x) = (nx - n + lambda D)/(D(n - lambda D)).  lambda is the
+    certificate's, already checked.
     """
-    lambda_omega, w_max, _ = _line(n, d, lam)
-    x = Fraction(x)
-    c = (x * (1 + d * lambda_omega) - 1) / d
-    return (1 - x) / (d - 1 - x), c / (w_max + c)
+    x, lam = Fraction(x), Fraction(lam)
+    return (1 - x) / (d - 1 - x), (n * x - n + lam * d) / (n * x - n + d)
 
 
 def _outward(q: Fraction, up: bool) -> float:
@@ -145,12 +144,13 @@ def certify(upb: UPBSet, lam: float) -> Certificate:
     spectrum is flat by construction: (1 - lambda)/(n - lambda D) with
     multiplicity n and -lambda/(n - lambda D) with multiplicity D - n.  A set
     with n = D has no complement state and is refused first.  ``_line``
-    checks lambda; the violation lambda_omega = lambda/(n - lambda D) may not
-    exceed 1 - 2/D, compared exactly, and is rounded down, x* = 1 - lambda D/n up.
+    checks lambda, here and nowhere else: the radius and the crossing read the
+    certificate's checked lambda.  The violation lambda_omega = lambda/(n - lambda D)
+    may not exceed 1 - 2/D, compared exactly, and is rounded down, x* = 1 - lambda D/n up.
     """
     omega = omega_state(upb)
     d, n = upb.total_dim, upb.cardinality
-    lambda_omega, _, x_star = _line(n, d, lam)
+    lambda_omega, x_star = _line(n, d, lam)
     lam = float(lam)
     if d * lambda_omega > d - 2:
         raise ValueError(f"witness violation at lambda = {lam!r} exceeds the 1 - 2/D ceiling")
@@ -172,21 +172,21 @@ X0_NOTE = (
 def _crossing(n: int, d: int, lam: float) -> tuple[Fraction, Fraction]:
     """The x0 in (x*, 1) where the two branches of ``_branches`` meet, and the tabulated form.
 
-    With a = 1 + D lambda_omega and b = w_max, branch equality reduces to
-    (1 - x) b = (D - 2)(x a - 1)/D, which is linear in x; its root is
+    Branch equality (1 - x)(nx - n + D) = (D - 1 - x)(nx - n + lambda D) is
+    linear in x, as the x^2 terms cancel; its root is
     (n(D - 2) + D(1 - lambda(D - 1))) / (n(D - 2) + D(1 - lambda)).
     The tabulated form has the same numerator but multiplies n(D - 2) by
     D(1 - lambda) in its denominator where the root adds them; it is carried
-    for comparison only, never used downstream.  Both are exact.
+    for comparison only, never used downstream.  Both are exact.  lambda is
+    the certificate's, already checked.
     """
-    _line(n, d, lam)  # checks lambda
     lam = Fraction(lam)
     numerator = n * (d - 2) + d * (1 - lam * (d - 1))
     # The root lies in (x*, 1) for every certificate: 1 - x0 =
     # D lambda (D - 2)/(n(D - 2) + D(1 - lambda)), whose denominator is
     # positive for lambda < 1, so x0 < 1 iff lambda (D - 2) > 0, and
-    # x0 > x* = 1 - lambda D/n iff lambda < 1.  _line gives
-    # 0 < lambda < n/D < 1 (omega_state refuses n >= D), and certify's
+    # x0 > x* = 1 - lambda D/n iff lambda < 1.  certify's _line gives
+    # 0 < lambda < n/D < 1 (omega_state refuses n >= D), and its
     # 1 - 2/D ceiling refuses D = 2, since lambda_omega > 0.
     x0 = numerator / (n * (d - 2) + d * (1 - lam))
     return x0, numerator / (n * (d - 2) * d * (1 - lam))
@@ -209,8 +209,9 @@ def mixture_tau(
 ) -> tuple[DensityMatrix, MixtureDecomposition]:
     """y sigma + (1 - y) rho_x together with its (s, t) decomposition.
 
-    The rewrite tau = s {t sigma + (1 - t) I/D} + (1 - s) omega is verified to
-    IDENTITY_ATOL on every call.  sigma may be a plain matrix on the family's space.
+    The rewrite tau = s {t sigma + (1 - t) I/D} + (1 - s) omega is an identity
+    in x and y; acceptance criterion a08 checks it in floats, to 1e-12.  sigma
+    may be a plain matrix on the family's space.
     """
     x, y = _real(x, "x"), _real(y, "y")
     if not 0.0 < x < 1.0:
@@ -222,14 +223,7 @@ def mixture_tau(
     rho_x = cert.member(x)
     tau_m = y * sigma.matrix + (1.0 - y) * rho_x.matrix
     s = 1.0 - x * (1.0 - y)
-    t = y / s
-    d = structure.total_dim
-    inner = t * sigma.matrix + (1.0 - t) * np.eye(d) / d
-    recon = s * inner + (1.0 - s) * cert.omega.matrix
-    resid = float(np.abs(tau_m - recon).max())
-    if resid > IDENTITY_ATOL:
-        raise RuntimeError(f"mixture decomposition identity violated: residual {resid:.3e}")
-    return DensityMatrix(tau_m, structure), MixtureDecomposition(float(s), float(t))
+    return DensityMatrix(tau_m, structure), MixtureDecomposition(s, y / s)
 
 
 def in_gurvits_ball(rho: DensityMatrix) -> bool:

@@ -2,8 +2,8 @@
 
 Catalog entries are defined directly in code and re-validated each time
 ``get_upb`` builds one (orthonormality of members, projector consistency), so
-nothing is trusted to transcription.  New sets can be registered through
-``UPBSet.from_vectors``, which runs the same checks.  Unextendibility means
+nothing is trusted to transcription.  New sets can be built and validated
+through ``UPBSet.from_vectors``, which runs the same checks.  Unextendibility means
 that the minimum product-state overlap of the span projector is strictly
 positive; ``_overlaps`` gives each member's term of that overlap.  The
 multistart descent of the witness module only estimates the minimum from

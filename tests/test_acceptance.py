@@ -203,10 +203,12 @@ def test_a08_decomposition_identity_and_inner_mixture(tiles, tiles_cert):
         else:
             y = float(rng.uniform(0.0, 0.95))
         tau, dec = mixture_tau(tiles_cert, sigma, x, y)
+        # tau = s {t sigma + (1 - t) I/D} + (1 - s) omega, to 1e-12.
+        inner_m = dec.t * sigma.matrix + (1 - dec.t) * np.eye(d) / d
+        recon = dec.s * inner_m + (1 - dec.s) * tiles_cert.omega.matrix
+        assert np.abs(tau.matrix - recon).max() <= 1e-12
         if y < bound:
-            inner = DensityMatrix(
-                dec.t * sigma.matrix + (1 - dec.t) * np.eye(d) / d, tiles.structure
-            )
+            inner = DensityMatrix(inner_m, tiles.structure)
             assert in_gurvits_ball(inner)
             assert is_ppt(inner)
             checked_inner += 1

@@ -165,6 +165,28 @@ def test_exit_3_has_one_producer():
     ]
 
 
+def test_exit_4_has_two_producers():
+    # Exit 4 means a failed contract: RuntimeError is raised by the
+    # eigendecomposition contract (eig_hermitian) and by a proof out of
+    # PROOF_MAX_CELLS cells (_levels), and named nowhere else in the package
+    # but main's handler, which maps it to EXIT_CONTRACT.
+    handler = "main: except RuntimeError"
+    uses = {}
+    for path in sorted(Path(pptball.__file__).parent.glob("*.py")):
+        found = _names_in(path.read_text(), {"EXIT_CONTRACT", "RuntimeError"})
+        if found:
+            uses[path.stem] = found
+    assert uses == {
+        "cli": [
+            ("EXIT_CONTRACT", "module", "Store"),
+            ("RuntimeError", handler, "Load"),
+            ("EXIT_CONTRACT", handler, "Load"),
+        ],
+        "operators": [("RuntimeError", "eig_hermitian", "Load")],
+        "proof": [("RuntimeError", "_levels", "Load")],
+    }
+
+
 @pytest.mark.parametrize(
     "argv",
     [["profile"], ["verify", "--trials", "2"], ["membership", "--trials", "2"]],
@@ -405,7 +427,7 @@ def test_reported_bounds_stay_outward_of_their_exact_values(tmp_path, name):
     membership = json.loads(path.read_text())
     upb, lam = pptball.get_upb(name), profile["lambda"]
     n, d = upb.cardinality, upb.total_dim
-    x_star = _line(n, d, lam)[2]
+    x_star = _line(n, d, lam)[1]
     samples = [(row["x"], row["y0_tight"]) for row in profile["radius_samples"]]
     samples.append((membership["x"], membership["radius"]))
     for report in (profile, membership):

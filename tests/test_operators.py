@@ -524,6 +524,28 @@ def test_min_pt_eigenvalue_is_bitwise_the_per_cut_minimum(monkeypatch, dims):
     assert calls == [(len(cuts), d, d)] * len(states)
 
 
+@pytest.mark.parametrize("d", [2, 3, 4, 9])
+def test_lowest_eigenvalues_read_one_triangle(d):
+    # The kernel reads the lower triangle (eigvalsh), or at 2x2 the diagonal
+    # and m[0, 1] only, the triangle the proof's vertex stack fills: junk in
+    # the other triangle leaves the result bitwise unchanged, one matrix or a stack.
+    from pptball.operators import _lowest_eigenvalues
+
+    rng = np.random.default_rng(d)
+
+    def complex_normal(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    g = complex_normal(100, d, d)
+    m = g + g.conj().swapaxes(-1, -2)
+    rows, cols = np.tril_indices(d, -1) if d == 2 else np.triu_indices(d, 1)
+    junk = m.copy()
+    junk[:, rows, cols] = complex_normal(100, rows.size)
+    assert _lowest_eigenvalues(junk).tobytes() == _lowest_eigenvalues(m).tobytes()
+    for a, b in zip(junk[:20], m[:20]):
+        assert _lowest_eigenvalues(a).tobytes() == _lowest_eigenvalues(b).tobytes()
+
+
 def test_density_matrix_validation():
     structure = HilbertStructure((2, 2))
     with pytest.raises(ValueError, match="trace"):

@@ -226,6 +226,29 @@ def catalog_proof(tiles, pyramid, shifts, tiles_lambda, pyramid_lambda, shifts_l
     return proof
 
 
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_vertex_stack_fills_the_triangle_the_kernel_reads(d):
+    # _vertex_stack builds L_v = x + x^H + N in place and only in the triangle
+    # operators._lowest_eigenvalues reads: the lower one, or at d = 2 the
+    # diagonal and entry [0, 1].  There it is bitwise the full sum.
+    rng = np.random.default_rng(d)
+    blocks, vertices, inner = 6, 8, 2 * d
+
+    def complex_normal(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    delta = complex_normal(blocks, vertices, inner)
+    y = complex_normal(blocks, inner, d, d)
+    g = complex_normal(blocks, d, d)
+    n_c = g + g.conj().swapaxes(-1, -2)
+    x = np.matmul(delta, y.reshape(blocks, inner, d * d)).reshape(blocks, vertices, d, d)
+    full = x + x.conj().swapaxes(-1, -2) + n_c[:, None]
+    rows, cols = np.triu_indices(d) if d == 2 else np.tril_indices(d)
+    stack = proof_module._vertex_stack(delta, y, n_c)
+    assert stack.shape == full.shape
+    assert stack[..., rows, cols].tobytes() == full[..., rows, cols].tobytes()
+
+
 @pytest.mark.parametrize(
     "name, cells", [("tiles", 26637), ("pyramid", 32973), ("shifts", 83840)]
 )

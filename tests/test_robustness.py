@@ -29,6 +29,7 @@ from pptball import (
     prove_product_minimum,
     purity,
     robustness_profile,
+    verify_ball_robustness,
     verify_maximal_robustness,
     witness_value,
 )
@@ -93,9 +94,9 @@ def test_threshold_identity_cross_check(tiles_cert):
     # p = n and Tr W+ = n w_max, and branch equality at the exact x0.
     n, d, value = TILES_N, TILES_D, tiles_cert.lam
     lam = Fraction(value)
-    lambda_omega, w_max, x_star = _line(n, d, value)
+    lambda_omega, x_star = _line(n, d, value)
+    w_max = (1 - lam) / (n - lam * d)
     assert lambda_omega == lam / (n - lam * d)
-    assert w_max == (1 - lam) / (n - lam * d)
     assert 1 / (1 + d * lambda_omega) == x_star == 1 - lam * d / n
     assert n * lambda_omega / (n * w_max + n * lambda_omega) == lam
     x0 = (n * (d - 2) + d * (1 - lam * (d - 1))) / (n * (d - 2) + d * (1 - lam))
@@ -104,9 +105,21 @@ def test_threshold_identity_cross_check(tiles_cert):
     assert _branches(x0, n, d, value) == ((1 - x0) / (d - 1 - x0), c / (w_max + c))
 
 
+@pytest.mark.parametrize(
+    "command",
+    [
+        lambda cert: None,
+        lambda cert: robustness_profile(cert, 50),
+        lambda cert: verify_ball_robustness(cert, 10, 2, 0),
+        lambda cert: cert.radius(cert.x_grid(1)[0]),
+    ],
+    ids=["certify", "profile", "verify", "membership"],
+)
 @pytest.mark.parametrize("name", ["tiles", "pyramid", "shifts"])
-def test_certify_evaluates_the_line_once(request, monkeypatch, name):
-    # The exact (n, D, lambda) line is evaluated once per certificate, by certify.
+def test_certify_evaluates_the_line_once(request, monkeypatch, name, command):
+    # lambda is checked once per certificate, by certify's one call of the
+    # exact (n, D, lambda) line; the radii and the crossing that profile,
+    # verify and membership go on to compute read the certificate's lambda.
     upb = request.getfixturevalue(name)
     lam = request.getfixturevalue(f"{name}_lambda").value
     calls = []
@@ -117,6 +130,7 @@ def test_certify_evaluates_the_line_once(request, monkeypatch, name):
 
     monkeypatch.setattr(robustness_module, "_line", counted)
     cert = certify(upb, lam)
+    command(cert)
     assert calls == [(upb.cardinality, upb.total_dim, lam)]
     assert type(cert.witness) is HermitianOperator
 
@@ -127,7 +141,7 @@ def test_certificate_matches_closed_forms(request, name):
     upb, lam = cert.upb, cert.lam
     d, n = upb.total_dim, upb.cardinality
     assert type(lam) is float and lam == request.getfixturevalue(f"{name}_lambda").value
-    lambda_omega, w_max, x_star = _line(n, d, lam)
+    lambda_omega, x_star = _line(n, d, lam)
     assert rounded_up(cert.x_star, x_star)
     assert rounded_down(cert.lambda_omega, lambda_omega)
     assert np.array_equal(cert.omega.matrix, omega_state(upb).matrix)
@@ -141,6 +155,7 @@ def test_certificate_matches_closed_forms(request, name):
     for x in xs:
         assert rounded_down(cert.radius(x), min(_branches(x, n, d, lam)))
     # The float spectrum of W agrees with the exact numbers to rounding.
+    w_max = (1 - Fraction(lam)) / (n - Fraction(lam) * d)
     assert abs(eig_hermitian(cert.witness).eigenvalues[-1] - w_max) < 1e-12
     assert abs(-witness_value(cert.witness, cert.omega) - lambda_omega) < 1e-12
 
@@ -155,7 +170,7 @@ def test_certificate_rounds_outward_across_lambda(tiles, shifts, name, data):
     upb = {"tiles": tiles, "shifts": shifts}[name]
     n, d = upb.cardinality, upb.total_dim
     lam = data.draw(st.floats(ZERO_EIG_ATOL, n / d, exclude_min=True, exclude_max=True))
-    lambda_omega, w_max, x_star = _line(n, d, lam)
+    lambda_omega, x_star = _line(n, d, lam)
     if lambda_omega > 1 - Fraction(2, d):
         with pytest.raises(ValueError, match="exceeds the 1 - 2/D ceiling"):
             certify(upb, lam)
@@ -199,13 +214,6 @@ def test_crossing_root_and_branch_equality(tiles_lambda):
     )
     assert abs(root - closed) < 1e-10
     assert float(printed) != pytest.approx(root, abs=1e-3)
-    # Bad input is a ValueError, as for certify, not a failed contract.
-    with pytest.raises(ValueError, match=r"outside \(0, n/D"):
-        _crossing(TILES_N, TILES_D, 0.6)
-    with pytest.raises(ValueError, match="must be finite"):
-        _crossing(TILES_N, TILES_D, np.nan)
-    with pytest.raises(ValueError, match="extendible"):
-        _crossing(TILES_N, TILES_D, 0.0)
 
 
 @settings(max_examples=200, deadline=None)
@@ -218,11 +226,32 @@ def test_crossing_lies_inside_every_certifiable_line(data):
     n = data.draw(st.integers(1, d - 1))
     top = n * (d - 2) / (d * (d - 1))
     lam = data.draw(st.floats(ZERO_EIG_ATOL, top, exclude_min=True))
-    lambda_omega, _, x_star = _line(n, d, lam)
+    lambda_omega, x_star = _line(n, d, lam)
     assume(lambda_omega <= 1 - Fraction(2, d))
     x0, _ = _crossing(n, d, lam)
     assert isinstance(x0, Fraction)
     assert x_star < x0 < 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_witness_branch_is_the_worst_direction_mixing_ratio(data):
+    # The witness branch's closed form (nx - n + lambda D)/(nx - n + D) is,
+    # exactly, c/(w_max + c) with c = -Tr(W rho_x) = (x(1 + D lambda_omega) - 1)/D,
+    # for every certifiable (n, D, lambda) and every x in (x*, 1).
+    d = data.draw(st.integers(3, 64))
+    n = data.draw(st.integers(1, d - 1))
+    top = n * (d - 2) / (d * (d - 1))
+    value = data.draw(st.floats(ZERO_EIG_ATOL, top, exclude_min=True))
+    lam = Fraction(value)
+    lambda_omega = lam / (n - lam * d)
+    assume(lambda_omega <= 1 - Fraction(2, d))
+    w_max = (1 - lam) / (n - lam * d)
+    x_star = 1 - lam * d / n
+    x = data.draw(st.floats(float(x_star), 1.0, exclude_min=True, exclude_max=True))
+    assume(x_star < x)
+    c = (Fraction(x) * (1 + d * lambda_omega) - 1) / d
+    assert _branches(x, n, d, value)[1] == c / (w_max + c)
 
 
 def test_crossing_sweep_is_monotone():
@@ -269,16 +298,6 @@ def test_mixture_witness_value_identity(tiles, tiles_cert):
             x * (1 + TILES_D * lambda_omega) - 1
         ) / TILES_D
         assert abs(witness_value(witness, tau) - expected) < 1e-12
-
-
-def test_mixture_tau_identity_is_a_contract(monkeypatch, tiles, tiles_cert):
-    # A rewrite residual above IDENTITY_ATOL is a RuntimeError, the contract
-    # a08 relies on (no command calls mixture_tau); a negative tolerance
-    # forces it.
-    monkeypatch.setattr("pptball.robustness.IDENTITY_ATOL", -1.0)
-    mixed = DensityMatrix.maximally_mixed(tiles.structure)
-    with pytest.raises(RuntimeError, match="^mixture decomposition identity violated"):
-        mixture_tau(tiles_cert, mixed, 0.4, 0.1)
 
 
 def test_mixture_tau_range_validation(tiles, tiles_cert):
@@ -366,7 +385,9 @@ def test_separable_mixing_threshold_identity(request, name):
     # both to rounding.
     cert = request.getfixturevalue(f"{name}_cert")
     lam, n = cert.lam, cert.upb.cardinality
-    lambda_omega, w_max, _ = _line(n, cert.upb.total_dim, lam)
+    d = cert.upb.total_dim
+    lambda_omega, _ = _line(n, d, lam)
+    w_max = (1 - Fraction(lam)) / (n - Fraction(lam) * d)
     pos = eig_hermitian(cert.witness).eigenvalues
     pos = pos[pos > 0]
     p = pos.size
