@@ -8,8 +8,8 @@ expectation over the catalog states is achieved by the complement state.
 import numpy as np
 
 from pptball import (
+    Certificate,
     DensityMatrix,
-    certify,
     eig_hermitian,
     get_upb,
     minimum_overlap,
@@ -20,7 +20,7 @@ from pptball import (
 
 upb = get_upb("tiles")
 lam = minimum_overlap(upb)
-cert = certify(upb, lam.value)
+cert = Certificate(upb, lam.value)
 w, omega = cert.witness, cert.omega
 n, d = upb.cardinality, upb.total_dim
 

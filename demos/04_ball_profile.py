@@ -16,7 +16,7 @@ from decimal import Decimal
 from fractions import Fraction
 
 from pptball import (
-    certify,
+    Certificate,
     eig_hermitian,
     get_upb,
     is_ppt,
@@ -29,7 +29,7 @@ from pptball import (
 
 upb = get_upb("tiles")
 lam = minimum_overlap(upb)
-cert = certify(upb, lam.value)
+cert = Certificate(upb, lam.value)
 profile = robustness_profile(cert, grid_size=12)
 
 print(f"lambda          = {profile['lambda']:.12f}")

@@ -15,8 +15,8 @@ these dimensions.
 """
 
 from pptball import (
+    Certificate,
     ball_fraction_estimate,
-    certify,
     get_upb,
     minimum_overlap,
     verify_ball_robustness,
@@ -26,7 +26,7 @@ from pptball import (
 certs = {}
 for name in ("tiles", "shifts"):
     upb = get_upb(name)
-    cert = certs[name] = certify(upb, minimum_overlap(upb).value)
+    cert = certs[name] = Certificate(upb, minimum_overlap(upb).value)
     ball = verify_ball_robustness(cert, 10, 300, 42)
     mixing = verify_separable_mixing(cert, 300, 42)
     print(f"== {name} ==")
@@ -42,7 +42,7 @@ for name in ("tiles", "shifts"):
           f"witness margin {mixing.witness_margin:.2e}")
 
 cert = certs["tiles"]
-x = float(cert.x_grid(1)[0])
+x = cert.x_grid(1)[0]
 center = cert.member(x)
 radius = cert.radius(x)
 est = ball_fraction_estimate(center, radius, 2000, 7)

@@ -7,8 +7,8 @@ mixture stays bound entangled for every weight short of 1.
 """
 
 from pptball import (
+    Certificate,
     DensityMatrix,
-    certify,
     get_upb,
     minimizer_direction,
     minimum_overlap,
@@ -18,7 +18,7 @@ from pptball import (
 
 upb = get_upb("tiles")
 lam = minimum_overlap(upb)
-cert = certify(upb, lam.value)
+cert = Certificate(upb, lam.value)
 
 universal = cert.lam
 print(f"universal separable-mixing threshold = {universal:.12f} (= lambda)")
@@ -30,7 +30,7 @@ print(f"  white noise I/D      : {ppt_mixing_threshold(cert, mixed):.12f}")
 print(f"  minimizer direction  : {ppt_mixing_threshold(cert, sigma_dir):.12f} "
       f"(zero witness value, maximal robustness)")
 
-x = float(cert.x_grid(1)[0])
+x = cert.x_grid(1)[0]
 zs = [0.0, 0.25, 0.5, 0.75, 0.9, 0.99, 0.999]
 out = verify_maximal_robustness(cert, sigma_dir, x, zs)
 ppt_z, witness_z = zs[out.ppt_margin_key[0]], zs[out.witness_margin_key[0]]

@@ -22,7 +22,7 @@ _MODULES = {
     "witness": ("LambdaResult", "minimum_overlap"),
     "proof": ("ProductMinimumBound", "prove_product_minimum"),
     "robustness": (
-        "Certificate", "MixtureDecomposition", "ball_membership", "certify", "in_gurvits_ball",
+        "Certificate", "MixtureDecomposition", "ball_membership", "in_gurvits_ball",
         "minimizer_direction", "mixture_tau", "ppt_mixing_threshold", "robustness_profile",
     ),
     "montecarlo": (

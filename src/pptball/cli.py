@@ -112,12 +112,12 @@ def _overlap(args) -> tuple[UPBSet, LambdaResult]:
 
 
 def _certificate(args) -> Certificate:
-    from .robustness import certify
+    from .robustness import Certificate
 
     upb, lam = _overlap(args)
     if not lam.converged:
         raise _NoConvergence("overlap minimizer did not converge")
-    return certify(upb, lam.value)
+    return Certificate(upb, lam.value)
 
 
 def _cmd_upb_list(args) -> tuple[dict, int]:
@@ -190,7 +190,7 @@ def _cmd_membership(args) -> tuple[dict, int]:
     from .montecarlo import ball_fraction_estimate
 
     cert = _certificate(args)
-    x = float(cert.x_grid(1)[0])
+    x = cert.x_grid(1)[0]
     radius = cert.radius(x)
     estimate = ball_fraction_estimate(cert.member(x), radius, args.trials, args.seed)
     fields = {

@@ -200,7 +200,7 @@ def verify_ball_robustness(
     violations expected; violations are data, not exceptions.
     """
     trials, seed = _integer(trials, "trials", 1), _integer(seed, "seed", 0)
-    x_grid = [float(x) for x in cert.x_grid(grid)]
+    x_grid = cert.x_grid(grid)
 
     def keyed_matrices():
         for xi, x in enumerate(x_grid):

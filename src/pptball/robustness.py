@@ -7,21 +7,21 @@ the separable purity ball, ball membership, the separable-mixing thresholds,
 and the minimizer direction, a separable state with zero witness value;
 ``montecarlo.verify_maximal_robustness`` checks mixtures toward it.
 
-``certify`` is the one constructor of the witness W = (P - lambda I)/(n - lambda D),
-which is a witness only if lambda is at most the true minimum product
-overlap; ``proof.prove_product_minimum`` establishes that from below.
-``certify`` checks lambda once, through ``_line``; every later number reads
-the certificate's checked lambda.  Every certificate number (lambda_omega,
-x*, x0, y0(x)) is a rational function of n, D and lambda, evaluated exactly
-from the float lambda (``_line``, ``_branches``, ``_crossing``) and rounded
-once, a bound outward: x* up, lambda_omega and y0 down.  It is exact for the
-float lambda and the float set (Gram deviation 3.3e-16 to 6.7e-16).
+``Certificate(upb, lam)`` is the one constructor of the witness
+W = (P - lambda I)/(n - lambda D), a witness only if lambda is at most the
+true minimum product overlap, which ``proof.prove_product_minimum``
+establishes from below.  It checks lambda once, through ``_line``; every
+later number reads its checked lambda.  Every certificate number
+(lambda_omega, x*, x0, y0(x)) is a rational function of n, D and lambda,
+evaluated exactly from the float lambda (``_line``, ``_branches``,
+``_crossing``) and rounded once, a bound outward: x* up, lambda_omega and y0
+down; exact for the float lambda and set (Gram deviation 3.3e-16 to 6.7e-16).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -41,8 +41,8 @@ def _line(n: int, d: int, lam: float) -> tuple[Fraction, Fraction]:
     """Check lambda; lambda_omega = lambda/(n - lambda D) and x* = 1 - lambda D/n, exactly.
 
     lambda_omega is -Tr(W omega) and x* = 1/(1 + D lambda_omega), exact for
-    the float lambda.  ``certify`` is the one caller: it checks lambda here
-    once per certificate.  lambda must be a finite real number, at least
+    the float lambda.  ``Certificate`` is the one caller: it checks lambda
+    here once per certificate.  lambda must be a finite real number, at least
     -ZERO_EIG_ATOL (no product overlap is negative), below n/D, so that the
     normalizer n - lambda D is positive, and above ZERO_EIG_ATOL.  The
     seesaw's lambda is an eigenvalue, so one within ZERO_EIG_ATOL of 0 is a
@@ -91,37 +91,62 @@ def _outward(q: Fraction, up: bool) -> float:
 
 @dataclass(frozen=True, eq=False)
 class Certificate:
-    """The chain from a product basis to its entanglement threshold.
+    """The chain from a product basis to its entanglement threshold, built from (set, lambda) alone.
 
-    ``lam`` is the float lambda it is built from, such as the seesaw's upper
-    estimate of the minimum product overlap or the proven lower bound.
-    ``witness`` is W = (P - lambda I)/(n - lambda D), ``omega`` the complement
-    state, ``lambda_omega`` = -Tr(W omega) its violation and ``x_star`` the
+    ``lam`` is the float lambda, such as the seesaw's upper estimate of the
+    minimum product overlap or the proven lower bound; every other field is
+    derived and checked here.  ``witness`` is W = (P - lambda I)/(n - lambda D),
+    formed nowhere else, with a flat spectrum: (1 - lambda)/(n - lambda D) n
+    times and -lambda/(n - lambda D) D - n times.  ``omega`` is the complement
+    state, so a set with n = D is refused first; ``_line`` then checks lambda.
+    ``lambda_omega`` = -Tr(W omega) = lambda/(n - lambda D) is the violation,
+    at most 1 - 2/D (compared exactly), and ``x_star`` = 1 - lambda D/n the
     threshold above which the white-noise family through omega stays
     witness-negative.  Both numbers are exact functions of (n, D, lambda)
-    rounded once, ``lambda_omega`` down and ``x_star`` up.  Build it with ``certify``.
+    rounded once, ``lambda_omega`` down and ``x_star`` up.
     """
 
     upb: UPBSet
     lam: float
-    witness: HermitianOperator
-    omega: DensityMatrix
-    lambda_omega: float
-    x_star: float
+    witness: HermitianOperator = field(init=False)
+    omega: DensityMatrix = field(init=False)
+    lambda_omega: float = field(init=False)
+    x_star: float = field(init=False)
 
-    def x_grid(self, k: int) -> np.ndarray:
+    def __post_init__(self):
+        upb = self.upb
+        if not isinstance(upb, UPBSet):
+            raise ValueError(f"upb must be a UPBSet, got {type(upb).__name__}")
+        object.__setattr__(self, "omega", omega_state(upb))
+        d, n = upb.total_dim, upb.cardinality
+        lambda_omega, x_star = _line(n, d, self.lam)
+        lam = float(self.lam)
+        if d * lambda_omega > d - 2:
+            raise ValueError(f"witness violation at lambda = {lam!r} exceeds the 1 - 2/D ceiling")
+        witness = HermitianOperator((upb.projector.matrix - lam * np.eye(d)) / (n - lam * d))
+        if abs(witness.trace - 1.0) > TRACE_ATOL:
+            raise ValueError(f"witness trace must be 1, got {witness.trace!r}")
+        object.__setattr__(self, "lam", lam)
+        object.__setattr__(self, "witness", witness)
+        object.__setattr__(self, "lambda_omega", _outward(lambda_omega, up=False))
+        object.__setattr__(self, "x_star", _outward(x_star, up=True))
+
+    def x_grid(self, k: int) -> tuple[float, ...]:
         """k >= 1 evenly spaced points strictly inside (x*, 1)."""
         k = _integer(k, "grid size", 1)
-        return np.linspace(self.x_star, 1.0, k + 2)[1:-1]
+        return tuple(np.linspace(self.x_star, 1.0, k + 2)[1:-1].tolist())
 
-    def member(self, x: float) -> DensityMatrix:
-        """The white-noise family member x * omega + (1 - x) * I/D."""
+    def _noise_line(self, x: float) -> np.ndarray:
+        """The matrix x * omega + (1 - x) * I/D, for x in [0, 1]; unvalidated as a state."""
         x = _real(x, "mixing parameter")
         if not 0.0 <= x <= 1.0:
             raise ValueError(f"mixing parameter must lie in [0, 1], got {x!r}")
         d = self.upb.total_dim
-        m = x * self.omega.matrix + (1.0 - x) * np.eye(d) / d
-        return DensityMatrix(m, self.upb.structure)
+        return x * self.omega.matrix + (1.0 - x) * np.eye(d) / d
+
+    def member(self, x: float) -> DensityMatrix:
+        """The white-noise family member x * omega + (1 - x) * I/D."""
+        return DensityMatrix(self._noise_line(x), self.upb.structure)
 
     def _check_entangled(self, x: float) -> float:
         """x as a float; raise unless it lies strictly in (x*, 1), where the family is entangled."""
@@ -135,30 +160,6 @@ class Certificate:
         x = self._check_entangled(x)
         y0 = min(_branches(x, self.upb.cardinality, self.upb.total_dim, self.lam))
         return _outward(y0, up=False)
-
-
-def certify(upb: UPBSet, lam: float) -> Certificate:
-    """Build the witness, complement state, violation and threshold of a set at lambda.
-
-    W = (P - lambda I)/(n - lambda D) is formed here and nowhere else.  Its
-    spectrum is flat by construction: (1 - lambda)/(n - lambda D) with
-    multiplicity n and -lambda/(n - lambda D) with multiplicity D - n.  A set
-    with n = D has no complement state and is refused first.  ``_line``
-    checks lambda, here and nowhere else: the radius and the crossing read the
-    certificate's checked lambda.  The violation lambda_omega = lambda/(n - lambda D)
-    may not exceed 1 - 2/D, compared exactly, and is rounded down, x* = 1 - lambda D/n up.
-    """
-    omega = omega_state(upb)
-    d, n = upb.total_dim, upb.cardinality
-    lambda_omega, x_star = _line(n, d, lam)
-    lam = float(lam)
-    if d * lambda_omega > d - 2:
-        raise ValueError(f"witness violation at lambda = {lam!r} exceeds the 1 - 2/D ceiling")
-    witness = HermitianOperator((upb.projector.matrix - lam * np.eye(d)) / (n - lam * d))
-    if abs(witness.trace - 1.0) > TRACE_ATOL:
-        raise ValueError(f"witness trace must be 1, got {witness.trace!r}")
-    lambda_omega, x_star = _outward(lambda_omega, up=False), _outward(x_star, up=True)
-    return Certificate(upb, lam, witness, omega, lambda_omega, x_star)
 
 
 X0_NOTE = (
@@ -185,7 +186,7 @@ def _crossing(n: int, d: int, lam: float) -> tuple[Fraction, Fraction]:
     # The root lies in (x*, 1) for every certificate: 1 - x0 =
     # D lambda (D - 2)/(n(D - 2) + D(1 - lambda)), whose denominator is
     # positive for lambda < 1, so x0 < 1 iff lambda (D - 2) > 0, and
-    # x0 > x* = 1 - lambda D/n iff lambda < 1.  certify's _line gives
+    # x0 > x* = 1 - lambda D/n iff lambda < 1.  Certificate's _line gives
     # 0 < lambda < n/D < 1 (omega_state refuses n >= D), and its
     # 1 - 2/D ceiling refuses D = 2, since lambda_omega > 0.
     x0 = numerator / (n * (d - 2) + d * (1 - lam))
@@ -220,8 +221,7 @@ def mixture_tau(
         raise ValueError(f"y must lie in [0, 1), got {y!r}")
     structure = cert.upb.structure
     sigma = _state(sigma, structure)
-    rho_x = cert.member(x)
-    tau_m = y * sigma.matrix + (1.0 - y) * rho_x.matrix
+    tau_m = y * sigma.matrix + (1.0 - y) * cert._noise_line(x)
     s = 1.0 - x * (1.0 - y)
     return DensityMatrix(tau_m, structure), MixtureDecomposition(s, y / s)
 
@@ -304,13 +304,12 @@ def robustness_profile(cert: Certificate, grid_size: int) -> dict:
     ``x0_note`` explains the two crossing points.
     """
     x0, x0_printed = _crossing(cert.upb.cardinality, cert.upb.total_dim, cert.lam)
-    xs = [float(x) for x in cert.x_grid(grid_size)]
     return {
         "lambda": cert.lam,
         "lambda_omega": cert.lambda_omega,
         "x_star": cert.x_star,
         "x0_root": float(x0),
         "x0_printed_eq32": float(x0_printed),
-        "radius_samples": [{"x": x, "y0_tight": y0} for x, y0 in zip(xs, map(cert.radius, xs))],
+        "radius_samples": [{"x": x, "y0_tight": cert.radius(x)} for x in cert.x_grid(grid_size)],
         "x0_note": X0_NOTE,
     }

@@ -1,8 +1,8 @@
 import pytest
 
 from pptball import (
+    Certificate,
     build_complete_basis,
-    certify,
     get_upb,
     minimum_overlap,
     omega_state,
@@ -46,17 +46,17 @@ def shifts_lambda(shifts):
 
 @pytest.fixture(scope="session")
 def tiles_cert(tiles, tiles_lambda):
-    return certify(tiles, tiles_lambda.value)
+    return Certificate(tiles, tiles_lambda.value)
 
 
 @pytest.fixture(scope="session")
 def pyramid_cert(pyramid, pyramid_lambda):
-    return certify(pyramid, pyramid_lambda.value)
+    return Certificate(pyramid, pyramid_lambda.value)
 
 
 @pytest.fixture(scope="session")
 def shifts_cert(shifts, shifts_lambda):
-    return certify(shifts, shifts_lambda.value)
+    return Certificate(shifts, shifts_lambda.value)
 
 
 @pytest.fixture(scope="session")

@@ -9,9 +9,9 @@ import time
 import numpy as np
 
 from pptball import (
+    Certificate,
     DensityMatrix,
     ball_membership,
-    certify,
     eig_hermitian,
     get_upb,
     in_gurvits_ball,
@@ -144,7 +144,7 @@ def test_a05_ball_verification(
         lo = lambda_omega_of(witness, omega_state(upb))
         x_star = 1.0 / (1.0 + upb.total_dim * lo)
         xs = np.linspace(x_star, 1.0, 12)[1:-1]
-        out = verify_ball_robustness(certify(upb, lam.value), 10, 1000, 42)
+        out = verify_ball_robustness(Certificate(upb, lam.value), 10, 1000, 42)
         # The suite draws its points from the certificate; they must be the
         # grid over the x* computed here from the witness value alone.
         assert np.max(np.abs(np.array(out.config["x_grid"]) - xs)) < 1e-12
@@ -161,7 +161,7 @@ def test_a05_ball_verification(
 
 def test_a06_separable_mixing_verification(tiles, shifts, tiles_lambda, shifts_lambda):
     for upb, lam in ((tiles, tiles_lambda), (shifts, shifts_lambda)):
-        cert = certify(upb, lam.value)
+        cert = Certificate(upb, lam.value)
         out = verify_separable_mixing(cert, 1000, 42)
         assert out.ppt_violations == 0
         assert out.witness_violations == 0

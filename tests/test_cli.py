@@ -440,7 +440,7 @@ def test_contract_failure_exits_4(tmp_path, capsys, monkeypatch):
     def broken(upb, lam):
         raise RuntimeError("witness violation exceeds the 1 - 2/D ceiling")
 
-    monkeypatch.setattr("pptball.robustness.certify", broken)
+    monkeypatch.setattr("pptball.robustness.Certificate", broken)
     short_seesaw(monkeypatch, 20)
     code, path = run(tmp_path, "profile", "--upb", "tiles")
     assert code == 4

@@ -534,7 +534,7 @@ def test_cli_import_leaves_scipy_stats_unloaded():
 
 
 def test_certificate_import_leaves_the_seesaw_unloaded():
-    # certify, Certificate and robustness_profile need lambda, not the seesaw.
+    # Certificate and robustness_profile need lambda, not the seesaw.
     probe = f"import sys, pptball.robustness; {_PPTBALL_MODULES}"
     assert _probe(probe) == ["pptball,pptball.operators,pptball.robustness,pptball.upb"]
 
@@ -543,10 +543,10 @@ def test_no_pptball_code_loads_scipy():
     probe = """
 import sys
 import pptball.witness
-from pptball import certify, get_upb, minimum_overlap, robustness_profile
+from pptball import Certificate, get_upb, minimum_overlap, robustness_profile
 pptball.witness.SEESAW_RESTARTS = 20
 shifts = get_upb("shifts")
-robustness_profile(certify(shifts, minimum_overlap(shifts).value), grid_size=3)
+robustness_profile(Certificate(shifts, minimum_overlap(shifts).value), grid_size=3)
 print("scipy" in sys.modules)
 """
     assert _probe(probe) == ["False"]

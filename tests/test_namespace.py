@@ -21,7 +21,7 @@ def test_public_name_is_its_modules_object(name):
 
 @pytest.mark.parametrize("name", ["build_witness", "witness_from_operator"])
 def test_witness_builders_left_the_namespace(name):
-    # certify is the one constructor of the witness; no other builder remains.
+    # Certificate is the one constructor of the witness; no other builder remains.
     from pptball import robustness, witness
 
     assert name not in pptball.__all__ and name not in dir(pptball)
@@ -41,6 +41,16 @@ def test_catalog_builders_left_the_namespace(name):
     assert not hasattr(upb, name)
 
 
+def test_certify_left_the_namespace():
+    # Certificate(upb, lam) is the one constructor of a certificate.
+    from pptball import robustness
+
+    assert "certify" not in pptball.__all__ and "certify" not in dir(pptball)
+    with pytest.raises(AttributeError, match="'pptball' has no attribute 'certify'"):
+        pptball.certify
+    assert not hasattr(robustness, "certify")
+
+
 @pytest.mark.parametrize("name", ["tiles", "pyramid", "shifts", "complete-2x2"])
 def test_catalog_builder_gives_what_get_upb_gives(name):
     built, got = pptball.CATALOG[name](), pptball.get_upb(name)
@@ -55,6 +65,19 @@ def test_dir_lists_every_public_name():
     assert set(pptball.__all__) <= set(listed)
     assert "__version__" in listed
     assert len(pptball.__all__) == len(set(pptball.__all__))
+
+
+def test_version_has_one_home():
+    # The package metadata declares its version dynamic and reads it from the
+    # attribute that reports stamp; the attribute must exist.
+    import tomllib
+
+    pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+    config = tomllib.loads(pyproject.read_text())
+    assert "version" not in config["project"] and config["project"]["dynamic"] == ["version"]
+    module, _, name = config["tool"]["setuptools"]["dynamic"]["version"]["attr"].rpartition(".")
+    assert (module, name) == ("pptball", "__version__")
+    assert isinstance(getattr(importlib.import_module(module), name), str)
 
 
 def test_unknown_name_raises_attribute_error():

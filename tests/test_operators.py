@@ -4,13 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pptball import (
+    Certificate,
     DensityMatrix,
     HermitianOperator,
     HilbertStructure,
     UPBSet,
     all_bipartitions,
     build_complete_basis,
-    certify,
     eig_hermitian,
     get_upb,
     is_ppt,
@@ -134,7 +134,7 @@ def test_counts_below_their_floor_are_rejected(call, message):
 @pytest.mark.parametrize(
     "call, what",
     [
-        (lambda lam: certify(get_upb("tiles"), lam), "minimum overlap"),
+        (lambda lam: Certificate(get_upb("tiles"), lam), "minimum overlap"),
         (lambda lam: prove_product_minimum(np.eye(4) / 4, (2, 2), lam), "upper"),
     ],
     ids=["certify", "prove_product_minimum"],
@@ -148,9 +148,10 @@ def test_real_parameters_must_be_real_numbers(call, what, bad):
 
 
 def test_real_numpy_lambda_passes():
-    cert = certify(get_upb("tiles"), np.float64(0.0284162))
+    cert = Certificate(get_upb("tiles"), np.float64(0.0284162))
     assert type(cert.lam) is float and cert.lam == 0.0284162
-    assert np.array_equal(cert.witness.matrix, certify(get_upb("tiles"), 0.0284162).witness.matrix)
+    plain = Certificate(get_upb("tiles"), 0.0284162)
+    assert np.array_equal(cert.witness.matrix, plain.witness.matrix)
     bound = prove_product_minimum(np.eye(4) / 4, (2, 2), np.float64(1.0))
     assert bound == prove_product_minimum(np.eye(4) / 4, (2, 2), 1.0)
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -7,6 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from pptball import (
+    Certificate,
     DensityMatrix,
     HermitianOperator,
     HilbertStructure,
@@ -16,7 +18,6 @@ from pptball import (
     ball_fraction_estimate,
     ball_membership,
     build_complete_basis,
-    certify,
     eig_hermitian,
     in_gurvits_ball,
     is_ppt,
@@ -117,7 +118,7 @@ def test_threshold_identity_cross_check(tiles_cert):
 )
 @pytest.mark.parametrize("name", ["tiles", "pyramid", "shifts"])
 def test_certify_evaluates_the_line_once(request, monkeypatch, name, command):
-    # lambda is checked once per certificate, by certify's one call of the
+    # lambda is checked once per certificate, by Certificate's one call of the
     # exact (n, D, lambda) line; the radii and the crossing that profile,
     # verify and membership go on to compute read the certificate's lambda.
     upb = request.getfixturevalue(name)
@@ -129,7 +130,7 @@ def test_certify_evaluates_the_line_once(request, monkeypatch, name, command):
         return _line(n, d, value)
 
     monkeypatch.setattr(robustness_module, "_line", counted)
-    cert = certify(upb, lam)
+    cert = Certificate(upb, lam)
     command(cert)
     assert calls == [(upb.cardinality, upb.total_dim, lam)]
     assert type(cert.witness) is HermitianOperator
@@ -148,7 +149,7 @@ def test_certificate_matches_closed_forms(request, name):
     assert type(cert.witness) is HermitianOperator
     witness = (upb.projector.matrix - lam * np.eye(d)) / (n - lam * d)
     assert np.array_equal(cert.witness.matrix, witness)
-    xs = cert.x_grid(7)
+    xs = np.array(cert.x_grid(7))
     assert len(xs) == 7
     assert np.all((cert.x_star < xs) & (xs < 1.0))
     assert np.all(np.diff(xs) > 0)
@@ -158,6 +159,32 @@ def test_certificate_matches_closed_forms(request, name):
     w_max = (1 - Fraction(lam)) / (n - Fraction(lam) * d)
     assert abs(eig_hermitian(cert.witness).eigenvalues[-1] - w_max) < 1e-12
     assert abs(-witness_value(cert.witness, cert.omega) - lambda_omega) < 1e-12
+
+
+def test_certificate_is_built_from_set_and_lambda_alone(tiles, tiles_cert):
+    # Only upb and lam are init fields; the rest is derived and checked in
+    # __post_init__, so a replaced lambda builds and checks a new certificate.
+    assert [f.name for f in dataclasses.fields(Certificate) if f.init] == ["upb", "lam"]
+    normalizer = r"outside \(0, n/D = 0\.5555555555555556\); the normalizer"
+    with pytest.raises(ValueError, match=normalizer):
+        dataclasses.replace(tiles_cert, lam=0.6)
+    replaced, fresh = dataclasses.replace(tiles_cert, lam=0.03), Certificate(tiles, 0.03)
+    assert (replaced.x_star, replaced.lambda_omega) == (fresh.x_star, fresh.lambda_omega)
+    assert replaced.x_star != tiles_cert.x_star
+    assert np.array_equal(replaced.witness.matrix, fresh.witness.matrix)
+    w, omega = tiles_cert.witness, tiles_cert.omega
+    with pytest.raises(TypeError):
+        Certificate(tiles, 0.03, w, omega, tiles_cert.lambda_omega, tiles_cert.x_star)
+    with pytest.raises(ValueError, match="init=False"):
+        dataclasses.replace(tiles_cert, x_star=0.5)
+    with pytest.raises(ValueError, match="^upb must be a UPBSet, got str$"):
+        Certificate("tiles", 0.03)
+
+
+def test_x_grid_is_a_tuple_of_floats(tiles_cert):
+    xs = tiles_cert.x_grid(5)
+    assert type(xs) is tuple and all(type(x) is float for x in xs)
+    assert xs == tuple(np.linspace(tiles_cert.x_star, 1.0, 7)[1:-1])
 
 
 @pytest.mark.parametrize("name", ["tiles", "shifts"])
@@ -173,9 +200,9 @@ def test_certificate_rounds_outward_across_lambda(tiles, shifts, name, data):
     lambda_omega, x_star = _line(n, d, lam)
     if lambda_omega > 1 - Fraction(2, d):
         with pytest.raises(ValueError, match="exceeds the 1 - 2/D ceiling"):
-            certify(upb, lam)
+            Certificate(upb, lam)
         return
-    cert = certify(upb, lam)
+    cert = Certificate(upb, lam)
     assert rounded_up(cert.x_star, x_star)
     assert rounded_down(cert.lambda_omega, lambda_omega)
     for x in cert.x_grid(9):
@@ -220,7 +247,7 @@ def test_crossing_root_and_branch_equality(tiles_lambda):
 @given(data=st.data())
 def test_crossing_lies_inside_every_certifiable_line(data):
     # The argument beside _crossing's root, checked exactly: for every
-    # (n, D, lambda) that certify accepts, x* < x0 < 1.  Past
+    # (n, D, lambda) that Certificate accepts, x* < x0 < 1.  Past
     # lambda = n(D - 2)/(D(D - 1)), lambda_omega exceeds the 1 - 2/D ceiling.
     d = data.draw(st.integers(3, 64))
     n = data.draw(st.integers(1, d - 1))
@@ -298,6 +325,18 @@ def test_mixture_witness_value_identity(tiles, tiles_cert):
             x * (1 + TILES_D * lambda_omega) - 1
         ) / TILES_D
         assert abs(witness_value(witness, tau) - expected) < 1e-12
+
+
+def test_mixture_tau_validates_its_output_only(monkeypatch, tiles_cert):
+    # tau is validated as a state once; the noise line it mixes is a plain
+    # matrix, and a plain sigma adds its own entry check.
+    sigma = sample_hs_density(tiles_cert.upb.structure, 5, trial=0)
+    solve, calls = np.linalg.eigvalsh, []
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: calls.append(m.shape) or solve(m))
+    mixture_tau(tiles_cert, sigma, 0.9, 0.1)
+    assert len(calls) == 1
+    mixture_tau(tiles_cert, sigma.matrix, 0.9, 0.1)
+    assert len(calls) == 3
 
 
 def test_mixture_tau_range_validation(tiles, tiles_cert):

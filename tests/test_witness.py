@@ -22,7 +22,7 @@ from pptball import (
 from pptball.montecarlo import sample_hs_density, sample_random_product_separable
 from pptball import robustness as robustness_module
 from pptball import witness as witness_module
-from pptball.robustness import certify
+from pptball.robustness import Certificate
 from pptball.upb import ProductState, _overlaps
 from pptball.witness import DISTINCT_FIDELITY, MINIMIZER_VALUE_ATOL, _restart_start, _seesaw_once
 
@@ -93,7 +93,7 @@ def test_extendible_sets_are_not_certified(seed, dims, n, quick):
     upb = _random_orthogonal_product_set(seed, dims, n)
     lam = minimum_overlap(upb)
     with pytest.raises(ValueError, match=f"minimum overlap {re.escape(repr(lam.value))}.*extendible"):
-        certify(upb, lam.value)
+        Certificate(upb, lam.value)
 
 
 def test_overlaps_are_positive_and_below_ratio(tiles_lambda, pyramid_lambda, shifts_lambda):
@@ -344,9 +344,9 @@ def test_expectation_sandwich(tiles, tiles_cert):
 
 
 def test_witness_normalizer_guard(complete22, tiles, monkeypatch):
-    # certify refuses a set with n = D before it reads lambda.
+    # Certificate refuses a set with n = D before it reads lambda.
     with pytest.raises(ValueError, match=r"^the set spans the whole space \(n = D\)"):
-        certify(complete22, 0.5)
+        Certificate(complete22, 0.5)
     # A non-finite or clearly negative lambda is refused before the
     # normalizer and the extendibility branch read it.
     refusals = [
@@ -362,17 +362,17 @@ def test_witness_normalizer_guard(complete22, tiles, monkeypatch):
     ]
     for lam, message in refusals:
         with pytest.raises(ValueError, match=message):
-            certify(tiles, lam)
+            Certificate(tiles, lam)
     # The float just below n/D = 5/9 passes the normalizer, which is then a
     # few ulps; the exact violation lambda/(n - lambda D) is what refuses it.
     message = r"^witness violation at lambda = 0\.5555555555555555 exceeds the 1 - 2/D ceiling$"
     with pytest.raises(ValueError, match=message):
-        certify(tiles, 0.5555555555555555)
+        Certificate(tiles, 0.5555555555555555)
     # Tr W = 1 up to the members' norms, which ``UPBSet.from_vectors`` lets
     # miss 1 by UNIT_NORM_ATOL per factor; a trace outside TRACE_ATOL is refused.
     monkeypatch.setattr(robustness_module, "TRACE_ATOL", -1.0)
     with pytest.raises(ValueError, match="^witness trace must be 1"):
-        certify(tiles, 0.0284162)
+        Certificate(tiles, 0.0284162)
 
 
 def test_witness_module_leaves_the_line_to_robustness():
